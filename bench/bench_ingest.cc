@@ -1,7 +1,6 @@
-// Ingest benchmark (ISSUE 10): the mutable time-axis head, end to end.
-// A synthetic update feed bootstraps a sealed base, then the remainder
-// arrives through the UpdateBatcher as append batches. Three things are
-// measured:
+// Ingest benchmark: the mutable time-axis head, end to end. A synthetic
+// update feed bootstraps a sealed base, then the remainder arrives through
+// the UpdateBatcher as append batches. Four things are measured:
 //
 //   1. Append throughput — entities (vertices+edges+props) folded into
 //      the delta segment per second, including validation and receipt
@@ -14,20 +13,34 @@
 //   3. That compute-call fraction itself, from a sequential pass — a
 //      deterministic count, gated unconditionally; the wall-clock
 //      speedup and append rate are timing gates (strict mode only).
+//   4. Versioned appends — GraphRegistry::Append with the previous
+//      version still pinned, as a server runs it beside in-flight jobs,
+//      on Reddit-like bases of two sizes (4x apart). Heap allocations per
+//      non-compacting append are counted exactly (bench/alloc_counter.h)
+//      and must not grow with the base: the sealed base is shared between
+//      versions, so an append costs O(batch + delta).
 //
 // Prints a summary to stdout and writes machine-readable results to
 // BENCH_ingest.json (override with argv[2]); tools/check_bench_regression.py
 // compares the "gated" block against the committed baseline.
+#define GRAPHITE_ALLOC_COUNTER_IMPL
+#include "alloc_counter.h"
+
+#include <algorithm>
 #include <fstream>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "algorithms/icm_path.h"
 #include "bench_common.h"
+#include "gen/generators.h"
 #include "icm/icm_engine.h"
+#include "server/graph_registry.h"
 #include "stream/update_stream.h"
 #include "util/json.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace graphite {
@@ -141,6 +154,102 @@ RecomputeSample RecomputePass(const IngestWorkload& w, VertexId source,
   return s;
 }
 
+// Append batches shaped like bench/e2e's ingest-mixed feed: 10 fresh
+// vertices and 50 edges with two properties each. Edges cycle through
+// fresh->base, base->fresh and fresh->fresh, each spanning the base
+// vertex's lifespan (or the whole horizon). The shape — and so the
+// allocation pattern of appending it — does not depend on the base.
+std::vector<EdgeBatch> VersionedBatches(const TemporalGraph& base, int count) {
+  constexpr int kVertices = 10;
+  constexpr int kEdges = 50;
+  Rng rng(2027);
+  VertexId next_vid = 0;
+  EdgeId next_eid = 0;
+  for (VertexIdx v = 0; v < base.num_vertices(); ++v) {
+    next_vid = std::max(next_vid, base.vertex_id(v) + 1);
+  }
+  for (EdgePos pos = 0; pos < base.num_edges(); ++pos) {
+    next_eid = std::max(next_eid, base.edge(pos).eid + 1);
+  }
+  const Interval forever(0, base.horizon());
+  std::vector<EdgeBatch> batches(static_cast<size_t>(count));
+  for (EdgeBatch& batch : batches) {
+    for (int i = 0; i < kVertices; ++i) {
+      batch.vertices.push_back({next_vid++, forever});
+    }
+    for (int j = 0; j < kEdges; ++j) {
+      VertexId src = batch.vertices[rng.Uniform(kVertices)].vid;
+      VertexId dst = batch.vertices[rng.Uniform(kVertices)].vid;
+      Interval span = forever;
+      if (j % 3 != 2) {
+        VertexIdx pick = 0;
+        do {
+          pick = static_cast<VertexIdx>(rng.Uniform(base.num_vertices()));
+          span = base.ClipToHorizon(base.vertex_interval(pick));
+        } while (span.IsEmpty());
+        (j % 3 == 0 ? dst : src) = base.vertex_id(pick);
+      }
+      const EdgeId eid = next_eid++;
+      batch.edges.push_back({eid, src, dst, span});
+      batch.props.push_back({eid, kTravelTimeLabel, span, 1});
+      batch.props.push_back({eid, kTravelCostLabel, span, 2});
+    }
+  }
+  return batches;
+}
+
+struct VersionedSample {
+  size_t base_vertices = 0;
+  size_t base_edges = 0;
+  double allocs_per_append = 0;      // non-compacting appends
+  double append_ms = 0;              // median, non-compacting
+  double compact_append_ms = 0;      // median, every 5th (compacting)
+  double compact_allocs_per_append = 0;
+};
+
+// Publishes `appends` versions of `base` through a GraphRegistry, each
+// while the previous version is pinned (a job holding the old head), and
+// times Append plus the release of the pinned version. One warm-up append
+// first builds the base's EdgeId index, a once-per-base cost.
+VersionedSample VersionedAppendPass(const TemporalGraph& base, int appends) {
+  constexpr int kCompactEvery = 5;
+  const std::vector<EdgeBatch> batches = VersionedBatches(base, appends + 1);
+  GraphRegistry registry;
+  registry.Add("g", base);
+  GRAPHITE_CHECK(registry.Append("g", batches[0], false).ok());
+
+  std::vector<double> plain_ms, compact_ms;
+  uint64_t plain_allocs = 0, compact_allocs = 0;
+  for (int k = 1; k <= appends; ++k) {
+    const bool compact = k % kCompactEvery == 0;
+    std::shared_ptr<ResidentGraph> pinned = registry.Get("g");
+    const uint64_t a0 = benchalloc::AllocCount();
+    const int64_t t0 = NowNanos();
+    GRAPHITE_CHECK(registry.Append("g", batches[k], compact).ok());
+    const uint64_t allocs = benchalloc::AllocCount() - a0;
+    pinned.reset();
+    const double ms = bench::Ms(NowNanos() - t0);
+    (compact ? compact_ms : plain_ms).push_back(ms);
+    (compact ? compact_allocs : plain_allocs) += allocs;
+  }
+  auto median = [](std::vector<double> v) {
+    if (v.empty()) return 0.0;
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  auto mean = [](uint64_t total, size_t n) {
+    return n > 0 ? static_cast<double>(total) / static_cast<double>(n) : 0.0;
+  };
+  VersionedSample s;
+  s.base_vertices = base.num_vertices();
+  s.base_edges = base.num_edges();
+  s.allocs_per_append = mean(plain_allocs, plain_ms.size());
+  s.append_ms = median(plain_ms);
+  s.compact_append_ms = median(compact_ms);
+  s.compact_allocs_per_append = mean(compact_allocs, compact_ms.size());
+  return s;
+}
+
 }  // namespace
 }  // namespace graphite
 
@@ -208,6 +317,28 @@ int main(int argc, char** argv) {
                 static_cast<double>(counted.full_calls)
           : 1.0;
 
+  // 4. Versioned registry appends at two base sizes, 4x apart.
+  const int kVersionedAppends = 40;
+  VersionedSample versioned[2];
+  for (int i = 0; i < 2; ++i) {
+    const TemporalGraph rd =
+        Generate(DatasetByName("reddit", scale * (i == 0 ? 1 : 4)).options);
+    versioned[i] = VersionedAppendPass(rd, kVersionedAppends);
+  }
+  const VersionedSample& small = versioned[0];
+  const VersionedSample& large = versioned[1];
+  const double alloc_growth =
+      small.allocs_per_append > 0
+          ? large.allocs_per_append / small.allocs_per_append
+          : 0.0;
+  for (const VersionedSample& v : versioned) {
+    std::printf(
+        "  registry append (%zu V / %zu E, previous version pinned): "
+        "%.3f ms, %.0f allocs; compacting: %.3f ms, %.0f allocs\n",
+        v.base_vertices, v.base_edges, v.append_ms, v.allocs_per_append,
+        v.compact_append_ms, v.compact_allocs_per_append);
+  }
+
   std::printf(
       "  append: %.2f ms for %zu entities (%.0f entities/s)\n"
       "  recompute: incremental %.2f ms vs full %.2f ms (%.2fx), "
@@ -237,6 +368,19 @@ int main(int argc, char** argv) {
   json.Key("incremental_calls").Int(counted.inc_calls);
   json.Key("full_calls").Int(counted.full_calls);
   json.Key("compute_call_fraction").Fixed(call_fraction, 4);
+  json.Key("registry_append").BeginArray();
+  for (const VersionedSample& v : versioned) {
+    json.BeginObject();
+    json.Key("base_vertices").Int(static_cast<int64_t>(v.base_vertices));
+    json.Key("base_edges").Int(static_cast<int64_t>(v.base_edges));
+    json.Key("append_ms").Fixed(v.append_ms, 4);
+    json.Key("allocs_per_append").Fixed(v.allocs_per_append, 1);
+    json.Key("compact_append_ms").Fixed(v.compact_append_ms, 4);
+    json.Key("compact_allocs_per_append")
+        .Fixed(v.compact_allocs_per_append, 1);
+    json.EndObject();
+  }
+  json.EndArray();
   json.Key("gated").BeginObject();
   // The ingest acceptance: warm restarts must beat full recomputes, and
   // the fixed points must agree (RecomputePass aborts on mismatch, so
@@ -249,6 +393,14 @@ int main(int argc, char** argv) {
   GateEntry(&json, "ingest_incremental_speedup", speedup, "higher",
             /*timing=*/true);
   GateEntry(&json, "ingest_appends_per_sec", appends_per_sec, "higher",
+            /*timing=*/true);
+  // Versioned appends: the allocation count is exact and must not grow
+  // with the base (growth ratio ~1 between bases 4x apart).
+  GateEntry(&json, "ingest_registry_append_allocs", large.allocs_per_append,
+            "lower", /*timing=*/false);
+  GateEntry(&json, "ingest_registry_append_alloc_growth", alloc_growth,
+            "lower", /*timing=*/false);
+  GateEntry(&json, "ingest_registry_append_ms", large.append_ms, "lower",
             /*timing=*/true);
   json.EndObject();
   json.EndObject();

@@ -72,7 +72,7 @@ std::vector<std::vector<int64_t>> ProductSpaceDijkstra(const TemporalGraph& g,
     for (size_t k = 0; k < edges.size(); ++k) {
       const StoredEdge& e = edges[k];
       if (!e.interval.Contains(t)) continue;
-      const EdgePos pos = g.OutEdgePos(v, k);
+      const EdgePos pos = edges.pos(k);
       push(e.dst, t + w.TravelTime(pos, t), c + w.Cost(pos, t));
     }
   }
@@ -142,7 +142,7 @@ std::vector<int64_t> OracleLatestDeparture(const TemporalGraph& g,
            ++k) {
         const StoredEdge& e = edges[k];
         if (!e.interval.Contains(t)) continue;
-        const EdgePos pos = g.OutEdgePos(v, k);
+        const EdgePos pos = edges.pos(k);
         const TimePoint arr = t + w.TravelTime(pos, t);
         if (arr > deadline) continue;
         if (arr < T) {
@@ -208,7 +208,7 @@ std::vector<int64_t> OracleFastest(const TemporalGraph& g, VertexId source) {
       for (size_t k = 0; k < edges.size(); ++k) {
         const StoredEdge& e = edges[k];
         if (!e.interval.Contains(t)) continue;
-        const EdgePos pos = g.OutEdgePos(v, k);
+        const EdgePos pos = edges.pos(k);
         const TimePoint arr = t + w.TravelTime(pos, t);
         if (arr >= T || !Alive(g, e.dst, arr)) continue;
         if (!seen[e.dst][static_cast<size_t>(arr)]) {

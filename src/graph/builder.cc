@@ -1,6 +1,8 @@
 #include "graph/builder.h"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -31,32 +33,40 @@ void TemporalGraphBuilder::SetEdgeProperty(EdgeId eid, const std::string& label,
 Result<TemporalGraph> TemporalGraphBuilder::Build(
     const BuilderOptions& options) {
   TemporalGraph g;
+  auto base = std::make_shared<TemporalGraph::SealedBase>();
+  TemporalGraph::SealedBase& b = *base;
+  auto index_of = [&b](VertexId vid) -> std::optional<VertexIdx> {
+    auto it = b.vid_to_idx.find(vid);
+    if (it == b.vid_to_idx.end()) return std::nullopt;
+    return it->second;
+  };
 
   // --- Vertices (Constraint 1: unique vids, one contiguous lifespan). ---
-  g.vertex_ids_.reserve(vertices_.size());
-  g.vertex_intervals_.reserve(vertices_.size());
-  g.vid_to_idx_.reserve(vertices_.size());
+  b.vertex_ids.reserve(vertices_.size());
+  b.vertex_intervals.reserve(vertices_.size());
+  b.vid_to_idx.reserve(vertices_.size());
   for (const PendingVertex& v : vertices_) {
     if (!v.interval.IsValid()) {
       return Status::InvalidArgument("vertex " + std::to_string(v.vid) +
                                      " has invalid lifespan " +
                                      v.interval.ToString());
     }
-    auto [it, inserted] =
-        g.vid_to_idx_.emplace(v.vid, static_cast<VertexIdx>(g.vertex_ids_.size()));
+    auto [it, inserted] = b.vid_to_idx.emplace(
+        v.vid, static_cast<VertexIdx>(b.vertex_ids.size()));
     if (!inserted) {
       return Status::ConstraintViolation(
           "Constraint 1: duplicate vertex id " + std::to_string(v.vid));
     }
-    g.vertex_ids_.push_back(v.vid);
-    g.vertex_intervals_.push_back(v.interval);
+    b.vertex_ids.push_back(v.vid);
+    b.vertex_intervals.push_back(v.interval);
   }
+  const size_t num_vertices = b.vertex_ids.size();
 
   // --- Edges (Constraint 1 uniqueness, Constraint 2 referential
   // integrity: edge lifespan contained in both endpoint lifespans). ---
   std::unordered_map<EdgeId, EdgePos> eid_to_pos;
   eid_to_pos.reserve(edges_.size());
-  std::vector<uint32_t> out_degree(g.num_vertices() + 1, 0);
+  std::vector<uint32_t> out_degree(num_vertices + 1, 0);
   struct ResolvedEdge {
     EdgeId eid;
     VertexIdx src;
@@ -77,16 +87,16 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
       return Status::ConstraintViolation("Constraint 1: duplicate edge id " +
                                          std::to_string(e.eid));
     }
-    auto src = g.IndexOf(e.src);
-    auto dst = g.IndexOf(e.dst);
+    auto src = index_of(e.src);
+    auto dst = index_of(e.dst);
     if (!src || !dst) {
       return Status::ConstraintViolation(
           "Constraint 2: edge " + std::to_string(e.eid) +
           " references missing vertex");
     }
     if (options.validate) {
-      if (!e.interval.ContainedIn(g.vertex_interval(*src)) ||
-          !e.interval.ContainedIn(g.vertex_interval(*dst))) {
+      if (!e.interval.ContainedIn(b.vertex_intervals[*src]) ||
+          !e.interval.ContainedIn(b.vertex_intervals[*dst])) {
         return Status::ConstraintViolation(
             "Constraint 2: edge " + std::to_string(e.eid) + " lifespan " +
             e.interval.ToString() + " not contained in endpoint lifespans");
@@ -101,28 +111,18 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
                    [](const ResolvedEdge& a, const ResolvedEdge& b) {
                      return a.src != b.src ? a.src < b.src : a.eid < b.eid;
                    });
-  g.out_offsets_.assign(g.num_vertices() + 1, 0);
-  for (size_t v = 0; v < g.num_vertices(); ++v) {
-    g.out_offsets_[v + 1] = g.out_offsets_[v] + out_degree[v];
+  b.out_offsets.assign(num_vertices + 1, 0);
+  for (size_t v = 0; v < num_vertices; ++v) {
+    b.out_offsets[v + 1] = b.out_offsets[v] + out_degree[v];
   }
-  g.edges_.reserve(resolved.size());
+  b.edges.reserve(resolved.size());
   for (const ResolvedEdge& e : resolved) {
-    eid_to_pos.emplace(e.eid, static_cast<EdgePos>(g.edges_.size()));
-    g.edges_.push_back({e.eid, e.src, e.dst, e.interval});
+    eid_to_pos.emplace(e.eid, static_cast<EdgePos>(b.edges.size()));
+    b.edges.push_back({e.eid, e.src, e.dst, e.interval});
   }
 
   // CSR in-adjacency over edge positions.
-  std::vector<uint32_t> in_degree(g.num_vertices() + 1, 0);
-  for (const StoredEdge& e : g.edges_) ++in_degree[e.dst];
-  g.in_offsets_.assign(g.num_vertices() + 1, 0);
-  for (size_t v = 0; v < g.num_vertices(); ++v) {
-    g.in_offsets_[v + 1] = g.in_offsets_[v] + in_degree[v];
-  }
-  g.in_positions_.assign(g.edges_.size(), 0);
-  std::vector<uint32_t> cursor(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
-  for (EdgePos pos = 0; pos < g.edges_.size(); ++pos) {
-    g.in_positions_[cursor[g.edges_[pos].dst]++] = pos;
-  }
+  b.BuildInAdjacency();
 
   // --- Properties (Constraint 3: property interval contained in entity
   // lifespan; Def. 1: no overlapping values for one label). ---
@@ -134,11 +134,11 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
     g.label_to_id_.emplace(name, id);
     return id;
   };
-  g.vertex_props_.resize(g.num_vertices());
-  g.edge_props_.resize(g.num_edges());
+  b.vertex_props.resize(num_vertices);
+  b.edge_props.resize(b.edges.size());
 
   auto apply_prop =
-      [&](std::vector<std::pair<LabelId, IntervalMap<PropValue>>>& props,
+      [&](TemporalGraph::PropList& props,
           const PendingProp& p, const Interval& entity_span,
           const char* kind) -> Status {
     if (!p.interval.IsValid()) {
@@ -178,14 +178,14 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
   };
 
   for (const PendingProp& p : vertex_props_) {
-    auto idx = g.IndexOf(p.entity);
+    auto idx = index_of(p.entity);
     if (!idx) {
       return Status::ConstraintViolation(
           "Constraint 3: property on missing vertex " +
           std::to_string(p.entity));
     }
-    GRAPHITE_RETURN_NOT_OK(apply_prop(g.vertex_props_[*idx], p,
-                                      g.vertex_interval(*idx), "vertex"));
+    GRAPHITE_RETURN_NOT_OK(apply_prop(b.vertex_props[*idx], p,
+                                      b.vertex_intervals[*idx], "vertex"));
   }
   for (const PendingProp& p : edge_props_) {
     auto it = eid_to_pos.find(p.entity);
@@ -193,8 +193,8 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
       return Status::ConstraintViolation(
           "Constraint 3: property on missing edge " + std::to_string(p.entity));
     }
-    GRAPHITE_RETURN_NOT_OK(apply_prop(g.edge_props_[it->second], p,
-                                      g.edges_[it->second].interval, "edge"));
+    GRAPHITE_RETURN_NOT_OK(apply_prop(b.edge_props[it->second], p,
+                                      b.edges[it->second].interval, "edge"));
   }
 
   // --- Horizon. ---
@@ -206,15 +206,15 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
       if (i.end != kTimeMax && i.end > max_end) max_end = i.end;
       if (i.start != kTimeMin && i.start + 1 > max_end) max_end = i.start + 1;
     };
-    for (const Interval& i : g.vertex_intervals_) consider(i);
-    for (const StoredEdge& e : g.edges_) consider(e.interval);
-    for (const auto& per : g.vertex_props_) {
+    for (const Interval& i : b.vertex_intervals) consider(i);
+    for (const StoredEdge& e : b.edges) consider(e.interval);
+    for (const auto& per : b.vertex_props) {
       for (const auto& [l, m] : per) {
         (void)l;
         for (const auto& entry : m.entries()) consider(entry.interval);
       }
     }
-    for (const auto& per : g.edge_props_) {
+    for (const auto& per : b.edge_props) {
       for (const auto& [l, m] : per) {
         (void)l;
         for (const auto& entry : m.entries()) consider(entry.interval);
@@ -223,6 +223,7 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
     g.horizon_ = max_end > 0 ? max_end : 1;
   }
 
+  g.AdoptBase(std::move(base));
   return g;
 }
 

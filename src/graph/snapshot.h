@@ -43,7 +43,7 @@ class SnapshotView {
     auto edges = graph_->OutEdges(v);
     for (size_t k = 0; k < edges.size(); ++k) {
       if (edges[k].interval.Contains(t_)) {
-        fn(edges[k], graph_->OutEdgePos(v, k));
+        fn(edges[k], edges.pos(k));
       }
     }
   }

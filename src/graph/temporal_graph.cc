@@ -1,6 +1,8 @@
 #include "graph/temporal_graph.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 
 namespace graphite {
 
@@ -29,6 +31,76 @@ void AppendReceipt::Merge(const AppendReceipt& later) {
   touched_sources = std::move(srcs);
 }
 
+namespace {
+
+// Sorts the unsorted tail [sorted_prefix, end) of `v` and merges it into
+// the sorted prefix: O(n) for the small tails appends add.
+template <typename T, typename Less>
+void MergeTail(std::vector<T>* v, size_t sorted_prefix, Less less) {
+  const auto mid = v->begin() + static_cast<std::ptrdiff_t>(sorted_prefix);
+  std::sort(mid, v->end(), less);
+  std::inplace_merge(v->begin(), mid, v->end(), less);
+}
+
+bool LinkLess(const TemporalGraph::DeltaLink& a,
+              const TemporalGraph::DeltaLink& b) {
+  return a.v != b.v ? a.v < b.v : a.idx < b.idx;
+}
+
+}  // namespace
+
+void TemporalGraph::SealedBase::BuildInAdjacency() {
+  const size_t n = out_offsets.size() - 1;
+  std::vector<uint32_t> in_degree(n, 0);
+  for (const StoredEdge& e : edges) ++in_degree[e.dst];
+  in_offsets.assign(n + 1, 0);
+  for (size_t v = 0; v < n; ++v) {
+    in_offsets[v + 1] = in_offsets[v] + in_degree[v];
+  }
+  in_positions.assign(edges.size(), 0);
+  std::vector<uint32_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
+  for (EdgePos pos = 0; pos < edges.size(); ++pos) {
+    in_positions[cursor[edges[pos].dst]++] = pos;
+  }
+}
+
+TemporalGraph::TemporalGraph() {
+  static const std::shared_ptr<const SealedBase> kEmpty =
+      std::make_shared<SealedBase>();
+  AdoptBase(kEmpty);
+}
+
+void TemporalGraph::AdoptBase(std::shared_ptr<const SealedBase> base) {
+  base_ = std::move(base);
+  sealed_edges_ = base_->edges.data();
+  sealed_edge_props_ = base_->edge_props.data();
+  vertex_ids_ = base_->vertex_ids.data();
+  vertex_intervals_ = base_->vertex_intervals.data();
+  out_offsets_ = base_->out_offsets.data();
+  in_offsets_ = base_->in_offsets.data();
+  in_positions_ = base_->in_positions.data();
+  num_sealed_vertices_ = static_cast<uint32_t>(base_->vertex_ids.size());
+  num_sealed_edges_ = static_cast<uint32_t>(base_->edges.size());
+}
+
+std::optional<VertexIdx> TemporalGraph::IndexOf(VertexId vid) const {
+  auto it = base_->vid_to_idx.find(vid);
+  if (it != base_->vid_to_idx.end()) return it->second;
+  auto d = std::lower_bound(
+      delta_vid_index_.begin(), delta_vid_index_.end(), vid,
+      [](const std::pair<VertexId, VertexIdx>& p, VertexId x) {
+        return p.first < x;
+      });
+  if (d != delta_vid_index_.end() && d->first == vid) return d->second;
+  return std::nullopt;
+}
+
+const TemporalGraph::PropList& TemporalGraph::VertexProperties(
+    VertexIdx v) const {
+  static const PropList kNone;
+  return v < num_sealed_vertices_ ? base_->vertex_props[v] : kNone;
+}
+
 LabelId TemporalGraph::InternLabel(const std::string& name) {
   auto it = label_to_id_.find(name);
   if (it != label_to_id_.end()) return it->second;
@@ -38,12 +110,20 @@ LabelId TemporalGraph::InternLabel(const std::string& name) {
   return id;
 }
 
+bool TemporalGraph::HasEdgeId(EdgeId eid) const {
+  return std::binary_search(sealed_eids_->begin(), sealed_eids_->end(), eid) ||
+         std::binary_search(delta_eids_.begin(), delta_eids_.end(), eid);
+}
+
 void TemporalGraph::EnsureEidIndex() {
-  if (eids_indexed_) return;
-  known_eids_.reserve(edges_.size() + delta_edges_.size());
-  for (const StoredEdge& e : edges_) known_eids_.insert(e.eid);
-  for (const StoredEdge& e : delta_edges_) known_eids_.insert(e.eid);
-  eids_indexed_ = true;
+  if (sealed_eids_ != nullptr) return;
+  auto eids = std::make_shared<std::vector<EdgeId>>();
+  eids->reserve(num_sealed_edges_);
+  for (uint32_t pos = 0; pos < num_sealed_edges_; ++pos) {
+    eids->push_back(sealed_edges_[pos].eid);
+  }
+  std::sort(eids->begin(), eids->end());
+  sealed_eids_ = std::move(eids);
 }
 
 void TemporalGraph::GrowHorizon(const Interval& i) {
@@ -67,7 +147,7 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
                                      " has invalid lifespan " +
                                      v.interval.ToString());
     }
-    if (vid_to_idx_.count(v.vid) != 0 ||
+    if (IndexOf(v.vid).has_value() ||
         !batch_vertices.emplace(v.vid, v.interval).second) {
       return Status::ConstraintViolation(
           "Constraint 1: append duplicates vertex id " + std::to_string(v.vid));
@@ -77,8 +157,7 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
   // Constraint 1 (edge ids) + Constraint 2 (endpoints exist, lifespan
   // containment). Endpoints may be sealed vertices or batch vertices.
   auto lifespan_of = [&](VertexId vid) -> const Interval* {
-    auto it = vid_to_idx_.find(vid);
-    if (it != vid_to_idx_.end()) return &vertex_intervals_[it->second];
+    if (const auto idx = IndexOf(vid)) return &vertex_interval(*idx);
     auto bit = batch_vertices.find(vid);
     if (bit != batch_vertices.end()) return &bit->second;
     return nullptr;
@@ -91,7 +170,7 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
                                      " has invalid lifespan " +
                                      e.interval.ToString());
     }
-    if (known_eids_.count(e.eid) != 0 ||
+    if (HasEdgeId(e.eid) ||
         !batch_edges.emplace(e.eid, e.interval).second) {
       return Status::ConstraintViolation(
           "Constraint 1: append duplicates edge id " + std::to_string(e.eid));
@@ -163,40 +242,43 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
   out.first_fresh_vertex =
       batch.vertices.empty() ? kInvalidVertex : old_num_vertices;
 
+  // A fresh vertex has no sealed adjacency: it lives in the delta only.
+  const size_t old_vid_index = delta_vid_index_.size();
   for (const EdgeBatch::NewVertex& v : batch.vertices) {
-    const VertexIdx idx = static_cast<VertexIdx>(num_vertices());
-    vertex_ids_.push_back(v.vid);
-    vertex_intervals_.push_back(v.interval);
-    vid_to_idx_.emplace(v.vid, idx);
-    vertex_props_.emplace_back();
-    // A fresh vertex has no sealed adjacency: its CSR slices are empty,
-    // which extending the offset arrays with their last value encodes.
-    out_offsets_.push_back(out_offsets_.back());
-    in_offsets_.push_back(in_offsets_.back());
+    delta_vid_index_.emplace_back(v.vid,
+                                  static_cast<VertexIdx>(num_vertices()));
+    delta_vertex_ids_.push_back(v.vid);
+    delta_vertex_intervals_.push_back(v.interval);
     GrowHorizon(v.interval);
   }
-  if (delta_out_.size() < num_vertices()) {
-    delta_out_.resize(num_vertices());
-    delta_in_.resize(num_vertices());
-  }
+  MergeTail(&delta_vid_index_, old_vid_index,
+            [](const std::pair<VertexId, VertexIdx>& a,
+               const std::pair<VertexId, VertexIdx>& b) {
+              return a.first < b.first;
+            });
 
+  const size_t old_links = delta_out_.size();
+  const size_t old_eids = delta_eids_.size();
   std::unordered_map<EdgeId, size_t> batch_eid_to_delta;
   batch_eid_to_delta.reserve(batch.edges.size());
   for (const EdgeBatch::NewEdge& e : batch.edges) {
-    const VertexIdx src = vid_to_idx_.at(e.src);
-    const VertexIdx dst = vid_to_idx_.at(e.dst);
-    const size_t delta_idx = delta_edges_.size();
-    const EdgePos global = static_cast<EdgePos>(edges_.size() + delta_idx);
+    const VertexIdx src = *IndexOf(e.src);
+    const VertexIdx dst = *IndexOf(e.dst);
+    const uint32_t delta_idx = static_cast<uint32_t>(delta_edges_.size());
+    const EdgePos global = static_cast<EdgePos>(num_sealed_edges_ + delta_idx);
     delta_edges_.push_back({e.eid, src, dst, e.interval});
     delta_edge_props_.emplace_back();
-    delta_out_[src].push_back(static_cast<uint32_t>(delta_idx));
-    delta_in_[dst].push_back(global);
-    known_eids_.insert(e.eid);
+    delta_out_.push_back({src, delta_idx});
+    delta_in_.push_back({dst, global});
+    delta_eids_.push_back(e.eid);
     batch_eid_to_delta.emplace(e.eid, delta_idx);
     GrowHorizon(e.interval);
     out.new_edge_ids.push_back(e.eid);
     if (src < old_num_vertices) out.touched_sources.push_back(src);
   }
+  MergeTail(&delta_out_, old_links, LinkLess);
+  MergeTail(&delta_in_, old_links, LinkLess);
+  MergeTail(&delta_eids_, old_eids, std::less<EdgeId>());
 
   for (const EdgeBatch::NewEdgeProp& p : batch.props) {
     auto& props = delta_edge_props_[batch_eid_to_delta.at(p.eid)];
@@ -236,93 +318,121 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
 void TemporalGraph::Compact() {
   if (delta_edges_.empty()) return;  // Nothing to seal; keep the epoch.
 
-  // Merge sealed + delta edges (with their properties) and re-sort into
-  // the builder's canonical (src, eid) order, so a compacted graph is
-  // indistinguishable from one built in a single shot.
-  struct Carry {
-    StoredEdge e;
-    std::vector<std::pair<LabelId, IntervalMap<PropValue>>> props;
-  };
-  std::vector<Carry> all;
-  all.reserve(edges_.size() + delta_edges_.size());
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    all.push_back({edges_[i], std::move(edge_props_[i])});
-  }
-  for (size_t i = 0; i < delta_edges_.size(); ++i) {
-    all.push_back({delta_edges_[i], std::move(delta_edge_props_[i])});
-  }
-  std::stable_sort(all.begin(), all.end(), [](const Carry& a, const Carry& b) {
-    return a.e.src != b.e.src ? a.e.src < b.e.src : a.e.eid < b.e.eid;
-  });
-
+  // The old base is only read: other versions may share it.
+  const SealedBase& old = *base_;
+  auto next = std::make_shared<SealedBase>();
+  SealedBase& nb = *next;
   const size_t n = num_vertices();
-  edges_.clear();
-  edges_.reserve(all.size());
-  edge_props_.clear();
-  edge_props_.reserve(all.size());
-  std::vector<uint32_t> out_degree(n, 0);
-  for (Carry& c : all) {
-    ++out_degree[c.e.src];
-    edges_.push_back(c.e);
-    edge_props_.push_back(std::move(c.props));
-  }
-  out_offsets_.assign(n + 1, 0);
-  for (size_t v = 0; v < n; ++v) {
-    out_offsets_[v + 1] = out_offsets_[v] + out_degree[v];
+
+  // Edges in the builder's canonical (src, eid) order, so a compacted
+  // graph is indistinguishable from one built in a single shot: each
+  // vertex's sealed slice (already eid-sorted) merged with its delta
+  // edges sorted by eid — O(E) plus sorting the delta.
+  nb.edges.reserve(num_edges());
+  nb.edge_props.reserve(num_edges());
+  nb.out_offsets.assign(n + 1, 0);
+  std::vector<uint32_t> pending;
+  auto link = delta_out_.begin();
+  for (VertexIdx v = 0; v < n; ++v) {
+    pending.clear();
+    for (; link != delta_out_.end() && link->v == v; ++link) {
+      pending.push_back(link->idx);
+    }
+    std::sort(pending.begin(), pending.end(), [this](uint32_t a, uint32_t b) {
+      return delta_edges_[a].eid < delta_edges_[b].eid;
+    });
+    const bool sealed = v < num_sealed_vertices_;
+    uint32_t pos = sealed ? out_offsets_[v] : 0;
+    const uint32_t end = sealed ? out_offsets_[v + 1] : 0;
+    size_t k = 0;
+    while (pos < end || k < pending.size()) {
+      if (k == pending.size() ||
+          (pos < end &&
+           sealed_edges_[pos].eid < delta_edges_[pending[k]].eid)) {
+        nb.edges.push_back(sealed_edges_[pos]);
+        nb.edge_props.push_back(old.edge_props[pos]);
+        ++pos;
+      } else {
+        nb.edges.push_back(delta_edges_[pending[k]]);
+        nb.edge_props.push_back(std::move(delta_edge_props_[pending[k]]));
+        ++k;
+      }
+    }
+    nb.out_offsets[v + 1] = static_cast<uint32_t>(nb.edges.size());
   }
 
-  std::vector<uint32_t> in_degree(n, 0);
-  for (const StoredEdge& e : edges_) ++in_degree[e.dst];
-  in_offsets_.assign(n + 1, 0);
-  for (size_t v = 0; v < n; ++v) {
-    in_offsets_[v + 1] = in_offsets_[v] + in_degree[v];
+  nb.BuildInAdjacency();
+
+  // Vertices: the old base's, then the appended ones in index order.
+  nb.vertex_ids = old.vertex_ids;
+  nb.vertex_intervals = old.vertex_intervals;
+  nb.vid_to_idx = old.vid_to_idx;
+  nb.vertex_props = old.vertex_props;
+  nb.vertex_ids.insert(nb.vertex_ids.end(), delta_vertex_ids_.begin(),
+                       delta_vertex_ids_.end());
+  nb.vertex_intervals.insert(nb.vertex_intervals.end(),
+                             delta_vertex_intervals_.begin(),
+                             delta_vertex_intervals_.end());
+  for (const auto& [vid, idx] : delta_vid_index_) {
+    nb.vid_to_idx.emplace(vid, idx);
   }
-  in_positions_.assign(edges_.size(), 0);
-  std::vector<uint32_t> cursor(in_offsets_.begin(), in_offsets_.end() - 1);
-  for (EdgePos pos = 0; pos < edges_.size(); ++pos) {
-    in_positions_[cursor[edges_[pos].dst]++] = pos;
+  nb.vertex_props.resize(n);
+
+  if (sealed_eids_ != nullptr) {
+    auto eids = std::make_shared<std::vector<EdgeId>>();
+    eids->reserve(nb.edges.size());
+    std::merge(sealed_eids_->begin(), sealed_eids_->end(), delta_eids_.begin(),
+               delta_eids_.end(), std::back_inserter(*eids));
+    sealed_eids_ = std::move(eids);
   }
 
+  AdoptBase(std::move(next));
+  delta_vertex_ids_.clear();
+  delta_vertex_intervals_.clear();
+  delta_vid_index_.clear();
   delta_edges_.clear();
   delta_edge_props_.clear();
-  delta_out_.assign(n, {});
-  delta_in_.assign(n, {});
+  delta_out_.clear();
+  delta_in_.clear();
+  delta_eids_.clear();
 
   ++base_epoch_;
   delta_watermark_ = 0;
 }
 
 size_t TemporalGraph::MemoryFootprintBytes() const {
+  const SealedBase& b = *base_;
   size_t bytes = 0;
-  bytes += vertex_ids_.size() * sizeof(VertexId);
-  bytes += vertex_intervals_.size() * sizeof(Interval);
-  bytes += vid_to_idx_.size() * (sizeof(VertexId) + sizeof(VertexIdx) + 16);
-  bytes += out_offsets_.size() * sizeof(uint32_t);
-  bytes += edges_.size() * sizeof(StoredEdge);
-  bytes += in_offsets_.size() * sizeof(uint32_t);
-  bytes += in_positions_.size() * sizeof(EdgePos);
-  auto props_bytes =
-      [](const std::vector<std::vector<std::pair<LabelId,
-                                                 IntervalMap<PropValue>>>>&
-             props) {
-        size_t b = 0;
-        for (const auto& per_entity : props) {
-          b += per_entity.size() * sizeof(std::pair<LabelId, void*>);
-          for (const auto& [label, map] : per_entity) {
-            (void)label;
-            b += map.size() * (sizeof(Interval) + sizeof(PropValue));
-          }
-        }
-        return b;
-      };
-  bytes += props_bytes(vertex_props_);
-  bytes += props_bytes(edge_props_);
+  bytes += b.vertex_ids.size() * sizeof(VertexId);
+  bytes += b.vertex_intervals.size() * sizeof(Interval);
+  bytes += b.vid_to_idx.size() * (sizeof(VertexId) + sizeof(VertexIdx) + 16);
+  bytes += b.out_offsets.size() * sizeof(uint32_t);
+  bytes += b.edges.size() * sizeof(StoredEdge);
+  bytes += b.in_offsets.size() * sizeof(uint32_t);
+  bytes += b.in_positions.size() * sizeof(EdgePos);
+  auto props_bytes = [](const std::vector<PropList>& props) {
+    size_t sum = 0;
+    for (const auto& per_entity : props) {
+      sum += per_entity.size() * sizeof(std::pair<LabelId, void*>);
+      for (const auto& [label, map] : per_entity) {
+        (void)label;
+        sum += map.size() * (sizeof(Interval) + sizeof(PropValue));
+      }
+    }
+    return sum;
+  };
+  bytes += props_bytes(b.vertex_props);
+  bytes += props_bytes(b.edge_props);
   // Delta segment.
+  bytes += delta_vertex_ids_.size() * sizeof(VertexId);
+  bytes += delta_vertex_intervals_.size() * sizeof(Interval);
+  bytes += delta_vid_index_.size() * sizeof(std::pair<VertexId, VertexIdx>);
   bytes += delta_edges_.size() * sizeof(StoredEdge);
   bytes += props_bytes(delta_edge_props_);
-  for (const auto& per : delta_out_) bytes += per.size() * sizeof(uint32_t);
-  for (const auto& per : delta_in_) bytes += per.size() * sizeof(EdgePos);
-  bytes += known_eids_.size() * (sizeof(EdgeId) + 16);
+  bytes += (delta_out_.size() + delta_in_.size()) * sizeof(DeltaLink);
+  // EdgeId index (built by the first Append).
+  if (sealed_eids_ != nullptr) bytes += sealed_eids_->size() * sizeof(EdgeId);
+  bytes += delta_eids_.size() * sizeof(EdgeId);
   return bytes;
 }
 

@@ -4,27 +4,31 @@
 //
 // Storage is a SEALED CSR BASE plus a small MUTABLE DELTA SEGMENT at the
 // time-axis head (DESIGN.md §4l). The base — out/in adjacency, lifespans,
-// per-entity temporal properties as IntervalMap<PropValue> — is built once
-// by TemporalGraphBuilder and never changes in place. `Append(EdgeBatch)`
-// admits new vertices, edges, and edge properties into per-vertex side
-// structures that the iteration API (OutEdges / InEdgePositions / edge)
-// merges behind two-segment views, so algorithm code never distinguishes
-// sealed from delta edges. `Compact()` folds the delta into a new sealed
-// base. The (base_epoch, delta_watermark) pair — the GraphHead — names the
-// mutation state exactly; checkpoints and the serving registry use it to
-// pin results to the head they were computed against.
+// vertex ids and the id->index map, per-entity temporal properties as
+// IntervalMap<PropValue> — is built by TemporalGraphBuilder (or by
+// Compact()) and is then immutable: it is held by reference count and
+// shared by every copy of the graph, so a copy costs O(delta), not O(E).
+// `Append(EdgeBatch)` admits new vertices, edges, and edge properties
+// into the copy's own delta, which the iteration API (OutEdges /
+// InEdgePositions / edge) merges behind two-segment views, so algorithm
+// code never distinguishes sealed from delta edges. `Compact()` folds the
+// delta into a new sealed base and leaves the old one to whoever else
+// holds it. The (base_epoch, delta_watermark) pair — the GraphHead —
+// names the mutation state exactly; checkpoints and the serving registry
+// use it to pin results to the head they were computed against.
 //
 // Vertices are referenced internally by dense indices (VertexIdx) for O(1)
 // adjacency; external ids (VertexId) are opaque, per Def. 1.
 #ifndef GRAPHITE_GRAPH_TEMPORAL_GRAPH_H_
 #define GRAPHITE_GRAPH_TEMPORAL_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -135,32 +139,60 @@ struct AppendReceipt {
   void Merge(const AppendReceipt& later);
 };
 
-/// Temporal property graph: sealed CSR base + mutable delta head.
-/// Create via TemporalGraphBuilder; grow via Append; reseal via Compact.
+/// Temporal property graph: a sealed CSR base shared by every version,
+/// plus this version's private delta head. Create via
+/// TemporalGraphBuilder; grow via Append; reseal via Compact.
+///
+/// Copying a TemporalGraph copies the delta segment and one reference to
+/// the base — O(delta), independent of the base's size — so "copy, then
+/// Append" is how a server publishes a new version while older ones stay
+/// readable. Distinct versions may be read and written from different
+/// threads; one version is not safe for concurrent Append/Compact.
 class TemporalGraph {
  public:
+  /// The properties of one entity: (label, temporal values) pairs.
+  using PropList = std::vector<std::pair<LabelId, IntervalMap<PropValue>>>;
+
+  /// One delta adjacency entry: vertex `v` owns delta item `idx` (an
+  /// index into the delta edges for out-links, a global edge position for
+  /// in-links). Kept sorted by (v, idx), so one vertex's links are a
+  /// contiguous run in append order.
+  struct DeltaLink {
+    VertexIdx v = kInvalidVertex;
+    uint32_t idx = 0;
+  };
+
   /// Two-segment view over the out-edges of one vertex: the contiguous
   /// sealed CSR slice followed by the vertex's delta edges in append
-  /// order. Indexing and iteration are O(1) per element; references point
-  /// into graph storage and outlive the view.
+  /// order. Indexing, iteration and pos() are O(1) per element;
+  /// references point into graph storage and outlive the view.
   class OutEdgeView {
    public:
-    OutEdgeView(const StoredEdge* base, size_t base_count,
-                const std::vector<StoredEdge>* delta_edges,
-                const std::vector<uint32_t>* delta_idx)
+    OutEdgeView(const StoredEdge* base, uint32_t base_begin,
+                size_t base_count, const StoredEdge* delta_edges,
+                uint32_t num_sealed_edges, const DeltaLink* links,
+                size_t link_count)
         : base_(base),
+          base_begin_(base_begin),
           base_count_(base_count),
           delta_edges_(delta_edges),
-          delta_idx_(delta_idx) {}
+          num_sealed_edges_(num_sealed_edges),
+          links_(links),
+          link_count_(link_count) {}
 
-    size_t size() const {
-      return base_count_ + (delta_idx_ != nullptr ? delta_idx_->size() : 0);
-    }
+    size_t size() const { return base_count_ + link_count_; }
     bool empty() const { return size() == 0; }
     const StoredEdge& operator[](size_t i) const {
+      return i < base_count_ ? base_[i]
+                             : delta_edges_[links_[i - base_count_].idx];
+    }
+    /// Storage position (as taken by edge() / EdgeProperty()) of the
+    /// i-th edge.
+    EdgePos pos(size_t i) const {
       return i < base_count_
-                 ? base_[i]
-                 : (*delta_edges_)[(*delta_idx_)[i - base_count_]];
+                 ? static_cast<EdgePos>(base_begin_ + i)
+                 : static_cast<EdgePos>(num_sealed_edges_ +
+                                        links_[i - base_count_].idx);
     }
 
     // Iterators copy the view's segment pointers, so they stay valid past
@@ -175,7 +207,7 @@ class TemporalGraph {
           : base_(view.base_),
             base_count_(view.base_count_),
             delta_edges_(view.delta_edges_),
-            delta_idx_(view.delta_idx_),
+            links_(view.links_),
             i_(i) {}
       reference operator*() const { return deref(); }
       const StoredEdge* operator->() const { return &deref(); }
@@ -188,14 +220,13 @@ class TemporalGraph {
 
      private:
       const StoredEdge& deref() const {
-        return i_ < base_count_
-                   ? base_[i_]
-                   : (*delta_edges_)[(*delta_idx_)[i_ - base_count_]];
+        return i_ < base_count_ ? base_[i_]
+                                : delta_edges_[links_[i_ - base_count_].idx];
       }
       const StoredEdge* base_;
       size_t base_count_;
-      const std::vector<StoredEdge>* delta_edges_;
-      const std::vector<uint32_t>* delta_idx_;
+      const StoredEdge* delta_edges_;
+      const DeltaLink* links_;
       size_t i_;
     };
     iterator begin() const { return iterator(*this, 0); }
@@ -203,24 +234,28 @@ class TemporalGraph {
 
    private:
     const StoredEdge* base_;
+    uint32_t base_begin_;
     size_t base_count_;
-    const std::vector<StoredEdge>* delta_edges_;
-    const std::vector<uint32_t>* delta_idx_;  // nullptr = base only
+    const StoredEdge* delta_edges_;
+    uint32_t num_sealed_edges_;
+    const DeltaLink* links_;
+    size_t link_count_;
   };
 
   /// Two-segment view over in-edge storage positions of one vertex.
   class InPosView {
    public:
-    InPosView(const EdgePos* base, size_t base_count,
-              const std::vector<EdgePos>* delta)
-        : base_(base), base_count_(base_count), delta_(delta) {}
+    InPosView(const EdgePos* base, size_t base_count, const DeltaLink* links,
+              size_t link_count)
+        : base_(base),
+          base_count_(base_count),
+          links_(links),
+          link_count_(link_count) {}
 
-    size_t size() const {
-      return base_count_ + (delta_ != nullptr ? delta_->size() : 0);
-    }
+    size_t size() const { return base_count_ + link_count_; }
     bool empty() const { return size() == 0; }
     EdgePos operator[](size_t i) const {
-      return i < base_count_ ? base_[i] : (*delta_)[i - base_count_];
+      return i < base_count_ ? base_[i] : links_[i - base_count_].idx;
     }
 
     class iterator {
@@ -231,10 +266,10 @@ class TemporalGraph {
       iterator(const InPosView& view, size_t i)
           : base_(view.base_),
             base_count_(view.base_count_),
-            delta_(view.delta_),
+            links_(view.links_),
             i_(i) {}
       EdgePos operator*() const {
-        return i_ < base_count_ ? base_[i_] : (*delta_)[i_ - base_count_];
+        return i_ < base_count_ ? base_[i_] : links_[i_ - base_count_].idx;
       }
       iterator& operator++() {
         ++i_;
@@ -246,7 +281,7 @@ class TemporalGraph {
      private:
       const EdgePos* base_;
       size_t base_count_;
-      const std::vector<EdgePos>* delta_;
+      const DeltaLink* links_;
       size_t i_;
     };
     iterator begin() const { return iterator(*this, 0); }
@@ -255,53 +290,66 @@ class TemporalGraph {
    private:
     const EdgePos* base_;
     size_t base_count_;
-    const std::vector<EdgePos>* delta_;  // nullptr = base only
+    const DeltaLink* links_;
+    size_t link_count_;
   };
 
-  size_t num_vertices() const { return vertex_intervals_.size(); }
-  size_t num_edges() const { return edges_.size() + delta_edges_.size(); }
+  /// An empty graph (no vertices, horizon 0).
+  TemporalGraph();
+
+  size_t num_vertices() const {
+    return num_sealed_vertices_ + delta_vertex_ids_.size();
+  }
+  size_t num_edges() const { return num_sealed_edges_ + delta_edges_.size(); }
   /// Edges in the sealed base (positions below this are CSR positions).
-  size_t num_sealed_edges() const { return edges_.size(); }
+  size_t num_sealed_edges() const { return num_sealed_edges_; }
   /// Edges in the mutable delta segment.
   size_t num_delta_edges() const { return delta_edges_.size(); }
 
   /// External id of a vertex.
-  VertexId vertex_id(VertexIdx v) const { return vertex_ids_[v]; }
+  VertexId vertex_id(VertexIdx v) const {
+    return v < num_sealed_vertices_
+               ? vertex_ids_[v]
+               : delta_vertex_ids_[v - num_sealed_vertices_];
+  }
   /// Lifespan of a vertex.
   const Interval& vertex_interval(VertexIdx v) const {
-    return vertex_intervals_[v];
+    return v < num_sealed_vertices_
+               ? vertex_intervals_[v]
+               : delta_vertex_intervals_[v - num_sealed_vertices_];
   }
   /// Dense index for an external id, if the vertex exists.
-  std::optional<VertexIdx> IndexOf(VertexId vid) const {
-    auto it = vid_to_idx_.find(vid);
-    if (it == vid_to_idx_.end()) return std::nullopt;
-    return it->second;
-  }
+  std::optional<VertexIdx> IndexOf(VertexId vid) const;
 
   /// Out-edges of `v`: sealed CSR slice, then delta edges in append order.
   OutEdgeView OutEdges(VertexIdx v) const {
-    return OutEdgeView(edges_.data() + out_offsets_[v],
-                       out_offsets_[v + 1] - out_offsets_[v], &delta_edges_,
-                       v < delta_out_.size() ? &delta_out_[v] : nullptr);
+    const bool sealed = v < num_sealed_vertices_;
+    const uint32_t begin = sealed ? out_offsets_[v] : 0;
+    const uint32_t count = sealed ? out_offsets_[v + 1] - begin : 0;
+    const auto [links, link_count] = LinksOf(delta_out_, v);
+    return OutEdgeView(sealed_edges_ + begin, begin, count,
+                       delta_edges_.data(), num_sealed_edges_, links,
+                       link_count);
   }
   /// Positions (into edge storage) of in-edges of `v`.
   InPosView InEdgePositions(VertexIdx v) const {
-    return InPosView(in_positions_.data() + in_offsets_[v],
-                     in_offsets_[v + 1] - in_offsets_[v],
-                     v < delta_in_.size() ? &delta_in_[v] : nullptr);
+    const bool sealed = v < num_sealed_vertices_;
+    const uint32_t begin = sealed ? in_offsets_[v] : 0;
+    const uint32_t count = sealed ? in_offsets_[v + 1] - begin : 0;
+    const auto [links, link_count] = LinksOf(delta_in_, v);
+    return InPosView(in_positions_ + begin, count, links, link_count);
   }
   /// Edge record by storage position. Positions >= num_sealed_edges()
   /// address the delta segment.
   const StoredEdge& edge(EdgePos pos) const {
-    return pos < edges_.size() ? edges_[pos]
-                               : delta_edges_[pos - edges_.size()];
+    return pos < num_sealed_edges_ ? sealed_edges_[pos]
+                                   : delta_edges_[pos - num_sealed_edges_];
   }
-  /// Storage position of the k-th out-edge of `v`.
+  /// Storage position of the k-th out-edge of `v`. Loops over a
+  /// vertex's edges should take OutEdges(v) once and call its pos(k):
+  /// this re-finds the vertex's delta links on every call.
   EdgePos OutEdgePos(VertexIdx v, size_t k) const {
-    const size_t base_count = out_offsets_[v + 1] - out_offsets_[v];
-    if (k < base_count) return static_cast<EdgePos>(out_offsets_[v] + k);
-    return static_cast<EdgePos>(edges_.size() +
-                                delta_out_[v][k - base_count]);
+    return OutEdges(v).pos(k);
   }
 
   /// Interned id for a label name, if used anywhere in the graph.
@@ -322,18 +370,12 @@ class TemporalGraph {
   /// Temporal values of vertex property `label` on `v`; nullptr if absent.
   const IntervalMap<PropValue>* VertexProperty(VertexIdx v,
                                                LabelId label) const {
-    return FindProp(vertex_props_[v], label);
+    return FindProp(VertexProperties(v), label);
   }
   /// All properties of the edge at `pos`.
-  const std::vector<std::pair<LabelId, IntervalMap<PropValue>>>&
-  EdgeProperties(EdgePos pos) const {
-    return PropsAt(pos);
-  }
-  /// All properties of vertex `v`.
-  const std::vector<std::pair<LabelId, IntervalMap<PropValue>>>&
-  VertexProperties(VertexIdx v) const {
-    return vertex_props_[v];
-  }
+  const PropList& EdgeProperties(EdgePos pos) const { return PropsAt(pos); }
+  /// All properties of vertex `v` (appended vertices carry none).
+  const PropList& VertexProperties(VertexIdx v) const;
 
   /// The graph horizon T: snapshots are the time-points [0, T). Open-ended
   /// entity lifespans are interpreted as reaching the horizon. Appends can
@@ -354,76 +396,138 @@ class TemporalGraph {
   /// Existing vertices, edges, and properties are never modified; batch
   /// properties may only target batch edges. On success the delta
   /// watermark advances by batch.size(), and `receipt` (when non-null)
-  /// has this append's effects merged into it.
+  /// has this append's effects merged into it. Costs O(batch + delta) and
+  /// never touches the shared base, except that the first append on a
+  /// base builds its EdgeId index (O(E log E), once per base). The O(delta)
+  /// term is real: each append merges its links into the sorted delta
+  /// arrays, so a stream that never compacts pays O(delta) per batch —
+  /// compact periodically (as the server's "compact":true does).
   Status Append(const EdgeBatch& batch, AppendReceipt* receipt = nullptr);
 
-  /// Folds the delta segment into a new sealed CSR base: edges re-sorted
-  /// by (src, eid) exactly as TemporalGraphBuilder orders them, in/out
-  /// adjacency rebuilt, delta cleared. Bumps base_epoch and zeroes the
-  /// delta watermark. No-op (and NO epoch bump) when the delta is empty.
-  /// Edge storage positions are NOT stable across compaction; EdgeIds are.
+  /// Folds the delta segment into a NEW sealed CSR base — O(E): edges
+  /// merged into the builder's (src, eid) order, in/out adjacency rebuilt,
+  /// delta cleared. The previous base is never modified, so other
+  /// versions sharing it are unaffected: its storage is copied, never
+  /// moved, even when this graph is its only owner. Bumps base_epoch
+  /// and zeroes the delta watermark. No-op (and NO epoch bump) when the
+  /// delta holds no edges. Edge storage positions are NOT stable across
+  /// compaction; EdgeIds are.
   void Compact();
 
   /// Rough in-memory footprint in bytes of this interval-graph
-  /// representation (used by the Fig. 6a footprint benchmark).
+  /// representation (used by the Fig. 6a footprint benchmark). Counts
+  /// everything this version reaches, the shared base in full: versions
+  /// sharing one base each report it, so summing over versions
+  /// over-counts. The EdgeId index is counted once the first Append has
+  /// built it; a sealed, never-appended graph has none.
   size_t MemoryFootprintBytes() const;
 
  private:
   friend class TemporalGraphBuilder;
 
-  static const IntervalMap<PropValue>* FindProp(
-      const std::vector<std::pair<LabelId, IntervalMap<PropValue>>>& props,
-      LabelId label) {
+  /// The sealed base: immutable once published, shared by every version
+  /// derived from it (DESIGN.md §4l).
+  struct SealedBase {
+    std::vector<VertexId> vertex_ids;
+    std::vector<Interval> vertex_intervals;
+    std::unordered_map<VertexId, VertexIdx> vid_to_idx;
+
+    std::vector<uint32_t> out_offsets;  // size num_vertices + 1
+    std::vector<StoredEdge> edges;      // grouped by src, sorted by eid
+    std::vector<uint32_t> in_offsets;   // size num_vertices + 1
+    std::vector<EdgePos> in_positions;  // positions into edges
+
+    std::vector<PropList> vertex_props;  // by VertexIdx
+    std::vector<PropList> edge_props;    // by EdgePos
+
+    /// Fills in_offsets / in_positions from `edges` (the builder and
+    /// Compact() share this).
+    void BuildInAdjacency();
+  };
+
+  /// Installs `base` and caches its arrays' data pointers, so the
+  /// iteration API reads sealed storage with no extra indirection.
+  void AdoptBase(std::shared_ptr<const SealedBase> base);
+
+  /// The run of `v`'s links: a binary search for its start, then a
+  /// galloping search for its end, so O(log delta + log run).
+  static std::pair<const DeltaLink*, size_t> LinksOf(
+      const std::vector<DeltaLink>& links, VertexIdx v) {
+    const DeltaLink* const first = links.data();
+    const DeltaLink* const last = first + links.size();
+    const DeltaLink* lo = std::lower_bound(
+        first, last, v,
+        [](const DeltaLink& l, VertexIdx x) { return l.v < x; });
+    if (lo == last || lo->v != v) return {nullptr, 0};
+    // Gallop: hi->v == v throughout; the run ends within (hi, hi + step].
+    const DeltaLink* hi = lo;
+    size_t step = 1;
+    while (step < static_cast<size_t>(last - hi) && hi[step].v == v) {
+      hi += step;
+      step *= 2;
+    }
+    hi = std::upper_bound(
+        hi + 1, hi + std::min(step, static_cast<size_t>(last - hi)), v,
+        [](VertexIdx x, const DeltaLink& l) { return x < l.v; });
+    return {lo, static_cast<size_t>(hi - lo)};
+  }
+
+  static const IntervalMap<PropValue>* FindProp(const PropList& props,
+                                                LabelId label) {
     for (const auto& [l, map] : props) {
       if (l == label) return &map;
     }
     return nullptr;
   }
 
-  const std::vector<std::pair<LabelId, IntervalMap<PropValue>>>& PropsAt(
-      EdgePos pos) const {
-    return pos < edges_.size() ? edge_props_[pos]
-                               : delta_edge_props_[pos - edges_.size()];
+  const PropList& PropsAt(EdgePos pos) const {
+    return pos < num_sealed_edges_ ? sealed_edge_props_[pos]
+                                   : delta_edge_props_[pos - num_sealed_edges_];
   }
 
   LabelId InternLabel(const std::string& name);
-  /// Builds the EdgeId uniqueness index on first Append (the builder does
-  /// not carry its own over; sealed graphs that are never appended to pay
-  /// nothing).
+  /// True when `eid` names a sealed or delta edge. Needs the EdgeId index.
+  bool HasEdgeId(EdgeId eid) const;
+  /// Builds the sealed EdgeId index on first Append. The builder does not
+  /// carry its own over; sealed graphs that are never appended pay nothing.
   void EnsureEidIndex();
   /// Grows the horizon to cover `i`, using the builder's derivation rule.
   void GrowHorizon(const Interval& i);
 
-  // --- Sealed base (immutable between Compact() calls). ---
-  std::vector<VertexId> vertex_ids_;
-  std::vector<Interval> vertex_intervals_;
-  std::unordered_map<VertexId, VertexIdx> vid_to_idx_;
+  // --- Sealed base, shared and immutable. The raw pointers cache the
+  // base's arrays (valid while base_ holds it; copies share it).
+  std::shared_ptr<const SealedBase> base_;
+  /// Sorted EdgeIds of the base's edges; null until the first Append.
+  /// Shared like the base and replaced, never modified, by Compact().
+  std::shared_ptr<const std::vector<EdgeId>> sealed_eids_;
+  const StoredEdge* sealed_edges_ = nullptr;
+  const PropList* sealed_edge_props_ = nullptr;
+  const VertexId* vertex_ids_ = nullptr;
+  const Interval* vertex_intervals_ = nullptr;
+  const uint32_t* out_offsets_ = nullptr;
+  const uint32_t* in_offsets_ = nullptr;
+  const EdgePos* in_positions_ = nullptr;
+  uint32_t num_sealed_vertices_ = 0;
+  uint32_t num_sealed_edges_ = 0;
 
-  std::vector<uint32_t> out_offsets_;  // size num_vertices + 1
-  std::vector<StoredEdge> edges_;      // grouped by src, sorted by eid
-  std::vector<uint32_t> in_offsets_;   // size num_vertices + 1
-  std::vector<EdgePos> in_positions_;  // positions into edges_
-
+  // --- Per-version state. Labels only ever grow, so every version's
+  // table extends the table its base's properties were interned in.
   std::vector<std::string> labels_;
   std::unordered_map<std::string, LabelId> label_to_id_;
-  std::vector<std::vector<std::pair<LabelId, IntervalMap<PropValue>>>>
-      vertex_props_;  // by VertexIdx
-  std::vector<std::vector<std::pair<LabelId, IntervalMap<PropValue>>>>
-      edge_props_;  // by EdgePos (sealed positions only)
-
   TimePoint horizon_ = 0;
 
-  // --- Delta segment (mutable head; DESIGN.md §4l). Delta edge i lives
-  // at global position num_sealed_edges() + i. Per-vertex delta_out_ holds
-  // indices into delta_edges_; delta_in_ holds global positions. Both are
-  // resized lazily on first use so never-appended graphs carry no cost.
+  // --- Delta segment (mutable head; DESIGN.md §4l), flat so copying it
+  // costs O(delta) in a handful of allocations. Appended vertex k has
+  // index num_sealed_vertices_ + k; delta edge i lives at global position
+  // num_sealed_edges() + i.
+  std::vector<VertexId> delta_vertex_ids_;
+  std::vector<Interval> delta_vertex_intervals_;
+  std::vector<std::pair<VertexId, VertexIdx>> delta_vid_index_;  // by vid
   std::vector<StoredEdge> delta_edges_;
-  std::vector<std::vector<std::pair<LabelId, IntervalMap<PropValue>>>>
-      delta_edge_props_;  // parallel to delta_edges_
-  std::vector<std::vector<uint32_t>> delta_out_;  // by VertexIdx
-  std::vector<std::vector<EdgePos>> delta_in_;    // by VertexIdx
-  std::unordered_set<EdgeId> known_eids_;         // built on first Append
-  bool eids_indexed_ = false;
+  std::vector<PropList> delta_edge_props_;  // parallel to delta_edges_
+  std::vector<DeltaLink> delta_out_;  // idx into delta_edges_
+  std::vector<DeltaLink> delta_in_;   // idx = global EdgePos
+  std::vector<EdgeId> delta_eids_;    // sorted
 
   uint64_t base_epoch_ = 0;
   uint64_t delta_watermark_ = 0;

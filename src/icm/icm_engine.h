@@ -1024,7 +1024,7 @@ class IcmEngine {
                               warm_->receipt.new_edge_ids.end(), e.eid)) {
         continue;
       }
-      const EdgePos pos = g_.OutEdgePos(v, k);
+      const EdgePos pos = edges.pos(k);
 
       IcmScatterContext<Program> sctx;
       sctx.edge_ = &e;

@@ -4,9 +4,24 @@
 // across requests) alive across requests instead of re-loading per run.
 //
 // Entries are handed out as shared_ptr so an in-flight job keeps its graph
-// alive across a concurrent drop/reload; each load bumps a per-name epoch
-// that the result cache keys embed, so stale cached payloads can never be
-// served for a replaced graph.
+// alive across a concurrent drop/reload/append; each load or append bumps a
+// per-name epoch that the result cache keys embed, so stale cached payloads
+// can never be served for a replaced graph.
+//
+// Versions. A published entry is never modified. Append copies the
+// resident TemporalGraph — O(delta): the sealed CSR base is immutable and
+// shared by reference between versions (graph/temporal_graph.h) — applies
+// the batch to the copy, and publishes the copy under a new epoch. Costs:
+// append O(batch + delta), append with compact O(E), publish O(1).
+//
+// Locking. A per-name writer lock serializes Add, Drop and Append on one
+// name, so appends to one graph apply in arrival order while writers to
+// different graphs run in parallel; it is held while a new version is
+// built. `mu_` guards only the name -> entry map and is held for O(1)
+// work: a lookup, a shared_ptr copy, or a swap. No graph is constructed,
+// copied or destroyed under `mu_` — replaced entries are released after
+// unlocking — so Get and List never wait on graph construction or
+// destruction.
 //
 // The registry itself is thread-safe. A ResidentGraph's Workload is NOT:
 // its lazy derived-graph builders race if two runs touch the same entry
@@ -15,6 +30,7 @@
 #ifndef GRAPHITE_SERVER_GRAPH_REGISTRY_H_
 #define GRAPHITE_SERVER_GRAPH_REGISTRY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -29,8 +45,12 @@ namespace graphite {
 
 struct ResidentGraph {
   std::string name;
-  uint64_t epoch = 0;  ///< Bumped on every (re)load of this name.
+  uint64_t epoch = 0;  ///< Bumped on every (re)load or append of this name.
   Workload workload;
+  /// Set once this entry stops being the resident version of `name`
+  /// (replaced by a load or append, or dropped), before the registry
+  /// lock that published the change is released.
+  std::atomic<bool> superseded{false};
 
   ResidentGraph(std::string n, uint64_t e, TemporalGraph g)
       : name(std::move(n)), epoch(e), workload(std::move(g)) {}
@@ -52,9 +72,10 @@ class GraphRegistry {
 
   /// Appends `batch` to resident graph `name` (optionally Compact()ing
   /// after) and publishes the grown graph under a NEW registry epoch.
-  /// Copy-on-append: in-flight jobs keep their pre-append entry alive
-  /// through the shared_ptr they hold and finish against the old view;
-  /// requests admitted after the swap see the new head. The caller is
+  /// Copy-on-append, built outside `mu_` under the name's writer lock:
+  /// in-flight jobs keep their pre-append entry alive through the
+  /// shared_ptr they hold and finish against the old view; requests
+  /// admitted after the swap see the new head. The caller is
   /// responsible for invalidating cached fragments by graph prefix (the
   /// epoch embedded in cache keys already prevents stale serving).
   /// NotFound when absent; Append's validation errors pass through and
@@ -74,10 +95,20 @@ class GraphRegistry {
   size_t size() const;
 
  private:
+  /// The writer lock for `name`, created on first use and never freed.
+  Mutex& WriterLock(const std::string& name);
+  /// Publishes `next` (nullptr = drop) as `name`'s entry under `mu_`,
+  /// marking the replaced entry superseded, and returns the replaced
+  /// entry so the caller releases it after `mu_` is unlocked.
+  std::shared_ptr<ResidentGraph> Swap(const std::string& name,
+                                      std::shared_ptr<ResidentGraph> next);
+
   mutable Mutex mu_;
   std::map<std::string, std::shared_ptr<ResidentGraph>> graphs_
       GRAPHITE_GUARDED_BY(mu_);
   std::map<std::string, uint64_t> epochs_
+      GRAPHITE_GUARDED_BY(mu_);  // survives drops
+  std::map<std::string, std::unique_ptr<Mutex>> writers_
       GRAPHITE_GUARDED_BY(mu_);  // survives drops
 };
 

@@ -788,17 +788,26 @@ std::string QueryService::Execute(const QueryRequest& req,
   ExecStats es;
   if (stats == nullptr) stats = &es;
   *stats = ExecStats{};
-  if (!IsDataOp(req.op)) {
-    return ErrorResponse(req.id, req.op,
-                         Status::InvalidArgument("unknown op: " + req.op));
-  }
   auto entry = registry_->Get(req.graph);
   if (entry == nullptr) {
     return ErrorResponse(
         req.id, req.op,
         Status::NotFound("graph not resident: \"" + req.graph + "\""));
   }
-  const std::string key = CacheKey(req, *entry);
+  return ExecuteOn(req, *entry, queue_wait_ns, stats);
+}
+
+std::string QueryService::ExecuteOn(const QueryRequest& req,
+                                    ResidentGraph& entry,
+                                    int64_t queue_wait_ns, ExecStats* stats) {
+  ExecStats es;
+  if (stats == nullptr) stats = &es;
+  *stats = ExecStats{};
+  if (!IsDataOp(req.op)) {
+    return ErrorResponse(req.id, req.op,
+                         Status::InvalidArgument("unknown op: " + req.op));
+  }
+  const std::string key = CacheKey(req, entry);
   if (cache_ != nullptr && req.use_cache) {
     if (auto hit = cache_->Get(key)) {
       stats->cached = true;
@@ -807,14 +816,19 @@ std::string QueryService::Execute(const QueryRequest& req,
   }
   RunMetrics metrics;
   const int64_t t0 = NowNanos();
-  auto fragment =
-      RenderFragmentWith(req, entry->workload, options_, &metrics);
+  auto fragment = RenderFragmentWith(req, entry.workload, options_, &metrics);
   stats->run_ns = NowNanos() - t0;
   if (!fragment.ok()) {
     return ErrorResponse(req.id, req.op, fragment.status());
   }
   stats->supersteps = metrics.supersteps;
-  if (cache_ != nullptr && req.use_cache) cache_->Put(key, *fragment);
+  if (cache_ != nullptr && req.use_cache) {
+    // Checked under the cache lock: the registry marks an entry
+    // superseded before the append/drop that replaced it erases the
+    // graph's prefix, so this insert either lands before that erase or
+    // is skipped.
+    cache_->Put(key, *fragment, &entry.superseded);
+  }
   return Envelope(req, *fragment, *stats, queue_wait_ns,
                   req.want_metrics ? &metrics : nullptr);
 }

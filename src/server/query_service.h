@@ -128,6 +128,14 @@ class QueryService {
   std::string Execute(const QueryRequest& req, int64_t queue_wait_ns = 0,
                       ExecStats* stats = nullptr);
 
+  /// Execute against an entry the caller already pinned (Execute pins the
+  /// resident one); non-data ops are rejected. The fragment is cached only
+  /// if `entry` is still the resident version when the run ends: a job
+  /// that outlives an append or drop would otherwise insert a key under a
+  /// superseded epoch that no request can hit.
+  std::string ExecuteOn(const QueryRequest& req, ResidentGraph& entry,
+                        int64_t queue_wait_ns = 0, ExecStats* stats = nullptr);
+
   /// Renders the canonical result fragment for `req` against `base` —
   /// the exact bytes a server response carries under "result". Exposed
   /// so tests can compute the standalone expectation, and so the cache

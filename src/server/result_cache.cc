@@ -23,11 +23,13 @@ std::optional<std::string> ResultCache::GetIfPresent(const std::string& key) {
   return it->second->payload;
 }
 
-void ResultCache::Put(const std::string& key, std::string payload) {
+void ResultCache::Put(const std::string& key, std::string payload,
+                      const std::atomic<bool>* superseded) {
   if (max_entries_ == 0) return;
   const size_t cost = key.size() + payload.size();
   if (cost > max_bytes_) return;
   MutexLock lock(mu_);
+  if (superseded != nullptr && superseded->load()) return;
   auto it = index_.find(key);
   if (it != index_.end()) {
     bytes_ -= it->second->payload.size();

@@ -14,6 +14,7 @@
 #ifndef GRAPHITE_SERVER_RESULT_CACHE_H_
 #define GRAPHITE_SERVER_RESULT_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <optional>
@@ -52,8 +53,12 @@ class ResultCache {
 
   /// Inserts or refreshes `key`; evicts least-recently-used entries until
   /// both capacity bounds hold. A payload larger than max_bytes is not
-  /// admitted (it would evict everything and still not fit).
-  void Put(const std::string& key, std::string payload);
+  /// admitted (it would evict everything and still not fit). When
+  /// `superseded` is given it is read under the cache lock and a true
+  /// value skips the insert, so an ErasePrefix issued after the flag was
+  /// set can never be overtaken by this Put.
+  void Put(const std::string& key, std::string payload,
+           const std::atomic<bool>* superseded = nullptr);
 
   /// Drops every entry whose key starts with `prefix` (graph drop/reload).
   /// Returns the number of entries removed (not counted as evictions).

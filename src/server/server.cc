@@ -76,8 +76,10 @@ Status Server::LoadDataset(const std::string& name,
   for (DatasetSpec& spec : DatasetCatalog(scale)) {
     if (Lower(spec.name).rfind(want, 0) != 0) continue;
     TemporalGraph g = Generate(spec.options);
-    cache_.ErasePrefix(QueryService::GraphPrefix(name));
+    // Publish, then invalidate: the replaced entry is already marked
+    // superseded, so no job still running on it can refill the cache.
     registry_.Add(name, std::move(g));
+    cache_.ErasePrefix(QueryService::GraphPrefix(name));
     return Status::OK();
   }
   return Status::NotFound("unknown dataset: \"" + dataset +
@@ -90,8 +92,8 @@ Status Server::LoadFile(const std::string& name, const std::string& path) {
   }
   auto g = ReadTextGraphFile(path);
   GRAPHITE_RETURN_NOT_OK(g.status());
-  cache_.ErasePrefix(QueryService::GraphPrefix(name));
   registry_.Add(name, std::move(*g));
+  cache_.ErasePrefix(QueryService::GraphPrefix(name));
   return Status::OK();
 }
 

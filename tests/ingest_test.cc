@@ -13,6 +13,8 @@
 #include <atomic>
 #include <filesystem>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "algorithms/common.h"
@@ -287,8 +289,161 @@ TEST(IngestAppendTest, AppendMatchesSingleShotBuild) {
     EXPECT_EQ(want.metrics.compute_calls, got.metrics.compute_calls) << what;
   };
   check(appended, "delta");
+  // A copy shares the sealed base; compacting the copy must still match
+  // the single-shot build and leave the original's delta view intact.
+  TemporalGraph copy = appended;
+  copy.Compact();
+  check(copy, "copy compacted");
+  check(appended, "delta after copy compacted");
   appended.Compact();
   check(appended, "compacted");
+}
+
+// --- Versions share the sealed base ---
+
+// Everything the iteration API exposes, flattened for exact comparison.
+struct GraphSnapshot {
+  std::vector<std::tuple<VertexIdx, EdgeId, VertexIdx, VertexIdx, Interval>>
+      out_edges;
+  std::vector<std::pair<VertexIdx, EdgePos>> in_positions;
+  std::vector<std::tuple<EdgePos, LabelId, Interval, PropValue>> edge_props;
+  std::vector<std::pair<VertexId, VertexIdx>> index;
+  TimePoint horizon = 0;
+  GraphHead head;
+
+  bool operator==(const GraphSnapshot& o) const {
+    return out_edges == o.out_edges && in_positions == o.in_positions &&
+           edge_props == o.edge_props && index == o.index &&
+           horizon == o.horizon && head == o.head;
+  }
+};
+
+GraphSnapshot Snapshot(const TemporalGraph& g, VertexId max_vid) {
+  GraphSnapshot s;
+  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
+    for (const StoredEdge& e : g.OutEdges(v)) {
+      s.out_edges.emplace_back(v, e.eid, e.src, e.dst, e.interval);
+    }
+    for (EdgePos pos : g.InEdgePositions(v)) s.in_positions.emplace_back(v, pos);
+  }
+  for (EdgePos pos = 0; pos < g.num_edges(); ++pos) {
+    for (LabelId l = 0; l < g.num_labels(); ++l) {
+      const IntervalMap<PropValue>* map = g.EdgeProperty(pos, l);
+      if (map == nullptr) continue;
+      for (const auto& entry : map->entries()) {
+        s.edge_props.emplace_back(pos, l, entry.interval, entry.value);
+      }
+    }
+  }
+  for (VertexId vid = 0; vid <= max_vid; ++vid) {
+    if (const auto idx = g.IndexOf(vid)) s.index.emplace_back(vid, *idx);
+  }
+  s.horizon = g.horizon();
+  s.head = g.head();
+  return s;
+}
+
+// A second batch that reaches past the first one's vertices and grows the
+// horizon, so the copy's delta, index and horizon all move.
+EdgeBatch SecondExtension() {
+  EdgeBatch batch;
+  batch.vertices.push_back({7, Interval(0, kTimeMax)});
+  batch.edges.push_back({60, 6, 7, Interval(5, 12)});
+  batch.edges.push_back({61, testutil::kB, 7, Interval(1, 3)});
+  batch.props.push_back({60, kTravelTimeLabel, Interval(5, 12), 2});
+  return batch;
+}
+
+TEST(IngestVersionTest, CopiesShareTheSealedBaseUntilCompact) {
+  TemporalGraph g1 = testutil::MakeTransitGraph();
+  ASSERT_TRUE(g1.Append(TransitExtension()).ok());
+  TemporalGraph g2 = g1;
+  ASSERT_TRUE(g2.Append(SecondExtension()).ok());
+
+  // Before g2 compacts, both read the very same sealed out-edge storage.
+  const VertexIdx a = g1.IndexOf(testutil::kA).value();
+  ASSERT_GT(g1.OutEdges(a).size(), 0u);
+  EXPECT_EQ(&g1.OutEdges(a)[0], &g2.OutEdges(a)[0]);
+  EXPECT_EQ(g1.EdgeProperty(0, 0), g2.EdgeProperty(0, 0));
+
+  g2.Compact();
+  EXPECT_NE(&g1.OutEdges(a)[0], &g2.OutEdges(a)[0]);
+}
+
+TEST(IngestVersionTest, AppendAndCompactOnACopyLeaveTheOriginalIntact) {
+  TemporalGraph g1 = testutil::MakeTransitGraph();
+  ASSERT_TRUE(g1.Append(TransitExtension()).ok());
+  const GraphSnapshot before = Snapshot(g1, 100);
+
+  TemporalGraph g2 = g1;
+  ASSERT_TRUE(g2.Append(SecondExtension()).ok());
+  EXPECT_EQ(Snapshot(g1, 100), before);
+  EXPECT_EQ(g2.horizon(), 12);
+  EXPECT_EQ(g2.num_edges(), g1.num_edges() + 2);
+  EXPECT_FALSE(g1.IndexOf(7).has_value());
+  EXPECT_TRUE(g2.IndexOf(7).has_value());
+
+  g2.Compact();
+  EXPECT_EQ(Snapshot(g1, 100), before);
+  EXPECT_EQ(g2.head(), (GraphHead{1, 0}));
+  // The original can still grow on its own line, and the compacted copy
+  // still rejects the original's ids.
+  EXPECT_FALSE(g2.Append(SecondExtension()).ok());
+  ASSERT_TRUE(g1.Append(SecondExtension()).ok());
+  TemporalGraph g1_compacted = g1;
+  g1_compacted.Compact();
+  EXPECT_EQ(Snapshot(g1_compacted, 100), Snapshot(g2, 100));
+}
+
+// Appended edges whose ids sort BELOW and between sealed ids: Compact()
+// must interleave them into each vertex's slice exactly as the builder
+// orders (src, eid).
+TEST(IngestVersionTest, CompactInterleavesEidsLikeTheBuilder) {
+  EdgeBatch batch;
+  batch.edges.push_back({3, testutil::kA, testutil::kF, Interval(1, 4)});
+  batch.edges.push_back({100, testutil::kA, testutil::kE, Interval(2, 3)});
+  batch.edges.push_back({1, testutil::kD, testutil::kB, Interval(0, 9)});
+  batch.props.push_back({3, kTravelTimeLabel, Interval(1, 4), 1});
+  batch.props.push_back({1, kTravelCostLabel, Interval(0, 9), 7});
+
+  TemporalGraphBuilder b;
+  const Interval forever(0, kTimeMax);
+  for (VertexId v : {testutil::kA, testutil::kB, testutil::kC, testutil::kD,
+                     testutil::kE, testutil::kF}) {
+    b.AddVertex(v, forever);
+  }
+  b.AddEdge(10, testutil::kA, testutil::kB, Interval(3, 6));
+  b.SetEdgeProperty(10, kTravelTimeLabel, Interval(3, 6), 1);
+  b.SetEdgeProperty(10, kTravelCostLabel, Interval(3, 5), 4);
+  b.SetEdgeProperty(10, kTravelCostLabel, Interval(5, 6), 3);
+  const auto edge = [&b](EdgeId eid, VertexId s, VertexId d, TimePoint t0,
+                         TimePoint t1, PropValue cost) {
+    b.AddEdge(eid, s, d, Interval(t0, t1));
+    b.SetEdgeProperty(eid, kTravelTimeLabel, Interval(t0, t1), 1);
+    b.SetEdgeProperty(eid, kTravelCostLabel, Interval(t0, t1), cost);
+  };
+  edge(11, testutil::kA, testutil::kC, 1, 2, 3);
+  edge(12, testutil::kA, testutil::kD, 2, 4, 2);
+  edge(13, testutil::kC, testutil::kE, 5, 6, 4);
+  edge(14, testutil::kB, testutil::kE, 8, 9, 2);
+  edge(15, testutil::kD, testutil::kF, 1, 2, 1);
+  for (const auto& e : batch.edges) b.AddEdge(e.eid, e.src, e.dst, e.interval);
+  for (const auto& p : batch.props) {
+    b.SetEdgeProperty(p.eid, p.label, p.interval, p.value);
+  }
+  BuilderOptions options;
+  options.horizon = 10;
+  auto built = b.Build(options);
+  ASSERT_TRUE(built.ok());
+
+  const TemporalGraph base = testutil::MakeTransitGraph();
+  TemporalGraph g = base;
+  ASSERT_TRUE(g.Append(batch).ok());
+  g.Compact();
+  GraphSnapshot want = Snapshot(*built, 100);
+  GraphSnapshot got = Snapshot(g, 100);
+  want.head = got.head;  // The builder's graph has never compacted.
+  EXPECT_EQ(got, want);
 }
 
 TEST(IngestAppendTest, ReceiptMergesAcrossAppends) {
@@ -352,6 +507,61 @@ TemporalGraph FullSpanRandomGraph(uint64_t seed) {
   testutil::RandomGraphOptions opt;
   opt.full_lifespan_prob = 1.0;
   return testutil::MakeRandomGraph(seed, opt);
+}
+
+// Delta links are one sorted array searched per vertex. Vertices with
+// runs of 0..132 delta edges, built up over interleaved batches, must
+// each see exactly their own edges in append order, and every position
+// a view hands out must address the edge it indexes.
+TEST(IngestAppendTest, DeltaRunsOfEveryLengthResolve) {
+  TemporalGraph g = FullSpanRandomGraph(7);
+  const size_t n = g.num_vertices();
+  const std::vector<size_t> run_lengths = {0, 1, 2, 3, 5, 8, 17, 33};
+  ASSERT_GE(n, run_lengths.size());
+  std::vector<size_t> sealed_out(n), sealed_in(n);
+  for (VertexIdx v = 0; v < n; ++v) {
+    sealed_out[v] = g.OutEdges(v).size();
+    sealed_in[v] = g.InEdgePositions(v).size();
+  }
+
+  std::vector<std::vector<EdgeId>> want_out(n);
+  std::vector<size_t> want_in(n, 0);
+  EdgeId next_eid = 100000;
+  for (int round = 0; round < 4; ++round) {
+    EdgeBatch batch;
+    // Sources in descending order, so each batch's links arrive unsorted.
+    for (size_t s = run_lengths.size(); s-- > 0;) {
+      const VertexIdx src = static_cast<VertexIdx>(s * 3 % n);
+      for (size_t j = 0; j < run_lengths[s]; ++j) {
+        const VertexIdx dst = static_cast<VertexIdx>((s + j + round) % n);
+        const Interval span = g.vertex_interval(src).Intersect(
+            g.vertex_interval(dst));
+        if (span.IsEmpty()) continue;
+        batch.edges.push_back(
+            {next_eid, g.vertex_id(src), g.vertex_id(dst), span});
+        want_out[src].push_back(next_eid);
+        ++want_in[dst];
+        ++next_eid;
+      }
+    }
+    ASSERT_TRUE(g.Append(batch).ok());
+  }
+
+  for (VertexIdx v = 0; v < n; ++v) {
+    const auto out = g.OutEdges(v);
+    ASSERT_EQ(out.size(), sealed_out[v] + want_out[v].size()) << v;
+    for (size_t k = 0; k < out.size(); ++k) {
+      EXPECT_EQ(&g.edge(out.pos(k)), &out[k]);
+      EXPECT_EQ(g.OutEdgePos(v, k), out.pos(k));
+      EXPECT_EQ(out[k].src, v);
+      if (k >= sealed_out[v]) {
+        EXPECT_EQ(out[k].eid, want_out[v][k - sealed_out[v]]);
+      }
+    }
+    const auto in = g.InEdgePositions(v);
+    ASSERT_EQ(in.size(), sealed_in[v] + want_in[v]) << v;
+    for (EdgePos pos : in) EXPECT_EQ(g.edge(pos).dst, v);
+  }
 }
 
 // A batch exercising every edge class the receipt distinguishes:
