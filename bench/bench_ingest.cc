@@ -16,9 +16,11 @@
 //   4. Versioned appends — GraphRegistry::Append with the previous
 //      version still pinned, as a server runs it beside in-flight jobs,
 //      on Reddit-like bases of two sizes (4x apart). Heap allocations per
-//      non-compacting append are counted exactly (bench/alloc_counter.h)
-//      and must not grow with the base: the sealed base is shared between
-//      versions, so an append costs O(batch + delta).
+//      append are counted exactly (bench/alloc_counter.h) and must not
+//      grow with the base, for plain and compacting appends alike: the
+//      sealed base is shared between versions, so an append costs
+//      O(batch + delta), and it holds flat arrays only, so compaction
+//      copies and frees a fixed number of them.
 //
 // Prints a summary to stdout and writes machine-readable results to
 // BENCH_ingest.json (override with argv[2]); tools/check_bench_regression.py
@@ -331,6 +333,10 @@ int main(int argc, char** argv) {
       small.allocs_per_append > 0
           ? large.allocs_per_append / small.allocs_per_append
           : 0.0;
+  const double compact_alloc_growth =
+      small.compact_allocs_per_append > 0
+          ? large.compact_allocs_per_append / small.compact_allocs_per_append
+          : 0.0;
   for (const VersionedSample& v : versioned) {
     std::printf(
         "  registry append (%zu V / %zu E, previous version pinned): "
@@ -402,6 +408,12 @@ int main(int argc, char** argv) {
             "lower", /*timing=*/false);
   GateEntry(&json, "ingest_registry_append_ms", large.append_ms, "lower",
             /*timing=*/true);
+  // Compacting appends: the same, counting the new base's build and the
+  // release of the pinned version's.
+  GateEntry(&json, "ingest_registry_compact_allocs",
+            large.compact_allocs_per_append, "lower", /*timing=*/false);
+  GateEntry(&json, "ingest_registry_compact_alloc_growth",
+            compact_alloc_growth, "lower", /*timing=*/false);
   json.EndObject();
   json.EndObject();
 

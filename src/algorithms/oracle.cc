@@ -22,16 +22,12 @@ struct WeightLookup {
 
   TimePoint TravelTime(EdgePos pos, TimePoint t) const {
     if (!time_label) return 1;
-    const auto* map = g->EdgeProperty(pos, *time_label);
-    if (map == nullptr) return 1;
-    auto v = map->Get(t);
+    auto v = g->EdgeProperty(pos, *time_label).Get(t);
     return v ? static_cast<TimePoint>(*v) : 1;
   }
   PropValue Cost(EdgePos pos, TimePoint t) const {
     if (!cost_label) return 1;
-    const auto* map = g->EdgeProperty(pos, *cost_label);
-    if (map == nullptr) return 1;
-    auto v = map->Get(t);
+    auto v = g->EdgeProperty(pos, *cost_label).Get(t);
     return v ? *v : 1;
   }
 };

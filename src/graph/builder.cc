@@ -35,23 +35,26 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
   TemporalGraph g;
   auto base = std::make_shared<TemporalGraph::SealedBase>();
   TemporalGraph::SealedBase& b = *base;
-  auto index_of = [&b](VertexId vid) -> std::optional<VertexIdx> {
-    auto it = b.vid_to_idx.find(vid);
-    if (it == b.vid_to_idx.end()) return std::nullopt;
+  // Endpoints resolve through a hash map while building; the base keeps
+  // the same index as a sorted flat array.
+  std::unordered_map<VertexId, VertexIdx> vid_to_idx;
+  auto index_of = [&vid_to_idx](VertexId vid) -> std::optional<VertexIdx> {
+    auto it = vid_to_idx.find(vid);
+    if (it == vid_to_idx.end()) return std::nullopt;
     return it->second;
   };
 
   // --- Vertices (Constraint 1: unique vids, one contiguous lifespan). ---
   b.vertex_ids.reserve(vertices_.size());
   b.vertex_intervals.reserve(vertices_.size());
-  b.vid_to_idx.reserve(vertices_.size());
+  vid_to_idx.reserve(vertices_.size());
   for (const PendingVertex& v : vertices_) {
     if (!v.interval.IsValid()) {
       return Status::InvalidArgument("vertex " + std::to_string(v.vid) +
                                      " has invalid lifespan " +
                                      v.interval.ToString());
     }
-    auto [it, inserted] = b.vid_to_idx.emplace(
+    auto [it, inserted] = vid_to_idx.emplace(
         v.vid, static_cast<VertexIdx>(b.vertex_ids.size()));
     if (!inserted) {
       return Status::ConstraintViolation(
@@ -61,6 +64,11 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
     b.vertex_intervals.push_back(v.interval);
   }
   const size_t num_vertices = b.vertex_ids.size();
+  b.vid_index.reserve(num_vertices);
+  for (size_t i = 0; i < num_vertices; ++i) {
+    b.vid_index.emplace_back(b.vertex_ids[i], static_cast<VertexIdx>(i));
+  }
+  std::sort(b.vid_index.begin(), b.vid_index.end());
 
   // --- Edges (Constraint 1 uniqueness, Constraint 2 referential
   // integrity: edge lifespan contained in both endpoint lifespans). ---
@@ -125,7 +133,10 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
   b.BuildInAdjacency();
 
   // --- Properties (Constraint 3: property interval contained in entity
-  // lifespan; Def. 1: no overlapping values for one label). ---
+  // lifespan; Def. 1: no overlapping values for one label). Vertex
+  // properties are checked and flattened before edge properties, each run
+  // in input order up to the first failure, so the error reported is the
+  // one a run-by-run scan meets first. ---
   auto intern = [&g](const std::string& name) -> LabelId {
     auto it = g.label_to_id_.find(name);
     if (it != g.label_to_id_.end()) return it->second;
@@ -134,68 +145,67 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
     g.label_to_id_.emplace(name, id);
     return id;
   };
-  b.vertex_props.resize(num_vertices);
-  b.edge_props.resize(b.edges.size());
-
-  auto apply_prop =
-      [&](TemporalGraph::PropList& props,
-          const PendingProp& p, const Interval& entity_span,
-          const char* kind) -> Status {
-    if (!p.interval.IsValid()) {
-      return Status::InvalidArgument("property interval invalid: " +
-                                     p.interval.ToString());
+  std::vector<TemporalGraph::StagedRun> staged;
+  auto add_props = [&](const std::vector<PendingProp>& pending,
+                       const char* kind, size_t num_entities,
+                       auto entity_of, auto span_of,
+                       TemporalGraph::PropStore* store) -> Status {
+    staged.clear();
+    staged.reserve(pending.size());
+    Status bad = Status::OK();
+    for (uint32_t i = 0; i < pending.size() && bad.ok(); ++i) {
+      const PendingProp& p = pending[i];
+      const std::optional<uint32_t> entity = entity_of(p.entity);
+      if (!entity) {
+        bad = Status::ConstraintViolation(
+            std::string("Constraint 3: property on missing ") + kind + " " +
+            std::to_string(p.entity));
+      } else if (!p.interval.IsValid()) {
+        bad = Status::InvalidArgument("property interval invalid: " +
+                                      p.interval.ToString());
+      } else if (const Interval& span = span_of(*entity);
+                 options.validate && !p.interval.ContainedIn(span)) {
+        bad = Status::ConstraintViolation(
+            std::string("Constraint 3: ") + kind + " property '" + p.label +
+            "' interval " + p.interval.ToString() +
+            " not contained in entity lifespan " + span.ToString());
+      } else {
+        staged.push_back(
+            {*entity, i, 0, intern(p.label), p.interval, p.value});
+      }
     }
-    if (options.validate && !p.interval.ContainedIn(entity_span)) {
+    const uint32_t overlap =
+        TemporalGraph::OrderStagedRuns(&staged, num_entities);
+    if (options.validate && overlap != TemporalGraph::kNoOverlap) {
+      const PendingProp& p = pending[overlap];
       return Status::ConstraintViolation(
-          std::string("Constraint 3: ") + kind + " property '" + p.label +
-          "' interval " + p.interval.ToString() +
-          " not contained in entity lifespan " + entity_span.ToString());
+          std::string("Def. 1: overlapping values for ") + kind +
+          " property '" + p.label + "' at " + p.interval.ToString());
     }
-    LabelId label = intern(p.label);
-    IntervalMap<PropValue>* map = nullptr;
-    for (auto& [l, m] : props) {
-      if (l == label) {
-        map = &m;
-        break;
-      }
+    GRAPHITE_RETURN_NOT_OK(bad);
+    size_t groups = 0;
+    for (size_t k = 0; k < staged.size(); ++k) {
+      groups += k == 0 || staged[k].entity != staged[k - 1].entity ||
+                staged[k].rank != staged[k - 1].rank;
     }
-    if (map == nullptr) {
-      props.emplace_back(label, IntervalMap<PropValue>());
-      map = &props.back().second;
-    }
-    if (options.validate) {
-      bool overlap = false;
-      map->ForEachIntersecting(p.interval,
-                               [&](const Interval&, PropValue) { overlap = true; });
-      if (overlap) {
-        return Status::ConstraintViolation(
-            std::string("Def. 1: overlapping values for ") + kind +
-            " property '" + p.label + "' at " + p.interval.ToString());
-      }
-    }
-    map->Set(p.interval, p.value);
+    store->Reserve(num_entities, groups, staged.size());
+    store->AppendStaged(staged, num_entities);
     return Status::OK();
   };
-
-  for (const PendingProp& p : vertex_props_) {
-    auto idx = index_of(p.entity);
-    if (!idx) {
-      return Status::ConstraintViolation(
-          "Constraint 3: property on missing vertex " +
-          std::to_string(p.entity));
-    }
-    GRAPHITE_RETURN_NOT_OK(apply_prop(b.vertex_props[*idx], p,
-                                      b.vertex_intervals[*idx], "vertex"));
-  }
-  for (const PendingProp& p : edge_props_) {
-    auto it = eid_to_pos.find(p.entity);
-    if (it == eid_to_pos.end()) {
-      return Status::ConstraintViolation(
-          "Constraint 3: property on missing edge " + std::to_string(p.entity));
-    }
-    GRAPHITE_RETURN_NOT_OK(apply_prop(b.edge_props[it->second], p,
-                                      b.edges[it->second].interval, "edge"));
-  }
+  GRAPHITE_RETURN_NOT_OK(add_props(
+      vertex_props_, "vertex", num_vertices,
+      [&](int64_t vid) { return index_of(vid); },
+      [&](uint32_t v) -> const Interval& { return b.vertex_intervals[v]; },
+      &b.vertex_props));
+  GRAPHITE_RETURN_NOT_OK(add_props(
+      edge_props_, "edge", b.edges.size(),
+      [&](int64_t eid) -> std::optional<uint32_t> {
+        auto it = eid_to_pos.find(eid);
+        if (it == eid_to_pos.end()) return std::nullopt;
+        return it->second;
+      },
+      [&](uint32_t pos) -> const Interval& { return b.edges[pos].interval; },
+      &b.edge_props));
 
   // --- Horizon. ---
   if (options.horizon > 0) {
@@ -208,18 +218,8 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
     };
     for (const Interval& i : b.vertex_intervals) consider(i);
     for (const StoredEdge& e : b.edges) consider(e.interval);
-    for (const auto& per : b.vertex_props) {
-      for (const auto& [l, m] : per) {
-        (void)l;
-        for (const auto& entry : m.entries()) consider(entry.interval);
-      }
-    }
-    for (const auto& per : b.edge_props) {
-      for (const auto& [l, m] : per) {
-        (void)l;
-        for (const auto& entry : m.entries()) consider(entry.interval);
-      }
-    }
+    for (const PropRun& run : b.vertex_props.runs) consider(run.interval);
+    for (const PropRun& run : b.edge_props.runs) consider(run.interval);
     g.horizon_ = max_end > 0 ? max_end : 1;
   }
 

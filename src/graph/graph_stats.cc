@@ -67,9 +67,7 @@ GraphStats ComputeGraphStats(const TemporalGraph& g, bool include_transformed) {
 
   double prop_span_sum = 0;
   size_t prop_count = 0;
-  auto accumulate_props = [&](const std::vector<
-                              std::pair<LabelId, IntervalMap<PropValue>>>&
-                                  props) {
+  auto accumulate_props = [&](const PropertyRange& props) {
     for (const auto& [label, map] : props) {
       (void)label;
       for (const auto& entry : map.entries()) {

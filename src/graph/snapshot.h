@@ -50,9 +50,7 @@ class SnapshotView {
 
   /// Value of edge property `label` at t, if present.
   std::optional<PropValue> EdgePropertyAt(EdgePos pos, LabelId label) const {
-    const IntervalMap<PropValue>* map = graph_->EdgeProperty(pos, label);
-    if (map == nullptr) return std::nullopt;
-    return map->Get(t_);
+    return graph_->EdgeProperty(pos, label).Get(t_);
   }
 
   /// Counts active vertices and edges (used by Table 1 and Fig. 6a).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <string_view>
+#include <unordered_map>
 
 namespace graphite {
 
@@ -47,16 +49,186 @@ bool LinkLess(const TemporalGraph::DeltaLink& a,
   return a.v != b.v ? a.v < b.v : a.idx < b.idx;
 }
 
+// Sorts (id, batch position) pairs by id and returns the earliest batch
+// position whose id an earlier position already used, or `none`: the
+// element an in-order duplicate check rejects first.
+template <typename Id>
+uint32_t SortAndFindFirstDuplicate(std::vector<std::pair<Id, uint32_t>>* ids,
+                                   uint32_t none) {
+  std::sort(ids->begin(), ids->end());
+  uint32_t first = none;
+  for (size_t k = 1; k < ids->size(); ++k) {
+    if ((*ids)[k].first == (*ids)[k - 1].first) {
+      first = std::min(first, (*ids)[k].second);
+    }
+  }
+  return first;
+}
+
+// The value paired with `id` in `ids` sorted by id; nullptr if absent.
+template <typename Id>
+const uint32_t* FindId(const std::vector<std::pair<Id, uint32_t>>& ids,
+                       Id id) {
+  auto it = std::lower_bound(
+      ids.begin(), ids.end(), id,
+      [](const std::pair<Id, uint32_t>& p, Id x) { return p.first < x; });
+  return it != ids.end() && it->first == id ? &it->second : nullptr;
+}
+
 }  // namespace
+
+uint32_t TemporalGraph::OrderStagedRuns(std::vector<StagedRun>* runs,
+                                        size_t num_entities) {
+  std::vector<StagedRun>& r = *runs;
+  // By entity, keeping input order within each: a counting sort, skipped
+  // when the runs already come entity by entity.
+  if (!std::is_sorted(r.begin(), r.end(),
+                      [](const StagedRun& a, const StagedRun& b) {
+                        return a.entity < b.entity;
+                      })) {
+    std::vector<uint32_t> next(num_entities + 1, 0);
+    for (const StagedRun& run : r) ++next[run.entity + 1];
+    for (size_t e = 0; e < num_entities; ++e) next[e + 1] += next[e];
+    std::vector<StagedRun> sorted(r.size());
+    for (const StagedRun& run : r) sorted[next[run.entity]++] = run;
+    r = std::move(sorted);
+  }
+
+  // Whether two runs in [first, last) — one label's, sorted by start —
+  // with seq below `limit` overlap.
+  const auto overlap_below = [](const StagedRun* first, const StagedRun* last,
+                                uint32_t limit) {
+    bool any = false;
+    TimePoint reach = 0;  // max end so far
+    for (const StagedRun* run = first; run != last; ++run) {
+      if (run->seq >= limit) continue;
+      if (any && run->interval.start < reach) return true;
+      reach = any ? std::max(reach, run->interval.end) : run->interval.end;
+      any = true;
+    }
+    return false;
+  };
+  uint32_t first_overlap = kNoOverlap;
+  std::vector<LabelId> labels;  // the current entity's, in first-set order
+  for (size_t b = 0, e = 0; b < r.size(); b = e) {
+    labels.clear();
+    for (e = b; e < r.size() && r[e].entity == r[b].entity; ++e) {
+      const auto it = std::find(labels.begin(), labels.end(), r[e].label);
+      r[e].rank = static_cast<uint32_t>(it - labels.begin());
+      if (it == labels.end()) labels.push_back(r[e].label);
+    }
+    std::sort(r.begin() + static_cast<std::ptrdiff_t>(b),
+              r.begin() + static_cast<std::ptrdiff_t>(e),
+              [](const StagedRun& x, const StagedRun& y) {
+                if (x.rank != y.rank) return x.rank < y.rank;
+                if (x.interval.start != y.interval.start) {
+                  return x.interval.start < y.interval.start;
+                }
+                return x.seq < y.seq;
+              });
+    for (size_t gb = b, ge = b; gb < e; gb = ge) {
+      uint32_t max_seq = r[gb].seq;
+      for (ge = gb + 1; ge < e && r[ge].rank == r[gb].rank; ++ge) {
+        max_seq = std::max(max_seq, r[ge].seq);
+      }
+      const StagedRun* first = r.data() + gb;
+      const StagedRun* last = r.data() + ge;
+      if (!overlap_below(first, last, kNoOverlap)) continue;
+      // The smallest input prefix holding an overlap ends with the first
+      // run to overlap an earlier one.
+      uint32_t lo = 1, hi = max_seq + 1;  // overlap_below(.., hi) holds
+      while (lo < hi) {
+        const uint32_t mid = lo + (hi - lo) / 2;
+        if (overlap_below(first, last, mid)) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      first_overlap = std::min(first_overlap, hi - 1);
+    }
+  }
+  return first_overlap;
+}
+
+void TemporalGraph::PropStore::AppendStaged(
+    const std::vector<StagedRun>& staged, size_t count) {
+  size_t k = 0;
+  for (uint32_t entity = 0; entity < count; ++entity) {
+    while (k < staged.size() && staged[k].entity == entity) {
+      const StagedRun& head = staged[k];
+      const size_t first = k;
+      bool overlap = false;
+      TimePoint reach = head.interval.end;
+      for (++k; k < staged.size() && staged[k].entity == entity &&
+                staged[k].rank == head.rank;
+           ++k) {
+        overlap = overlap || staged[k].interval.start < reach;
+        reach = std::max(reach, staged[k].interval.end);
+      }
+      if (!overlap) {
+        for (size_t j = first; j < k; ++j) {
+          runs.push_back({staged[j].interval, staged[j].value});
+        }
+      } else {
+        // Unvalidated input only: replay in input order, as Set() would.
+        std::vector<StagedRun> in_order(staged.begin() + first,
+                                        staged.begin() + k);
+        std::sort(in_order.begin(), in_order.end(),
+                  [](const StagedRun& x, const StagedRun& y) {
+                    return x.seq < y.seq;
+                  });
+        IntervalMap<PropValue> map;
+        for (const StagedRun& run : in_order) map.Set(run.interval, run.value);
+        runs.insert(runs.end(), map.entries().begin(), map.entries().end());
+      }
+      groups.push_back({head.label, static_cast<uint32_t>(runs.size())});
+    }
+    offsets.push_back(static_cast<uint32_t>(groups.size()));
+  }
+}
+
+void TemporalGraph::PropStore::AppendRange(const PropStore& src, size_t first,
+                                           size_t last) {
+  const uint32_t g0 = src.offsets[first];
+  const uint32_t g1 = src.offsets[last];
+  const uint32_t r0 = src.RunBegin(g0);
+  const uint32_t r1 = src.RunBegin(g1);
+  // Unsigned wrap-around keeps the shifts exact when they are negative.
+  const uint32_t group_shift = static_cast<uint32_t>(groups.size()) - g0;
+  const uint32_t run_shift = static_cast<uint32_t>(runs.size()) - r0;
+  runs.insert(runs.end(), src.runs.begin() + r0, src.runs.begin() + r1);
+  const size_t new_groups = groups.size();
+  groups.insert(groups.end(), src.groups.begin() + g0,
+                src.groups.begin() + g1);
+  for (size_t k = new_groups; k < groups.size(); ++k) {
+    groups[k].end += run_shift;
+  }
+  const size_t new_offsets = offsets.size();
+  offsets.insert(offsets.end(), src.offsets.begin() + first + 1,
+                 src.offsets.begin() + last + 1);
+  for (size_t k = new_offsets; k < offsets.size(); ++k) {
+    offsets[k] += group_shift;
+  }
+}
+
+void TemporalGraph::PropStore::Reserve(size_t entities, size_t num_groups,
+                                       size_t num_runs) {
+  offsets.reserve(entities + 1);
+  groups.reserve(num_groups);
+  runs.reserve(num_runs);
+}
+
+size_t TemporalGraph::PropStore::Bytes() const {
+  return offsets.size() * sizeof(uint32_t) + groups.size() * sizeof(PropGroup) +
+         runs.size() * sizeof(PropRun);
+}
 
 void TemporalGraph::SealedBase::BuildInAdjacency() {
   const size_t n = out_offsets.size() - 1;
-  std::vector<uint32_t> in_degree(n, 0);
-  for (const StoredEdge& e : edges) ++in_degree[e.dst];
   in_offsets.assign(n + 1, 0);
-  for (size_t v = 0; v < n; ++v) {
-    in_offsets[v + 1] = in_offsets[v] + in_degree[v];
-  }
+  for (const StoredEdge& e : edges) ++in_offsets[e.dst + 1];
+  for (size_t v = 0; v < n; ++v) in_offsets[v + 1] += in_offsets[v];
   in_positions.assign(edges.size(), 0);
   std::vector<uint32_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
   for (EdgePos pos = 0; pos < edges.size(); ++pos) {
@@ -73,7 +245,6 @@ TemporalGraph::TemporalGraph() {
 void TemporalGraph::AdoptBase(std::shared_ptr<const SealedBase> base) {
   base_ = std::move(base);
   sealed_edges_ = base_->edges.data();
-  sealed_edge_props_ = base_->edge_props.data();
   vertex_ids_ = base_->vertex_ids.data();
   vertex_intervals_ = base_->vertex_intervals.data();
   out_offsets_ = base_->out_offsets.data();
@@ -84,21 +255,10 @@ void TemporalGraph::AdoptBase(std::shared_ptr<const SealedBase> base) {
 }
 
 std::optional<VertexIdx> TemporalGraph::IndexOf(VertexId vid) const {
-  auto it = base_->vid_to_idx.find(vid);
-  if (it != base_->vid_to_idx.end()) return it->second;
-  auto d = std::lower_bound(
-      delta_vid_index_.begin(), delta_vid_index_.end(), vid,
-      [](const std::pair<VertexId, VertexIdx>& p, VertexId x) {
-        return p.first < x;
-      });
-  if (d != delta_vid_index_.end() && d->first == vid) return d->second;
-  return std::nullopt;
-}
-
-const TemporalGraph::PropList& TemporalGraph::VertexProperties(
-    VertexIdx v) const {
-  static const PropList kNone;
-  return v < num_sealed_vertices_ ? base_->vertex_props[v] : kNone;
+  const VertexIdx* idx = FindId(base_->vid_index, vid);
+  if (idx == nullptr) idx = FindId(delta_vid_index_, vid);
+  if (idx == nullptr) return std::nullopt;
+  return *idx;
 }
 
 LabelId TemporalGraph::InternLabel(const std::string& name) {
@@ -138,17 +298,26 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
   EnsureEidIndex();
 
   // --- Validate everything first; the graph must be untouched on error.
+  // Every check runs in batch order and reports the first failing element,
+  // as a one-pass scan would; batch-local lookups go through sorted
+  // (id, batch position) arrays, so validation allocates per batch, not
+  // per element.
   // Constraint 1: unique vertex ids (against the graph and batch-local).
-  std::unordered_map<VertexId, Interval> batch_vertices;
-  batch_vertices.reserve(batch.vertices.size());
-  for (const EdgeBatch::NewVertex& v : batch.vertices) {
+  const uint32_t nv = static_cast<uint32_t>(batch.vertices.size());
+  std::vector<std::pair<VertexId, uint32_t>> batch_vids;
+  batch_vids.reserve(nv);
+  for (uint32_t i = 0; i < nv; ++i) {
+    batch_vids.emplace_back(batch.vertices[i].vid, i);
+  }
+  const uint32_t dup_vertex = SortAndFindFirstDuplicate(&batch_vids, nv);
+  for (uint32_t i = 0; i < nv; ++i) {
+    const EdgeBatch::NewVertex& v = batch.vertices[i];
     if (!v.interval.IsValid()) {
       return Status::InvalidArgument("append: vertex " + std::to_string(v.vid) +
                                      " has invalid lifespan " +
                                      v.interval.ToString());
     }
-    if (IndexOf(v.vid).has_value() ||
-        !batch_vertices.emplace(v.vid, v.interval).second) {
+    if (i == dup_vertex || IndexOf(v.vid).has_value()) {
       return Status::ConstraintViolation(
           "Constraint 1: append duplicates vertex id " + std::to_string(v.vid));
     }
@@ -158,20 +327,26 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
   // containment). Endpoints may be sealed vertices or batch vertices.
   auto lifespan_of = [&](VertexId vid) -> const Interval* {
     if (const auto idx = IndexOf(vid)) return &vertex_interval(*idx);
-    auto bit = batch_vertices.find(vid);
-    if (bit != batch_vertices.end()) return &bit->second;
+    if (const uint32_t* i = FindId(batch_vids, vid)) {
+      return &batch.vertices[*i].interval;
+    }
     return nullptr;
   };
-  std::unordered_map<EdgeId, Interval> batch_edges;
-  batch_edges.reserve(batch.edges.size());
-  for (const EdgeBatch::NewEdge& e : batch.edges) {
+  const uint32_t ne = static_cast<uint32_t>(batch.edges.size());
+  std::vector<std::pair<EdgeId, uint32_t>> batch_eids;
+  batch_eids.reserve(ne);
+  for (uint32_t i = 0; i < ne; ++i) {
+    batch_eids.emplace_back(batch.edges[i].eid, i);
+  }
+  const uint32_t dup_edge = SortAndFindFirstDuplicate(&batch_eids, ne);
+  for (uint32_t i = 0; i < ne; ++i) {
+    const EdgeBatch::NewEdge& e = batch.edges[i];
     if (!e.interval.IsValid()) {
       return Status::InvalidArgument("append: edge " + std::to_string(e.eid) +
                                      " has invalid lifespan " +
                                      e.interval.ToString());
     }
-    if (HasEdgeId(e.eid) ||
-        !batch_edges.emplace(e.eid, e.interval).second) {
+    if (i == dup_edge || HasEdgeId(e.eid)) {
       return Status::ConstraintViolation(
           "Constraint 1: append duplicates edge id " + std::to_string(e.eid));
     }
@@ -192,49 +367,49 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
 
   // Constraint 3 + Def. 1 for properties. Sealed edges are immutable, so
   // properties may only target edges of this batch; overlap checks are
-  // therefore batch-local per (eid, label).
-  std::unordered_map<EdgeId,
-                     std::vector<std::pair<std::string, IntervalMap<int>>>>
-      prop_probe;
-  for (const EdgeBatch::NewEdgeProp& p : batch.props) {
+  // therefore batch-local per (eid, label). The per-run checks stop at the
+  // first failing run; the overlap check then looks only at the runs
+  // before it. Runs are staged under the label ids interning them in
+  // batch order will assign, without interning yet.
+  std::unordered_map<std::string_view, LabelId> new_labels;
+  auto label_id = [&](const std::string& name) {
+    if (const auto id = LabelIdOf(name)) return *id;
+    const auto next = static_cast<LabelId>(labels_.size() + new_labels.size());
+    return new_labels.emplace(name, next).first->second;
+  };
+  const uint32_t np = static_cast<uint32_t>(batch.props.size());
+  std::vector<StagedRun> staged;
+  staged.reserve(np);
+  Status bad_prop = Status::OK();
+  for (uint32_t i = 0; i < np && bad_prop.ok(); ++i) {
+    const EdgeBatch::NewEdgeProp& p = batch.props[i];
+    const uint32_t* edge = FindId(batch_eids, p.eid);
     if (!p.interval.IsValid()) {
-      return Status::InvalidArgument("append: property interval invalid: " +
-                                     p.interval.ToString());
-    }
-    auto eit = batch_edges.find(p.eid);
-    if (eit == batch_edges.end()) {
-      return Status::ConstraintViolation(
+      bad_prop = Status::InvalidArgument("append: property interval invalid: " +
+                                         p.interval.ToString());
+    } else if (edge == nullptr) {
+      bad_prop = Status::ConstraintViolation(
           "append: property targets edge " + std::to_string(p.eid) +
           " outside this batch (sealed edges are immutable)");
-    }
-    if (!p.interval.ContainedIn(eit->second)) {
-      return Status::ConstraintViolation(
+    } else if (const Interval& span = batch.edges[*edge].interval;
+               !p.interval.ContainedIn(span)) {
+      bad_prop = Status::ConstraintViolation(
           "Constraint 3: append edge property '" + p.label + "' interval " +
           p.interval.ToString() + " not contained in edge lifespan " +
-          eit->second.ToString());
+          span.ToString());
+    } else {
+      staged.push_back(
+          {*edge, i, 0, label_id(p.label), p.interval, p.value});
     }
-    auto& maps = prop_probe[p.eid];
-    IntervalMap<int>* map = nullptr;
-    for (auto& [label, m] : maps) {
-      if (label == p.label) {
-        map = &m;
-        break;
-      }
-    }
-    if (map == nullptr) {
-      maps.emplace_back(p.label, IntervalMap<int>());
-      map = &maps.back().second;
-    }
-    bool overlap = false;
-    map->ForEachIntersecting(p.interval,
-                             [&](const Interval&, int) { overlap = true; });
-    if (overlap) {
-      return Status::ConstraintViolation(
-          "Def. 1: overlapping values for append edge property '" + p.label +
-          "' at " + p.interval.ToString());
-    }
-    map->Set(p.interval, 1);
   }
+  if (const uint32_t overlap = OrderStagedRuns(&staged, ne);
+      overlap != kNoOverlap) {
+    const EdgeBatch::NewEdgeProp& p = batch.props[overlap];
+    return Status::ConstraintViolation(
+        "Def. 1: overlapping values for append edge property '" + p.label +
+        "' at " + p.interval.ToString());
+  }
+  GRAPHITE_RETURN_NOT_OK(bad_prop);
 
   // --- Apply (no failure paths from here on). ---
   const VertexIdx old_num_vertices = static_cast<VertexIdx>(num_vertices());
@@ -259,19 +434,15 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
 
   const size_t old_links = delta_out_.size();
   const size_t old_eids = delta_eids_.size();
-  std::unordered_map<EdgeId, size_t> batch_eid_to_delta;
-  batch_eid_to_delta.reserve(batch.edges.size());
   for (const EdgeBatch::NewEdge& e : batch.edges) {
     const VertexIdx src = *IndexOf(e.src);
     const VertexIdx dst = *IndexOf(e.dst);
     const uint32_t delta_idx = static_cast<uint32_t>(delta_edges_.size());
     const EdgePos global = static_cast<EdgePos>(num_sealed_edges_ + delta_idx);
     delta_edges_.push_back({e.eid, src, dst, e.interval});
-    delta_edge_props_.emplace_back();
     delta_out_.push_back({src, delta_idx});
     delta_in_.push_back({dst, global});
     delta_eids_.push_back(e.eid);
-    batch_eid_to_delta.emplace(e.eid, delta_idx);
     GrowHorizon(e.interval);
     out.new_edge_ids.push_back(e.eid);
     if (src < old_num_vertices) out.touched_sources.push_back(src);
@@ -280,23 +451,12 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
   MergeTail(&delta_in_, old_links, LinkLess);
   MergeTail(&delta_eids_, old_eids, std::less<EdgeId>());
 
+  // Interning in batch order assigns the ids the runs were staged under.
   for (const EdgeBatch::NewEdgeProp& p : batch.props) {
-    auto& props = delta_edge_props_[batch_eid_to_delta.at(p.eid)];
-    const LabelId label = InternLabel(p.label);
-    IntervalMap<PropValue>* map = nullptr;
-    for (auto& [l, m] : props) {
-      if (l == label) {
-        map = &m;
-        break;
-      }
-    }
-    if (map == nullptr) {
-      props.emplace_back(label, IntervalMap<PropValue>());
-      map = &props.back().second;
-    }
-    map->Set(p.interval, p.value);
+    InternLabel(p.label);
     GrowHorizon(p.interval);
   }
+  delta_edge_props_.AppendStaged(staged, ne);
 
   delta_watermark_ += batch.size();
 
@@ -316,67 +476,85 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
 }
 
 void TemporalGraph::Compact() {
-  if (delta_edges_.empty()) return;  // Nothing to seal; keep the epoch.
+  // Nothing to seal; keep the epoch.
+  if (delta_vertex_ids_.empty() && delta_edges_.empty()) return;
 
   // The old base is only read: other versions may share it.
   const SealedBase& old = *base_;
   auto next = std::make_shared<SealedBase>();
   SealedBase& nb = *next;
   const size_t n = num_vertices();
+  const size_t m = num_edges();
 
   // Edges in the builder's canonical (src, eid) order, so a compacted
   // graph is indistinguishable from one built in a single shot: each
   // vertex's sealed slice (already eid-sorted) merged with its delta
-  // edges sorted by eid — O(E) plus sorting the delta.
-  nb.edges.reserve(num_edges());
-  nb.edge_props.reserve(num_edges());
+  // edges sorted by eid. Sealed edges keep their relative order, so the
+  // sealed edges between two inserted delta edges move as one block.
+  const PropStore& delta_props = delta_edge_props_;
+  nb.edges.reserve(m);
+  nb.edge_props.Reserve(m, old.edge_props.groups.size() +
+                               delta_props.groups.size(),
+                        old.edge_props.runs.size() + delta_props.runs.size());
+  uint32_t block = 0;  // first sealed position not yet copied
+  auto copy_sealed_until = [&](uint32_t end) {
+    nb.edges.insert(nb.edges.end(), sealed_edges_ + block,
+                    sealed_edges_ + end);
+    nb.edge_props.AppendRange(old.edge_props, block, end);
+    block = end;
+  };
   nb.out_offsets.assign(n + 1, 0);
   std::vector<uint32_t> pending;
+  uint32_t delta_done = 0;
   auto link = delta_out_.begin();
   for (VertexIdx v = 0; v < n; ++v) {
-    pending.clear();
-    for (; link != delta_out_.end() && link->v == v; ++link) {
-      pending.push_back(link->idx);
-    }
-    std::sort(pending.begin(), pending.end(), [this](uint32_t a, uint32_t b) {
-      return delta_edges_[a].eid < delta_edges_[b].eid;
-    });
     const bool sealed = v < num_sealed_vertices_;
-    uint32_t pos = sealed ? out_offsets_[v] : 0;
-    const uint32_t end = sealed ? out_offsets_[v + 1] : 0;
-    size_t k = 0;
-    while (pos < end || k < pending.size()) {
-      if (k == pending.size() ||
-          (pos < end &&
-           sealed_edges_[pos].eid < delta_edges_[pending[k]].eid)) {
-        nb.edges.push_back(sealed_edges_[pos]);
-        nb.edge_props.push_back(old.edge_props[pos]);
-        ++pos;
-      } else {
-        nb.edges.push_back(delta_edges_[pending[k]]);
-        nb.edge_props.push_back(std::move(delta_edge_props_[pending[k]]));
-        ++k;
+    const uint32_t end = sealed ? out_offsets_[v + 1] : num_sealed_edges_;
+    if (link != delta_out_.end() && link->v == v) {
+      pending.clear();
+      for (; link != delta_out_.end() && link->v == v; ++link) {
+        pending.push_back(link->idx);
       }
+      std::sort(pending.begin(), pending.end(),
+                [this](uint32_t a, uint32_t b) {
+                  return delta_edges_[a].eid < delta_edges_[b].eid;
+                });
+      uint32_t pos = sealed ? out_offsets_[v] : num_sealed_edges_;
+      for (const uint32_t d : pending) {
+        while (pos < end && sealed_edges_[pos].eid < delta_edges_[d].eid) {
+          ++pos;
+        }
+        copy_sealed_until(pos);
+        nb.edges.push_back(delta_edges_[d]);
+        nb.edge_props.AppendRange(delta_props, d, d + 1);
+      }
+      delta_done += static_cast<uint32_t>(pending.size());
     }
-    nb.out_offsets[v + 1] = static_cast<uint32_t>(nb.edges.size());
+    nb.out_offsets[v + 1] = end + delta_done;
   }
+  copy_sealed_until(num_sealed_edges_);
 
   nb.BuildInAdjacency();
 
   // Vertices: the old base's, then the appended ones in index order.
+  // Appended vertices carry no properties.
+  nb.vertex_ids.reserve(n);
   nb.vertex_ids = old.vertex_ids;
-  nb.vertex_intervals = old.vertex_intervals;
-  nb.vid_to_idx = old.vid_to_idx;
-  nb.vertex_props = old.vertex_props;
   nb.vertex_ids.insert(nb.vertex_ids.end(), delta_vertex_ids_.begin(),
                        delta_vertex_ids_.end());
+  nb.vertex_intervals.reserve(n);
+  nb.vertex_intervals = old.vertex_intervals;
   nb.vertex_intervals.insert(nb.vertex_intervals.end(),
                              delta_vertex_intervals_.begin(),
                              delta_vertex_intervals_.end());
-  for (const auto& [vid, idx] : delta_vid_index_) {
-    nb.vid_to_idx.emplace(vid, idx);
-  }
-  nb.vertex_props.resize(n);
+  nb.vid_index.resize(n);
+  std::merge(old.vid_index.begin(), old.vid_index.end(),
+             delta_vid_index_.begin(), delta_vid_index_.end(),
+             nb.vid_index.begin());
+  nb.vertex_props.Reserve(n, old.vertex_props.groups.size(),
+                          old.vertex_props.runs.size());
+  nb.vertex_props = old.vertex_props;
+  nb.vertex_props.AppendEmpty(delta_vertex_ids_.size());
 
   if (sealed_eids_ != nullptr) {
     auto eids = std::make_shared<std::vector<EdgeId>>();
@@ -391,7 +569,7 @@ void TemporalGraph::Compact() {
   delta_vertex_intervals_.clear();
   delta_vid_index_.clear();
   delta_edges_.clear();
-  delta_edge_props_.clear();
+  delta_edge_props_ = PropStore();
   delta_out_.clear();
   delta_in_.clear();
   delta_eids_.clear();
@@ -405,30 +583,19 @@ size_t TemporalGraph::MemoryFootprintBytes() const {
   size_t bytes = 0;
   bytes += b.vertex_ids.size() * sizeof(VertexId);
   bytes += b.vertex_intervals.size() * sizeof(Interval);
-  bytes += b.vid_to_idx.size() * (sizeof(VertexId) + sizeof(VertexIdx) + 16);
+  bytes += b.vid_index.size() * sizeof(VidIndex::value_type);
   bytes += b.out_offsets.size() * sizeof(uint32_t);
   bytes += b.edges.size() * sizeof(StoredEdge);
   bytes += b.in_offsets.size() * sizeof(uint32_t);
   bytes += b.in_positions.size() * sizeof(EdgePos);
-  auto props_bytes = [](const std::vector<PropList>& props) {
-    size_t sum = 0;
-    for (const auto& per_entity : props) {
-      sum += per_entity.size() * sizeof(std::pair<LabelId, void*>);
-      for (const auto& [label, map] : per_entity) {
-        (void)label;
-        sum += map.size() * (sizeof(Interval) + sizeof(PropValue));
-      }
-    }
-    return sum;
-  };
-  bytes += props_bytes(b.vertex_props);
-  bytes += props_bytes(b.edge_props);
+  bytes += b.vertex_props.Bytes();
+  bytes += b.edge_props.Bytes();
   // Delta segment.
   bytes += delta_vertex_ids_.size() * sizeof(VertexId);
   bytes += delta_vertex_intervals_.size() * sizeof(Interval);
-  bytes += delta_vid_index_.size() * sizeof(std::pair<VertexId, VertexIdx>);
+  bytes += delta_vid_index_.size() * sizeof(VidIndex::value_type);
   bytes += delta_edges_.size() * sizeof(StoredEdge);
-  bytes += props_bytes(delta_edge_props_);
+  bytes += delta_edge_props_.Bytes();
   bytes += (delta_out_.size() + delta_in_.size()) * sizeof(DeltaLink);
   // EdgeId index (built by the first Append).
   if (sealed_eids_ != nullptr) bytes += sealed_eids_->size() * sizeof(EdgeId);

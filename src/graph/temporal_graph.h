@@ -4,10 +4,10 @@
 //
 // Storage is a SEALED CSR BASE plus a small MUTABLE DELTA SEGMENT at the
 // time-axis head (DESIGN.md §4l). The base — out/in adjacency, lifespans,
-// vertex ids and the id->index map, per-entity temporal properties as
-// IntervalMap<PropValue> — is built by TemporalGraphBuilder (or by
-// Compact()) and is then immutable: it is held by reference count and
-// shared by every copy of the graph, so a copy costs O(delta), not O(E).
+// vertex ids and the sorted id->index array, temporal properties as flat
+// run arrays — is built by TemporalGraphBuilder (or by Compact()) and is
+// then immutable: it is held by reference count and shared by every copy
+// of the graph, so a copy costs O(delta), not O(E).
 // `Append(EdgeBatch)` admits new vertices, edges, and edge properties
 // into the copy's own delta, which the iteration API (OutEdges /
 // InEdgePositions / edge) merges behind two-segment views, so algorithm
@@ -53,6 +53,72 @@ using PropValue = int64_t;
 using LabelId = uint16_t;
 
 inline constexpr VertexIdx kInvalidVertex = static_cast<VertexIdx>(-1);
+
+/// One label's temporal values on one entity: runs sorted by start and
+/// disjoint, viewed in place in the graph's property arrays.
+using PropRuns = IntervalRuns<PropValue>;
+using PropRun = PropRuns::Entry;
+
+/// One label of one entity in a flat property store: its runs end at run
+/// index `end` and begin at the previous group's `end` (0 for the first).
+struct PropGroup {
+  LabelId label = 0;
+  uint32_t end = 0;
+};
+
+/// The (label, runs) pairs of one entity, in the order each label was
+/// first set. Iterating yields std::pair<LabelId, PropRuns> by value.
+class PropertyRange {
+ public:
+  PropertyRange() = default;
+  PropertyRange(const PropGroup* first, const PropGroup* last,
+                const PropRun* runs, uint32_t run_begin)
+      : first_(first), last_(last), runs_(runs), run_begin_(run_begin) {}
+
+  class iterator {
+   public:
+    using value_type = std::pair<LabelId, PropRuns>;
+    using difference_type = std::ptrdiff_t;
+
+    iterator(const PropGroup* group, const PropRun* runs, uint32_t begin)
+        : group_(group), runs_(runs), begin_(begin) {}
+    value_type operator*() const {
+      return {group_->label, PropRuns(runs_ + begin_, group_->end - begin_)};
+    }
+    iterator& operator++() {
+      begin_ = group_->end;
+      ++group_;
+      return *this;
+    }
+    bool operator==(const iterator& o) const { return group_ == o.group_; }
+    bool operator!=(const iterator& o) const { return group_ != o.group_; }
+
+   private:
+    const PropGroup* group_;
+    const PropRun* runs_;
+    uint32_t begin_;
+  };
+  iterator begin() const { return iterator(first_, runs_, run_begin_); }
+  iterator end() const { return iterator(last_, runs_, 0); }
+  size_t size() const { return static_cast<size_t>(last_ - first_); }
+  bool empty() const { return first_ == last_; }
+
+  /// The runs of `label`; empty when the entity has no such property.
+  PropRuns Find(LabelId label) const {
+    uint32_t begin = run_begin_;
+    for (const PropGroup* g = first_; g != last_; ++g) {
+      if (g->label == label) return PropRuns(runs_ + begin, g->end - begin);
+      begin = g->end;
+    }
+    return PropRuns();
+  }
+
+ private:
+  const PropGroup* first_ = nullptr;
+  const PropGroup* last_ = nullptr;
+  const PropRun* runs_ = nullptr;
+  uint32_t run_begin_ = 0;
+};
 
 /// One stored directed edge (CSR payload).
 struct StoredEdge {
@@ -150,9 +216,6 @@ struct AppendReceipt {
 /// threads; one version is not safe for concurrent Append/Compact.
 class TemporalGraph {
  public:
-  /// The properties of one entity: (label, temporal values) pairs.
-  using PropList = std::vector<std::pair<LabelId, IntervalMap<PropValue>>>;
-
   /// One delta adjacency entry: vertex `v` owns delta item `idx` (an
   /// index into the delta edges for out-links, a global edge position for
   /// in-links). Kept sorted by (v, idx), so one vertex's links are a
@@ -363,19 +426,26 @@ class TemporalGraph {
   size_t num_labels() const { return labels_.size(); }
 
   /// Temporal values of edge property `label` on the edge at `pos`;
-  /// nullptr when the edge has no such property.
-  const IntervalMap<PropValue>* EdgeProperty(EdgePos pos, LabelId label) const {
-    return FindProp(PropsAt(pos), label);
+  /// empty when the edge has no such property. Views point into graph
+  /// storage and stay valid while any version sharing it is alive.
+  PropRuns EdgeProperty(EdgePos pos, LabelId label) const {
+    return EdgeProperties(pos).Find(label);
   }
-  /// Temporal values of vertex property `label` on `v`; nullptr if absent.
-  const IntervalMap<PropValue>* VertexProperty(VertexIdx v,
-                                               LabelId label) const {
-    return FindProp(VertexProperties(v), label);
+  /// Temporal values of vertex property `label` on `v`; empty if absent.
+  PropRuns VertexProperty(VertexIdx v, LabelId label) const {
+    return VertexProperties(v).Find(label);
   }
   /// All properties of the edge at `pos`.
-  const PropList& EdgeProperties(EdgePos pos) const { return PropsAt(pos); }
+  PropertyRange EdgeProperties(EdgePos pos) const {
+    return pos < num_sealed_edges_
+               ? base_->edge_props.Of(pos)
+               : delta_edge_props_.Of(pos - num_sealed_edges_);
+  }
   /// All properties of vertex `v` (appended vertices carry none).
-  const PropList& VertexProperties(VertexIdx v) const;
+  PropertyRange VertexProperties(VertexIdx v) const {
+    return v < num_sealed_vertices_ ? base_->vertex_props.Of(v)
+                                    : PropertyRange();
+  }
 
   /// The graph horizon T: snapshots are the time-points [0, T). Open-ended
   /// entity lifespans are interpreted as reaching the horizon. Appends can
@@ -396,7 +466,8 @@ class TemporalGraph {
   /// Existing vertices, edges, and properties are never modified; batch
   /// properties may only target batch edges. On success the delta
   /// watermark advances by batch.size(), and `receipt` (when non-null)
-  /// has this append's effects merged into it. Costs O(batch + delta) and
+  /// has this append's effects merged into it. Costs O(batch + delta),
+  /// allocating per batch rather than per element, and
   /// never touches the shared base, except that the first append on a
   /// base builds its EdgeId index (O(E log E), once per base). The O(delta)
   /// term is real: each append merges its links into the sorted delta
@@ -404,18 +475,20 @@ class TemporalGraph {
   /// compact periodically (as the server's "compact":true does).
   Status Append(const EdgeBatch& batch, AppendReceipt* receipt = nullptr);
 
-  /// Folds the delta segment into a NEW sealed CSR base — O(E): edges
-  /// merged into the builder's (src, eid) order, in/out adjacency rebuilt,
-  /// delta cleared. The previous base is never modified, so other
-  /// versions sharing it are unaffected: its storage is copied, never
-  /// moved, even when this graph is its only owner. Bumps base_epoch
-  /// and zeroes the delta watermark. No-op (and NO epoch bump) when the
-  /// delta holds no edges. Edge storage positions are NOT stable across
-  /// compaction; EdgeIds are.
+  /// Folds the delta segment (appended vertices and edges) into a NEW
+  /// sealed CSR base: edges merged into the builder's (src, eid) order,
+  /// in-adjacency rebuilt, delta cleared. The previous base is never
+  /// modified, so other versions sharing it are unaffected. Its arrays are
+  /// copied as blocks — one copy per run of sealed edges between two
+  /// inserted delta edges, with offsets shifted — so the cost is O(E)
+  /// memory traffic in a fixed number of allocations, independent of the
+  /// base's size. Bumps base_epoch and zeroes the delta watermark. No-op
+  /// (and NO epoch bump) only when the delta is empty. Edge storage
+  /// positions are NOT stable across compaction; EdgeIds are.
   void Compact();
 
-  /// Rough in-memory footprint in bytes of this interval-graph
-  /// representation (used by the Fig. 6a footprint benchmark). Counts
+  /// In-memory footprint in bytes of this interval-graph representation's
+  /// arrays (used by the Fig. 6a footprint benchmark). Counts
   /// everything this version reaches, the shared base in full: versions
   /// sharing one base each report it, so summing over versions
   /// over-counts. The EdgeId index is counted once the first Append has
@@ -425,20 +498,78 @@ class TemporalGraph {
  private:
   friend class TemporalGraphBuilder;
 
+  /// (VertexId, VertexIdx) pairs sorted by id.
+  using VidIndex = std::vector<std::pair<VertexId, VertexIdx>>;
+
+  /// A property run awaiting flattening onto a PropStore; the builder and
+  /// Append stage their input this way.
+  struct StagedRun {
+    uint32_t entity = 0;  ///< Position among the entities being added.
+    uint32_t seq = 0;     ///< Input order.
+    uint32_t rank = 0;    ///< Set by OrderStagedRuns.
+    LabelId label = 0;
+    Interval interval;
+    PropValue value = 0;
+  };
+  static constexpr uint32_t kNoOverlap = static_cast<uint32_t>(-1);
+  /// Orders `runs` (given in input order, entities below `num_entities`)
+  /// for PropStore::AppendStaged: by entity, then label in first-set
+  /// order (`rank`), then start. Returns the seq of the first run, in
+  /// input order, that overlaps an earlier run of its (entity, label), or
+  /// kNoOverlap — what a run-by-run Def. 1 check would reject first.
+  static uint32_t OrderStagedRuns(std::vector<StagedRun>* runs,
+                                  size_t num_entities);
+
+  /// Flat temporal properties of one entity kind (DESIGN.md §4l). Entity
+  /// i's labels are groups[offsets[i], offsets[i + 1]) in first-set order;
+  /// each group's runs are contiguous in `runs`, and entity i + 1's groups
+  /// and runs follow entity i's. There are no per-entity heap objects, so
+  /// copying or freeing a store is three array operations.
+  struct PropStore {
+    std::vector<uint32_t> offsets = {0};  // size num_entities + 1
+    std::vector<PropGroup> groups;
+    std::vector<PropRun> runs;
+
+    PropertyRange Of(size_t i) const {
+      const uint32_t g0 = offsets[i];
+      return PropertyRange(groups.data() + g0, groups.data() + offsets[i + 1],
+                           runs.data(), RunBegin(g0));
+    }
+    /// Index of the first run of group `g` (or of runs.size() at the end).
+    uint32_t RunBegin(uint32_t g) const {
+      return g == 0 ? 0 : groups[g - 1].end;
+    }
+    /// Appends entities [first, last) of `src` as one block: their groups
+    /// and runs copied, run ends and offsets shifted to this store.
+    void AppendRange(const PropStore& src, size_t first, size_t last);
+    /// Appends `count` entities without properties.
+    void AppendEmpty(size_t count) {
+      offsets.insert(offsets.end(), count, offsets.back());
+    }
+    /// Appends `count` entities holding `runs`, ordered by
+    /// OrderStagedRuns. Overlapping runs of one label (left only when the
+    /// caller skips validation) resolve as IntervalMap::Set calls in input
+    /// order would.
+    void AppendStaged(const std::vector<StagedRun>& runs, size_t count);
+    void Reserve(size_t entities, size_t num_groups, size_t num_runs);
+    size_t Bytes() const;
+  };
+
   /// The sealed base: immutable once published, shared by every version
-  /// derived from it (DESIGN.md §4l).
+  /// derived from it (DESIGN.md §4l). Flat arrays only, so building,
+  /// copying and freeing one takes a fixed number of allocations.
   struct SealedBase {
     std::vector<VertexId> vertex_ids;
     std::vector<Interval> vertex_intervals;
-    std::unordered_map<VertexId, VertexIdx> vid_to_idx;
+    VidIndex vid_index;
 
     std::vector<uint32_t> out_offsets;  // size num_vertices + 1
     std::vector<StoredEdge> edges;      // grouped by src, sorted by eid
     std::vector<uint32_t> in_offsets;   // size num_vertices + 1
     std::vector<EdgePos> in_positions;  // positions into edges
 
-    std::vector<PropList> vertex_props;  // by VertexIdx
-    std::vector<PropList> edge_props;    // by EdgePos
+    PropStore vertex_props;  // by VertexIdx
+    PropStore edge_props;    // by EdgePos
 
     /// Fills in_offsets / in_positions from `edges` (the builder and
     /// Compact() share this).
@@ -472,19 +603,6 @@ class TemporalGraph {
     return {lo, static_cast<size_t>(hi - lo)};
   }
 
-  static const IntervalMap<PropValue>* FindProp(const PropList& props,
-                                                LabelId label) {
-    for (const auto& [l, map] : props) {
-      if (l == label) return &map;
-    }
-    return nullptr;
-  }
-
-  const PropList& PropsAt(EdgePos pos) const {
-    return pos < num_sealed_edges_ ? sealed_edge_props_[pos]
-                                   : delta_edge_props_[pos - num_sealed_edges_];
-  }
-
   LabelId InternLabel(const std::string& name);
   /// True when `eid` names a sealed or delta edge. Needs the EdgeId index.
   bool HasEdgeId(EdgeId eid) const;
@@ -501,7 +619,6 @@ class TemporalGraph {
   /// Shared like the base and replaced, never modified, by Compact().
   std::shared_ptr<const std::vector<EdgeId>> sealed_eids_;
   const StoredEdge* sealed_edges_ = nullptr;
-  const PropList* sealed_edge_props_ = nullptr;
   const VertexId* vertex_ids_ = nullptr;
   const Interval* vertex_intervals_ = nullptr;
   const uint32_t* out_offsets_ = nullptr;
@@ -522,9 +639,9 @@ class TemporalGraph {
   // num_sealed_edges() + i.
   std::vector<VertexId> delta_vertex_ids_;
   std::vector<Interval> delta_vertex_intervals_;
-  std::vector<std::pair<VertexId, VertexIdx>> delta_vid_index_;  // by vid
+  VidIndex delta_vid_index_;
   std::vector<StoredEdge> delta_edges_;
-  std::vector<PropList> delta_edge_props_;  // parallel to delta_edges_
+  PropStore delta_edge_props_;  // by delta edge index
   std::vector<DeltaLink> delta_out_;  // idx into delta_edges_
   std::vector<DeltaLink> delta_in_;   // idx = global EdgePos
   std::vector<EdgeId> delta_eids_;    // sorted

@@ -8,19 +8,17 @@ namespace {
 
 // Per-edge lookup of travel time / cost at a departure time-point.
 struct EdgeWeights {
-  const IntervalMap<PropValue>* time_map = nullptr;
-  const IntervalMap<PropValue>* cost_map = nullptr;
+  PropRuns time_runs;
+  PropRuns cost_runs;
   TimePoint forced_travel_time = -1;
 
   TimePoint TravelTime(TimePoint t) const {
     if (forced_travel_time >= 0) return forced_travel_time;
-    if (time_map == nullptr) return 1;
-    auto v = time_map->Get(t);
+    auto v = time_runs.Get(t);
     return v ? static_cast<TimePoint>(*v) : 1;
   }
   PropValue Cost(TimePoint t) const {
-    if (cost_map == nullptr) return 1;
-    auto v = cost_map->Get(t);
+    auto v = cost_runs.Get(t);
     return v ? *v : 1;
   }
 };
@@ -31,8 +29,8 @@ std::vector<EdgeWeights> ResolveWeights(const TemporalGraph& g,
   auto time_label = g.LabelIdOf(options.travel_time_label);
   auto cost_label = g.LabelIdOf(options.travel_cost_label);
   for (EdgePos pos = 0; pos < g.num_edges(); ++pos) {
-    if (time_label) weights[pos].time_map = g.EdgeProperty(pos, *time_label);
-    if (cost_label) weights[pos].cost_map = g.EdgeProperty(pos, *cost_label);
+    if (time_label) weights[pos].time_runs = g.EdgeProperty(pos, *time_label);
+    if (cost_label) weights[pos].cost_runs = g.EdgeProperty(pos, *cost_label);
     weights[pos].forced_travel_time = options.forced_travel_time;
   }
   return weights;

@@ -182,9 +182,7 @@ class IcmScatterContext {
   /// Edge property value over this slice (properties are constant within a
   /// slice by construction); nullopt if absent here.
   std::optional<PropValue> EdgeProp(LabelId label) const {
-    const IntervalMap<PropValue>* map = graph_->EdgeProperty(edge_pos_, label);
-    if (map == nullptr) return std::nullopt;
-    return map->Get(interval_.start);
+    return graph_->EdgeProperty(edge_pos_, label).Get(interval_.start);
   }
 
   /// Sends `msg` valid over `iv` to the edge's sink vertex. An empty

@@ -126,9 +126,8 @@ PropertyStats AggregateEdgeProperty(const TemporalGraph& g,
   if (!label_id) return stats;
   double sum = 0;
   for (EdgePos pos = 0; pos < g.num_edges(); ++pos) {
-    const auto* map = g.EdgeProperty(pos, *label_id);
-    if (map == nullptr) continue;
-    map->ForEachIntersecting(window, [&](const Interval& iv, PropValue v) {
+    const PropRuns runs = g.EdgeProperty(pos, *label_id);
+    runs.ForEachIntersecting(window, [&](const Interval& iv, PropValue v) {
       const Interval clipped = g.ClipToHorizon(iv);
       if (clipped.IsEmpty()) return;
       const int64_t points = clipped.end - clipped.start;

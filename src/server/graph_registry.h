@@ -12,7 +12,9 @@
 // resident TemporalGraph — O(delta): the sealed CSR base is immutable and
 // shared by reference between versions (graph/temporal_graph.h) — applies
 // the batch to the copy, and publishes the copy under a new epoch. Costs:
-// append O(batch + delta), append with compact O(E), publish O(1).
+// append O(batch + delta); append with compact O(E) block copies of the
+// base's flat arrays (no per-edge allocation), and releasing a replaced
+// base is a handful of frees; publish O(1).
 //
 // Locking. A per-name writer lock serializes Add, Drop and Append on one
 // name, so appends to one graph apply in arrival order while writers to

@@ -1,14 +1,18 @@
 // IntervalMap<V>: an ordered piecewise-constant map from disjoint
-// half-open intervals to values. This is the storage behind both
-//   * dynamically partitioned vertex states (paper §IV-A1) — where the
-//     entries tile the vertex lifespan with no gaps and Set() performs the
-//     automatic repartition-on-update, and
-//   * temporal properties (Def. 1, A_V / A_E) — where gaps are allowed.
+// half-open intervals to values. This is the storage behind dynamically
+// partitioned vertex states (paper §IV-A1), where the entries tile the
+// vertex lifespan with no gaps and Set() performs the automatic
+// repartition-on-update. Temporal properties (Def. 1, A_V / A_E, where
+// gaps are allowed) are kept as flat runs in the graph and read through
+// the same lookups, via IntervalRuns<V>.
 #ifndef GRAPHITE_TEMPORAL_INTERVAL_MAP_H_
 #define GRAPHITE_TEMPORAL_INTERVAL_MAP_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "temporal/interval.h"
@@ -16,17 +20,73 @@
 
 namespace graphite {
 
+/// One run of an interval map: `value` over `interval`.
+template <typename V>
+struct IntervalEntry {
+  Interval interval;
+  V value;
+
+  bool operator==(const IntervalEntry& other) const {
+    return interval == other.interval && value == other.value;
+  }
+};
+
+/// Read-only view over a span of entries sorted by start and disjoint —
+/// an IntervalMap's, or one label's runs in a graph's flat property
+/// arrays. The const lookups of both live here. The view does not own the
+/// entries; it is valid while their storage is.
+template <typename V>
+class IntervalRuns {
+ public:
+  using Entry = IntervalEntry<V>;
+
+  IntervalRuns() = default;
+  IntervalRuns(const Entry* data, size_t size) : entries_(data, size) {}
+
+  /// Value at time-point t, if any entry covers it.
+  std::optional<V> Get(TimePoint t) const {
+    const Entry* e = Find(t);
+    if (e == nullptr) return std::nullopt;
+    return e->value;
+  }
+
+  /// Entry covering time-point t, or nullptr.
+  const Entry* Find(TimePoint t) const {
+    auto it = std::upper_bound(
+        entries_.begin(), entries_.end(), t,
+        [](TimePoint tp, const Entry& e) { return tp < e.interval.start; });
+    if (it == entries_.begin()) return nullptr;
+    --it;
+    return it->interval.Contains(t) ? &*it : nullptr;
+  }
+
+  /// Invokes fn(clipped_interval, value) for every entry intersecting
+  /// `query`, clipped to the query window, in temporal order.
+  template <typename Fn>
+  void ForEachIntersecting(const Interval& query, Fn&& fn) const {
+    if (query.IsEmpty()) return;
+    auto it = std::upper_bound(
+        entries_.begin(), entries_.end(), query.start,
+        [](TimePoint tp, const Entry& e) { return tp < e.interval.start; });
+    if (it != entries_.begin()) --it;
+    for (; it != entries_.end() && it->interval.start < query.end; ++it) {
+      Interval clipped = it->interval.Intersect(query);
+      if (clipped.IsValid()) fn(clipped, it->value);
+    }
+  }
+
+  std::span<const Entry> entries() const { return entries_; }
+  bool empty() const { return entries_.empty(); }
+  size_t size() const { return entries_.size(); }
+
+ private:
+  std::span<const Entry> entries_;
+};
+
 template <typename V>
 class IntervalMap {
  public:
-  struct Entry {
-    Interval interval;
-    V value;
-
-    bool operator==(const Entry& other) const {
-      return interval == other.interval && value == other.value;
-    }
-  };
+  using Entry = IntervalEntry<V>;
 
   IntervalMap() = default;
 
@@ -118,35 +178,21 @@ class IntervalMap {
   }
 
   /// Value at time-point t, if any entry covers it.
-  std::optional<V> Get(TimePoint t) const {
-    const Entry* e = Find(t);
-    if (e == nullptr) return std::nullopt;
-    return e->value;
-  }
+  std::optional<V> Get(TimePoint t) const { return runs().Get(t); }
 
   /// Entry covering time-point t, or nullptr.
-  const Entry* Find(TimePoint t) const {
-    auto it = std::upper_bound(
-        entries_.begin(), entries_.end(), t,
-        [](TimePoint tp, const Entry& e) { return tp < e.interval.start; });
-    if (it == entries_.begin()) return nullptr;
-    --it;
-    return it->interval.Contains(t) ? &*it : nullptr;
-  }
+  const Entry* Find(TimePoint t) const { return runs().Find(t); }
 
   /// Invokes fn(clipped_interval, value) for every entry intersecting
   /// `query`, clipped to the query window, in temporal order.
   template <typename Fn>
   void ForEachIntersecting(const Interval& query, Fn&& fn) const {
-    if (query.IsEmpty()) return;
-    auto it = std::upper_bound(
-        entries_.begin(), entries_.end(), query.start,
-        [](TimePoint tp, const Entry& e) { return tp < e.interval.start; });
-    if (it != entries_.begin()) --it;
-    for (; it != entries_.end() && it->interval.start < query.end; ++it) {
-      Interval clipped = it->interval.Intersect(query);
-      if (clipped.IsValid()) fn(clipped, it->value);
-    }
+    runs().ForEachIntersecting(query, std::forward<Fn>(fn));
+  }
+
+  /// The entries as a read-only view.
+  IntervalRuns<V> runs() const {
+    return IntervalRuns<V>(entries_.data(), entries_.size());
   }
 
   /// Merges adjacent entries whose intervals meet and whose values compare

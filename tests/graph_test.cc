@@ -31,10 +31,10 @@ TEST(BuilderTest, BuildsValidGraph) {
   EXPECT_EQ(g->InEdgePositions(*v2).size(), 1u);
   auto label = g->LabelIdOf("w");
   ASSERT_TRUE(label.has_value());
-  const auto* prop = g->EdgeProperty(0, *label);
-  ASSERT_NE(prop, nullptr);
-  EXPECT_EQ(prop->Get(4), 7);
-  EXPECT_EQ(prop->Get(5), std::nullopt);
+  const PropRuns prop = g->EdgeProperty(0, *label);
+  ASSERT_FALSE(prop.empty());
+  EXPECT_EQ(prop.Get(4), 7);
+  EXPECT_EQ(prop.Get(5), std::nullopt);
 }
 
 TEST(BuilderTest, Constraint1DuplicateVertex) {
@@ -93,6 +93,53 @@ TEST(BuilderTest, DistinctLabelsMayOverlap) {
   b.SetVertexProperty(1, "p", Interval(0, 5), 1);
   b.SetVertexProperty(1, "q", Interval(3, 8), 2);
   EXPECT_TRUE(b.Build().ok());
+}
+
+// The error names the first run, in input order, that overlaps an
+// earlier one of its label: here the third, although sorted by start it
+// sits between the other two.
+TEST(BuilderTest, Def1ReportsTheFirstOverlappingRunInInputOrder) {
+  TemporalGraphBuilder b;
+  b.AddVertex(1, Interval(0, 10));
+  b.SetVertexProperty(1, "p", Interval(4, 5), 1);
+  b.SetVertexProperty(1, "q", Interval(0, 10), 1);
+  b.SetVertexProperty(1, "p", Interval(0, 9), 2);
+  b.SetVertexProperty(1, "p", Interval(1, 2), 3);
+  auto g = b.Build();
+  ASSERT_FALSE(g.ok());
+  EXPECT_NE(g.status().message().find("'p' at [0, 9)"), std::string::npos)
+      << g.status().ToString();
+}
+
+// Without validation, overlapping runs of one label resolve exactly as
+// successive IntervalMap::Set calls in input order, and each entity keeps
+// its labels in first-set order.
+TEST(BuilderTest, UnvalidatedOverlapsResolveLikeSet) {
+  const std::vector<std::pair<Interval, PropValue>> sets = {
+      {Interval(0, 10), 1}, {Interval(3, 5), 2}, {Interval(3, 5), 3},
+      {Interval(8, 12), 4}, {Interval(12, 14), 5}};
+  TemporalGraphBuilder b;
+  b.AddVertex(1, Interval(0, 20));
+  b.AddVertex(2, Interval(0, 20));
+  b.AddEdge(7, 1, 2, Interval(0, 20));
+  b.SetEdgeProperty(7, "z", Interval(0, 1), 9);
+  IntervalMap<PropValue> want;
+  for (const auto& [interval, value] : sets) {
+    b.SetEdgeProperty(7, "w", interval, value);
+    want.Set(interval, value);
+  }
+  BuilderOptions options;
+  options.validate = false;
+  auto g = b.Build(options);
+  ASSERT_TRUE(g.ok());
+  std::vector<std::string> labels;
+  for (const auto& [label, runs] : g->EdgeProperties(0)) {
+    labels.push_back(g->LabelName(label));
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{"z", "w"}));
+  const PropRuns got = g->EdgeProperty(0, *g->LabelIdOf("w"));
+  EXPECT_EQ(std::vector<PropRun>(got.entries().begin(), got.entries().end()),
+            want.entries());
 }
 
 TEST(BuilderTest, InvalidIntervalRejected) {
@@ -199,10 +246,10 @@ TEST(ReverseGraphTest, EdgesSwappedPropertiesKept) {
       EXPECT_EQ(r.vertex_id(e.dst), testutil::kA);
       EXPECT_EQ(e.interval, Interval(3, 6));
       const auto cost = r.LabelIdOf("travel-cost");
-      const auto* map = r.EdgeProperty(r.OutEdgePos(b, k), *cost);
-      ASSERT_NE(map, nullptr);
-      EXPECT_EQ(map->Get(3), 4);
-      EXPECT_EQ(map->Get(5), 3);
+      const PropRuns runs = r.EdgeProperty(r.OutEdgePos(b, k), *cost);
+      ASSERT_FALSE(runs.empty());
+      EXPECT_EQ(runs.Get(3), 4);
+      EXPECT_EQ(runs.Get(5), 3);
       found = true;
     }
   }

@@ -25,6 +25,9 @@
 #include "ckpt/fault_injector.h"
 #include "graph/builder.h"
 #include "icm/icm_engine.h"
+#include "io/binary_format.h"
+#include "io/text_format.h"
+#include "server/graph_registry.h"
 #include "stream/update_stream.h"
 #include "testutil.h"
 #include "vcm/vcm_engine.h"
@@ -108,10 +111,9 @@ TEST(IngestAppendTest, AppendGrowsDeltaBehindTheViews) {
   // Properties on delta edges resolve through the same accessors.
   const auto label = g.LabelIdOf(kTravelCostLabel);
   ASSERT_TRUE(label.has_value());
-  const IntervalMap<PropValue>* cost = g.EdgeProperty(delta_pos, *label);
-  ASSERT_NE(cost, nullptr);
-  ASSERT_EQ(cost->entries().size(), 1u);
-  EXPECT_EQ(cost->entries()[0].value, 2);
+  const PropRuns cost = g.EdgeProperty(delta_pos, *label);
+  ASSERT_EQ(cost.size(), 1u);
+  EXPECT_EQ(cost.entries()[0].value, 2);
 
   // OutEdgePos addresses the delta segment consistently with edge().
   EXPECT_EQ(g.edge(g.OutEdgePos(a, 3)).eid, 50);
@@ -180,6 +182,49 @@ TEST(IngestAppendTest, AppendValidatesBeforeApplying) {
   EXPECT_EQ(g.Append(dup).code(), StatusCode::kConstraintViolation);
 }
 
+// Validation reports the first failing element in batch order, as a
+// one-pass scan would, whichever check it fails.
+TEST(IngestAppendTest, AppendReportsTheFirstFailureInBatchOrder) {
+  TemporalGraph g = testutil::MakeTransitGraph();
+  const auto message = [&g](const EdgeBatch& batch) {
+    return g.Append(batch).message();
+  };
+  EdgeBatch b;
+  b.edges.push_back({62, testutil::kA, testutil::kB, Interval(3, 6)});
+  b.edges.push_back({63, testutil::kA, testutil::kC, Interval(0, 10)});
+  // Run 2 is the first to overlap an earlier run (run 0). Sorted by start,
+  // runs 2, 3 and 0 of edge 63 interleave: [0,10) [1,2) [3,4).
+  b.props.push_back({63, kTravelCostLabel, Interval(3, 4), 1});
+  b.props.push_back({62, kTravelCostLabel, Interval(3, 6), 1});
+  b.props.push_back({63, kTravelCostLabel, Interval(0, 10), 2});
+  b.props.push_back({63, kTravelCostLabel, Interval(1, 2), 3});
+  EXPECT_NE(message(b).find("overlapping values for append edge property "
+                            "'travel-cost' at [0, 10)"),
+            std::string::npos)
+      << message(b);
+  // An earlier run failing another check is reported instead.
+  EdgeBatch c = b;
+  c.props[1].interval = Interval(2, 6);  // Outside edge 62's lifespan.
+  EXPECT_NE(message(c).find("Constraint 3"), std::string::npos) << message(c);
+  // A later one is not.
+  EdgeBatch d = b;
+  d.props[3].interval = Interval(5, 3);
+  EXPECT_NE(message(d).find("at [0, 10)"), std::string::npos) << message(d);
+  // Duplicate ids: the second occurrence, after earlier invalid elements.
+  EdgeBatch v;
+  v.vertices.push_back({8, Interval(0, 5)});
+  v.vertices.push_back({7, Interval(0, 5)});
+  v.vertices.push_back({9, Interval(4, 2)});
+  v.vertices.push_back({8, Interval(0, 5)});
+  EXPECT_NE(message(v).find("vertex 9 has invalid lifespan"),
+            std::string::npos)
+      << message(v);
+  v.vertices[2].interval = Interval(2, 4);
+  EXPECT_NE(message(v).find("duplicates vertex id 8"), std::string::npos)
+      << message(v);
+  EXPECT_EQ(g.head(), (GraphHead{0, 0}));
+}
+
 TEST(IngestAppendTest, CompactFoldsDeltaIntoNewSealedBase) {
   TemporalGraph g = testutil::MakeTransitGraph();
   // Compacting an all-sealed graph is a no-op and keeps the epoch.
@@ -216,11 +261,46 @@ TEST(IngestAppendTest, CompactFoldsDeltaIntoNewSealedBase) {
   ASSERT_EQ(fresh_out.size(), 1u);
   const auto label = g.LabelIdOf(kTravelTimeLabel);
   ASSERT_TRUE(label.has_value());
-  EXPECT_NE(g.EdgeProperty(g.OutEdgePos(fresh, 0), *label), nullptr);
+  EXPECT_FALSE(g.EdgeProperty(g.OutEdgePos(fresh, 0), *label).empty());
 
   // A second compact with an empty delta keeps epoch 1.
   g.Compact();
   EXPECT_EQ(g.head(), (GraphHead{1, 0}));
+}
+
+// An append of vertices alone still moves the head, so Compact() must
+// fold it: bump the epoch, zero the watermark, seal the vertices.
+TEST(IngestAppendTest, CompactFoldsAVertexOnlyDelta) {
+  TemporalGraph g = testutil::MakeTransitGraph();
+  const size_t edges = g.num_edges();
+  EdgeBatch batch;
+  batch.vertices.push_back({9, Interval(2, 7)});
+  batch.vertices.push_back({8, Interval(0, kTimeMax)});
+  ASSERT_TRUE(g.Append(batch).ok());
+  EXPECT_EQ(g.head(), (GraphHead{0, 2}));
+
+  g.Compact();
+  EXPECT_EQ(g.head(), (GraphHead{1, 0}));
+  EXPECT_EQ(g.num_vertices(), 8u);
+  EXPECT_EQ(g.num_edges(), edges);
+  EXPECT_EQ(g.num_sealed_edges(), edges);
+  const VertexIdx v9 = g.IndexOf(9).value();
+  const VertexIdx v8 = g.IndexOf(8).value();
+  EXPECT_EQ(v9, 6u);  // Appended vertices keep their indices.
+  EXPECT_EQ(v8, 7u);
+  EXPECT_EQ(g.vertex_interval(v9), Interval(2, 7));
+  EXPECT_TRUE(g.OutEdges(v9).empty());
+  EXPECT_TRUE(g.VertexProperties(v9).empty());
+  EXPECT_EQ(g.IndexOf(testutil::kC).value(), 2u);
+
+  // The sealed vertices reject duplicates and take new edges.
+  EdgeBatch dup;
+  dup.vertices.push_back({8, Interval(0, 1)});
+  EXPECT_EQ(g.Append(dup).code(), StatusCode::kConstraintViolation);
+  EdgeBatch edge;
+  edge.edges.push_back({90, 8, 9, Interval(3, 4)});
+  ASSERT_TRUE(g.Append(edge).ok());
+  EXPECT_EQ(g.OutEdges(v8).size(), 1u);
 }
 
 // The appended graph must be indistinguishable from one built in a single
@@ -302,19 +382,23 @@ TEST(IngestAppendTest, AppendMatchesSingleShotBuild) {
 // --- Versions share the sealed base ---
 
 // Everything the iteration API exposes, flattened for exact comparison.
+// Properties are recorded in EdgeProperties / VertexProperties iteration
+// order, which the writers and the engines' property walks follow.
 struct GraphSnapshot {
   std::vector<std::tuple<VertexIdx, EdgeId, VertexIdx, VertexIdx, Interval>>
       out_edges;
   std::vector<std::pair<VertexIdx, EdgePos>> in_positions;
   std::vector<std::tuple<EdgePos, LabelId, Interval, PropValue>> edge_props;
+  std::vector<std::tuple<VertexIdx, LabelId, Interval, PropValue>>
+      vertex_props;
   std::vector<std::pair<VertexId, VertexIdx>> index;
   TimePoint horizon = 0;
   GraphHead head;
 
   bool operator==(const GraphSnapshot& o) const {
     return out_edges == o.out_edges && in_positions == o.in_positions &&
-           edge_props == o.edge_props && index == o.index &&
-           horizon == o.horizon && head == o.head;
+           edge_props == o.edge_props && vertex_props == o.vertex_props &&
+           index == o.index && horizon == o.horizon && head == o.head;
   }
 };
 
@@ -327,11 +411,16 @@ GraphSnapshot Snapshot(const TemporalGraph& g, VertexId max_vid) {
     for (EdgePos pos : g.InEdgePositions(v)) s.in_positions.emplace_back(v, pos);
   }
   for (EdgePos pos = 0; pos < g.num_edges(); ++pos) {
-    for (LabelId l = 0; l < g.num_labels(); ++l) {
-      const IntervalMap<PropValue>* map = g.EdgeProperty(pos, l);
-      if (map == nullptr) continue;
-      for (const auto& entry : map->entries()) {
-        s.edge_props.emplace_back(pos, l, entry.interval, entry.value);
+    for (const auto& [label, runs] : g.EdgeProperties(pos)) {
+      for (const auto& entry : runs.entries()) {
+        s.edge_props.emplace_back(pos, label, entry.interval, entry.value);
+      }
+    }
+  }
+  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
+    for (const auto& [label, runs] : g.VertexProperties(v)) {
+      for (const auto& entry : runs.entries()) {
+        s.vertex_props.emplace_back(v, label, entry.interval, entry.value);
       }
     }
   }
@@ -360,14 +449,55 @@ TEST(IngestVersionTest, CopiesShareTheSealedBaseUntilCompact) {
   TemporalGraph g2 = g1;
   ASSERT_TRUE(g2.Append(SecondExtension()).ok());
 
-  // Before g2 compacts, both read the very same sealed out-edge storage.
+  // Before g2 compacts, both read the very same sealed out-edge and
+  // property storage.
   const VertexIdx a = g1.IndexOf(testutil::kA).value();
   ASSERT_GT(g1.OutEdges(a).size(), 0u);
   EXPECT_EQ(&g1.OutEdges(a)[0], &g2.OutEdges(a)[0]);
-  EXPECT_EQ(g1.EdgeProperty(0, 0), g2.EdgeProperty(0, 0));
+  ASSERT_FALSE(g1.EdgeProperty(0, 0).empty());
+  EXPECT_EQ(g1.EdgeProperty(0, 0).entries().data(),
+            g2.EdgeProperty(0, 0).entries().data());
 
   g2.Compact();
   EXPECT_NE(&g1.OutEdges(a)[0], &g2.OutEdges(a)[0]);
+  EXPECT_NE(g1.EdgeProperty(0, 0).entries().data(),
+            g2.EdgeProperty(0, 0).entries().data());
+}
+
+// A job pins a registry version and reads its property views; a
+// compacting append replaces that version meanwhile. The views must stay
+// readable (the job's shared_ptr keeps the old base alive) and unchanged.
+// Runs under the asan preset via the ingest matrix.
+TEST(IngestVersionTest, PinnedVersionPropertyViewsOutliveACompactingAppend) {
+  GraphRegistry registry;
+  registry.Add("g", testutil::MakeTransitGraph());
+  ASSERT_TRUE(registry.Append("g", TransitExtension(), false).ok());
+  std::shared_ptr<ResidentGraph> job = registry.Get("g");
+  const TemporalGraph& old = job->workload.graph();
+  const LabelId cost = old.LabelIdOf(kTravelCostLabel).value();
+  const PropRuns sealed_runs = old.EdgeProperty(0, cost);
+  const PropRuns delta_runs =
+      old.EdgeProperty(static_cast<EdgePos>(old.num_sealed_edges()), cost);
+  const std::vector<PropRun> sealed_want(sealed_runs.entries().begin(),
+                                         sealed_runs.entries().end());
+  const std::vector<PropRun> delta_want(delta_runs.entries().begin(),
+                                        delta_runs.entries().end());
+  ASSERT_FALSE(sealed_want.empty());
+  ASSERT_FALSE(delta_want.empty());
+
+  auto info = registry.Append("g", SecondExtension(), true);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->head, (GraphHead{1, 0}));
+  EXPECT_TRUE(job->superseded.load());
+  EXPECT_NE(registry.Get("g").get(), job.get());
+
+  const std::vector<PropRun> sealed_got(sealed_runs.entries().begin(),
+                                        sealed_runs.entries().end());
+  const std::vector<PropRun> delta_got(delta_runs.entries().begin(),
+                                       delta_runs.entries().end());
+  EXPECT_EQ(sealed_got, sealed_want);
+  EXPECT_EQ(delta_got, delta_want);
+  EXPECT_EQ(sealed_runs.Get(3), 4);
 }
 
 TEST(IngestVersionTest, AppendAndCompactOnACopyLeaveTheOriginalIntact) {
@@ -467,6 +597,96 @@ TEST(IngestAppendTest, ReceiptMergesAcrossAppends) {
   EXPECT_EQ(receipt.first_fresh_vertex, fresh);
   EXPECT_EQ(receipt.touched_sources, (std::vector<VertexIdx>{a, b}));
   EXPECT_EQ(receipt.new_edge_ids, (std::vector<EdgeId>{50, 51, 52, 53}));
+}
+
+// Property iteration order survives Append + Compact: a label set before
+// a lower-numbered one stays first, runs set out of temporal order come
+// out sorted, and vertex properties keep their first-set order. The
+// compacted graph must match a single-shot build in iteration order and
+// in the bytes both writers emit.
+TEST(IngestVersionTest, CompactKeepsPropertyIterationOrder) {
+  const auto add_base = [](TemporalGraphBuilder* b) {
+    const Interval forever(0, kTimeMax);
+    for (VertexId v : {0, 1, 2, 3}) b->AddVertex(v, forever);
+    b->SetVertexProperty(2, "zone", Interval(0, 4), 7);
+    b->SetVertexProperty(2, "capacity", Interval(0, 9), 40);
+    b->SetVertexProperty(1, "capacity", Interval(3, 5), 10);
+    b->SetVertexProperty(1, "zone", Interval(5, 8), 2);
+    b->SetVertexProperty(1, "zone", Interval(1, 3), 1);
+    b->AddEdge(10, 0, 1, Interval(1, 9));
+    b->SetEdgeProperty(10, kTravelTimeLabel, Interval(1, 9), 1);
+    b->SetEdgeProperty(10, kTravelCostLabel, Interval(1, 9), 3);
+    b->AddEdge(20, 2, 3, Interval(0, 6));
+    b->SetEdgeProperty(20, kTravelCostLabel, Interval(0, 6), 2);
+    b->SetEdgeProperty(20, kTravelTimeLabel, Interval(0, 6), 1);
+  };
+  EdgeBatch batch;
+  batch.vertices.push_back({4, Interval(0, kTimeMax)});
+  batch.edges.push_back({15, 0, 4, Interval(1, 8)});
+  batch.edges.push_back({5, 2, 0, Interval(2, 9)});
+  // Edge 15: cost before time, and three cost runs set out of order.
+  batch.props.push_back({15, kTravelCostLabel, Interval(6, 8), 9});
+  batch.props.push_back({15, kTravelTimeLabel, Interval(1, 8), 2});
+  batch.props.push_back({15, kTravelCostLabel, Interval(1, 3), 4});
+  batch.props.push_back({15, kTravelCostLabel, Interval(3, 6), 5});
+  // Edge 5 sorts before the sealed edge of vertex 2; its labels are set
+  // interleaved with edge 15's.
+  batch.props.push_back({5, kTravelTimeLabel, Interval(2, 4), 1});
+  batch.props.push_back({5, "toll", Interval(2, 9), 6});
+  batch.props.push_back({5, kTravelTimeLabel, Interval(4, 9), 3});
+
+  TemporalGraphBuilder single;
+  add_base(&single);
+  for (const auto& v : batch.vertices) single.AddVertex(v.vid, v.interval);
+  for (const auto& e : batch.edges) {
+    single.AddEdge(e.eid, e.src, e.dst, e.interval);
+  }
+  for (const auto& p : batch.props) {
+    single.SetEdgeProperty(p.eid, p.label, p.interval, p.value);
+  }
+  BuilderOptions options;
+  options.horizon = 10;
+  auto built = single.Build(options);
+  ASSERT_TRUE(built.ok());
+
+  TemporalGraphBuilder base_builder;
+  add_base(&base_builder);
+  auto base = base_builder.Build(options);
+  ASSERT_TRUE(base.ok());
+  TemporalGraph appended = *base;
+  ASSERT_TRUE(appended.Append(batch).ok());
+  TemporalGraph copy = appended;
+  copy.Compact();
+  appended.Compact();
+
+  GraphSnapshot want = Snapshot(*built, 10);
+  want.head = appended.head();  // The builder's graph has never compacted.
+  EXPECT_EQ(Snapshot(appended, 10), want);
+  EXPECT_EQ(Snapshot(copy, 10), want);
+
+  // The layout this test exists for: first-set label order per entity.
+  const VertexIdx v2 = appended.IndexOf(2).value();
+  std::vector<std::string> v2_labels;
+  for (const auto& [label, runs] : appended.VertexProperties(v2)) {
+    v2_labels.push_back(appended.LabelName(label));
+  }
+  EXPECT_EQ(v2_labels, (std::vector<std::string>{"zone", "capacity"}));
+  const VertexIdx v0 = appended.IndexOf(0).value();
+  const auto out0 = appended.OutEdges(v0);
+  ASSERT_EQ(out0.size(), 2u);
+  ASSERT_EQ(out0[1].eid, 15);
+  std::vector<std::pair<std::string, std::vector<PropValue>>> e15;
+  for (const auto& [label, runs] : appended.EdgeProperties(out0.pos(1))) {
+    std::vector<PropValue> values;
+    for (const auto& entry : runs.entries()) values.push_back(entry.value);
+    e15.emplace_back(appended.LabelName(label), values);
+  }
+  EXPECT_EQ(e15, (std::vector<std::pair<std::string, std::vector<PropValue>>>{
+                     {kTravelCostLabel, {4, 5, 9}}, {kTravelTimeLabel, {2}}}));
+
+  EXPECT_EQ(WriteTextGraph(appended), WriteTextGraph(*built));
+  EXPECT_EQ(WriteBinaryGraph(appended), WriteBinaryGraph(*built));
+  EXPECT_EQ(WriteTextGraph(copy), WriteTextGraph(*built));
 }
 
 // --- Incremental recompute: the acceptance matrix ---

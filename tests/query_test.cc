@@ -53,7 +53,7 @@ TEST(TimeSliceTest, SingleSnapshotSlice) {
   // Property clipped to the slice: cost 4 (the [3,5) run).
   const auto label = s4.LabelIdOf("travel-cost");
   ASSERT_TRUE(label.has_value());
-  EXPECT_EQ(s4.EdgeProperty(0, *label)->Get(4), 4);
+  EXPECT_EQ(s4.EdgeProperty(0, *label).Get(4), 4);
 }
 
 TEST(TimeSliceTest, WindowSliceKeepsPartialLifespans) {
@@ -104,9 +104,7 @@ TEST(TemporalSubgraphTest, EdgePredicateOnProperties) {
   SubgraphPredicates preds;
   preds.edge = [&](const TemporalGraph& graph, EdgePos pos) {
     // Keep only cheap transits (some cost value <= 2).
-    const auto* map = graph.EdgeProperty(pos, *cost);
-    if (map == nullptr) return false;
-    for (const auto& entry : map->entries()) {
+    for (const auto& entry : graph.EdgeProperty(pos, *cost).entries()) {
       if (entry.value <= 2) return true;
     }
     return false;

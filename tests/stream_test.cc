@@ -31,11 +31,11 @@ TEST(StreamingBuilderTest, BasicLifecycle) {
   EXPECT_EQ(e.interval, Interval(2, 6));
   const auto label = g->LabelIdOf("w");
   ASSERT_TRUE(label.has_value());
-  const auto* prop = g->EdgeProperty(0, *label);
-  ASSERT_NE(prop, nullptr);
-  EXPECT_EQ(prop->Get(3), 5);   // First run [2, 4).
-  EXPECT_EQ(prop->Get(4), 7);   // Second run [4, 6).
-  EXPECT_EQ(prop->Get(6), std::nullopt);  // Edge dead.
+  const PropRuns prop = g->EdgeProperty(0, *label);
+  ASSERT_FALSE(prop.empty());
+  EXPECT_EQ(prop.Get(3), 5);   // First run [2, 4).
+  EXPECT_EQ(prop.Get(4), 7);   // Second run [4, 6).
+  EXPECT_EQ(prop.Get(6), std::nullopt);  // Edge dead.
 }
 
 TEST(StreamingBuilderTest, RejectsOutOfOrderEvents) {
