@@ -2,15 +2,20 @@
 // cache miss path (full superstep run + fragment render) against the hit
 // path (LRU lookup + envelope assembly, zero supersteps) on two resident
 // catalog graphs, plus mixed-request throughput through the bounded job
-// scheduler. Heap allocations on the hit path are counted exactly via the
-// replaced operator new (bench/alloc_counter.h).
+// scheduler, and the windowed pre-filter (the fused TemporalSelect +
+// TimeSlice a windowed `run` makes before its engine run) on Twitter-like
+// graphs 4x apart. Heap allocations on the hit path and in the pre-filter
+// are counted exactly via the replaced operator new
+// (bench/alloc_counter.h).
 //
 // Output: a JSON report (default BENCH_server.json in the working
 // directory). The committed copy at the repo root is the regression
 // baseline: tools/check_bench_regression.py compares the "gated" block of
 // a fresh run against it (ctest label `perf`). The >=10x hit/miss speedup
-// acceptance and the hit-path allocation count are deterministic-ish per
-// build and gated unconditionally; raw latency/throughput keys are timing
+// acceptance, the hit-path and pre-filter allocation counts, and the
+// pre-filter's allocation growth between the two graph sizes are
+// deterministic-ish per build and gated unconditionally; raw
+// latency/throughput keys are timing
 // and enforced only in strict mode (GRAPHITE_PERF_STRICT=1 / --strict)
 // with a matching core count.
 //
@@ -30,6 +35,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "query/temporal_query.h"
 #include "server/server.h"
 #include "util/json.h"
 #include "util/timer.h"
@@ -87,6 +93,30 @@ std::vector<std::string> MixedLines(const std::string& graph,
   add("reach_at", {{"source", source}, {"at", 2}});
   add("stats", {});
   return out;
+}
+
+// One pre-filter measurement: the fused select + slice over a graph.
+struct PrefilterSample {
+  size_t edges = 0;
+  double ns = 0;
+  double allocs = 0;
+};
+
+PrefilterSample MeasurePrefilter(const TemporalGraph& g) {
+  const TimePoint t = g.horizon();
+  const TemporalPredicate pred =
+      TemporalPredicate::Intersects(Interval(t / 4, 3 * t / 4 + 1));
+  const Interval window(t / 3, 2 * t / 3 + 1);
+  GRAPHITE_CHECK(SelectAndSlice(g, pred, window).num_edges() > 0);  // warmup
+  constexpr int kReps = 5;
+  const uint64_t a0 = benchalloc::AllocCount();
+  const int64_t t0 = NowNanos();
+  for (int i = 0; i < kReps; ++i) (void)SelectAndSlice(g, pred, window);
+  PrefilterSample s;
+  s.edges = g.num_edges();
+  s.ns = static_cast<double>(NowNanos() - t0) / kReps;
+  s.allocs = static_cast<double>(benchalloc::AllocCount() - a0) / kReps;
+  return s;
 }
 
 void GateEntry(JsonWriter* json, const char* key, double value,
@@ -211,6 +241,21 @@ int main(int argc, char** argv) {
                 static_cast<double>(mixed_lookups)
           : 0.0;
 
+  // ---- Pre-filter: allocations must not grow with the graph.
+  PrefilterSample prefilter[2];
+  for (int i = 0; i < 2; ++i) {
+    prefilter[i] = MeasurePrefilter(
+        Generate(DatasetByName("twitter", scale * (i == 0 ? 1 : 4)).options));
+  }
+  const double prefilter_alloc_growth =
+      prefilter[0].allocs > 0 ? prefilter[1].allocs / prefilter[0].allocs
+                              : 0.0;
+  for (const PrefilterSample& p : prefilter) {
+    std::printf("  pre-filter (select + slice, %zu edges): %.1f us, %.0f "
+                "allocs\n",
+                p.edges, p.ns / 1e3, p.allocs);
+  }
+
   std::printf(
       "Serving bench (scale %.2f, %d cores): miss %.1f us, hit %.2f us "
       "(%.0fx, %.1f allocs/hit), mixed %zu reqs in %.1f ms (%.0f req/s, "
@@ -237,6 +282,15 @@ int main(int argc, char** argv) {
   json.Key("cache_hit_rate").Fixed(hit_rate, 4);
   json.Key("scheduler_fastpath_hits").Int(sched_stats.fastpath_hits);
   json.Key("scheduler_completed").Int(sched_stats.completed);
+  json.Key("prefilter").BeginArray();
+  for (const PrefilterSample& p : prefilter) {
+    json.BeginObject();
+    json.Key("edges").Int(static_cast<int64_t>(p.edges));
+    json.Key("ns").Fixed(p.ns, 1);
+    json.Key("allocs").Fixed(p.allocs, 1);
+    json.EndObject();
+  }
+  json.EndArray();
   json.Key("gated").BeginObject();
   // The serving acceptance: repeated requests answered from cache at
   // least an order of magnitude faster than the cold run. Encoded as a
@@ -245,6 +299,10 @@ int main(int argc, char** argv) {
             "higher", /*timing=*/false);
   GateEntry(&json, "server_hit_allocs_per_request", hit_allocs, "lower",
             /*timing=*/false);
+  GateEntry(&json, "server_prefilter_allocs", prefilter[1].allocs, "lower",
+            /*timing=*/false);
+  GateEntry(&json, "server_prefilter_alloc_growth", prefilter_alloc_growth,
+            "lower", /*timing=*/false);
   GateEntry(&json, "server_hit_ns", hit_ns, "lower", /*timing=*/true);
   GateEntry(&json, "server_miss_ns", miss_ns, "lower", /*timing=*/true);
   GateEntry(&json, "server_mixed_rps", rps, "higher", /*timing=*/true);

@@ -578,6 +578,176 @@ void TemporalGraph::Compact() {
   delta_watermark_ = 0;
 }
 
+TemporalGraph TemporalGraph::Filter(const TemporalGraph& g,
+                                    const Interval& clip,
+                                    const VertexPredicate& keep_vertex,
+                                    const EdgePredicate& keep_edge) {
+  // A delta is folded on a private copy, so the passes read sealed arrays
+  // only; `g` is read again just to order the labels.
+  std::optional<TemporalGraph> compacted;
+  if (g.has_delta()) {
+    compacted.emplace(g);
+    compacted->Compact();
+  }
+  const TemporalGraph& s = compacted ? *compacted : g;
+  const SealedBase& old = *s.base_;
+  const uint32_t n = s.num_sealed_vertices_;
+  auto next = std::make_shared<SealedBase>();
+  SealedBase& nb = *next;
+
+  // Labels are interned in the order the builder path first meets them:
+  // by entity (vertex index, then n + edge position in `g`), then by the
+  // label's place on the entity. Compaction reorders edges, so a label
+  // keeps the smallest key it is met under and the table is sorted last.
+  constexpr uint32_t kUnmapped = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> label_id(s.labels_.size(), kUnmapped);
+  std::vector<std::pair<uint64_t, LabelId>> used;  // (first use, label)
+  auto intern = [&](LabelId label, uint64_t key) {
+    uint32_t& id = label_id[label];
+    if (id == kUnmapped) {
+      id = static_cast<uint32_t>(used.size());
+      used.emplace_back(key, label);
+    }
+    used[id].first = std::min(used[id].first, key);
+    return static_cast<LabelId>(id);
+  };
+  // Appends entity `i` of `src` with its runs cut to `span`, dropping the
+  // labels left without a run, and checks Constraint 3 and Def. 1 as the
+  // builder does.
+  auto copy_props = [&](const PropStore& src, size_t i, const Interval& span,
+                        uint64_t entity_key, PropStore* dst) {
+    uint32_t r = src.RunBegin(src.offsets[i]);
+    for (uint32_t k = src.offsets[i]; k < src.offsets[i + 1]; ++k) {
+      const size_t first = dst->runs.size();
+      for (; r < src.groups[k].end; ++r) {
+        const Interval cut = src.runs[r].interval.Intersect(span);
+        if (cut.IsEmpty()) continue;
+        GRAPHITE_CHECK(cut.ContainedIn(span));
+        GRAPHITE_CHECK(dst->runs.size() == first ||
+                       dst->runs.back().interval.end <= cut.start);
+        dst->runs.push_back({cut, src.runs[r].value});
+      }
+      if (dst->runs.size() == first) continue;
+      const uint64_t key = entity_key << 16 | (k - src.offsets[i]);
+      dst->groups.push_back({intern(src.groups[k].label, key),
+                             static_cast<uint32_t>(dst->runs.size())});
+    }
+    dst->offsets.push_back(static_cast<uint32_t>(dst->groups.size()));
+  };
+  // Position in `g` of the edge at `pos` in `s`. Compaction keeps vertex
+  // indices, and in `g` a vertex's edges are its eid-sorted sealed slice
+  // plus its delta out-links.
+  auto position_in_g = [&](EdgePos pos) -> EdgePos {
+    if (!compacted) return pos;
+    const StoredEdge& e = s.sealed_edges_[pos];
+    if (e.src < g.num_sealed_vertices_) {
+      const StoredEdge* last = g.sealed_edges_ + g.out_offsets_[e.src + 1];
+      const StoredEdge* it = std::lower_bound(
+          g.sealed_edges_ + g.out_offsets_[e.src], last, e.eid,
+          [](const StoredEdge& x, EdgeId eid) { return x.eid < eid; });
+      if (it != last && it->eid == e.eid) {
+        return static_cast<EdgePos>(it - g.sealed_edges_);
+      }
+    }
+    const auto [links, count] = LinksOf(g.delta_out_, e.src);
+    size_t k = 0;
+    while (k < count && g.delta_edges_[links[k].idx].eid != e.eid) ++k;
+    GRAPHITE_CHECK(k < count);
+    return g.num_sealed_edges_ + links[k].idx;
+  };
+
+  // --- Vertices: keep, clip, remap; the id index stays sorted.
+  std::vector<VertexIdx> remap(n, kInvalidVertex);
+  nb.vertex_ids.reserve(n);
+  nb.vertex_intervals.reserve(n);
+  nb.vertex_props.Reserve(n, old.vertex_props.groups.size(),
+                          old.vertex_props.runs.size());
+  for (VertexIdx v = 0; v < n; ++v) {
+    if (keep_vertex && !keep_vertex(s, v)) continue;
+    const Interval span = s.vertex_intervals_[v].Intersect(clip);
+    if (span.IsEmpty()) continue;
+    remap[v] = static_cast<VertexIdx>(nb.vertex_ids.size());
+    nb.vertex_ids.push_back(s.vertex_ids_[v]);
+    nb.vertex_intervals.push_back(span);
+    copy_props(old.vertex_props, v, span, v, &nb.vertex_props);
+  }
+  const size_t kept = nb.vertex_ids.size();
+  nb.vid_index.reserve(kept);
+  for (const auto& [vid, v] : old.vid_index) {
+    if (remap[v] != kInvalidVertex) nb.vid_index.emplace_back(vid, remap[v]);
+  }
+
+  // --- Edges, in the (src, eid) order `s` already has.
+  const uint32_t m = s.num_sealed_edges_;
+  nb.out_offsets.reserve(kept + 1);
+  nb.out_offsets.push_back(0);
+  nb.edges.reserve(m);
+  nb.edge_props.Reserve(m, old.edge_props.groups.size(),
+                        old.edge_props.runs.size());
+  for (VertexIdx v = 0; v < n; ++v) {
+    const VertexIdx src = remap[v];
+    if (src == kInvalidVertex) continue;
+    const Interval& src_span = nb.vertex_intervals[src];
+    for (EdgePos pos = s.out_offsets_[v]; pos < s.out_offsets_[v + 1];
+         ++pos) {
+      const StoredEdge& e = s.sealed_edges_[pos];
+      const VertexIdx dst = remap[e.dst];
+      if (dst == kInvalidVertex || (keep_edge && !keep_edge(s, pos))) {
+        continue;
+      }
+      const Interval& dst_span = nb.vertex_intervals[dst];
+      const Interval span =
+          e.interval.Intersect(clip).Intersect(src_span).Intersect(dst_span);
+      if (span.IsEmpty()) continue;
+      // Constraint 2, and the builder's (src, eid) order.
+      GRAPHITE_CHECK(span.ContainedIn(src_span) && span.ContainedIn(dst_span));
+      GRAPHITE_CHECK(nb.edges.size() == nb.out_offsets.back() ||
+                     nb.edges.back().eid < e.eid);
+      nb.edges.push_back({e.eid, src, dst, span});
+      copy_props(old.edge_props, pos, span, uint64_t{n} + position_in_g(pos),
+                 &nb.edge_props);
+    }
+    nb.out_offsets.push_back(static_cast<uint32_t>(nb.edges.size()));
+  }
+  nb.BuildInAdjacency();
+
+  TemporalGraph out;
+  // The label table in first-use order; groups are relabeled only when
+  // compaction made the keys arrive out of order.
+  std::vector<uint32_t> order(used.size());
+  for (uint32_t id = 0; id < order.size(); ++id) order[id] = id;
+  std::sort(order.begin(), order.end(), [&used](uint32_t a, uint32_t b) {
+    return used[a].first < used[b].first;
+  });
+  if (!std::is_sorted(order.begin(), order.end())) {
+    std::vector<LabelId> rank(order.size());
+    for (size_t r = 0; r < order.size(); ++r) {
+      rank[order[r]] = static_cast<LabelId>(r);
+    }
+    for (PropStore* store : {&nb.vertex_props, &nb.edge_props}) {
+      for (PropGroup& group : store->groups) group.label = rank[group.label];
+    }
+  }
+  out.labels_.reserve(order.size());
+  for (const uint32_t id : order) out.InternLabel(s.labels_[used[id].second]);
+
+  out.horizon_ = g.horizon_;
+  if (out.horizon_ == 0) {
+    // The builder derives a horizon only when given none.
+    for (const Interval& i : nb.vertex_intervals) out.GrowHorizon(i);
+    for (const StoredEdge& e : nb.edges) out.GrowHorizon(e.interval);
+    for (const PropRun& run : nb.vertex_props.runs) {
+      out.GrowHorizon(run.interval);
+    }
+    for (const PropRun& run : nb.edge_props.runs) {
+      out.GrowHorizon(run.interval);
+    }
+    if (out.horizon_ == 0) out.horizon_ = 1;
+  }
+  out.AdoptBase(std::move(next));
+  return out;
+}
+
 size_t TemporalGraph::MemoryFootprintBytes() const {
   const SealedBase& b = *base_;
   size_t bytes = 0;

@@ -5,9 +5,9 @@
 // Storage is a SEALED CSR BASE plus a small MUTABLE DELTA SEGMENT at the
 // time-axis head (DESIGN.md §4l). The base — out/in adjacency, lifespans,
 // vertex ids and the sorted id->index array, temporal properties as flat
-// run arrays — is built by TemporalGraphBuilder (or by Compact()) and is
-// then immutable: it is held by reference count and shared by every copy
-// of the graph, so a copy costs O(delta), not O(E).
+// run arrays — is built by TemporalGraphBuilder, Compact() or Filter()
+// and is then immutable: it is held by reference count and shared by
+// every copy of the graph, so a copy costs O(delta), not O(E).
 // `Append(EdgeBatch)` admits new vertices, edges, and edge properties
 // into the copy's own delta, which the iteration API (OutEdges /
 // InEdgePositions / edge) merges behind two-segment views, so algorithm
@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -486,6 +487,38 @@ class TemporalGraph {
   /// (and NO epoch bump) only when the delta is empty. Edge storage
   /// positions are NOT stable across compaction; EdgeIds are.
   void Compact();
+
+  /// True when appended vertices or edges await Compact().
+  bool has_delta() const {
+    return !delta_vertex_ids_.empty() || !delta_edges_.empty();
+  }
+
+  /// Keep predicates for Filter(). Each is asked about the graph being
+  /// traversed, which is a compacted copy when the source has a delta, so
+  /// edge positions must be read from the graph passed in. A null
+  /// predicate keeps everything.
+  using VertexPredicate =
+      std::function<bool(const TemporalGraph&, VertexIdx)>;
+  using EdgePredicate = std::function<bool(const TemporalGraph&, EdgePos)>;
+
+  /// The subgraph of `g` on the vertices passing `keep_vertex` and the
+  /// edges passing `keep_edge` between two kept vertices, clipped to
+  /// `clip` (Interval::All() clips nothing): a vertex lifespan becomes
+  /// lifespan ∩ clip, an edge lifespan lifespan ∩ clip ∩ both clipped
+  /// endpoint lifespans, and a property run is cut to its entity's new
+  /// lifespan. Entities and runs left empty are dropped.
+  ///
+  /// Writes a new sealed base directly, in one pass over the vertices and
+  /// one over the edges in (src, eid) order. The result equals what
+  /// TemporalGraphBuilder builds when fed the kept entities of `g` in
+  /// vertex-index, then edge-position order: same vertex and edge order,
+  /// labels interned in that first-use order, horizon copied from `g`. A
+  /// source with a delta is compacted on a private copy first. Costs
+  /// O(V + E + runs) in a fixed number of allocations; the builder's
+  /// containment and run-order checks run inline and CHECK-fail.
+  static TemporalGraph Filter(const TemporalGraph& g, const Interval& clip,
+                              const VertexPredicate& keep_vertex,
+                              const EdgePredicate& keep_edge);
 
   /// In-memory footprint in bytes of this interval-graph representation's
   /// arrays (used by the Fig. 6a footprint benchmark). Counts

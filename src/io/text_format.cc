@@ -1,5 +1,9 @@
 #include "io/text_format.h"
 
+#include <sys/stat.h>
+
+#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -24,15 +28,12 @@ bool ParseTp(const std::string& tok, TimePoint* out) {
     *out = kTimeMin;
     return true;
   }
-  try {
-    size_t pos = 0;
-    const long long v = std::stoll(tok, &pos);
-    if (pos != tok.size()) return false;
-    *out = static_cast<TimePoint>(v);
-    return true;
-  } catch (...) {
-    return false;
-  }
+  // The whole token, as a base-10 integer with an optional sign.
+  const char* first = tok.data();
+  const char* const last = first + tok.size();
+  if (tok.size() > 1 && tok[0] == '+' && tok[1] != '-') ++first;
+  const auto [end, ec] = std::from_chars(first, last, *out);
+  return ec == std::errc() && end == last;
 }
 
 }  // namespace
@@ -88,25 +89,33 @@ Result<TemporalGraph> ReadTextGraph(const std::string& text) {
     std::istringstream ls(line);
     std::string kind;
     if (!(ls >> kind) || kind[0] == '#') continue;
+    // Every field must parse whole, and a record must end after its last.
+    auto read_int = [&ls](int64_t* v) {
+      return ls >> *v && (ls.eof() || std::isspace(ls.peek()));
+    };
     auto read_interval = [&ls](Interval* iv) {
       std::string a, b;
-      if (!(ls >> a >> b)) return false;
-      return ParseTp(a, &iv->start) && ParseTp(b, &iv->end) && iv->IsValid();
+      return ls >> a >> b && ParseTp(a, &iv->start) &&
+             ParseTp(b, &iv->end) && iv->IsValid();
     };
+    auto at_end = [&ls] { return (ls >> std::ws).eof(); };
     if (kind == "H") {
-      if (!(ls >> options.horizon) || options.horizon <= 0) {
+      if (!read_int(&options.horizon) || options.horizon <= 0 || !at_end()) {
         return error("bad horizon");
       }
     } else if (kind == "V") {
       VertexId vid;
       Interval iv;
-      if (!(ls >> vid) || !read_interval(&iv)) return error("bad V record");
+      if (!read_int(&vid) || !read_interval(&iv) || !at_end()) {
+        return error("bad V record");
+      }
       builder.AddVertex(vid, iv);
     } else if (kind == "E") {
       EdgeId eid;
       VertexId src, dst;
       Interval iv;
-      if (!(ls >> eid >> src >> dst) || !read_interval(&iv)) {
+      if (!read_int(&eid) || !read_int(&src) || !read_int(&dst) ||
+          !read_interval(&iv) || !at_end()) {
         return error("bad E record");
       }
       builder.AddEdge(eid, src, dst, iv);
@@ -115,7 +124,8 @@ Result<TemporalGraph> ReadTextGraph(const std::string& text) {
       std::string label;
       Interval iv;
       PropValue value;
-      if (!(ls >> id >> label) || !read_interval(&iv) || !(ls >> value)) {
+      if (!read_int(&id) || !(ls >> label) || !read_interval(&iv) ||
+          !read_int(&value) || !at_end()) {
         return error("bad " + kind + " record");
       }
       if (kind == "VP") {
@@ -143,11 +153,19 @@ Status WriteTextGraphFile(const TemporalGraph& g, const std::string& path) {
 Result<TemporalGraph> ReadTextGraphFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) return Status::IoError("cannot open " + path);
+  // fopen succeeds on a directory; only its reads fail.
+  struct stat st;
+  if (fstat(fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    return Status::IoError("not a regular file: " + path);
+  }
   std::string text;
   char buf[1 << 16];
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  const bool failed = std::ferror(f) != 0;
   std::fclose(f);
+  if (failed) return Status::IoError("read failed: " + path);
   return ReadTextGraph(text);
 }
 

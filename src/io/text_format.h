@@ -8,7 +8,9 @@
 //   VP <vid> <label> <start> <end> <value>
 //   EP <eid> <label> <start> <end> <value>
 //
-// Time-points accept "inf" / "-inf". Labels must not contain whitespace.
+// Time-points accept "inf" / "+inf" / "-inf". Labels must not contain
+// whitespace. Fields are separated by spaces or tabs; every number must
+// parse whole, and a record with a field too many is rejected.
 #ifndef GRAPHITE_IO_TEXT_FORMAT_H_
 #define GRAPHITE_IO_TEXT_FORMAT_H_
 

@@ -1,66 +1,9 @@
 #include "query/temporal_query.h"
 
 #include <algorithm>
-#include <unordered_set>
-
-#include "graph/builder.h"
+#include <optional>
 
 namespace graphite {
-
-namespace {
-
-// Rebuilds a temporal graph from entity keep/clip decisions. `clip` is
-// the window lifespans are intersected with (Interval::All() = no clip).
-TemporalGraph Rebuild(
-    const TemporalGraph& g, const Interval& clip,
-    const std::function<bool(VertexIdx)>& keep_vertex,
-    const std::function<bool(EdgePos)>& keep_edge) {
-  TemporalGraphBuilder builder;
-  std::vector<uint8_t> vertex_kept(g.num_vertices(), 0);
-  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-    if (!keep_vertex(v)) continue;
-    const Interval span = g.vertex_interval(v).Intersect(clip);
-    if (span.IsEmpty()) continue;
-    vertex_kept[v] = 1;
-    builder.AddVertex(g.vertex_id(v), span);
-    for (const auto& [label, map] : g.VertexProperties(v)) {
-      for (const auto& entry : map.entries()) {
-        const Interval pi = entry.interval.Intersect(span);
-        if (pi.IsValid()) {
-          builder.SetVertexProperty(g.vertex_id(v), g.LabelName(label), pi,
-                                    entry.value);
-        }
-      }
-    }
-  }
-  for (EdgePos pos = 0; pos < g.num_edges(); ++pos) {
-    const StoredEdge& e = g.edge(pos);
-    if (!vertex_kept[e.src] || !vertex_kept[e.dst] || !keep_edge(pos)) {
-      continue;
-    }
-    // The edge must fit inside both clipped endpoint lifespans.
-    Interval span = e.interval.Intersect(clip);
-    span = span.Intersect(g.vertex_interval(e.src).Intersect(clip));
-    span = span.Intersect(g.vertex_interval(e.dst).Intersect(clip));
-    if (span.IsEmpty()) continue;
-    builder.AddEdge(e.eid, g.vertex_id(e.src), g.vertex_id(e.dst), span);
-    for (const auto& [label, map] : g.EdgeProperties(pos)) {
-      for (const auto& entry : map.entries()) {
-        const Interval pi = entry.interval.Intersect(span);
-        if (pi.IsValid()) {
-          builder.SetEdgeProperty(e.eid, g.LabelName(label), pi, entry.value);
-        }
-      }
-    }
-  }
-  BuilderOptions options;
-  options.horizon = g.horizon();
-  auto result = builder.Build(options);
-  GRAPHITE_CHECK(result.ok());
-  return std::move(result).value();
-}
-
-}  // namespace
 
 bool TemporalPredicate::Matches(const Interval& lifespan) const {
   switch (kind) {
@@ -76,27 +19,51 @@ bool TemporalPredicate::Matches(const Interval& lifespan) const {
   return false;
 }
 
+namespace {
+
+TemporalGraph::VertexPredicate SelectVertex(const TemporalPredicate& pred) {
+  return [&pred](const TemporalGraph& g, VertexIdx v) {
+    return pred.Matches(g.vertex_interval(v));
+  };
+}
+
+TemporalGraph::EdgePredicate SelectEdge(const TemporalPredicate& pred) {
+  return [&pred](const TemporalGraph& g, EdgePos pos) {
+    return pred.Matches(g.edge(pos).interval);
+  };
+}
+
+}  // namespace
+
 TemporalGraph TemporalSelect(const TemporalGraph& g,
                              const TemporalPredicate& pred) {
-  return Rebuild(
-      g, Interval::All(),
-      [&](VertexIdx v) { return pred.Matches(g.vertex_interval(v)); },
-      [&](EdgePos pos) { return pred.Matches(g.edge(pos).interval); });
+  return TemporalGraph::Filter(g, Interval::All(), SelectVertex(pred),
+                               SelectEdge(pred));
 }
 
 TemporalGraph TimeSlice(const TemporalGraph& g, const Interval& window) {
   GRAPHITE_CHECK(window.IsValid());
-  return Rebuild(
-      g, window, [](VertexIdx) { return true; },
-      [](EdgePos) { return true; });
+  return TemporalGraph::Filter(g, window, nullptr, nullptr);
+}
+
+TemporalGraph SelectAndSlice(const TemporalGraph& g,
+                             const TemporalPredicate& pred,
+                             const Interval& window) {
+  GRAPHITE_CHECK(window.IsValid());
+  // TemporalSelect's output is sealed, so the slice interns labels in
+  // (src, eid) edge order; filtering a compacted copy gives that order.
+  std::optional<TemporalGraph> compacted;
+  if (g.has_delta()) {
+    compacted.emplace(g);
+    compacted->Compact();
+  }
+  return TemporalGraph::Filter(compacted ? *compacted : g, window,
+                               SelectVertex(pred), SelectEdge(pred));
 }
 
 TemporalGraph TemporalSubgraph(const TemporalGraph& g,
                                const SubgraphPredicates& preds) {
-  return Rebuild(
-      g, Interval::All(),
-      [&](VertexIdx v) { return !preds.vertex || preds.vertex(g, v); },
-      [&](EdgePos pos) { return !preds.edge || preds.edge(g, pos); });
+  return TemporalGraph::Filter(g, Interval::All(), preds.vertex, preds.edge);
 }
 
 TemporalHistogram CountOverTime(const TemporalGraph& g) {

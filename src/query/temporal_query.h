@@ -14,7 +14,9 @@
 //                        time-point or per window.
 //
 // All operators produce valid temporal graphs (Constraints 1-3 preserved),
-// so their outputs feed straight back into ICM runs.
+// so their outputs feed straight back into ICM runs. The three filters
+// are TemporalGraph::Filter with different keep predicates and clips: one
+// pass that writes the kept subgraph into a new sealed base.
 #ifndef GRAPHITE_QUERY_TEMPORAL_QUERY_H_
 #define GRAPHITE_QUERY_TEMPORAL_QUERY_H_
 
@@ -66,12 +68,17 @@ TemporalGraph TemporalSelect(const TemporalGraph& g,
 /// S_t materialized as a (degenerate) temporal graph.
 TemporalGraph TimeSlice(const TemporalGraph& g, const Interval& window);
 
-/// Structure/property-aware filter. Predicates receive the graph and the
-/// entity; a dropped vertex drops its incident edges (referential
-/// integrity).
+/// TimeSlice(TemporalSelect(g, pred), window), computed in one pass.
+TemporalGraph SelectAndSlice(const TemporalGraph& g,
+                             const TemporalPredicate& pred,
+                             const Interval& window);
+
+/// Structure/property-aware filter. Predicates receive the graph being
+/// filtered (a compacted copy of `g` when it has a delta) and the entity;
+/// a dropped vertex drops its incident edges (referential integrity).
 struct SubgraphPredicates {
-  std::function<bool(const TemporalGraph&, VertexIdx)> vertex;  // null = all
-  std::function<bool(const TemporalGraph&, EdgePos)> edge;      // null = all
+  TemporalGraph::VertexPredicate vertex;  // null = all
+  TemporalGraph::EdgePredicate edge;      // null = all
 };
 TemporalGraph TemporalSubgraph(const TemporalGraph& g,
                                const SubgraphPredicates& preds);

@@ -663,27 +663,23 @@ Result<std::string> QueryService::RenderFragmentWith(
     GRAPHITE_RETURN_NOT_OK(RenderOps(req, base, options, &w, metrics));
     return w.Take();
   }
-  // Query-layer pre-filters build a request-local graph; derived
-  // structures for it are built (and dropped) per request.
-  std::optional<TemporalGraph> stage;
-  const TemporalGraph* cur = &base.graph();
-  if (req.select_window) {
-    TemporalPredicate pred;
+  // The pre-filter writes a request-local graph in one pass
+  // (TemporalGraph::Filter); its derived graphs are built, and dropped,
+  // with this request's Workload.
+  const TemporalGraph& g = base.graph();
+  auto select = [&req] {
+    const Interval& window = *req.select_window;
     if (req.select_pred == "contained_in") {
-      pred = TemporalPredicate::ContainedIn(*req.select_window);
-    } else if (req.select_pred == "contains") {
-      pred = TemporalPredicate::Contains(*req.select_window);
-    } else {
-      pred = TemporalPredicate::Intersects(*req.select_window);
+      return TemporalPredicate::ContainedIn(window);
     }
-    stage = TemporalSelect(*cur, pred);
-    cur = &*stage;
-  }
-  if (req.window) {
-    stage = TimeSlice(*cur, *req.window);
-    cur = &*stage;
-  }
-  Workload filtered(std::move(*stage));
+    if (req.select_pred == "contains") {
+      return TemporalPredicate::Contains(window);
+    }
+    return TemporalPredicate::Intersects(window);
+  };
+  Workload filtered(!req.select_window ? TimeSlice(g, *req.window)
+                    : req.window ? SelectAndSlice(g, select(), *req.window)
+                                 : TemporalSelect(g, select()));
   GRAPHITE_RETURN_NOT_OK(RenderOps(req, filtered, options, &w, metrics));
   return w.Take();
 }

@@ -144,6 +144,42 @@ TEST(TextFormatTest, RejectsMalformedRecords) {
   EXPECT_FALSE(ReadTextGraph("V 1 5 2").ok());   // start >= end
   EXPECT_FALSE(ReadTextGraph("E 1 1 2 0 5").ok());  // missing vertices
   EXPECT_TRUE(ReadTextGraph("# only a comment\nV 1 0 5").ok());
+  // Every number must parse whole, and records end after their last field.
+  const std::string edge = "V 1 0 9\nV 2 0 9\nE 5 1 2 0 9\n";
+  EXPECT_TRUE(ReadTextGraph(edge + "EP 5 cost 0 3 5").ok());
+  EXPECT_FALSE(ReadTextGraph(edge + "EP 5 cost 0 3 5.7").ok());
+  EXPECT_FALSE(ReadTextGraph(edge + "EP 5 cost 0 3x 5").ok());
+  EXPECT_FALSE(ReadTextGraph(edge + "EP 5 cost 0 3 5 6").ok());
+  EXPECT_FALSE(ReadTextGraph(edge + "E 6 1 2 0 9 junk").ok());
+  EXPECT_FALSE(ReadTextGraph("H 12x\nV 1 0 5").ok());
+  EXPECT_FALSE(ReadTextGraph("H 12 13\nV 1 0 5").ok());
+  EXPECT_FALSE(ReadTextGraph("V 1 0 5 junk").ok());
+  EXPECT_FALSE(ReadTextGraph("V 1x 0 5").ok());
+  EXPECT_FALSE(ReadTextGraph("V 1 +-0 5").ok());
+  const auto bad = ReadTextGraph("V 1 0 5\nV 2 0 5 junk");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("line 2"), std::string::npos)
+      << bad.status().ToString();
+  // What stays accepted: CRLF line endings, tabs, blank and comment
+  // lines, signed numbers and the infinities.
+  const auto loose = ReadTextGraph(
+      "# header\r\n\r\nH\t12\r\n\n  # indented comment\n"
+      "V 1 -inf +inf\r\nV\t2\t-inf\tinf\nV 3 -4 +7\r\n"
+      "E 5 1 2 -inf inf\r\nEP 5 cost -inf +3 -5\r\n");
+  ASSERT_TRUE(loose.ok()) << loose.status().ToString();
+  EXPECT_EQ(loose->horizon(), 12);
+  EXPECT_EQ(loose->num_vertices(), 3u);
+  EXPECT_EQ(loose->vertex_interval(0), Interval::All());
+  EXPECT_EQ(loose->vertex_interval(2), Interval(-4, 7));
+  EXPECT_EQ(loose->EdgeProperty(0, *loose->LabelIdOf("cost")).Get(-9), -5);
+}
+
+TEST(TextFormatTest, DirectoryIsAnIoError) {
+  auto parsed = ReadTextGraphFile(::testing::TempDir());
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kIoError)
+      << parsed.status().ToString();
+  EXPECT_FALSE(ReadTextGraphFile(::testing::TempDir() + "/no-such-file").ok());
 }
 
 TEST(TextFormatTest, FileRoundTrip) {

@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "algorithms/oracle.h"
+#include "gen/generators.h"
+#include "graph/builder.h"
 #include "graph/graph_stats.h"
+#include "io/binary_format.h"
+#include "io/text_format.h"
 #include "testutil.h"
 
 namespace graphite {
@@ -153,8 +161,7 @@ TEST(QueryOutputsStayValid, RandomGraphs) {
     const TemporalGraph a =
         TemporalSelect(g, TemporalPredicate::Intersects(Interval(2, 8)));
     const TemporalGraph b = TimeSlice(g, Interval(2, 8));
-    // Builder validation ran inside Rebuild (CHECK would have fired);
-    // sanity-check constraint 2 explicitly.
+    // Filter CHECKs Constraint 2 inline; check it here explicitly too.
     for (const TemporalGraph* out : {&a, &b}) {
       for (EdgePos pos = 0; pos < out->num_edges(); ++pos) {
         const StoredEdge& e = out->edge(pos);
@@ -163,6 +170,340 @@ TEST(QueryOutputsStayValid, RandomGraphs) {
       }
     }
   }
+}
+
+// --- TemporalGraph::Filter against the builder path it replaced ---
+
+// The builder path: every kept entity re-added through
+// TemporalGraphBuilder, which re-validates, re-indexes and re-sorts.
+// Vertices are visited by index and edges by position, so labels are
+// interned in that first-use order. `clip` is the window lifespans are
+// intersected with (Interval::All() = no clip).
+TemporalGraph BuilderFilter(const TemporalGraph& g, const Interval& clip,
+                            const std::function<bool(VertexIdx)>& keep_vertex,
+                            const std::function<bool(EdgePos)>& keep_edge) {
+  TemporalGraphBuilder builder;
+  std::vector<uint8_t> vertex_kept(g.num_vertices(), 0);
+  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
+    if (!keep_vertex(v)) continue;
+    const Interval span = g.vertex_interval(v).Intersect(clip);
+    if (span.IsEmpty()) continue;
+    vertex_kept[v] = 1;
+    builder.AddVertex(g.vertex_id(v), span);
+    for (const auto& [label, runs] : g.VertexProperties(v)) {
+      for (const auto& entry : runs.entries()) {
+        const Interval pi = entry.interval.Intersect(span);
+        if (pi.IsValid()) {
+          builder.SetVertexProperty(g.vertex_id(v), g.LabelName(label), pi,
+                                    entry.value);
+        }
+      }
+    }
+  }
+  for (EdgePos pos = 0; pos < g.num_edges(); ++pos) {
+    const StoredEdge& e = g.edge(pos);
+    if (!vertex_kept[e.src] || !vertex_kept[e.dst] || !keep_edge(pos)) {
+      continue;
+    }
+    Interval span = e.interval.Intersect(clip);
+    span = span.Intersect(g.vertex_interval(e.src).Intersect(clip));
+    span = span.Intersect(g.vertex_interval(e.dst).Intersect(clip));
+    if (span.IsEmpty()) continue;
+    builder.AddEdge(e.eid, g.vertex_id(e.src), g.vertex_id(e.dst), span);
+    for (const auto& [label, runs] : g.EdgeProperties(pos)) {
+      for (const auto& entry : runs.entries()) {
+        const Interval pi = entry.interval.Intersect(span);
+        if (pi.IsValid()) {
+          builder.SetEdgeProperty(e.eid, g.LabelName(label), pi, entry.value);
+        }
+      }
+    }
+  }
+  BuilderOptions options;
+  options.horizon = g.horizon();
+  auto result = builder.Build(options);
+  GRAPHITE_CHECK(result.ok());
+  return std::move(result).value();
+}
+
+TemporalGraph BuilderSelect(const TemporalGraph& g,
+                            const TemporalPredicate& pred) {
+  return BuilderFilter(
+      g, Interval::All(),
+      [&](VertexIdx v) { return pred.Matches(g.vertex_interval(v)); },
+      [&](EdgePos pos) { return pred.Matches(g.edge(pos).interval); });
+}
+
+TemporalGraph BuilderSlice(const TemporalGraph& g, const Interval& window) {
+  return BuilderFilter(
+      g, window, [](VertexIdx) { return true; },
+      [](EdgePos) { return true; });
+}
+
+TemporalGraph BuilderSubgraph(const TemporalGraph& g,
+                              const SubgraphPredicates& preds) {
+  return BuilderFilter(
+      g, Interval::All(),
+      [&](VertexIdx v) { return !preds.vertex || preds.vertex(g, v); },
+      [&](EdgePos pos) { return !preds.edge || preds.edge(g, pos); });
+}
+
+std::vector<std::string> Labels(const TemporalGraph& g) {
+  std::vector<std::string> out;
+  for (LabelId l = 0; l < g.num_labels(); ++l) out.push_back(g.LabelName(l));
+  return out;
+}
+
+// Byte-for-byte equality: both serializations (binary sorts by id, text
+// keeps index and position order), the label table, horizon and head,
+// plus the vertex index and in-adjacency neither format carries.
+void ExpectSameGraph(const TemporalGraph& got, const TemporalGraph& want,
+                     const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_FALSE(got.has_delta());
+  EXPECT_EQ(WriteBinaryGraph(got), WriteBinaryGraph(want));
+  ASSERT_EQ(WriteTextGraph(got), WriteTextGraph(want));
+  EXPECT_EQ(Labels(got), Labels(want));
+  EXPECT_EQ(got.horizon(), want.horizon());
+  EXPECT_EQ(got.head(), want.head());
+  EXPECT_EQ(got.MemoryFootprintBytes(), want.MemoryFootprintBytes());
+  for (VertexIdx v = 0; v < got.num_vertices(); ++v) {
+    ASSERT_EQ(got.IndexOf(got.vertex_id(v)), v);
+    const auto in_got = got.InEdgePositions(v);
+    const auto in_want = want.InEdgePositions(v);
+    ASSERT_EQ(in_got.size(), in_want.size());
+    for (size_t k = 0; k < in_got.size(); ++k) {
+      ASSERT_EQ(in_got[k], in_want[k]);
+    }
+  }
+}
+
+// Unit windows, windows past the horizon, and windows open on either side.
+std::vector<Interval> BoundaryWindows(TimePoint horizon) {
+  const TimePoint mid = horizon / 2;
+  return {Interval(0, 1),
+          Interval(mid, mid + 1),
+          Interval(horizon - 1, horizon),
+          Interval(horizon, horizon + 4),
+          Interval(horizon + 2, kTimeMax),
+          Interval(kTimeMin, 1),
+          Interval(kTimeMin, mid),
+          Interval(mid, kTimeMax),
+          Interval::All(),
+          Interval(horizon / 4, 3 * horizon / 4 + 1)};
+}
+
+std::vector<TemporalPredicate> Predicates(const Interval& window) {
+  std::vector<TemporalPredicate> out = {
+      TemporalPredicate::Intersects(window),
+      TemporalPredicate::ContainedIn(window),
+      TemporalPredicate::Contains(window)};
+  for (int r = 0; r <= static_cast<int>(AllenRelation::kAfter); ++r) {
+    out.push_back(
+        TemporalPredicate::Allen(static_cast<AllenRelation>(r), window));
+  }
+  return out;
+}
+
+std::string Describe(const char* op, const Interval& w, size_t pred = 0) {
+  return std::string(op) + " " + w.ToString() + " pred#" +
+         std::to_string(pred);
+}
+
+// Every filter over `g` against the builder path: slices at the boundary
+// windows, every predicate kind at a few of them, and SelectAndSlice
+// against both compositions.
+void ExpectFiltersMatchBuilder(const TemporalGraph& g) {
+  const std::vector<Interval> windows = BoundaryWindows(g.horizon());
+  for (const Interval& w : windows) {
+    ExpectSameGraph(TimeSlice(g, w), BuilderSlice(g, w),
+                    Describe("slice", w));
+  }
+  const TimePoint mid = g.horizon() / 2;
+  for (const Interval& w : {Interval(mid, mid + 1), Interval(1, mid + 2),
+                            Interval(kTimeMin, mid), Interval::All()}) {
+    const std::vector<TemporalPredicate> preds = Predicates(w);
+    for (size_t p = 0; p < preds.size(); ++p) {
+      const TemporalGraph selected = TemporalSelect(g, preds[p]);
+      ExpectSameGraph(selected, BuilderSelect(g, preds[p]),
+                      Describe("select", w, p));
+      const Interval slice(mid - 1, g.horizon() + 1);
+      const TemporalGraph fused = SelectAndSlice(g, preds[p], slice);
+      ExpectSameGraph(fused, TimeSlice(selected, slice),
+                      Describe("select+slice", w, p));
+      ExpectSameGraph(fused, BuilderSlice(BuilderSelect(g, preds[p]), slice),
+                      Describe("builder select+slice", w, p));
+    }
+  }
+}
+
+TEST(FilterEquivalenceTest, CatalogGraphsMatchBuilderPath) {
+  for (const DatasetSpec& spec : DatasetCatalog(0.02)) {
+    SCOPED_TRACE(spec.name);
+    ExpectFiltersMatchBuilder(Generate(spec.options));
+  }
+}
+
+TEST(FilterEquivalenceTest, RandomAndTransitGraphsMatchBuilderPath) {
+  ExpectFiltersMatchBuilder(MakeTransitGraph());
+  for (uint64_t seed : {3u, 4u}) {
+    ExpectFiltersMatchBuilder(testutil::MakeRandomGraph(seed));
+  }
+}
+
+// Open lifespans on both sides and vertex properties under labels whose
+// first use moves with the window: "a" is first set on vertex 10 at
+// [kTimeMin, 1) and again on vertex 13 at [6, 9).
+TemporalGraph MakeOpenGraph() {
+  TemporalGraphBuilder b;
+  b.AddVertex(10, Interval(kTimeMin, 6));
+  b.AddVertex(11, Interval(2, kTimeMax));
+  b.AddVertex(12, Interval::All());
+  b.AddVertex(13, Interval(0, 9));
+  b.SetVertexProperty(10, "a", Interval(kTimeMin, 1), 1);
+  b.SetVertexProperty(10, "b", Interval(0, 6), 2);
+  b.SetVertexProperty(12, "c", Interval::All(), 3);
+  b.SetVertexProperty(13, "b", Interval(1, 3), 5);
+  b.SetVertexProperty(13, "a", Interval(6, 9), 4);
+  b.SetVertexProperty(13, "b", Interval(4, 8), 6);
+  b.AddEdge(1, 10, 11, Interval(2, 6));
+  b.SetEdgeProperty(1, "w", Interval(2, 4), 1);
+  b.SetEdgeProperty(1, "w", Interval(4, 6), 2);
+  b.SetEdgeProperty(1, "x", Interval(5, 6), 7);
+  b.AddEdge(0, 10, 12, Interval(kTimeMin, 6));
+  b.SetEdgeProperty(0, "x", Interval(kTimeMin, 0), 1);
+  b.AddEdge(2, 12, 10, Interval(kTimeMin, 6));
+  b.AddEdge(3, 11, 12, Interval(2, kTimeMax));
+  b.SetEdgeProperty(3, "y", Interval(7, kTimeMax), 9);
+  b.AddEdge(4, 13, 12, Interval(0, 9));
+  b.SetEdgeProperty(4, "w", Interval(0, 9), 3);
+  auto g = b.Build();
+  GRAPHITE_CHECK(g.ok());
+  return std::move(g).value();
+}
+
+TEST(FilterEquivalenceTest, OpenLifespansAndMovingLabels) {
+  const TemporalGraph g = MakeOpenGraph();
+  ASSERT_EQ(Labels(g),
+            (std::vector<std::string>{"a", "b", "c", "w", "x", "y"}));
+  ExpectFiltersMatchBuilder(g);
+  // [1, 2) removes every run of "a" and "y": the table shrinks.
+  const TemporalGraph shrunk = TimeSlice(g, Interval(1, 2));
+  ExpectSameGraph(shrunk, BuilderSlice(g, Interval(1, 2)), "shrinks");
+  EXPECT_EQ(Labels(shrunk), (std::vector<std::string>{"b", "c", "w"}));
+  // [6, 9) drops vertex 10, so "a" is first met on vertex 13, after "c"
+  // and "b"; the edge labels follow in (src, eid) order.
+  const TemporalGraph moved = TimeSlice(g, Interval(6, 9));
+  ExpectSameGraph(moved, BuilderSlice(g, Interval(6, 9)), "reorders");
+  EXPECT_EQ(Labels(moved),
+            (std::vector<std::string>{"c", "b", "a", "y", "w"}));
+}
+
+TEST(FilterEquivalenceTest, EmptyGraphGetsTheBuilderHorizon) {
+  const TemporalGraph empty;
+  ExpectSameGraph(TimeSlice(empty, Interval(2, 5)),
+                  BuilderSlice(empty, Interval(2, 5)), "empty slice");
+  EXPECT_EQ(TimeSlice(empty, Interval(2, 5)).horizon(), 1);
+}
+
+TEST(FilterEquivalenceTest, SubgraphPropertyPredicates) {
+  std::vector<TemporalGraph> graphs;
+  graphs.push_back(MakeTransitGraph());
+  graphs.push_back(Generate(DatasetByName("usrn", 0.02).options));
+  graphs.push_back(Generate(DatasetByName("mag", 0.02).options));
+  for (const TemporalGraph& g : graphs) {
+    const auto cost = g.LabelIdOf(kTravelCostLabel);
+    for (PropValue limit : {0, 2, 5}) {
+      SubgraphPredicates preds;
+      preds.vertex = [](const TemporalGraph& graph, VertexIdx v) {
+        return graph.vertex_id(v) % 3 != 1;
+      };
+      preds.edge = [&](const TemporalGraph& graph, EdgePos pos) {
+        if (!cost) return true;
+        for (const auto& entry : graph.EdgeProperty(pos, *cost).entries()) {
+          if (entry.value <= limit) return true;
+        }
+        return false;
+      };
+      ExpectSameGraph(TemporalSubgraph(g, preds), BuilderSubgraph(g, preds),
+                      "subgraph limit " + std::to_string(limit));
+      preds.vertex = nullptr;
+      ExpectSameGraph(TemporalSubgraph(g, preds), BuilderSubgraph(g, preds),
+                      "edge-only limit " + std::to_string(limit));
+    }
+  }
+}
+
+// A delta with fresh vertices and new labels. Edge 5 leaves A and sorts
+// before A's sealed edges, so it comes first in (src, eid) order while
+// the builder path, walking positions, meets its label "fresh" last.
+EdgeBatch TransitDelta() {
+  EdgeBatch batch;
+  batch.vertices = {{100, Interval(2, kTimeMax)}, {101, Interval(0, 7)}};
+  batch.edges = {{5, testutil::kA, testutil::kC, Interval(2, 8)},
+                 {40, 100, testutil::kB, Interval(3, 9)},
+                 {41, testutil::kE, 101, Interval(1, 7)}};
+  batch.props = {{5, "fresh", Interval(2, 4), 1},
+                 {5, kTravelCostLabel, Interval(4, 8), 2},
+                 {40, "late", Interval(3, 9), 3},
+                 {41, kTravelTimeLabel, Interval(1, 7), 1}};
+  return batch;
+}
+
+TEST(FilterEquivalenceTest, UncompactedDeltaWithFreshVertices) {
+  TemporalGraph g = MakeTransitGraph();
+  ASSERT_TRUE(g.Append(TransitDelta()).ok());
+  // Edge 43 (from F) meets "p" then "q"; edge 44 (from A) comes first in
+  // (src, eid) order but second by position, and meets only "q".
+  EdgeBatch more;
+  more.vertices = {{102, Interval(kTimeMin, 4)}};
+  more.edges = {{42, 102, 101, Interval(1, 3)},
+                {43, testutil::kF, 101, Interval(1, 3)},
+                {44, testutil::kA, 102, Interval(1, 3)}};
+  more.props = {{42, "later", Interval(1, 2), 4},
+                {43, "p", Interval(1, 2), 5},
+                {43, "q", Interval(2, 3), 6},
+                {44, "q", Interval(1, 3), 7}};
+  ASSERT_TRUE(g.Append(more).ok());
+  ASSERT_TRUE(g.has_delta());
+  const GraphHead head = g.head();
+
+  ExpectFiltersMatchBuilder(g);
+  SubgraphPredicates preds;
+  preds.edge = [](const TemporalGraph& graph, EdgePos pos) {
+    return graph.edge(pos).eid != 12;
+  };
+  ExpectSameGraph(TemporalSubgraph(g, preds), BuilderSubgraph(g, preds),
+                  "delta subgraph");
+  // Whole-graph filters keep the builder path's label order, not the
+  // compacted graph's.
+  const TemporalGraph all = TimeSlice(g, Interval::All());
+  EXPECT_EQ(Labels(all),
+            (std::vector<std::string>{kTravelTimeLabel, kTravelCostLabel,
+                                      "fresh", "late", "later", "p", "q"}));
+  // The source keeps its delta and head.
+  EXPECT_TRUE(g.has_delta());
+  EXPECT_EQ(g.head(), head);
+}
+
+TEST(FilterEquivalenceTest, DeltaOnCatalogGraph) {
+  TemporalGraph g = Generate(DatasetByName("twitter", 0.02).options);
+  // Old endpoints that outlive the new edges: the first vertices alive
+  // throughout [1, 5).
+  std::vector<VertexId> alive;
+  for (VertexIdx v = 0; v < g.num_vertices() && alive.size() < 2; ++v) {
+    if (Interval(1, 5).ContainedIn(g.vertex_interval(v))) {
+      alive.push_back(g.vertex_id(v));
+    }
+  }
+  ASSERT_EQ(alive.size(), 2u);
+  EdgeBatch batch;
+  batch.vertices = {{900001, Interval(1, kTimeMax)}};
+  batch.edges = {{-1, alive[1], 900001, Interval(2, 5)},
+                 {-2, 900001, alive[0], Interval(1, 3)}};
+  batch.props = {{-1, "tag", Interval(2, 3), 1}};
+  ASSERT_TRUE(g.Append(batch).ok());
+  ExpectFiltersMatchBuilder(g);
 }
 
 }  // namespace

@@ -326,6 +326,20 @@ TEST(ServerAppendTest, AppendErrorsAreResponsesNotCrashes) {
   EXPECT_EQ(entry->workload.graph().head(), (GraphHead{0, 0}));
 }
 
+// A `load` of a path that is not a readable text graph (here a
+// directory, which fopen opens but cannot read) fails and registers
+// nothing, rather than publishing an empty graph.
+TEST(ServerLoadTest, LoadOfDirectoryFails) {
+  ServerOptions options;
+  Server server(options);
+  std::string response;
+  server.HandleLine("{\"id\":1,\"op\":\"load\",\"graph\":\"d\",\"file\":\"" +
+                        ::testing::TempDir() + "\"}",
+                    [&](std::string line) { response = std::move(line); });
+  EXPECT_NE(response.find("\"ok\": false"), std::string::npos) << response;
+  EXPECT_EQ(server.registry().Get("d"), nullptr);
+}
+
 // A job that pinned the resident entry before an append and finishes
 // after it must answer from its pinned view but must NOT cache under the
 // superseded epoch: the append already erased the graph's prefix, so such
