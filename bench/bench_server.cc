@@ -4,7 +4,9 @@
 // catalog graphs, plus mixed-request throughput through the bounded job
 // scheduler, and the windowed pre-filter (the fused TemporalSelect +
 // TimeSlice a windowed `run` makes before its engine run) on Twitter-like
-// graphs 4x apart. Heap allocations on the hit path and in the pre-filter
+// graphs 4x apart, and the text-format load (ReadTextGraph, what
+// `--preload NAME=@FILE` and the `load` op run) of one catalog graph.
+// Heap allocations on the hit path, in the pre-filter and in the load
 // are counted exactly via the replaced operator new
 // (bench/alloc_counter.h).
 //
@@ -12,8 +14,8 @@
 // directory). The committed copy at the repo root is the regression
 // baseline: tools/check_bench_regression.py compares the "gated" block of
 // a fresh run against it (ctest label `perf`). The >=10x hit/miss speedup
-// acceptance, the hit-path and pre-filter allocation counts, and the
-// pre-filter's allocation growth between the two graph sizes are
+// acceptance, the hit-path, pre-filter and text-load allocation counts,
+// and the pre-filter's allocation growth between the two graph sizes are
 // deterministic-ish per build and gated unconditionally; raw
 // latency/throughput keys are timing
 // and enforced only in strict mode (GRAPHITE_PERF_STRICT=1 / --strict)
@@ -25,6 +27,7 @@
 #define GRAPHITE_ALLOC_COUNTER_IMPL
 #include "alloc_counter.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -35,6 +38,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "io/text_format.h"
 #include "query/temporal_query.h"
 #include "server/server.h"
 #include "util/json.h"
@@ -114,6 +118,28 @@ PrefilterSample MeasurePrefilter(const TemporalGraph& g) {
   for (int i = 0; i < kReps; ++i) (void)SelectAndSlice(g, pred, window);
   PrefilterSample s;
   s.edges = g.num_edges();
+  s.ns = static_cast<double>(NowNanos() - t0) / kReps;
+  s.allocs = static_cast<double>(benchalloc::AllocCount() - a0) / kReps;
+  return s;
+}
+
+// One text-format load: ReadTextGraph over a graph's serialized text.
+struct TextLoadSample {
+  size_t lines = 0;
+  size_t bytes = 0;
+  double ns = 0;
+  double allocs = 0;
+};
+
+TextLoadSample MeasureTextLoad(const std::string& text) {
+  GRAPHITE_CHECK(ReadTextGraph(text).ok());  // warmup
+  constexpr int kReps = 3;
+  const uint64_t a0 = benchalloc::AllocCount();
+  const int64_t t0 = NowNanos();
+  for (int i = 0; i < kReps; ++i) GRAPHITE_CHECK(ReadTextGraph(text).ok());
+  TextLoadSample s;
+  s.lines = static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+  s.bytes = text.size();
   s.ns = static_cast<double>(NowNanos() - t0) / kReps;
   s.allocs = static_cast<double>(benchalloc::AllocCount() - a0) / kReps;
   return s;
@@ -256,6 +282,21 @@ int main(int argc, char** argv) {
                 p.edges, p.ns / 1e3, p.allocs);
   }
 
+  // ---- Text load: what a server's `--preload NAME=@FILE` runs per graph.
+  const TextLoadSample text_load = MeasureTextLoad(
+      WriteTextGraph(Generate(DatasetByName("twitter", scale).options)));
+  const double load_ns_per_line =
+      text_load.ns / static_cast<double>(text_load.lines);
+  const double load_mb_per_s =
+      1e3 * static_cast<double>(text_load.bytes) / text_load.ns;
+  const double load_allocs_per_kline =
+      1e3 * text_load.allocs / static_cast<double>(text_load.lines);
+  std::printf("  text load (twitter, %zu lines, %.1f MB): %.1f ms, %.0f "
+              "ns/line, %.0f MB/s, %.0f allocs/kline\n",
+              text_load.lines, static_cast<double>(text_load.bytes) / 1e6,
+              text_load.ns / 1e6, load_ns_per_line, load_mb_per_s,
+              load_allocs_per_kline);
+
   std::printf(
       "Serving bench (scale %.2f, %d cores): miss %.1f us, hit %.2f us "
       "(%.0fx, %.1f allocs/hit), mixed %zu reqs in %.1f ms (%.0f req/s, "
@@ -291,6 +332,15 @@ int main(int argc, char** argv) {
     json.EndObject();
   }
   json.EndArray();
+  json.Key("text_load").BeginObject();
+  json.Key("dataset").String("twitter");
+  json.Key("lines").Int(static_cast<int64_t>(text_load.lines));
+  json.Key("bytes").Int(static_cast<int64_t>(text_load.bytes));
+  json.Key("ns").Fixed(text_load.ns, 1);
+  json.Key("ns_per_line").Fixed(load_ns_per_line, 1);
+  json.Key("mb_per_s").Fixed(load_mb_per_s, 1);
+  json.Key("allocs").Fixed(text_load.allocs, 1);
+  json.EndObject();
   json.Key("gated").BeginObject();
   // The serving acceptance: repeated requests answered from cache at
   // least an order of magnitude faster than the cold run. Encoded as a
@@ -302,6 +352,8 @@ int main(int argc, char** argv) {
   GateEntry(&json, "server_prefilter_allocs", prefilter[1].allocs, "lower",
             /*timing=*/false);
   GateEntry(&json, "server_prefilter_alloc_growth", prefilter_alloc_growth,
+            "lower", /*timing=*/false);
+  GateEntry(&json, "server_text_load_allocs_per_kline", load_allocs_per_kline,
             "lower", /*timing=*/false);
   GateEntry(&json, "server_hit_ns", hit_ns, "lower", /*timing=*/true);
   GateEntry(&json, "server_miss_ns", miss_ns, "lower", /*timing=*/true);

@@ -18,16 +18,16 @@ void TemporalGraphBuilder::AddEdge(EdgeId eid, VertexId src, VertexId dst,
 }
 
 void TemporalGraphBuilder::SetVertexProperty(VertexId vid,
-                                             const std::string& label,
+                                             std::string_view label,
                                              const Interval& interval,
                                              PropValue value) {
-  vertex_props_.push_back({vid, label, interval, value});
+  vertex_props_.push_back({vid, std::string(label), interval, value});
 }
 
-void TemporalGraphBuilder::SetEdgeProperty(EdgeId eid, const std::string& label,
+void TemporalGraphBuilder::SetEdgeProperty(EdgeId eid, std::string_view label,
                                            const Interval& interval,
                                            PropValue value) {
-  edge_props_.push_back({eid, label, interval, value});
+  edge_props_.push_back({eid, std::string(label), interval, value});
 }
 
 Result<TemporalGraph> TemporalGraphBuilder::Build(
@@ -137,9 +137,10 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
   // properties are checked and flattened before edge properties, each run
   // in input order up to the first failure, so the error reported is the
   // one a run-by-run scan meets first. ---
-  auto intern = [&g](const std::string& name) -> LabelId {
+  auto intern = [&g](const std::string& name) -> std::optional<LabelId> {
     auto it = g.label_to_id_.find(name);
     if (it != g.label_to_id_.end()) return it->second;
+    if (!IsValidLabel(name)) return std::nullopt;
     LabelId id = static_cast<LabelId>(g.labels_.size());
     g.labels_.push_back(name);
     g.label_to_id_.emplace(name, id);
@@ -169,9 +170,13 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
             std::string("Constraint 3: ") + kind + " property '" + p.label +
             "' interval " + p.interval.ToString() +
             " not contained in entity lifespan " + span.ToString());
+      } else if (const std::optional<LabelId> label = intern(p.label);
+                 !label) {
+        bad = Status::InvalidArgument(std::string(kind) + " property label '" +
+                                      p.label +
+                                      "' is empty or contains whitespace");
       } else {
-        staged.push_back(
-            {*entity, i, 0, intern(p.label), p.interval, p.value});
+        staged.push_back({*entity, i, 0, *label, p.interval, p.value});
       }
     }
     const uint32_t overlap =

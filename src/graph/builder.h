@@ -5,6 +5,7 @@
 #define GRAPHITE_GRAPH_BUILDER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/temporal_graph.h"
@@ -31,15 +32,16 @@ class TemporalGraphBuilder {
                const Interval& interval);
 
   /// Assigns vertex property `label` = `value` over `interval`.
-  void SetVertexProperty(VertexId vid, const std::string& label,
+  void SetVertexProperty(VertexId vid, std::string_view label,
                          const Interval& interval, PropValue value);
 
   /// Assigns edge property `label` = `value` over `interval`.
-  void SetEdgeProperty(EdgeId eid, const std::string& label,
+  void SetEdgeProperty(EdgeId eid, std::string_view label,
                        const Interval& interval, PropValue value);
 
   /// Validates and freezes. The builder is consumed (moved-from) on
-  /// success. Returns ConstraintViolation / InvalidArgument on bad input.
+  /// success. Returns ConstraintViolation / InvalidArgument on bad input,
+  /// including a property label that fails IsValidLabel.
   Result<TemporalGraph> Build(const BuilderOptions& options = {});
 
   size_t num_vertices() const { return vertices_.size(); }

@@ -372,8 +372,9 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
   // before it. Runs are staged under the label ids interning them in
   // batch order will assign, without interning yet.
   std::unordered_map<std::string_view, LabelId> new_labels;
-  auto label_id = [&](const std::string& name) {
+  auto label_id = [&](const std::string& name) -> std::optional<LabelId> {
     if (const auto id = LabelIdOf(name)) return *id;
+    if (!IsValidLabel(name)) return std::nullopt;
     const auto next = static_cast<LabelId>(labels_.size() + new_labels.size());
     return new_labels.emplace(name, next).first->second;
   };
@@ -397,9 +398,12 @@ Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
           "Constraint 3: append edge property '" + p.label + "' interval " +
           p.interval.ToString() + " not contained in edge lifespan " +
           span.ToString());
+    } else if (const std::optional<LabelId> label = label_id(p.label);
+               !label) {
+      bad_prop = Status::InvalidArgument("append: property label '" + p.label +
+                                         "' is empty or contains whitespace");
     } else {
-      staged.push_back(
-          {*edge, i, 0, label_id(p.label), p.interval, p.value});
+      staged.push_back({*edge, i, 0, *label, p.interval, p.value});
     }
   }
   if (const uint32_t overlap = OrderStagedRuns(&staged, ne);

@@ -29,6 +29,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -59,6 +60,19 @@ inline constexpr VertexIdx kInvalidVertex = static_cast<VertexIdx>(-1);
 /// disjoint, viewed in place in the graph's property arrays.
 using PropRuns = IntervalRuns<PropValue>;
 using PropRun = PropRuns::Entry;
+
+/// The C locale's whitespace (space, \t, \n, \v, \f, \r): what
+/// separates fields in the text format (io/text_format.h).
+inline bool IsFieldSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Whether `name` can label a property: non-empty and free of field
+/// whitespace, so every graph writes a text file its reader accepts.
+/// TemporalGraphBuilder::Build and TemporalGraph::Append reject others.
+inline bool IsValidLabel(std::string_view name) {
+  return !name.empty() && std::none_of(name.begin(), name.end(), IsFieldSpace);
+}
 
 /// One label of one entity in a flat property store: its runs end at run
 /// index `end` and begin at the previous group's `end` (0 for the first).

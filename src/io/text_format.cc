@@ -2,9 +2,9 @@
 
 #include <sys/stat.h>
 
-#include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "graph/builder.h"
@@ -19,7 +19,16 @@ std::string TpToString(TimePoint t) {
   return std::to_string(t);
 }
 
-bool ParseTp(const std::string& tok, TimePoint* out) {
+// The whole token, as a base-10 int64 with an optional sign.
+bool ParseInt(std::string_view tok, int64_t* out) {
+  const char* first = tok.data();
+  const char* const last = first + tok.size();
+  if (tok.size() > 1 && tok[0] == '+' && tok[1] != '-') ++first;
+  const auto [end, ec] = std::from_chars(first, last, *out);
+  return ec == std::errc() && end == last;
+}
+
+bool ParseTp(std::string_view tok, TimePoint* out) {
   if (tok == "inf" || tok == "+inf") {
     *out = kTimeMax;
     return true;
@@ -28,12 +37,7 @@ bool ParseTp(const std::string& tok, TimePoint* out) {
     *out = kTimeMin;
     return true;
   }
-  // The whole token, as a base-10 integer with an optional sign.
-  const char* first = tok.data();
-  const char* const last = first + tok.size();
-  if (tok.size() > 1 && tok[0] == '+' && tok[1] != '-') ++first;
-  const auto [end, ec] = std::from_chars(first, last, *out);
-  return ec == std::errc() && end == last;
+  return ParseInt(tok, out);
 }
 
 }  // namespace
@@ -74,39 +78,50 @@ std::string WriteTextGraph(const TemporalGraph& g) {
   return out.str();
 }
 
-Result<TemporalGraph> ReadTextGraph(const std::string& text) {
+Result<TemporalGraph> ReadTextGraph(std::string_view text) {
   TemporalGraphBuilder builder;
   BuilderOptions options;
-  std::istringstream in(text);
-  std::string line;
   int lineno = 0;
-  auto error = [&lineno](const std::string& msg) {
+  auto error = [&lineno](std::string_view msg) {
     return Status::InvalidArgument("line " + std::to_string(lineno) + ": " +
-                                   msg);
+                                   std::string(msg));
   };
-  while (std::getline(in, line)) {
+  // One pass over the buffer: each line is split into views of its
+  // fields in place, one more than the longest record takes, so a
+  // record with a field too many shows as kMaxFields tokens.
+  constexpr size_t kMaxFields = 7;
+  std::string_view tok[kMaxFields];
+  const char* p = text.data();
+  const char* const text_end = p + text.size();
+  while (p != text_end) {
+    const char* const nl = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<size_t>(text_end - p)));
+    const char* const eol = nl != nullptr ? nl : text_end;
     ++lineno;
-    std::istringstream ls(line);
-    std::string kind;
-    if (!(ls >> kind) || kind[0] == '#') continue;
-    // Every field must parse whole, and a record must end after its last.
-    auto read_int = [&ls](int64_t* v) {
-      return ls >> *v && (ls.eof() || std::isspace(ls.peek()));
+    size_t n = 0;
+    while (n < kMaxFields) {
+      while (p != eol && IsFieldSpace(*p)) ++p;
+      if (p == eol) break;
+      const char* const first = p;
+      while (p != eol && !IsFieldSpace(*p)) ++p;
+      tok[n++] = std::string_view(first, static_cast<size_t>(p - first));
+    }
+    p = nl != nullptr ? nl + 1 : text_end;
+    if (n == 0 || tok[0][0] == '#') continue;
+    const std::string_view kind = tok[0];
+    auto interval = [&tok](size_t i, Interval* iv) {
+      return ParseTp(tok[i], &iv->start) && ParseTp(tok[i + 1], &iv->end) &&
+             iv->IsValid();
     };
-    auto read_interval = [&ls](Interval* iv) {
-      std::string a, b;
-      return ls >> a >> b && ParseTp(a, &iv->start) &&
-             ParseTp(b, &iv->end) && iv->IsValid();
-    };
-    auto at_end = [&ls] { return (ls >> std::ws).eof(); };
     if (kind == "H") {
-      if (!read_int(&options.horizon) || options.horizon <= 0 || !at_end()) {
+      if (n != 2 || !ParseInt(tok[1], &options.horizon) ||
+          options.horizon <= 0) {
         return error("bad horizon");
       }
     } else if (kind == "V") {
       VertexId vid;
       Interval iv;
-      if (!read_int(&vid) || !read_interval(&iv) || !at_end()) {
+      if (n != 4 || !ParseInt(tok[1], &vid) || !interval(2, &iv)) {
         return error("bad V record");
       }
       builder.AddVertex(vid, iv);
@@ -114,27 +129,26 @@ Result<TemporalGraph> ReadTextGraph(const std::string& text) {
       EdgeId eid;
       VertexId src, dst;
       Interval iv;
-      if (!read_int(&eid) || !read_int(&src) || !read_int(&dst) ||
-          !read_interval(&iv) || !at_end()) {
+      if (n != 6 || !ParseInt(tok[1], &eid) || !ParseInt(tok[2], &src) ||
+          !ParseInt(tok[3], &dst) || !interval(4, &iv)) {
         return error("bad E record");
       }
       builder.AddEdge(eid, src, dst, iv);
     } else if (kind == "VP" || kind == "EP") {
       int64_t id;
-      std::string label;
       Interval iv;
       PropValue value;
-      if (!read_int(&id) || !(ls >> label) || !read_interval(&iv) ||
-          !read_int(&value) || !at_end()) {
-        return error("bad " + kind + " record");
+      if (n != 6 || !ParseInt(tok[1], &id) || !interval(3, &iv) ||
+          !ParseInt(tok[5], &value)) {
+        return error(kind == "VP" ? "bad VP record" : "bad EP record");
       }
       if (kind == "VP") {
-        builder.SetVertexProperty(id, label, iv, value);
+        builder.SetVertexProperty(id, tok[2], iv, value);
       } else {
-        builder.SetEdgeProperty(id, label, iv, value);
+        builder.SetEdgeProperty(id, tok[2], iv, value);
       }
     } else {
-      return error("unknown record kind '" + kind + "'");
+      return error("unknown record kind '" + std::string(kind) + "'");
     }
   }
   return builder.Build(options);
@@ -159,10 +173,16 @@ Result<TemporalGraph> ReadTextGraphFile(const std::string& path) {
     std::fclose(f);
     return Status::IoError("not a regular file: " + path);
   }
-  std::string text;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  // Read into a buffer sized from the fstat, one byte over so that a
+  // file still at that size ends in a short read; a file that grew since
+  // is read on to EOF.
+  std::string text(static_cast<size_t>(st.st_size) + 1, '\0');
+  size_t len = 0;
+  while ((len += std::fread(text.data() + len, 1, text.size() - len, f)) ==
+         text.size()) {
+    text.resize(2 * text.size());
+  }
+  text.resize(len);
   const bool failed = std::ferror(f) != 0;
   std::fclose(f);
   if (failed) return Status::IoError("read failed: " + path);

@@ -8,13 +8,17 @@
 //   VP <vid> <label> <start> <end> <value>
 //   EP <eid> <label> <start> <end> <value>
 //
-// Time-points accept "inf" / "+inf" / "-inf". Labels must not contain
-// whitespace. Fields are separated by spaces or tabs; every number must
-// parse whole, and a record with a field too many is rejected.
+// Time-points accept "inf" / "+inf" / "-inf"; other numbers are base-10
+// int64s with an optional sign. Labels are non-empty and contain no
+// whitespace (IsValidLabel). Fields are separated by runs of C-locale
+// whitespace (IsFieldSpace), so CRLF files read as LF ones; every number
+// must parse whole, and a record with a field too many or too few is
+// rejected with its line number.
 #ifndef GRAPHITE_IO_TEXT_FORMAT_H_
 #define GRAPHITE_IO_TEXT_FORMAT_H_
 
 #include <string>
+#include <string_view>
 
 #include "graph/temporal_graph.h"
 #include "util/status.h"
@@ -24,8 +28,9 @@ namespace graphite {
 /// Serializes a graph to the text format.
 std::string WriteTextGraph(const TemporalGraph& g);
 
-/// Parses the text format (validates Constraints 1-3 via the builder).
-Result<TemporalGraph> ReadTextGraph(const std::string& text);
+/// Parses the text format (validates Constraints 1-3 via the builder) in
+/// one pass, tokenizing each line in place.
+Result<TemporalGraph> ReadTextGraph(std::string_view text);
 
 /// Convenience file wrappers.
 Status WriteTextGraphFile(const TemporalGraph& g, const std::string& path);

@@ -148,6 +148,37 @@ TEST(BuilderTest, InvalidIntervalRejected) {
   EXPECT_FALSE(b.Build().ok());
 }
 
+// A label the text format cannot carry (empty, or holding whitespace)
+// is rejected, so every graph that builds also re-reads from its text.
+TEST(BuilderTest, RejectsLabelsTheTextFormatCannotCarry) {
+  for (const std::string label : {"", "a b", "a\tb", "ab\r", "\na"}) {
+    SCOPED_TRACE(label);
+    TemporalGraphBuilder vertex;
+    vertex.AddVertex(1, Interval(0, 9));
+    vertex.SetVertexProperty(1, label, Interval(0, 3), 1);
+    auto g = vertex.Build();
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+    TemporalGraphBuilder edge;
+    edge.AddVertex(1, Interval(0, 9));
+    edge.AddVertex(2, Interval(0, 9));
+    edge.AddEdge(5, 1, 2, Interval(0, 9));
+    edge.SetEdgeProperty(5, "ok", Interval(0, 3), 1);
+    edge.SetEdgeProperty(5, label, Interval(0, 3), 1);
+    BuilderOptions unchecked;
+    unchecked.validate = false;
+    g = edge.Build(unchecked);
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(IsValidLabel(""));
+  EXPECT_FALSE(IsValidLabel("a\vb"));
+  EXPECT_FALSE(IsValidLabel("a\fb"));
+  EXPECT_TRUE(IsValidLabel(kTravelTimeLabel));
+  EXPECT_TRUE(IsValidLabel(kTravelCostLabel));
+  EXPECT_TRUE(IsValidLabel("#w"));
+}
+
 TEST(BuilderTest, HorizonDerivedFromEntities) {
   TemporalGraphBuilder b;
   b.AddVertex(1, Interval(0, 7));

@@ -326,6 +326,37 @@ TEST(ServerAppendTest, AppendErrorsAreResponsesNotCrashes) {
   EXPECT_EQ(entry->workload.graph().head(), (GraphHead{0, 0}));
 }
 
+// An append whose property label the text format cannot carry is
+// rejected before anything applies: the graph keeps its head and its
+// text still re-reads.
+TEST(ServerAppendTest, AppendRejectsLabelsTheTextFormatCannotCarry) {
+  ServerOptions options;
+  Server server(options);
+  server.registry().Add("t", testutil::MakeTransitGraph());
+  std::string response;
+  auto respond = [&](std::string line) { response = std::move(line); };
+  for (const char* label : {"a b", "", "a\\tb"}) {
+    SCOPED_TRACE(label);
+    server.HandleLine(
+        std::string("{\"op\":\"append\",\"graph\":\"t\","
+                    "\"vertices\":[[6,0,-1]],\"edges\":[[50,0,6,2,5]],"
+                    "\"props\":[[50,\"travel-time\",2,5,1],[50,\"") +
+            label + "\",2,5,2]]}",
+        respond);
+    EXPECT_NE(response.find("\"ok\": false"), std::string::npos) << response;
+    EXPECT_NE(response.find("empty or contains whitespace"), std::string::npos)
+        << response;
+    auto entry = server.registry().Get("t");
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->epoch, 1u);
+    EXPECT_EQ(entry->workload.graph().head(), (GraphHead{0, 0}));
+    EXPECT_EQ(entry->workload.graph().num_vertices(), 6u);
+  }
+  // Catalog labels still append.
+  server.HandleLine(kWireAppendLine, respond);
+  EXPECT_NE(response.find("\"ok\": true"), std::string::npos) << response;
+}
+
 // A `load` of a path that is not a readable text graph (here a
 // directory, which fopen opens but cannot read) fails and registers
 // nothing, rather than publishing an empty graph.
