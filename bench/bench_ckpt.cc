@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
     IcmOptions options;
     options.num_workers = workers;
     options.use_threads = true;
-    options.runtime.scheduling = Scheduling::kStealing;
     options.runtime.num_threads = threads;
 
     Sample samples[std::size(kPolicies)];

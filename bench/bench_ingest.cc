@@ -298,7 +298,6 @@ int main(int argc, char** argv) {
   IcmOptions timed_options;
   timed_options.num_workers = 8;
   timed_options.use_threads = true;
-  timed_options.runtime.scheduling = Scheduling::kStealing;
   timed_options.runtime.num_threads = threads;
   RecomputeSample timed;
   for (int rep = 0; rep < 3; ++rep) {

@@ -1,8 +1,8 @@
-// Runtime-scheduling benchmark: sequential vs per-superstep thread spawn
-// (the pre-pool baseline) vs persistent pool vs chunked work stealing, on
-// the Table-1 dataset generators plus a deliberately skewed power-law
-// partition (range partition puts the preferential-attachment hubs on
-// worker 0, the worst case static assignment that stealing exists to fix).
+// Runtime-scheduling benchmark: sequential vs the persistent pool with
+// chunked work stealing, on the Table-1 dataset generators plus a
+// deliberately skewed power-law partition (range partition puts the
+// preferential-attachment hubs on worker 0, the worst case static
+// assignment that stealing exists to fix).
 //
 // Prints a table to stdout and writes machine-readable results to
 // BENCH_runtime.json (override with argv[2]). All modes are exact-result
@@ -24,14 +24,11 @@ namespace {
 struct Mode {
   const char* name;
   bool use_threads;
-  Scheduling scheduling;
 };
 
 const Mode kModes[] = {
-    {"sequential", false, Scheduling::kStealing},
-    {"spawn", true, Scheduling::kSpawn},
-    {"pool", true, Scheduling::kPool},
-    {"stealing", true, Scheduling::kStealing},
+    {"sequential", false},
+    {"stealing", true},
 };
 
 struct Sample {
@@ -87,13 +84,16 @@ int main(int argc, char** argv) {
   json.Key("note").String(
       "measured on a " + std::to_string(threads) +
       "-core host with " + SimdLevelName(SimdDispatchLevel()) +
-      " warp dispatch; threaded modes need >1 core to beat sequential and "
-      "speedup keys are emitted only when hardware_concurrency >= 4");
+      " warp dispatch, best of 3; the two scheduling modes are sequential "
+      "and work stealing (the per-superstep spawn and static pool modes "
+      "were removed after stealing beat both on every input); stealing "
+      "needs >1 core to beat sequential, the small graphs (GPlus, Reddit, "
+      "USRN) vary up to ~2x run to run on a shared host, and speedup keys "
+      "are emitted only when hardware_concurrency >= 4");
 
   // --- Part 1: Table-1 generators, PR (always-active, compute-heavy). ---
   TextTable table;
-  table.AddRow({"Graph", "seq-ms", "spawn-ms", "pool-ms", "steal-ms",
-                "steals", "steal/spawn"});
+  table.AddRow({"Graph", "seq-ms", "steal-ms", "steals", "seq/steal"});
   json.Key("table1_pr").BeginArray();
   std::vector<bench::BenchDataset> datasets = bench::LoadCatalog(scale);
   for (size_t d = 0; d < datasets.size(); ++d) {
@@ -104,7 +104,6 @@ int main(int argc, char** argv) {
     Sample samples[std::size(kModes)];
     for (size_t i = 0; i < std::size(kModes); ++i) {
       config.use_threads = kModes[i].use_threads;
-      config.runtime.scheduling = kModes[i].scheduling;
       config.runtime.num_threads = threads;
       samples[i] = Measure([&] {
         return RunForMetrics(ds.workload, Platform::kIcm, Algorithm::kPr,
@@ -113,11 +112,9 @@ int main(int argc, char** argv) {
     }
     table.AddRow({ds.name, FormatDouble(samples[0].wall_ms, 1),
                   FormatDouble(samples[1].wall_ms, 1),
-                  FormatDouble(samples[2].wall_ms, 1),
-                  FormatDouble(samples[3].wall_ms, 1),
-                  std::to_string(samples[3].steals),
-                  FormatDouble(samples[1].wall_ms /
-                                   std::max(1e-9, samples[3].wall_ms),
+                  std::to_string(samples[1].steals),
+                  FormatDouble(samples[0].wall_ms /
+                                   std::max(1e-9, samples[1].wall_ms),
                                2)});
     json.BeginObject();
     json.Key("graph").String(ds.name);
@@ -153,9 +150,8 @@ int main(int argc, char** argv) {
     IcmOptions options;
     options.num_workers = workers;
     options.use_threads = kModes[i].use_threads;
-    options.runtime.scheduling = kModes[i].scheduling;
     options.runtime.num_threads = threads;
-    options.custom_partition = &partition;
+    options.placement = Placement::Explicit(&partition);
     samples[i] = Measure([&] {
       IcmPageRank program(g);
       return IcmEngine<IcmPageRank>::Run(g, program, PageRankOptions(options))
@@ -177,14 +173,11 @@ int main(int argc, char** argv) {
   // 1–3 core host every threaded mode is sequential plus overhead, so the
   // keys are omitted rather than recorded as vacuous sub-1.0 ratios.
   if (threads >= 4) {
-    const double vs_spawn =
-        samples[1].wall_ms / std::max(1e-9, samples[3].wall_ms);
     const double vs_sequential =
-        samples[0].wall_ms / std::max(1e-9, samples[3].wall_ms);
-    std::printf("Stealing vs per-superstep spawn: %.2fx; vs sequential: "
-                "%.2fx (target: beats sequential on >=4 cores)\n",
-                vs_spawn, vs_sequential);
-    json.Key("speedup_stealing_vs_spawn").Fixed(vs_spawn, 2);
+        samples[0].wall_ms / std::max(1e-9, samples[1].wall_ms);
+    std::printf("Stealing vs sequential: %.2fx (target: beats sequential "
+                "on >=4 cores)\n",
+                vs_sequential);
     json.Key("speedup_stealing_vs_sequential").Fixed(vs_sequential, 2);
   } else {
     std::printf("Speedup ratios omitted: only %d hardware core(s)\n",
@@ -207,7 +200,6 @@ int main(int argc, char** argv) {
     IcmOptions options;
     options.num_workers = workers;
     options.use_threads = true;
-    options.runtime.scheduling = Scheduling::kStealing;
     options.runtime.num_threads = threads;
     options.runtime.transport = kTransports[i];
     transport_ms[i] = Measure([&] {

@@ -41,6 +41,13 @@ void StoreMetrics(RunMetrics* sink, RunMetrics metrics) {
   if (sink != nullptr) *sink = std::move(metrics);
 }
 
+// A baseline's per-(vertex, time) result, its metrics stored into *sink.
+template <typename V>
+TemporalResult<V> Take(BaselineOutcome<V> outcome, RunMetrics* sink) {
+  StoreMetrics(sink, std::move(outcome.metrics));
+  return std::move(outcome.result);
+}
+
 }  // namespace
 
 const char* AlgorithmName(Algorithm a) {
@@ -139,16 +146,11 @@ TemporalResult<int64_t> RunBfsOn(Workload& w, Platform p,
       for (auto& m : r.states) m.Coalesce();
       return std::move(r.states);
     }
-    case Platform::kMsb: {
-      auto r = RunMsbBfs(w.graph(), config.source, config.ToVcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      return std::move(r.result);
-    }
-    case Platform::kChl: {
-      auto r = RunChlonosBfs(w.graph(), config.source, config.ToChlonos());
-      StoreMetrics(metrics, std::move(r.metrics));
-      return std::move(r.result);
-    }
+    case Platform::kMsb:
+      return Take(RunMsbBfs(w.graph(), config.source, config.ToVcm()), metrics);
+    case Platform::kChl:
+      return Take(
+          RunChlonosBfs(w.graph(), config.source, config.ToChlonos()), metrics);
     default:
       GRAPHITE_CHECK(false);
       return {};
@@ -165,16 +167,10 @@ TemporalResult<int64_t> RunWccOn(Workload& w, Platform p,
       for (auto& m : r.states) m.Coalesce();
       return std::move(r.states);
     }
-    case Platform::kMsb: {
-      auto r = RunMsbWcc(w.undirected(), config.ToVcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      return std::move(r.result);
-    }
-    case Platform::kChl: {
-      auto r = RunChlonosWcc(w.undirected(), config.ToChlonos());
-      StoreMetrics(metrics, std::move(r.metrics));
-      return std::move(r.result);
-    }
+    case Platform::kMsb:
+      return Take(RunMsbWcc(w.undirected(), config.ToVcm()), metrics);
+    case Platform::kChl:
+      return Take(RunChlonosWcc(w.undirected(), config.ToChlonos()), metrics);
     default:
       GRAPHITE_CHECK(false);
       return {};
@@ -189,16 +185,11 @@ TemporalResult<int64_t> RunSccOn(Workload& w, Platform p,
       StoreMetrics(metrics, std::move(r.metrics));
       return std::move(r.components);
     }
-    case Platform::kMsb: {
-      auto r = RunMsbScc(w.graph(), w.reversed(), config.ToVcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      return std::move(r.result);
-    }
-    case Platform::kChl: {
-      auto r = RunChlonosScc(w.graph(), w.reversed(), config.ToChlonos());
-      StoreMetrics(metrics, std::move(r.metrics));
-      return std::move(r.result);
-    }
+    case Platform::kMsb:
+      return Take(RunMsbScc(w.graph(), w.reversed(), config.ToVcm()), metrics);
+    case Platform::kChl:
+      return Take(
+          RunChlonosScc(w.graph(), w.reversed(), config.ToChlonos()), metrics);
     default:
       GRAPHITE_CHECK(false);
       return {};
@@ -224,16 +215,10 @@ TemporalResult<double> RunPrOn(Workload& w, Platform p,
       }
       return out;
     }
-    case Platform::kMsb: {
-      auto r = RunMsbPageRank(w.graph(), config.ToVcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      return std::move(r.result);
-    }
-    case Platform::kChl: {
-      auto r = RunChlonosPageRank(w.graph(), config.ToChlonos());
-      StoreMetrics(metrics, std::move(r.metrics));
-      return std::move(r.result);
-    }
+    case Platform::kMsb:
+      return Take(RunMsbPageRank(w.graph(), config.ToVcm()), metrics);
+    case Platform::kChl:
+      return Take(RunChlonosPageRank(w.graph(), config.ToChlonos()), metrics);
     default:
       GRAPHITE_CHECK(false);
       return {};

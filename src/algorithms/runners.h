@@ -45,11 +45,7 @@ inline constexpr Algorithm kAllAlgorithms[] = {
     Algorithm::kTmst, Algorithm::kRh,  Algorithm::kLcc,  Algorithm::kTc};
 
 /// Execution knobs shared across platforms.
-struct RunConfig {
-  int num_workers = 4;
-  bool use_threads = false;
-  /// OS-thread scheduling for all platforms (engine/parallel.h).
-  RuntimeOptions runtime;
+struct RunConfig : EngineOptions {
   VertexId source = 0;
   /// LD deadline; -1 = graph horizon.
   TimePoint deadline = -1;
@@ -61,35 +57,26 @@ struct RunConfig {
   double icm_suppression_threshold = 0.7;
 
   IcmOptions ToIcm() const {
-    IcmOptions o;
-    o.num_workers = num_workers;
-    o.use_threads = use_threads;
-    o.runtime = runtime;
+    IcmOptions o = With<IcmOptions>();
     o.enable_combiner = icm_combiner;
     o.enable_suppression = icm_suppression;
     o.suppression_threshold = icm_suppression_threshold;
     return o;
   }
-  VcmOptions ToVcm() const {
-    VcmOptions o;
-    o.num_workers = num_workers;
-    o.use_threads = use_threads;
-    o.runtime = runtime;
-    return o;
-  }
+  VcmOptions ToVcm() const { return With<VcmOptions>(); }
   ChlonosOptions ToChlonos() const {
-    ChlonosOptions o;
-    o.num_workers = num_workers;
-    o.use_threads = use_threads;
-    o.runtime = runtime;
+    ChlonosOptions o = With<ChlonosOptions>();
     o.batch_size = chlonos_batch_size;
     return o;
   }
-  GoffishOptions ToGoffish() const {
-    GoffishOptions o;
-    o.num_workers = num_workers;
-    o.use_threads = use_threads;
-    o.runtime = runtime;
+  GoffishOptions ToGoffish() const { return With<GoffishOptions>(); }
+
+ private:
+  // An engine's options with the shared EngineOptions fields copied in.
+  template <typename Options>
+  Options With() const {
+    Options o;
+    static_cast<EngineOptions&>(o) = *this;
     return o;
   }
 };

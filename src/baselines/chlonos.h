@@ -13,25 +13,18 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "algorithms/common.h"
 #include "algorithms/vcm_ti_kernels.h"
 #include "baselines/msb.h"
-#include "engine/delivery.h"
-#include "graph/partitioner.h"
+#include "engine/superstep_driver.h"
 #include "icm/message.h"
 
 namespace graphite {
 
-struct ChlonosOptions {
-  int num_workers = 4;
-  bool use_threads = false;
-  /// OS-thread scheduling when use_threads is set (engine/parallel.h).
-  RuntimeOptions runtime;
+struct ChlonosOptions : EngineOptions {
   /// Snapshots per in-memory batch (the paper sizes this by what fits in
   /// distributed memory; e.g. 6 snapshots per batch for Twitter).
   int batch_size = 8;
@@ -84,159 +77,50 @@ BaselineOutcome<typename Program::Value> RunChlonos(
   using Pending = typename ChlonosContext<Message>::Pending;
 
   const size_t n = g.num_vertices();
-  const int num_workers = options.num_workers;
-  // Vertex-level placement, built once; each batch's delivery plane routes
-  // by this map while its inbox universe is the batch-expanded
-  // (snapshot, vertex) units.
-  const WorkerMap vmap(n, num_workers, options.placement,
+  // Vertex-level placement, built once; each batch's driver routes by this
+  // map while its inbox universe is the batch-expanded (snapshot, vertex)
+  // units.
+  const WorkerMap vmap(n, options.num_workers, options.placement,
                        [&g](uint32_t v) { return g.vertex_id(v); });
-  const std::unique_ptr<Transport> transport =
-      MakeTransport(options.runtime.transport, num_workers);
 
-  BaselineOutcome<Value> out;
-  out.result.resize(n);
-  const int64_t run_start = NowNanos();
+  struct Operator {
+    SuperstepDriver<Message>& driver;
+    std::vector<SnapshotAdapter>& adapters;
+    std::vector<Program>& programs;
+    std::vector<Value>& values;
+    TimePoint b0;
+    size_t n;
+    std::vector<std::vector<Pending>> outbox{};  // Per chunk.
+    std::vector<Pending> pending{};
 
-  const TimePoint window_end =
-      options.window_end < 0 ? g.horizon() : options.window_end;
-  for (TimePoint b0 = options.window_begin; b0 < window_end;
-       b0 += options.batch_size) {
-    const TimePoint b1 = std::min<TimePoint>(b0 + options.batch_size,
-                                             window_end);
-    const int B = static_cast<int>(b1 - b0);
-
-    // Vectorized batch layout: unit index = local_t * n + v.
-    std::vector<SnapshotAdapter> adapters;
-    adapters.reserve(B);
-    for (int k = 0; k < B; ++k) {
-      adapters.emplace_back(SnapshotView(&g, b0 + k));
-    }
-    std::vector<Program> programs;
-    programs.reserve(B);
-    for (int k = 0; k < B; ++k) programs.push_back(make_program(adapters[k]));
-
-    auto unit = [n](int k, VertexIdx v) { return k * n + v; };
-    std::vector<Value> values(static_cast<size_t>(B) * n);
-    // Delivery plane over the batch-expanded unit universe (unit k*n+v
-    // lives wherever vertex v does). Unit indexes must fit the plane's
-    // 32-bit unit type.
-    GRAPHITE_CHECK(static_cast<size_t>(B) * n <=
-                   std::numeric_limits<uint32_t>::max());
-    DeliveryPlane<Message> plane(vmap, static_cast<size_t>(B) * n);
-    plane.set_frontier_density(options.runtime.frontier_density);
-    for (int k = 0; k < B; ++k) {
-      for (VertexIdx v = 0; v < n; ++v) {
-        if (adapters[k].UnitExists(v)) {
-          values[unit(k, v)] = programs[k].Init(v);
-        }
-      }
+    // Unit idx = local snapshot k * n + vertex: the driver visits each
+    // batched snapshot's copy of the chunk in turn.
+    void Visit(const ChunkCursor<ChunkTally>& at, uint32_t idx) {
+      const size_t k = idx / n;
+      const VertexIdx v = static_cast<VertexIdx>(idx - k * n);
+      if (!adapters[k].UnitExists(v)) return;
+      ChlonosContext<Message> ctx(at.superstep,
+                                  b0 + static_cast<TimePoint>(k),
+                                  &outbox[at.chunk]);
+      programs[k].Compute(ctx, v, values[idx],
+                          driver.plane().MessagesFor(at.worker, idx));
+      ++at.tally->compute_calls;
     }
 
-    // Persistent pool + fixed chunk table for this batch; per-chunk
-    // outboxes merge in chunk order before the share-grouping sort, which
-    // orders messages by content, so results match sequential mode.
-    SuperstepRuntime rt(num_workers, options.use_threads, options.runtime,
-                        vmap.worker_sizes());
-    plane.Bind(&rt);
-    const int num_chunks = rt.num_chunks();
-    std::vector<std::vector<Pending>> outbox(num_chunks);
-    // Shared interval messages are staged per (src, dst) worker pair: the
-    // merge already folds chunks into one per-source stream, so rows are
-    // per source worker and row_src is the identity.
-    std::vector<std::vector<Writer>> wire(num_workers);
-    for (auto& row : wire) row.resize(num_workers);
-    std::vector<int> row_src(num_workers);
-    for (int w = 0; w < num_workers; ++w) row_src[w] = w;
-    std::vector<int64_t> chunk_calls(num_chunks, 0);
-    std::vector<int64_t> chunk_ns(num_chunks, 0);
-
-    for (int superstep = 0; superstep < options.max_supersteps; ++superstep) {
-      SuperstepMetrics ss;
-      ss.worker_compute_ns.assign(num_workers, 0);
-      ss.worker_in_bytes.assign(num_workers, 0);
-      ss.worker_compute_calls.assign(num_workers, 0);
-      std::fill(chunk_calls.begin(), chunk_calls.end(), int64_t{0});
-
-      ss.steals = rt.ComputePhase(
-          &ss.thread_compute_ns, [&](int c, const WorkChunk& chunk, int) {
-            const int64_t t0 = NowNanos();
-            const std::vector<VertexIdx>& mine =
-                plane.map().units_of(chunk.worker);
-            const bool every_unit =
-                superstep == 0 || options.always_active;
-            const bool dense =
-                every_unit || plane.FrontierIsDense(chunk.worker);
-            for (int k = 0; k < B; ++k) {
-              ChlonosContext<Message> ctx(superstep, b0 + k, &outbox[c]);
-              const auto process = [&](VertexIdx v, uint32_t idx) {
-                programs[k].Compute(ctx, v, values[idx],
-                                    plane.MessagesFor(chunk.worker, idx));
-                ++chunk_calls[c];
-              };
-              if (dense) {
-                for (size_t i = chunk.begin; i < chunk.end; ++i) {
-                  const VertexIdx v = mine[i];
-                  if (!adapters[k].UnitExists(v)) continue;
-                  const uint32_t idx = static_cast<uint32_t>(unit(k, v));
-                  if (!every_unit && !plane.HasMail(idx)) continue;
-                  process(v, idx);
-                }
-              } else {
-                // Frontier path over the batch-expanded unit space: the
-                // sorted mailed-unit list restricted to snapshot k's copy
-                // of this chunk's vertex range. Decode only delivers to
-                // snapshot-live units, but keep the liveness filter for
-                // parity with the dense scan.
-                const uint32_t lo =
-                    static_cast<uint32_t>(unit(k, mine[chunk.begin]));
-                const uint32_t hi = static_cast<uint32_t>(
-                    chunk.end < mine.size() ? unit(k, mine[chunk.end])
-                                            : unit(k + 1, 0));
-                const std::span<const uint32_t> fs =
-                    plane.FrontierSlice(chunk.worker, lo, hi);
-                for (size_t i = 0; i < fs.size(); ++i) {
-                  const uint32_t idx = fs[i];
-                  const VertexIdx v =
-                      static_cast<VertexIdx>(idx - unit(k, 0));
-                  if (!adapters[k].UnitExists(v)) continue;
-                  if (i + 1 < fs.size()) {
-                    plane.Prefetch(chunk.worker, fs[i + 1]);
-                  }
-                  process(v, idx);
-                }
-              }
-            }
-            chunk_ns[c] = NowNanos() - t0;
-          });
-      for (int c = 0; c < num_chunks; ++c) {
-        const int w = rt.chunk(c).worker;
-        ss.worker_compute_ns[w] += chunk_ns[c];
-        ss.worker_compute_calls[w] += chunk_calls[c];
-        ss.compute_calls += chunk_calls[c];
-      }
-
-      const int64_t barrier_t = NowNanos();
-      plane.Barrier();
-      ss.barrier_ns = NowNanos() - barrier_t;
-
-      // Messaging with Chronos-style sharing: a run of identical payloads
-      // to the same sink at consecutive time-points becomes ONE interval
-      // message on the wire.
-      const int64_t msg_t = NowNanos();
-      std::vector<Pending> pending;
-      for (int src_w = 0; src_w < num_workers; ++src_w) {
-        const auto [c0, c1] = rt.ChunkRange(src_w);
-        if (c1 - c0 == 1) {
-          pending = std::move(outbox[c0]);
-          outbox[c0] = {};
-        } else {
-          pending.clear();
-          for (int c = c0; c < c1; ++c) {
-            pending.insert(pending.end(),
-                           std::make_move_iterator(outbox[c].begin()),
-                           std::make_move_iterator(outbox[c].end()));
-            outbox[c].clear();
-          }
+    // Chronos-style sharing: a run of identical payloads to the same sink
+    // at consecutive time-points becomes ONE interval message on the
+    // wire. Each source worker's chunk outboxes merge in chunk order into
+    // the row of its first chunk (rows stay grouped by source worker).
+    void PreRoute(SuperstepMetrics* ss) {
+      for (int src_w = 0; src_w < driver.map().num_workers(); ++src_w) {
+        const auto [c0, c1] = driver.runtime().ChunkRange(src_w);
+        pending.clear();
+        if (c1 - c0 == 1) pending.swap(outbox[c0]);  // Both keep capacity.
+        for (int c = c0; c1 - c0 > 1 && c < c1; ++c) {
+          pending.insert(pending.end(),
+                         std::make_move_iterator(outbox[c].begin()),
+                         std::make_move_iterator(outbox[c].end()));
+          outbox[c].clear();
         }
         if (pending.empty()) continue;
         // Serialize payloads once into a shared arena (offset/length
@@ -289,36 +173,72 @@ BaselineOutcome<typename Program::Value> RunChlonos(
           }
           // One shared wire message covering [head.t, t_end):
           // dst + interval + payload slice (already-serialized bytes).
-          const int dst_w = plane.map().WorkerOf(head.dst);
-          Writer& row = wire[src_w][dst_w];
+          Writer& row = driver.wire(c0)[driver.map().WorkerOf(head.dst)];
           row.WriteU64(head.dst);
           WriteInterval(row, Interval(head.t, t_end));
           row.Append(std::string_view(bytes).substr(slices[order[i]].first,
                                                     slices[order[i]].second));
-          ss.messages += 1;
+          ss->messages += 1;
           i = j;
         }
       }
-      // Carry the shared messages through the transport; the decode side
-      // expands each interval message back into the per-snapshot inboxes.
-      const bool any_message = plane.Route(
-          *transport, std::span<std::vector<Writer>>(wire), row_src, &ss,
-          [&plane, b0, n](Reader& reader, int dst) {
-            const uint32_t dv = static_cast<uint32_t>(reader.ReadU64());
-            const Interval iv = ReadInterval(reader);
-            const Message msg = MessageTraits<Message>::Read(reader);
-            for (TimePoint tt = iv.start; tt < iv.end; ++tt) {
-              const size_t idx = static_cast<size_t>(tt - b0) * n + dv;
-              plane.Deliver(dst, static_cast<uint32_t>(idx), msg);
-            }
-          });
-      ss.messaging_ns = NowNanos() - msg_t;
-      // The mailed lists now hold superstep+1's activation set (sealed by
-      // Route above); record it before the next barrier clears it.
-      plane.CountFrontier(&ss.frontier_units, &ss.frontier_dense_workers);
-      out.metrics.Accumulate(ss);
-      if (!any_message && !options.always_active) break;
     }
+
+    // Expands each interval message back into the per-snapshot inboxes.
+    void Decode(Reader& reader, int dst) {
+      const uint32_t dv = static_cast<uint32_t>(reader.ReadU64());
+      const Interval iv = ReadInterval(reader);
+      const Message msg = MessageTraits<Message>::Read(reader);
+      // Locals: Deliver's stores could alias the members.
+      DeliveryPlane<Message>& plane = driver.plane();
+      const size_t stride = n;
+      size_t idx = static_cast<size_t>(iv.start - b0) * stride + dv;
+      for (TimePoint tt = iv.start; tt < iv.end; ++tt, idx += stride) {
+        plane.Deliver(dst, static_cast<uint32_t>(idx), msg);
+      }
+    }
+  };
+
+  BaselineOutcome<Value> out;
+  out.result.resize(n);
+  const int64_t run_start = NowNanos();
+
+  const TimePoint window_end =
+      options.window_end < 0 ? g.horizon() : options.window_end;
+  for (TimePoint b0 = options.window_begin; b0 < window_end;
+       b0 += options.batch_size) {
+    const TimePoint b1 = std::min<TimePoint>(b0 + options.batch_size,
+                                             window_end);
+    const int B = static_cast<int>(b1 - b0);
+
+    // Vectorized batch layout: unit index = local_t * n + v.
+    std::vector<SnapshotAdapter> adapters;
+    adapters.reserve(B);
+    for (int k = 0; k < B; ++k) {
+      adapters.emplace_back(SnapshotView(&g, b0 + k));
+    }
+    std::vector<Program> programs;
+    programs.reserve(B);
+    for (int k = 0; k < B; ++k) programs.push_back(make_program(adapters[k]));
+
+    auto unit = [n](int k, VertexIdx v) { return k * n + v; };
+    std::vector<Value> values(static_cast<size_t>(B) * n);
+    // Unit indexes must fit the plane's 32-bit unit type.
+    GRAPHITE_CHECK(static_cast<size_t>(B) * n <=
+                   std::numeric_limits<uint32_t>::max());
+    for (int k = 0; k < B; ++k) {
+      for (VertexIdx v = 0; v < n; ++v) {
+        if (adapters[k].UnitExists(v)) {
+          values[unit(k, v)] = programs[k].Init(v);
+        }
+      }
+    }
+
+    SuperstepDriver<Message> driver(options, vmap, static_cast<size_t>(B) * n);
+    Operator op{driver, adapters, programs, values, b0, n};
+    op.outbox.resize(driver.runtime().num_chunks());
+    driver.Run(op, 0, options.max_supersteps, options.always_active,
+               &out.metrics);
 
     for (int k = 0; k < B; ++k) {
       for (VertexIdx v = 0; v < n; ++v) {

@@ -8,29 +8,20 @@
 #ifndef GRAPHITE_BASELINES_GOFFISH_H_
 #define GRAPHITE_BASELINES_GOFFISH_H_
 
-#include <algorithm>
 #include <limits>
-#include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "algorithms/common.h"
 #include "baselines/msb.h"
-#include "engine/delivery.h"
 #include "engine/message_traits.h"
-#include "engine/parallel.h"
-#include "graph/partitioner.h"
+#include "engine/superstep_driver.h"
 #include "graph/snapshot.h"
 #include "util/timer.h"
 
 namespace graphite {
 
-struct GoffishOptions {
-  int num_workers = 4;
-  bool use_threads = false;
-  /// OS-thread scheduling when use_threads is set (engine/parallel.h).
-  RuntimeOptions runtime;
+struct GoffishOptions : EngineOptions {
   /// Process snapshots from horizon-1 down to 0 (LD's reverse traversal).
   bool reverse_time = false;
   /// Vertex->worker placement policy (graph/partitioner.h).
@@ -89,182 +80,116 @@ BaselineOutcome<typename Program::Value> RunGoffish(
 
   const size_t n = g.num_vertices();
   const TimePoint T = g.horizon();
-  const int num_workers = options.num_workers;
+  // One superstep driver (engine/superstep_driver.h) shared by every
+  // snapshot's inner loop.
+  SuperstepDriver<Message> driver(
+      options, WorkerMap(n, options.num_workers, options.placement,
+                         [&g](uint32_t v) { return g.vertex_id(v); }));
+  DeliveryPlane<Message>& plane = driver.plane();
 
-  // Delivery plane (engine/delivery.h): placement, flat per-worker
-  // inboxes and mail tracking, shared by every snapshot's inner loop.
-  DeliveryPlane<Message> plane(WorkerMap(
-      n, num_workers, options.placement,
-      [&g](uint32_t v) { return g.vertex_id(v); }));
-  plane.set_frontier_density(options.runtime.frontier_density);
+  struct Operator {
+    Program& program;
+    SuperstepDriver<Message>& driver;
+    std::vector<Value> values{};
+    // Temporal mailboxes, one per snapshot.
+    std::vector<std::vector<std::pair<VertexIdx, Message>>> temporal{};
+    // Per-chunk outboxes: concatenated in chunk order they equal
+    // sequential mode's per-worker outbox order exactly.
+    std::vector<std::vector<Pending>> outbox{};
+    Writer scratch{};
+    TimePoint t = 0;
+    const SnapshotView* view = nullptr;
 
-  std::vector<Value> values(n);
-  for (VertexIdx v = 0; v < n; ++v) values[v] = program.Init(v);
-  // Temporal mailboxes, one per future snapshot.
-  std::vector<std::vector<std::pair<VertexIdx, Message>>> temporal(
-      static_cast<size_t>(T));
-
-  BaselineOutcome<Value> out;
-  out.result.resize(n);
-  const int64_t run_start = NowNanos();
-
-  // Persistent pool + fixed chunk table, shared by every snapshot's inner
-  // loop. Outboxes are per chunk: concatenating them in chunk order equals
-  // sequential mode's per-worker outbox order exactly.
-  SuperstepRuntime rt(num_workers, options.use_threads, options.runtime,
-                      plane.map().worker_sizes());
-  plane.Bind(&rt);
-  const std::unique_ptr<Transport> transport =
-      MakeTransport(options.runtime.transport, num_workers);
-  const int num_chunks = rt.num_chunks();
-  std::vector<std::vector<Pending>> outbox(num_chunks);
-  // Same-snapshot messages travel as wire rows through the plane (the
-  // same (dst, t, payload) encoding the byte metrics always used);
-  // cross-snapshot ones stay typed in the temporal mailboxes.
-  std::vector<std::vector<Writer>> wire(num_chunks);
-  for (auto& row : wire) row.resize(num_workers);
-  std::vector<int> row_src(num_chunks);
-  for (int c = 0; c < num_chunks; ++c) row_src[c] = rt.chunk(c).worker;
-  std::vector<int64_t> chunk_calls(num_chunks, 0);
-  std::vector<int64_t> chunk_ns(num_chunks, 0);
-
-  for (TimePoint step = 0; step < T; ++step) {
-    const TimePoint t = options.reverse_time ? T - 1 - step : step;
-    SnapshotView view(&g, t);
-
-    // Snapshot boundary: drop whatever the previous snapshot left sealed,
-    // then seed this snapshot's inboxes from its temporal mailbox.
-    plane.Barrier();
-    for (auto& [v, m] : temporal[static_cast<size_t>(t)]) {
-      plane.Deliver(plane.map().WorkerOf(v), v, std::move(m));
-    }
-    temporal[static_cast<size_t>(t)].clear();
-    plane.SealAll();
-
-    // Inner VCM loop over this snapshot.
-    for (int inner = 0;; ++inner) {
-      SuperstepMetrics ss;
-      ss.worker_compute_ns.assign(num_workers, 0);
-      ss.worker_in_bytes.assign(num_workers, 0);
-      ss.worker_compute_calls.assign(num_workers, 0);
-      std::fill(chunk_calls.begin(), chunk_calls.end(), int64_t{0});
-
-      ss.steals = rt.ComputePhase(
-          &ss.thread_compute_ns, [&](int c, const WorkChunk& chunk, int) {
-            const int64_t t0 = NowNanos();
-            GofContext<Message> ctx(inner, t, &outbox[c]);
-            const std::vector<VertexIdx>& mine =
-                plane.map().units_of(chunk.worker);
-            const auto process = [&](VertexIdx v) {
-              program.Compute(ctx, v, values[v],
-                              plane.MessagesFor(chunk.worker, v), view);
-              ++chunk_calls[c];
-            };
-            if (inner == 0 || plane.FrontierIsDense(chunk.worker)) {
-              // Dense scan: inner superstep 0 must probe InitialActive on
-              // every vertex, and over-threshold frontiers fall back here.
-              for (size_t i = chunk.begin; i < chunk.end; ++i) {
-                const VertexIdx v = mine[i];
-                if (!view.VertexActive(v)) continue;
-                const bool active =
-                    plane.HasMail(v) ||
-                    (inner == 0 && program.InitialActive(v, t, view));
-                if (!active) continue;
-                process(v);
-              }
-            } else {
-              // Frontier path: only mailed vertices can be active past
-              // inner superstep 0. The snapshot-liveness filter still
-              // applies (a vertex can be mailed by a neighbor even where
-              // the snapshot excludes it).
-              const uint32_t lo = mine[chunk.begin];
-              const uint32_t hi = chunk.end < mine.size()
-                                      ? mine[chunk.end]
-                                      : std::numeric_limits<uint32_t>::max();
-              const std::span<const uint32_t> fs =
-                  plane.FrontierSlice(chunk.worker, lo, hi);
-              for (size_t i = 0; i < fs.size(); ++i) {
-                const uint32_t v = fs[i];
-                if (!view.VertexActive(v)) continue;
-                if (i + 1 < fs.size()) {
-                  plane.Prefetch(chunk.worker, fs[i + 1]);
-                }
-                process(v);
-              }
-            }
-            chunk_ns[c] = NowNanos() - t0;
-          });
-      for (int c = 0; c < num_chunks; ++c) {
-        const int w = rt.chunk(c).worker;
-        ss.worker_compute_ns[w] += chunk_ns[c];
-        ss.worker_compute_calls[w] += chunk_calls[c];
-        ss.compute_calls += chunk_calls[c];
+    void Visit(const ChunkCursor<ChunkTally>& at, VertexIdx v) {
+      // A vertex can be mailed by a neighbor even where the snapshot
+      // excludes it. Past inner superstep 0 only mailed vertices are
+      // visited; at 0, every vertex is probed for InitialActive.
+      if (!view->VertexActive(v)) return;
+      if (at.superstep == 0 && !driver.plane().HasMail(v) &&
+          !program.InitialActive(v, t, *view)) {
+        return;
       }
+      GofContext<Message> ctx(at.superstep, t, &outbox[at.chunk]);
+      program.Compute(ctx, v, values[v],
+                      driver.plane().MessagesFor(at.worker, v), *view);
+      ++at.tally->compute_calls;
+    }
 
-      const int64_t barrier_t = NowNanos();
-      plane.Barrier();
-      ss.barrier_ns = NowNanos() - barrier_t;
-
-      // Route: serialize everything (bytes metric). Same-snapshot messages
-      // travel as wire rows through the plane and reappear in the next
-      // inner superstep; cross-snapshot ones are byte-counted with the
-      // identical encoding, then queued typed in the temporal mailboxes.
-      // Chunk outboxes are walked in chunk order, which is the sequential
-      // per-worker order.
-      const int64_t msg_t = NowNanos();
-      Writer scratch;
-      for (int src_w = 0; src_w < num_workers; ++src_w) {
-        const auto [c0, c1] = rt.ChunkRange(src_w);
+    // Serialize everything (bytes metric). Same-snapshot messages become
+    // wire rows and reappear in the next inner superstep; cross-snapshot
+    // ones are byte-counted with the identical encoding, then queued typed
+    // in the temporal mailboxes. Outboxes are walked in chunk order, the
+    // sequential per-worker order.
+    void PreRoute(SuperstepMetrics* ss) {
+      const TimePoint horizon = static_cast<TimePoint>(temporal.size());
+      for (int src_w = 0; src_w < driver.map().num_workers(); ++src_w) {
+        const auto [c0, c1] = driver.runtime().ChunkRange(src_w);
         for (int c = c0; c < c1; ++c) {
           for (Pending& p : outbox[c]) {
-            const int dst_w = plane.map().WorkerOf(p.dst);
+            const int dst_w = driver.map().WorkerOf(p.dst);
+            ss->messages += 1;
             if (p.t == t) {
-              Writer& row = wire[c][dst_w];
+              // Bytes are accounted by the driver's Route.
+              Writer& row = driver.wire(c)[dst_w];
               row.WriteU64(p.dst);
               row.WriteI64(p.t);
               MessageTraits<Message>::Write(row, p.payload);
-              ss.messages += 1;
-              // Bytes are accounted by plane.Route below.
-            } else {
-              scratch.Clear();
-              scratch.WriteU64(p.dst);
-              scratch.WriteI64(p.t);
-              MessageTraits<Message>::Write(scratch, p.payload);
-              ss.messages += 1;
-              ss.message_bytes += static_cast<int64_t>(scratch.size());
-              if (dst_w != src_w) {
-                ss.worker_in_bytes[dst_w] +=
-                    static_cast<int64_t>(scratch.size());
-              }
-              if (p.t >= 0 && p.t < T) {
-                temporal[static_cast<size_t>(p.t)].emplace_back(
-                    p.dst, std::move(p.payload));
-              }
-              // Else: addressed beyond the horizon; counted, undeliverable.
+              continue;
             }
+            scratch.Clear();
+            scratch.WriteU64(p.dst);
+            scratch.WriteI64(p.t);
+            MessageTraits<Message>::Write(scratch, p.payload);
+            const int64_t bytes = static_cast<int64_t>(scratch.size());
+            ss->message_bytes += bytes;
+            if (dst_w != src_w) ss->worker_in_bytes[dst_w] += bytes;
+            if (p.t >= 0 && p.t < horizon) {
+              temporal[static_cast<size_t>(p.t)].emplace_back(
+                  p.dst, std::move(p.payload));
+            }
+            // Else: addressed beyond the horizon; counted, undeliverable.
           }
           outbox[c].clear();
         }
       }
-      const bool any_intra = plane.Route(
-          *transport, std::span<std::vector<Writer>>(wire), row_src, &ss,
-          [&plane, t](Reader& reader, int dst) {
-            const uint32_t dv = static_cast<uint32_t>(reader.ReadU64());
-            const TimePoint mt = reader.ReadI64();
-            GRAPHITE_CHECK(mt == t);
-            plane.Deliver(dst, dv, MessageTraits<Message>::Read(reader));
-          });
-      ss.messaging_ns = NowNanos() - msg_t;
-      // The mailed lists now hold the next inner superstep's activation
-      // set (sealed by Route above); record it before it is consumed.
-      plane.CountFrontier(&ss.frontier_units, &ss.frontier_dense_workers);
-      out.metrics.Accumulate(ss);
-      if (!any_intra) break;
     }
 
+    void Decode(Reader& reader, int dst) {
+      const uint32_t dv = static_cast<uint32_t>(reader.ReadU64());
+      const TimePoint mt = reader.ReadI64();
+      GRAPHITE_CHECK(mt == t);
+      driver.plane().Deliver(dst, dv, MessageTraits<Message>::Read(reader));
+    }
+  } op{program, driver};
+  op.temporal.resize(static_cast<size_t>(T));
+  op.outbox.resize(driver.runtime().num_chunks());
+  op.values.resize(n);
+  for (VertexIdx v = 0; v < n; ++v) op.values[v] = program.Init(v);
+
+  BaselineOutcome<Value> out;
+  out.result.resize(n);
+  const int64_t run_start = NowNanos();
+  for (TimePoint step = 0; step < T; ++step) {
+    const TimePoint t = options.reverse_time ? T - 1 - step : step;
+    const SnapshotView view(&g, t);
+    op.t = t;
+    op.view = &view;
+
+    // Snapshot boundary: drop whatever the previous snapshot left sealed,
+    // then seed this snapshot's inboxes from its temporal mailbox.
+    plane.Barrier();
+    for (auto& [v, m] : op.temporal[static_cast<size_t>(t)]) {
+      plane.Deliver(plane.map().WorkerOf(v), v, std::move(m));
+    }
+    op.temporal[static_cast<size_t>(t)].clear();
+    plane.SealAll();
+
+    // Inner VCM loop over this snapshot.
+    driver.Run(op, 0, std::numeric_limits<int>::max(),
+               /*always_active=*/false, &out.metrics);
     for (VertexIdx v = 0; v < n; ++v) {
       if (view.VertexActive(v)) {
-        out.result[v].Set(Interval(t, t + 1), values[v]);
+        out.result[v].Set(Interval(t, t + 1), op.values[v]);
       }
     }
   }

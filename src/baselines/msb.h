@@ -25,17 +25,14 @@ namespace msb_internal {
 template <typename V, typename MakeProgram>
 BaselineOutcome<V> RunPerSnapshot(const TemporalGraph& g,
                                   const VcmOptions& options,
-                                  MakeProgram&& make_program,
-                                  const VcmOptions* per_run_options = nullptr) {
+                                  MakeProgram&& make_program) {
   BaselineOutcome<V> out;
   out.result.resize(g.num_vertices());
   for (TimePoint t = 0; t < g.horizon(); ++t) {
     SnapshotAdapter adapter{SnapshotView(&g, t)};
     auto program = make_program(adapter);
     std::vector<V> values;
-    out.metrics.Merge(RunVcm(adapter, program,
-                             per_run_options ? *per_run_options : options,
-                             &values));
+    out.metrics.Merge(RunVcm(adapter, program, options, &values));
     for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
       if (adapter.UnitExists(v)) {
         out.result[v].Set(Interval(t, t + 1), values[v]);
@@ -68,10 +65,9 @@ inline BaselineOutcome<int64_t> RunMsbWcc(const TemporalGraph& undirected,
 /// PageRank per snapshot (always-active, fixed iterations).
 inline BaselineOutcome<double> RunMsbPageRank(const TemporalGraph& g,
                                               const VcmOptions& options) {
-  const VcmOptions pr_options = VcmPageRankOptions(options);
   return msb_internal::RunPerSnapshot<double>(
-      g, options, [&](const SnapshotAdapter& a) { return VcmPageRank(a); },
-      &pr_options);
+      g, VcmPageRankOptions(options),
+      [&](const SnapshotAdapter& a) { return VcmPageRank(a); });
 }
 
 /// SCC per snapshot via forward-backward coloring; `reversed` must be

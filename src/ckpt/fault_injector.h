@@ -12,7 +12,8 @@
 //
 // The kill is keyed on (superstep, logical worker), not OS thread: logical
 // workers are the stable routing entities (engine/parallel.h), so the
-// crash point is identical under kSpawn, kPool and kStealing.
+// crash point is identical in sequential and stealing mode, at any thread
+// count.
 #ifndef GRAPHITE_CKPT_FAULT_INJECTOR_H_
 #define GRAPHITE_CKPT_FAULT_INJECTOR_H_
 

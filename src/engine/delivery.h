@@ -1,11 +1,11 @@
-// The shared delivery plane: everything between a Send() and the next
-// superstep's Compute() that all four engines (ICM, VCM, GoFFish, Chlonos)
-// used to duplicate inline — placement materialization, per-worker flat
+// The delivery plane: everything between a Send() and the next
+// superstep's Compute() — placement materialization, per-worker flat
 // inboxes, mail tracking with per-destination mailed lists, the
 // per-destination messaging loop, the superstep barrier, and the
-// checkpoint drain/restore accessors. Engines now own only their wire
-// format (what one message's bytes mean); the plane owns how bytes move
-// and how delivered items are grouped for compute.
+// checkpoint drain/restore accessors. The superstep driver
+// (engine/superstep_driver.h) owns one plane per run and calls it in its
+// fixed lifecycle; engines own only their wire format (what one
+// message's bytes mean), passed in as the driver operator's Decode.
 //
 // Parameterization:
 //   * Placement (graph/partitioner.h) — WorkerMap materializes whichever
@@ -23,8 +23,8 @@
 //
 // Concurrency: each destination worker's inbox, mailed list and transport
 // channel are touched only by that destination's delivery lane inside
-// Route's ParallelFor; Deliver outside Route (checkpoint restore, initial
-// seeds) follows the same owner-lane discipline.
+// Route's ParallelFor; Deliver outside Route (checkpoint restore, GoFFish
+// snapshot seeds) follows the same owner-lane discipline.
 #ifndef GRAPHITE_ENGINE_DELIVERY_H_
 #define GRAPHITE_ENGINE_DELIVERY_H_
 
@@ -123,10 +123,11 @@ class WorkerMap {
 /// units; Chlonos passes a larger `num_units` (batch-expanded snapshot
 /// units) while routing by its vertex-level map.
 ///
-/// Lifecycle per run: construct → SuperstepRuntime(map().worker_sizes())
-/// → Bind(&rt) → per superstep { compute reads MessagesFor / HasMail →
-/// Barrier() → Route(...) } with Deliver+Seal used directly for initial
-/// seeds and checkpoint restore.
+/// Lifecycle per run (SuperstepDriver runs it): construct →
+/// SuperstepRuntime(map().worker_sizes()) → Bind(&rt) → per superstep {
+/// compute reads MessagesFor / HasMail → Barrier() → Route(...) →
+/// CountFrontier }, with Deliver + Seal used directly for GoFFish's
+/// snapshot seeds and checkpoint restore.
 template <typename Item>
 class DeliveryPlane {
  public:
@@ -134,11 +135,11 @@ class DeliveryPlane {
       : map_(std::move(map)) {
     const size_t n = num_units == 0 ? map_.num_units() : num_units;
     has_mail_.assign(n, 0);
+    if (map_.num_units() > 0) layers_ = n / map_.num_units();
     mailed_.resize(map_.num_workers());
     spans_ = InboxSpanTable(n);
     inbox_.resize(map_.num_workers());
     col_bytes_.assign(map_.num_workers(), 0);
-    col_any_.assign(map_.num_workers(), 0);
   }
 
   /// Attaches each destination worker's inbox to its runtime arena. The
@@ -154,6 +155,10 @@ class DeliveryPlane {
   const WorkerMap& map() const { return map_; }
   int num_workers() const { return map_.num_workers(); }
   size_t num_units() const { return has_mail_.size(); }
+  /// How many copies of the map's unit space the inbox universe spans:
+  /// unit layer * map().num_units() + u lives where u does. 1 except for
+  /// Chlonos, whose layers are the snapshots of one batch.
+  size_t layers() const { return layers_; }
 
   bool HasMail(uint32_t unit) const { return has_mail_[unit] != 0; }
   /// The raw flag byte — what checkpoint sections persist.
@@ -206,10 +211,8 @@ class DeliveryPlane {
   /// engine with several inbox units per owned unit (Chlonos's
   /// batch-expanded snapshots) gets the same per-unit threshold.
   size_t FrontierLimit(int dst) const {
-    const size_t expansion =
-        map_.num_units() == 0 ? 1 : has_mail_.size() / map_.num_units();
     const double owned =
-        static_cast<double>(map_.units_of(dst).size() * expansion);
+        static_cast<double>(map_.units_of(dst).size() * layers_);
     return static_cast<size_t>(frontier_density_ * owned);
   }
 
@@ -274,7 +277,6 @@ class DeliveryPlane {
              DecodeFn&& decode) {
     const int num_workers = map_.num_workers();
     std::fill(col_bytes_.begin(), col_bytes_.end(), int64_t{0});
-    std::fill(col_any_.begin(), col_any_.end(), uint8_t{0});
     rt_->ParallelFor(num_workers, &ss->thread_messaging_ns, [&](int dst, int) {
       for (size_t r = 0; r < wire.size(); ++r) {
         Writer& row = wire[r][dst];
@@ -283,7 +285,6 @@ class DeliveryPlane {
         if (row_src[r] != dst) {
           ss->worker_in_bytes[dst] += static_cast<int64_t>(row.size());
         }
-        col_any_[dst] = 1;
         transport.Ship(row_src[r], dst, &row);
       }
       const size_t frames = transport.NumFrames(dst);
@@ -297,7 +298,7 @@ class DeliveryPlane {
     bool any_message = false;
     for (int dst = 0; dst < num_workers; ++dst) {
       ss->message_bytes += col_bytes_[dst];
-      if (col_any_[dst]) any_message = true;
+      if (col_bytes_[dst] > 0) any_message = true;
     }
     return any_message;
   }
@@ -306,14 +307,14 @@ class DeliveryPlane {
   WorkerMap map_;
   SuperstepRuntime* rt_ = nullptr;
   double frontier_density_ = 0.5;
+  size_t layers_ = 1;
   std::vector<uint8_t> has_mail_;  // lint:allow(vector: sized once per run, flags overwritten in place)
   std::vector<std::vector<uint32_t>> mailed_;  // lint:allow(vector: outer sized per run; rows reuse decayed capacity)
   InboxSpanTable spans_{0};
   std::vector<FlatInbox<Item>> inbox_;  // lint:allow(vector: one inbox per worker, sized once per run)
-  // Per-destination byte/activity accumulators, written only by each
+  // Per-destination byte accumulators, written only by each
   // destination's lane during Route, summed after the barrier.
   std::vector<int64_t> col_bytes_;  // lint:allow(vector: sized once per run, summed at barriers)
-  std::vector<uint8_t> col_any_;  // lint:allow(vector: sized once per run, summed at barriers)
 };
 
 }  // namespace graphite

@@ -1,9 +1,10 @@
-// Runtime metrics collected by both engines (VCM and ICM). Mirrors the
-// paper's measurement methodology (§VII-A4): makespan from the first user
-// superstep to the last, split into compute+ time (user-logic calls with
-// interleaved messaging) and exclusive messaging time, plus barrier time;
-// and the model-intrinsic counters — user compute calls, scatter calls,
-// messages sent and message bytes — that §VII-B1/B2 correlate with time.
+// Runtime metrics collected by every engine (ICM, VCM, GoFFish, Chlonos).
+// Mirrors the paper's measurement methodology (§VII-A4): makespan from the
+// first user superstep to the last, split into compute+ time (user-logic
+// calls with interleaved messaging) and exclusive messaging time, plus
+// barrier time; and the model-intrinsic counters — user compute calls,
+// scatter calls, messages sent and message bytes — that §VII-B1/B2
+// correlate with time.
 #ifndef GRAPHITE_ENGINE_METRICS_H_
 #define GRAPHITE_ENGINE_METRICS_H_
 
@@ -111,16 +112,6 @@ struct RunMetrics {
   int64_t SimulatedMakespanNs(const ClusterModel& model) const;
   /// Same, with the default ClusterModel.
   int64_t SimulatedMakespanNs() const;
-
-  /// Back-compat convenience: model with explicit bandwidth/barrier only.
-  int64_t SimulatedMakespanNs(double network_bytes_per_sec,
-                              int64_t barrier_ns_per_superstep) const {
-    ClusterModel model;
-    model.network_bytes_per_sec = network_bytes_per_sec;
-    model.barrier_ns = barrier_ns_per_superstep;
-    model.per_message_ns = 0;
-    return SimulatedMakespanNs(model);
-  }
 
   std::string ToString() const;
 

@@ -1,16 +1,16 @@
-// Superstep execution runtime shared by all four engines (ICM, VCM,
-// Chlonos, GoFFish). Two layers:
+// Superstep execution runtime under the shared superstep driver
+// (engine/superstep_driver.h), which all four engines (ICM, VCM, Chlonos,
+// GoFFish) run on. SuperstepRuntime has two execution modes:
 //
-//   RunWorkers       — the legacy helper: one task per logical worker, on
-//                      per-superstep-spawned std::threads (kSpawn) or
-//                      sequentially. Kept as the measured baseline for
-//                      bench_runtime and for the kSpawn scheduling mode.
-//   SuperstepRuntime — the real runtime: a persistent ThreadPool created
-//                      once per Run() and reused across supersteps, with
-//                      chunked work-stealing over each logical worker's
-//                      item list, plus a generic ParallelFor used to
-//                      deserialize per-destination wire columns
-//                      concurrently in the messaging phase.
+//   sequential — use_threads off: one chunk per logical worker, run in
+//                worker order on the calling thread.
+//   stealing   — use_threads on: a persistent ThreadPool created once per
+//                run and reused across supersteps. Each logical worker's
+//                item list is cut into chunks; threads drain their home
+//                workers' chunk cursors first, then steal the remaining
+//                chunks of other workers. A generic ParallelFor
+//                deserializes per-destination wire columns concurrently
+//                in the messaging phase.
 //
 // Logical workers stay fixed no matter how many OS threads run: message
 // routing (worker_of), per-worker metrics and wire-byte accounting are all
@@ -19,8 +19,8 @@
 // writes into its own output slot (wire-buffer row / outbox). Because
 // chunks split each worker's list contiguously and in order, concatenating
 // the chunk outputs in chunk order reproduces the sequential per-worker
-// buffers byte for byte — results are identical across all modes; tests
-// enforce this (runtime_determinism_test).
+// buffers byte for byte — results are identical in both modes and at any
+// thread count; tests enforce this (runtime_determinism_test).
 #ifndef GRAPHITE_ENGINE_PARALLEL_H_
 #define GRAPHITE_ENGINE_PARALLEL_H_
 
@@ -42,41 +42,9 @@
 
 namespace graphite {
 
-/// Runs fn(w) for each worker w in [0, num_workers).
-template <typename Fn>
-void RunWorkers(int num_workers, bool use_threads, Fn&& fn) {
-  if (!use_threads || num_workers == 1) {
-    for (int w = 0; w < num_workers; ++w) fn(w);
-    return;
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(num_workers);
-  for (int w = 0; w < num_workers; ++w) {
-    threads.emplace_back([&fn, w] { fn(w); });
-  }
-  for (std::thread& t : threads) t.join();
-}
-
-/// How OS threads are mapped onto logical-worker item lists when
-/// use_threads is set (ignored in sequential mode).
-enum class Scheduling {
-  /// Legacy baseline: one std::thread per logical worker, spawned and
-  /// joined every superstep; messaging stays single-threaded.
-  kSpawn,
-  /// Persistent pool, static worker->thread assignment (worker w runs on
-  /// thread w % num_threads). No stealing: a skewed partition serializes
-  /// its thread, but there is no cursor traffic.
-  kPool,
-  /// Persistent pool + chunked work stealing (default): threads drain
-  /// their home workers' chunk cursors first, then steal remaining chunks
-  /// from other workers.
-  kStealing,
-};
-
 /// Runtime knobs shared by every engine's options struct.
 struct RuntimeOptions {
-  Scheduling scheduling = Scheduling::kStealing;
-  /// OS threads used by kPool/kStealing; 0 = min(num_workers,
+  /// OS threads used when use_threads is set; 0 = min(num_workers,
   /// hardware_concurrency). May exceed the logical worker count — extra
   /// threads have no home workers and go straight to stealing.
   int num_threads = 0;
@@ -118,22 +86,17 @@ class SuperstepRuntime {
   SuperstepRuntime(int num_workers, bool use_threads,
                    const RuntimeOptions& options,
                    const std::vector<size_t>& worker_sizes)
-      : num_workers_(num_workers), scheduling_(options.scheduling) {
+      : num_workers_(num_workers) {
     GRAPHITE_CHECK(static_cast<int>(worker_sizes.size()) == num_workers);
-    spawn_ = use_threads && scheduling_ == Scheduling::kSpawn;
-    const bool pooled = use_threads && !spawn_;
-    if (pooled) {
+    if (use_threads) {
       const int hw = static_cast<int>(std::thread::hardware_concurrency());
       num_threads_ = options.num_threads > 0
                          ? options.num_threads
                          : std::max(1, std::min(num_workers, hw));
-    } else {
-      num_threads_ = spawn_ ? num_workers : 1;
     }
     const size_t chunk_items =
-        (pooled && scheduling_ == Scheduling::kStealing)
-            ? static_cast<size_t>(std::max(1, options.chunk_size))
-            : std::numeric_limits<size_t>::max();
+        use_threads ? static_cast<size_t>(std::max(1, options.chunk_size))
+                    : std::numeric_limits<size_t>::max();
     first_.resize(num_workers + 1, 0);
     for (int w = 0; w < num_workers; ++w) {
       first_[w] = static_cast<int>(chunks_.size());
@@ -144,15 +107,15 @@ class SuperstepRuntime {
       }
     }
     first_[num_workers] = static_cast<int>(chunks_.size());
-    if (pooled && num_threads_ > 1) {
+    if (num_threads_ > 1) {
       pool_ = std::make_unique<ThreadPool>(num_threads_);
     }
     worker_arenas_ = std::vector<Arena>(num_workers);
   }
 
   int num_workers() const { return num_workers_; }
-  /// Execution lanes: 1 (sequential), num_workers (spawn) or the pool
-  /// width. Sizes per-thread scratch and timing vectors.
+  /// Execution lanes: 1 (sequential) or the pool width. Sizes per-thread
+  /// scratch and timing vectors.
   int num_threads() const { return num_threads_; }
   int num_chunks() const { return static_cast<int>(chunks_.size()); }
   const WorkChunk& chunk(int c) const { return chunks_[c]; }
@@ -179,24 +142,13 @@ class SuperstepRuntime {
   int64_t ComputePhase(std::vector<int64_t>* thread_ns, Body&& body) {
     thread_ns->assign(num_threads_, 0);
     if (pool_ == nullptr) {
-      if (spawn_) {
-        RunWorkers(num_workers_, true, [&](int w) {
-          const int64_t t0 = NowNanos();
-          for (int c = first_[w]; c < first_[w + 1]; ++c) {
-            body(c, chunks_[c], w);
-          }
-          (*thread_ns)[w] = NowNanos() - t0;
-        });
-      } else {
-        const int64_t t0 = NowNanos();
-        for (int c = 0; c < num_chunks(); ++c) body(c, chunks_[c], 0);
-        (*thread_ns)[0] = NowNanos() - t0;
-      }
+      const int64_t t0 = NowNanos();
+      for (int c = 0; c < num_chunks(); ++c) body(c, chunks_[c], 0);
+      (*thread_ns)[0] = NowNanos() - t0;
       return 0;
     }
     std::vector<std::atomic<size_t>> cursor(num_workers_);
     std::atomic<int64_t> steals{0};
-    const bool steal = scheduling_ == Scheduling::kStealing;
     pool_->RunOnAll([&](int t) {
       const int64_t t0 = NowNanos();
       auto drain = [&](int w, bool stolen) {
@@ -211,10 +163,8 @@ class SuperstepRuntime {
         }
       };
       for (int w = t; w < num_workers_; w += num_threads_) drain(w, false);
-      if (steal) {
-        for (int off = 1; off <= num_workers_; ++off) {
-          drain((t + off) % num_workers_, true);
-        }
+      for (int off = 1; off <= num_workers_; ++off) {
+        drain((t + off) % num_workers_, true);
       }
       (*thread_ns)[t] = NowNanos() - t0;
     });
@@ -222,8 +172,7 @@ class SuperstepRuntime {
   }
 
   /// Runs body(i, thread_id) for i in [0, count) across the pool (atomic
-  /// cursor; sequential without one — including kSpawn, whose baseline
-  /// semantics keep messaging single-threaded). Used by the messaging
+  /// cursor; sequential without one). Used by the messaging
   /// phase: i is a destination worker, and destination columns touch
   /// disjoint inboxes, so the deliveries are data-race free.
   template <typename Body>
@@ -249,8 +198,6 @@ class SuperstepRuntime {
 
  private:
   int num_workers_;
-  Scheduling scheduling_;
-  bool spawn_ = false;
   int num_threads_ = 1;
   std::vector<WorkChunk> chunks_;
   std::vector<int> first_;

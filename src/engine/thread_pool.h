@@ -1,7 +1,6 @@
 // Persistent worker pool for the BSP engines. Created once per Run() and
 // reused across supersteps: threads park on a condition variable between
-// phases instead of being respawned, which removes the per-superstep
-// thread-creation cost the legacy spawn mode (RunWorkers) pays.
+// phases instead of being respawned every superstep.
 //
 // The single primitive is RunOnAll(job): `job(thread_id)` executes once on
 // every pool thread AND on the calling thread (thread id 0), and RunOnAll

@@ -43,22 +43,17 @@
 #define GRAPHITE_ICM_ICM_ENGINE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
-#include "ckpt/checkpoint_store.h"
-#include "ckpt/fault_injector.h"
-#include "engine/delivery.h"
 #include "engine/message_traits.h"
 #include "engine/metrics.h"
-#include "engine/parallel.h"
-#include "graph/partitioner.h"
+#include "engine/superstep_driver.h"
 #include "graph/temporal_graph.h"
 #include "icm/message.h"
 #include "icm/warp.h"
@@ -67,13 +62,7 @@
 
 namespace graphite {
 
-struct IcmOptions {
-  int num_workers = 4;
-  bool use_threads = false;
-  /// Scheduling of OS threads over logical workers when use_threads is
-  /// set: persistent pool with work stealing by default. Results are
-  /// byte-identical in every mode (see engine/parallel.h).
-  RuntimeOptions runtime;
+struct IcmOptions : EngineOptions {
   /// Run Compute on every vertex every superstep (fixed-iteration
   /// algorithms like PageRank); terminate at max_supersteps.
   bool always_active = false;
@@ -88,10 +77,6 @@ struct IcmOptions {
   /// Vertex->worker placement policy (graph/partitioner.h): the paper's
   /// hash partitioner by default, or any strategy/explicit map.
   Placement placement;
-  /// Legacy explicit vertex->worker assignment (indexed by VertexIdx,
-  /// values in [0, num_workers)); when non-null it overrides `placement`.
-  /// Prefer Placement::Explicit / graph/partition_strategies.h.
-  const std::vector<int>* custom_partition = nullptr;
 };
 
 template <typename P>
@@ -294,25 +279,22 @@ class IcmEngine {
       : g_(g), program_(program), options_(options), recovery_(recovery),
         warm_(warm) {}
 
+  // The engine is the superstep driver's operator
+  // (engine/superstep_driver.h): the driver runs the lifecycle and calls
+  // back into Visit / Decode / Fold / AtBarrier and the checkpoint codec.
+  template <typename, typename>
+  friend class SuperstepDriver;
+  struct WorkerCounters;
+  using Driver = SuperstepDriver<Item, WorkerCounters>;
+  using Cursor = ChunkCursor<WorkerCounters>;
+
   IcmResult<Program> Execute() {
     const size_t n = g_.num_vertices();
-    const int num_workers = options_.num_workers;
-    GRAPHITE_CHECK(num_workers >= 1);
-
-    // Delivery plane (engine/delivery.h): materializes the placement
-    // policy, owns the flat inboxes / mail tracking / messaging loop, and
-    // routes wire rows through the run's transport backend.
-    const Placement placement =
-        options_.custom_partition != nullptr
-            ? Placement::Explicit(options_.custom_partition)
-            : options_.placement;
-    DeliveryPlane<Item> plane(WorkerMap(
-        n, num_workers, placement,
-        [this](uint32_t v) { return g_.vertex_id(v); }));
-    plane.set_frontier_density(options_.runtime.frontier_density);
-
-    IcmResult<Program> result;
-    auto& states = result.states;
+    Driver driver(options_,
+                  WorkerMap(n, options_.num_workers, options_.placement,
+                            [this](uint32_t v) { return g_.vertex_id(v); }));
+    driver_ = &driver;
+    auto& states = result_.states;
     states.resize(n);
     // lint:region(ingest-seed)
     // Warm start (RunIncremental): adopt the converged pre-append states;
@@ -333,256 +315,63 @@ class IcmEngine {
     for (VertexIdx v = warm_count; v < n; ++v) {
       states[v] = IntervalMap<State>(g_.vertex_interval(v), program_.Init(v));
     }
-
-    // The pool (if any) lives here: created once, reused every superstep.
-    SuperstepRuntime rt(num_workers, options_.use_threads, options_.runtime,
-                        plane.map().worker_sizes());
-    plane.Bind(&rt);
-    const std::unique_ptr<Transport> transport =
-        MakeTransport(options_.runtime.transport, num_workers);
-    const int num_chunks = rt.num_chunks();
-
-    // Wire buffers, indexed [chunk][dst_worker]. Chunks split each logical
-    // worker's vertex list contiguously, so reading a destination column
-    // in (src worker, chunk) order yields exactly the bytes sequential
-    // mode produces. Buffers are reused across supersteps (Clear keeps
-    // capacity).
-    std::vector<std::vector<Writer>> wire(num_chunks);  // lint:allow(vector: per-run wire matrix; Writer::Clear reuses capacity)
-    for (auto& row : wire) row.resize(num_workers);
-    std::vector<int> row_src(num_chunks);  // lint:allow(vector: per-run chunk map, sized once)
-    for (int c = 0; c < num_chunks; ++c) row_src[c] = rt.chunk(c).worker;
-    // Per-OS-thread scratch and per-chunk counters/timings, hoisted out of
-    // the superstep loop.
-    std::vector<WorkerScratch> scratch(rt.num_threads());  // lint:allow(vector: per-thread scratch, amortized across supersteps)
-    std::vector<WorkerCounters> counters(num_chunks);  // lint:allow(vector: per-run counters, sized once)
-    std::vector<int64_t> chunk_ns(num_chunks, 0);  // lint:allow(vector: per-run timings, sized once)
+    // Per-OS-lane scratch, sized once per run.
+    scratch_ = std::vector<WorkerScratch>(  // lint:allow(vector: per-run setup)
+        driver.runtime().num_threads());
 
     // Recovery (ckpt/): restore the exact input of a checkpointed
-    // superstep — states, mail flags, undelivered inboxes and the carried
-    // cumulative counters — then enter the loop at that superstep.
-    int start_superstep = 0;
-    CheckpointStore* store = recovery_.store;
-    if constexpr (kCheckpointable) {
-      if (store != nullptr && recovery_.resume) {
-        Result<CheckpointBlob> blob =
-            recovery_.resume_from >= 0 ? store->Load(recovery_.resume_from)
-                                       : store->LoadLatestValid();
-        // No valid checkpoint (first run, or all copies corrupt): cold
-        // start — resume-always callers need no special first-run path.
-        // A frame from a different time-axis head (edges appended or
-        // compacted since it was taken) describes an edge set this run no
-        // longer has: treat it exactly like no valid checkpoint — fall
-        // through to a cold (or, under RunIncremental, warm-seeded) start.
-        const GraphHead head = g_.head();
-        if (blob.ok()) {
-          Result<CheckpointFrame> frame = DecodeFrame(blob.value().payload);
-          GRAPHITE_CHECK(frame.ok());
-          const CheckpointFrame& f = frame.value();
-          if (f.base_epoch == head.base_epoch &&
-              f.delta_watermark == head.delta_watermark) {
-            GRAPHITE_CHECK(f.num_units == n);
-            GRAPHITE_CHECK(static_cast<int>(f.sections.size()) == num_workers);
-            // Sections cover disjoint owned-vertex sets: decode in
-            // parallel. Each lane Delivers into its own worker's inbox
-            // (rebuilding the mailed list in section order, which is owner
-            // order) and Seals.
-            std::vector<int64_t> unused_ns;  // lint:allow(vector: recovery decode only, not superstep-rate)
-            rt.ParallelFor(num_workers, &unused_ns, [&](int w, int) {
-              DecodeSection(f.sections[w], &states, w, &plane);
-              plane.Seal(w);
-            });
-            start_superstep = f.superstep;
-            result.metrics.resumed_from = f.superstep;
-            result.metrics.supersteps = f.counters.supersteps;
-            result.metrics.compute_calls = f.counters.compute_calls;
-            result.metrics.scatter_calls = f.counters.scatter_calls;
-            result.metrics.messages = f.counters.messages;
-            result.metrics.message_bytes = f.counters.message_bytes;
-            result.active_compute_calls = f.counters.active_compute_calls;
-            result.suppressed_vertices = f.counters.suppressed_vertices;
-          }
-        }
-      }
-    } else {
-      // Programs without wire traits for State can run, but cannot
-      // checkpoint or resume.
-      GRAPHITE_CHECK(store == nullptr && !recovery_.resume);
+    // superstep, or start cold (warm-seeded under RunIncremental).
+    if (const auto carried =
+            driver.Recover(*this, recovery_, g_.head(), &result_.metrics)) {
+      result_.active_compute_calls = carried->active_compute_calls;
+      result_.suppressed_vertices = carried->suppressed_vertices;
     }
-
-    std::atomic<bool> killed{false};
-    const int64_t run_start = NowNanos();
-    [[maybe_unused]] int64_t last_checkpoint_t = run_start;
+    const int start = std::max(0, result_.metrics.resumed_from);
     // Warm-seed applies only to a genuinely first superstep: a resume from
     // a checkpoint of the incremental run already carries the seeded state.
-    const bool warm_seeded = warm_ != nullptr && start_superstep == 0;
-    for (int superstep = start_superstep; superstep < options_.max_supersteps;
-         ++superstep) {
-      SuperstepMetrics ss;
-      ss.worker_compute_ns.assign(num_workers, 0);
-      ss.worker_in_bytes.assign(num_workers, 0);
-      ss.worker_compute_calls.assign(num_workers, 0);
-      std::fill(counters.begin(), counters.end(), WorkerCounters{});
+    warm_seeded_ = warm_ != nullptr && start == 0;
+    const int64_t run_start = NowNanos();
+    driver.Run(*this, start, options_.max_supersteps, options_.always_active,
+               &result_.metrics);
+    result_.metrics.makespan_ns = NowNanos() - run_start;
+    return std::move(result_);
+  }
 
-      ss.steals = rt.ComputePhase(
-          &ss.thread_compute_ns,
-          [&](int c, const WorkChunk& chunk, int thread) {
-            if (killed.load(std::memory_order_relaxed)) return;
-            if (recovery_.fault != nullptr &&
-                recovery_.fault->Fire(superstep, chunk.worker)) {
-              killed.store(true, std::memory_order_relaxed);
-              return;
-            }
-            const int64_t t0 = NowNanos();
-            const std::vector<VertexIdx>& mine =
-                plane.map().units_of(chunk.worker);
-            const bool seed0 = warm_seeded && superstep == 0;
-            const auto process = [&](VertexIdx v) {
-              if (seed0) {
-                // Incremental superstep 0: only the append's fresh
-                // vertices and touched sources do any work.
-                WarmSeedVertex(v, plane.map().worker_of(),
-                               plane.MessagesFor(chunk.worker, v), &states[v],
-                               &wire[c], &counters[c], &scratch[thread]);
-                return;
-              }
-              ProcessVertex(v, superstep, plane.map().worker_of(),
-                            plane.MessagesFor(chunk.worker, v), &states[v],
-                            &wire[c], &counters[c], &scratch[thread]);
-              // (wire[c] is this chunk's per-destination buffer row.)
-            };
-            const bool every_vertex = superstep == 0 || options_.always_active;
-            if (every_vertex || plane.FrontierIsDense(chunk.worker)) {
-              // Dense activation scan: all owned vertices (superstep 0 /
-              // always-active) or a mail-flag sweep when the frontier
-              // exceeded the density threshold. The next owned vertex's
-              // inbox span is prefetched behind the current warp.
-              for (size_t i = chunk.begin; i < chunk.end; ++i) {
-                const VertexIdx v = mine[i];
-                if (!every_vertex && !plane.HasMail(v)) continue;
-                if (i + 1 < chunk.end) {
-                  plane.Prefetch(chunk.worker, mine[i + 1]);
-                }
-                process(v);
-              }
-            } else {
-              // Frontier path: the plane's sorted mailed-vertex list
-              // sliced to this chunk's unit range — exactly the vertices
-              // the dense scan would find active, in the same order, with
-              // the next frontier unit's inbox span prefetched behind the
-              // current warp.
-              const uint32_t lo = mine[chunk.begin];
-              const uint32_t hi =
-                  chunk.end < mine.size()
-                      ? mine[chunk.end]
-                      : std::numeric_limits<uint32_t>::max();
-              const std::span<const uint32_t> fs =
-                  plane.FrontierSlice(chunk.worker, lo, hi);
-              for (size_t i = 0; i < fs.size(); ++i) {
-                if (i + 1 < fs.size()) {
-                  plane.Prefetch(chunk.worker, fs[i + 1]);
-                }
-                process(fs[i]);
-              }
-            }
-            chunk_ns[c] = NowNanos() - t0;
-          });
-      if (killed.load(std::memory_order_relaxed)) {
-        // Simulated crash (ckpt/fault_injector.h): return exactly as a
-        // dead process would look to a restarting one — nothing from the
-        // killed superstep is accumulated, checkpointed or trusted. The
-        // caller discards this result and re-runs with resume set.
-        result.metrics.interrupted = true;
-        result.metrics.makespan_ns = NowNanos() - run_start;
-        return result;
-      }
-      for (int c = 0; c < num_chunks; ++c) {
-        const int w = rt.chunk(c).worker;
-        ss.worker_compute_ns[w] += chunk_ns[c];
-        ss.worker_compute_calls[w] += counters[c].compute_calls;
-        ss.compute_calls += counters[c].compute_calls;
-        ss.scatter_calls += counters[c].scatter_calls;
-        ss.messages += counters[c].messages;
-        ss.warp_slices += counters[c].warp.slices;
-        ss.warp_merge_hits += counters[c].warp.merge_hits;
-        result.active_compute_calls += counters[c].active_compute_calls;
-        result.suppressed_vertices += counters[c].suppressed_vertices;
-      }
+  // --- The driver's operator hooks. ---
 
-      // Barrier: drop the consumed flat inboxes (spans for exactly the
-      // mailed vertices — no O(n) scan) and reset every superstep arena.
-      // This is the ONLY point where arenas reset (see DESIGN.md §4f):
-      // compute has consumed the inboxes, and messaging below refills them
-      // for superstep+1, so a checkpoint encoded after messaging may still
-      // reference arena-backed storage.
-      const int64_t barrier_t = NowNanos();
-      plane.Barrier();
-      for (WorkerScratch& s : scratch) s.ResetAtBarrier();
-      ss.barrier_ns = NowNanos() - barrier_t;
-
-      // Messaging phase: the plane carries every wire row through the
-      // transport and each destination lane decodes its own frames — the
-      // decode lambda is the whole per-message wire format.
-      const int64_t msg_t = NowNanos();
-      const bool any_message = plane.Route(
-          *transport, std::span<std::vector<Writer>>(wire), row_src, &ss,
-          [&plane](Reader& reader, int dst) {
-            const uint32_t unit = static_cast<uint32_t>(reader.ReadU64());
-            Interval iv = ReadInterval(reader);
-            Message msg = MessageTraits<Message>::Read(reader);
-            plane.Deliver(dst, unit, {iv, std::move(msg)});
-          });
-      ss.messaging_ns = NowNanos() - msg_t;
-      // The mailed lists now hold superstep+1's activation set (sealed by
-      // Route above); record its size before the barrier clears it.
-      plane.CountFrontier(&ss.frontier_units, &ss.frontier_dense_workers);
-
-      result.metrics.Accumulate(ss);
-      const bool halting = !any_message && !options_.always_active;
-      if constexpr (kCheckpointable) {
-        // Barrier checkpoint: the messaging phase has delivered the
-        // inboxes of superstep+1, so the frame captures exactly that
-        // superstep's input. The final barrier is never checkpointed —
-        // there is nothing left to resume.
-        if (store != nullptr && !halting &&
-            superstep + 1 < options_.max_supersteps &&
-            options_.runtime.checkpoint.ShouldCheckpoint(
-                superstep, NowNanos() - last_checkpoint_t)) {
-          const int64_t ckpt_t0 = NowNanos();
-          CheckpointFrame frame;
-          frame.superstep = superstep + 1;
-          frame.num_units = n;
-          frame.base_epoch = g_.head().base_epoch;
-          frame.delta_watermark = g_.head().delta_watermark;
-          frame.counters = {result.metrics.supersteps,
-                            result.metrics.compute_calls,
-                            result.metrics.scatter_calls,
-                            result.metrics.messages,
-                            result.metrics.message_bytes,
-                            result.active_compute_calls,
-                            result.suppressed_vertices};
-          frame.sections.resize(num_workers);
-          // Sections cover disjoint owned-vertex sets: encode in parallel
-          // on the run's pool.
-          std::vector<int64_t> unused_ns;  // lint:allow(vector: checkpoint barrier only, not superstep-rate)
-          rt.ParallelFor(num_workers, &unused_ns, [&](int w, int) {
-            frame.sections[w] = EncodeSection(w, states, plane);
-          });
-          const Status committed =
-              store->Commit(frame.superstep, EncodeFrame(frame));
-          GRAPHITE_CHECK(committed.ok());
-          last_checkpoint_t = NowNanos();
-          SuperstepMetrics& back = result.metrics.per_superstep.back();
-          back.checkpoint_ns = last_checkpoint_t - ckpt_t0;
-          back.checkpoint_bytes = store->last_commit_bytes();
-          ++result.metrics.checkpoints;
-          result.metrics.checkpoint_ns += back.checkpoint_ns;
-          result.metrics.checkpoint_bytes += back.checkpoint_bytes;
-        }
-      }
-      if (halting) break;
+  void Visit(const Cursor& at, VertexIdx v) {
+    const std::span<const Item> msgs =
+        driver_->plane().MessagesFor(at.worker, v);
+    if (warm_seeded_ && at.superstep == 0) {
+      // Incremental superstep 0: only the append's fresh vertices and
+      // touched sources do any work.
+      WarmSeedVertex(v, at, msgs);
+      return;
     }
-    result.metrics.makespan_ns = NowNanos() - run_start;
-    return result;
+    ProcessVertex(v, at, msgs);
+  }
+
+  // The per-message wire format: dst, then the item (DecodeItem).
+  void Decode(Reader& reader, int dst) {
+    const uint32_t unit = static_cast<uint32_t>(reader.ReadU64());
+    driver_->plane().Deliver(dst, unit, DecodeItem(reader));
+  }
+
+  void Fold(const WorkerCounters& c, SuperstepMetrics* ss) {
+    ss->scatter_calls += c.scatter_calls;
+    ss->warp_slices += c.warp.slices;
+    ss->warp_merge_hits += c.warp.merge_hits;
+    result_.active_compute_calls += c.active_compute_calls;
+    result_.suppressed_vertices += c.suppressed_vertices;
+  }
+
+  void AtBarrier() {
+    for (WorkerScratch& s : scratch_) s.ResetAtBarrier();
+  }
+
+  void Carry(CarryCounters* c) const {
+    c->active_compute_calls = result_.active_compute_calls;
+    c->suppressed_vertices = result_.suppressed_vertices;
   }
 
   /// Checkpointing needs both the State and the Message on the wire (see
@@ -590,69 +379,42 @@ class IcmEngine {
   /// use a CheckpointStore.
   static constexpr bool kCheckpointable =
       HasWireTraits<State> && HasWireTraits<Message>;
+  static constexpr bool kPrefetchDense = true;
 
-  /// One logical worker's slice of a checkpoint frame: per owned vertex,
-  /// the mail flag, the partitioned interval states, and the undelivered
-  /// inbox for the next superstep — all read through the delivery plane.
-  std::string EncodeSection(int worker,
-                            const std::vector<IntervalMap<State>>& states,
-                            const DeliveryPlane<Item>& plane) const {
-    Writer w;
-    for (const VertexIdx v : plane.map().units_of(worker)) {
-      w.WriteU64(v);
-      w.WriteByte(plane.MailFlag(v));
-      w.WriteU64(states[v].size());
-      for (const StateEntry& e : states[v].entries()) {
-        WriteInterval(w, e.interval);
-        MessageTraits<State>::Write(w, e.value);
-      }
-      w.WriteU64(plane.InboxCountFor(worker, v));
-      for (const Item& m : plane.MessagesFor(worker, v)) {
-        WriteInterval(w, m.interval);
-        MessageTraits<Message>::Write(w, m.value);
-      }
-    }
-    return w.Release();
-  }
-
-  /// Inverse of EncodeSection. The store's CRC already vouched for the
-  /// bytes, so reads are the fast aborting kind. States are adopted
-  /// verbatim (FromEntries) — rebuilding via Set() would both be quadratic
-  /// and risk a different (coalesced) partition than the one persisted.
-  /// Messages are restored through plane->Deliver in section order (owner
-  /// order), which rebuilds the mail flags and mailed list exactly as the
-  /// encoding run had them; the caller Seals worker's inbox after.
-  void DecodeSection(const std::string& bytes,
-                     std::vector<IntervalMap<State>>* states, int worker,
-                     DeliveryPlane<Item>* plane) const {
-    Reader r(bytes);
-    while (!r.AtEnd()) {
-      const VertexIdx v = static_cast<VertexIdx>(r.ReadU64());
-      GRAPHITE_CHECK(v < states->size());
-      const uint8_t mail_flag = r.ReadByte();
-      const uint64_t num_entries = r.ReadU64();
-      std::vector<StateEntry> entries;  // lint:allow(vector: recovery decode only, not superstep-rate)
-      entries.reserve(num_entries);
-      for (uint64_t i = 0; i < num_entries; ++i) {
-        const Interval iv = ReadInterval(r);
-        entries.push_back({iv, MessageTraits<State>::Read(r)});
-      }
-      (*states)[v] = IntervalMap<State>::FromEntries(std::move(entries));
-      const uint64_t num_msgs = r.ReadU64();
-      // The flag is derivable (set iff the vertex holds messages); keep
-      // it on the wire for format stability and verify it here.
-      GRAPHITE_CHECK((mail_flag != 0) == (num_msgs > 0));
-      for (uint64_t i = 0; i < num_msgs; ++i) {
-        const Interval iv = ReadInterval(r);
-        plane->Deliver(worker, v, {iv, MessageTraits<Message>::Read(r)});
-      }
+  // The checkpoint codec (the driver frames each worker's section). A
+  // vertex's state is its partitioned interval entries; on resume they
+  // are adopted verbatim (FromEntries) — rebuilding via Set() would both
+  // be quadratic and risk a different (coalesced) partition than the one
+  // persisted.
+  void EncodeUnit(Writer& w, VertexIdx v) const {
+    w.WriteU64(result_.states[v].size());
+    for (const StateEntry& e : result_.states[v].entries()) {
+      WriteInterval(w, e.interval);
+      MessageTraits<State>::Write(w, e.value);
     }
   }
+  void DecodeUnit(Reader& r, VertexIdx v) {
+    const uint64_t num_entries = r.ReadU64();
+    std::vector<StateEntry> entries;  // lint:allow(vector: recovery decode only, not superstep-rate)
+    entries.reserve(num_entries);
+    for (uint64_t i = 0; i < num_entries; ++i) {
+      const Interval iv = ReadInterval(r);
+      entries.push_back({iv, MessageTraits<State>::Read(r)});
+    }
+    result_.states[v] = IntervalMap<State>::FromEntries(std::move(entries));
+  }
+  // One message, as on the wire after its destination: interval, payload.
+  void EncodeItem(Writer& w, const Item& m) const {
+    WriteInterval(w, m.interval);
+    MessageTraits<Message>::Write(w, m.value);
+  }
+  Item DecodeItem(Reader& r) const {
+    const Interval iv = ReadInterval(r);
+    return {iv, MessageTraits<Message>::Read(r)};
+  }
 
-  struct WorkerCounters {
-    int64_t compute_calls = 0;
+  struct WorkerCounters : ChunkTally {  // + compute_calls, messages
     int64_t scatter_calls = 0;
-    int64_t messages = 0;
     int64_t active_compute_calls = 0;
     int64_t suppressed_vertices = 0;
     WarpStats warp;  ///< Untimed two-pass kernel counters for this chunk.
@@ -687,16 +449,16 @@ class IcmEngine {
     std::vector<uint32_t> order;          // suppression grouping order  // lint:allow(vector: amortized scratch; capacity survives supersteps)
   };
 
-  void ProcessVertex(VertexIdx v, int superstep,
-                     const std::vector<int>& worker_of,
-                     std::span<const Item> msgs, IntervalMap<State>* states,
-                     std::vector<Writer>* wire_row, WorkerCounters* counters,
-                     WorkerScratch* scratch) {
+  void ProcessVertex(VertexIdx v, const Cursor& at,
+                     std::span<const Item> msgs) {
+    IntervalMap<State>* states = &result_.states[v];
+    WorkerCounters* counters = at.tally;
+    WorkerScratch* scratch = &scratch_[at.thread];
     scratch->updated.clear();
 
     IcmVertexContext<Program> ctx;
     ctx.vertex_ = v;
-    ctx.superstep_ = superstep;
+    ctx.superstep_ = at.superstep;
     ctx.graph_ = &g_;
     ctx.states_ = states;
     ctx.updated_ = &scratch->updated;
@@ -729,8 +491,7 @@ class IcmEngine {
     // later warps linear in the number of *distinct* value runs.
     states->Coalesce();
     scratch->updated.Coalesce();
-    ScatterPhase(v, superstep, worker_of, scratch->updated, wire_row, counters,
-                 scratch);
+    ScatterPhase(v, at, scratch->updated);
   }
 
   bool ShouldSuppress(std::span<const Item> msgs) const {
@@ -942,23 +703,21 @@ class IcmEngine {
       TimePoint cursor = scratch->outer.empty()
                              ? 0
                              : scratch->outer.front().interval.start;
-      auto emit_gap = [&](const Interval& gap) {
-        for (const StateEntry& entry : scratch->outer) {
-          const Interval slice = entry.interval.Intersect(gap);
-          if (!slice.IsValid()) continue;
-          ctx->interval_ = slice;
-          ctx->state_ = &entry.value;
-          program_.Compute(*ctx, std::span<const Message>());
-          ++counters->compute_calls;
-        }
+      auto gap_compute = [&](const Interval& iv, const State& state,
+                             std::span<const Message> group) {
+        ctx->interval_ = iv;
+        ctx->state_ = &state;
+        program_.Compute(*ctx, group);
+        ++counters->compute_calls;
       };
       for (TimePoint t : scratch->boundaries) {
-        if (t > cursor) emit_gap(Interval(cursor, t));
+        if (t > cursor) EmitGapCalls(Interval(cursor, t), scratch, gap_compute);
         cursor = t + 1;
       }
       if (!scratch->outer.empty() &&
           cursor < scratch->outer.back().interval.end) {
-        emit_gap(Interval(cursor, scratch->outer.back().interval.end));
+        EmitGapCalls(Interval(cursor, scratch->outer.back().interval.end),
+                     scratch, gap_compute);
       }
     }
   }
@@ -977,14 +736,11 @@ class IcmEngine {
   // slice.start + travel-time regardless of the state value), so an
   // unreached Init-valued entry would fabricate activity the full
   // recompute never had.
-  void WarmSeedVertex(VertexIdx v, const std::vector<int>& worker_of,
-                      std::span<const Item> msgs, IntervalMap<State>* states,
-                      std::vector<Writer>* wire_row, WorkerCounters* counters,
-                      WorkerScratch* scratch) {
+  void WarmSeedVertex(VertexIdx v, const Cursor& at,
+                      std::span<const Item> msgs) {
     const AppendReceipt& receipt = warm_->receipt;
     if (v >= receipt.first_fresh_vertex) {
-      ProcessVertex(v, /*superstep=*/0, worker_of, msgs, states, wire_row,
-                    counters, scratch);
+      ProcessVertex(v, at, msgs);
       return;
     }
     if (!std::binary_search(receipt.touched_sources.begin(),
@@ -992,14 +748,14 @@ class IcmEngine {
       return;
     }
     const State init = program_.Init(v);
-    scratch->updated.clear();
-    for (const StateEntry& e : states->entries()) {
-      if (!(e.value == init)) scratch->updated.Set(e.interval, e.value);
+    IntervalMap<State>& updated = scratch_[at.thread].updated;
+    updated.clear();
+    for (const StateEntry& e : result_.states[v].entries()) {
+      if (!(e.value == init)) updated.Set(e.interval, e.value);
     }
-    if (scratch->updated.empty()) return;
-    scratch->updated.Coalesce();
-    ScatterPhase(v, /*superstep=*/0, worker_of, scratch->updated, wire_row,
-                 counters, scratch, /*only_appended_edges=*/true);
+    if (updated.empty()) return;
+    updated.Coalesce();
+    ScatterPhase(v, at, updated, /*only_appended_edges=*/true);
   }
   // lint:endregion(ingest-seed)
 
@@ -1009,11 +765,11 @@ class IcmEngine {
   // overlapping interval of its out-edges having a distinct property").
   // With `only_appended_edges` (the warm seed) edges outside the warm
   // receipt's new_edge_ids are skipped.
-  void ScatterPhase(VertexIdx v, int superstep,
-                    const std::vector<int>& worker_of,
+  void ScatterPhase(VertexIdx v, const Cursor& at,
                     const IntervalMap<State>& updated,
-                    std::vector<Writer>* wire_row, WorkerCounters* counters,
-                    WorkerScratch* scratch, bool only_appended_edges = false) {
+                    bool only_appended_edges = false) {
+    WorkerCounters* counters = at.tally;
+    std::vector<TimePoint>& boundaries = scratch_[at.thread].boundaries;
     auto edges = g_.OutEdges(v);
     for (size_t k = 0; k < edges.size(); ++k) {
       const StoredEdge& e = edges[k];
@@ -1027,10 +783,10 @@ class IcmEngine {
       IcmScatterContext<Program> sctx;
       sctx.edge_ = &e;
       sctx.edge_pos_ = pos;
-      sctx.superstep_ = superstep;
+      sctx.superstep_ = at.superstep;
       sctx.graph_ = &g_;
-      sctx.wire_row_ = wire_row;
-      sctx.worker_of_ = &worker_of;
+      sctx.wire_row_ = at.wire;
+      sctx.worker_of_ = &driver_->map().worker_of();
       sctx.messages_sent_ = &counters->messages;
 
       updated.ForEachIntersecting(
@@ -1043,10 +799,9 @@ class IcmEngine {
               ++counters->scatter_calls;
               return;
             }
-            RefineByProperties(pos, overlap, &scratch->boundaries);
-            for (size_t b = 0; b + 1 < scratch->boundaries.size(); ++b) {
-              sctx.interval_ =
-                  Interval(scratch->boundaries[b], scratch->boundaries[b + 1]);
+            RefineByProperties(pos, overlap, &boundaries);
+            for (size_t b = 0; b + 1 < boundaries.size(); ++b) {
+              sctx.interval_ = Interval(boundaries[b], boundaries[b + 1]);
               program_.Scatter(sctx, s);
               ++counters->scatter_calls;
             }
@@ -1077,6 +832,11 @@ class IcmEngine {
   IcmOptions options_;
   RecoveryContext recovery_;
   IcmWarmStart<Program>* warm_;  ///< Null outside RunIncremental.
+  Driver* driver_ = nullptr;     ///< The running superstep driver.
+  IcmResult<Program> result_;
+  // One per OS lane; capacities survive supersteps.
+  std::vector<WorkerScratch> scratch_;  // lint:allow(vector: amortized scratch)
+  bool warm_seeded_ = false;  ///< Superstep 0 runs the warm seed.
 };
 
 }  // namespace graphite

@@ -91,15 +91,8 @@ Result<RunConfig> BuildConfig(const QueryRequest& req,
     c.use_threads = options.default_use_threads;
   } else if (req.mode == "sequential") {
     c.use_threads = false;
-  } else if (req.mode == "spawn") {
-    c.use_threads = true;
-    c.runtime.scheduling = Scheduling::kSpawn;
-  } else if (req.mode == "pool") {
-    c.use_threads = true;
-    c.runtime.scheduling = Scheduling::kPool;
   } else if (req.mode == "stealing") {
     c.use_threads = true;
-    c.runtime.scheduling = Scheduling::kStealing;
   } else {
     return Status::InvalidArgument("unknown mode: " + req.mode);
   }

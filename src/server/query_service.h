@@ -70,7 +70,7 @@ struct QueryRequest {
   // determinism matrix pins result equality across modes, so they are
   // excluded from the cache key).
   int workers = 0;          ///< Logical workers; 0 = service default.
-  std::string mode;         ///< "" | sequential | spawn | pool | stealing.
+  std::string mode;         ///< "" | sequential | stealing.
   bool use_cache = true;
   bool want_metrics = false;  ///< Include full RunMetrics in the envelope.
   int64_t max_vertices = 0;   ///< Cap listed vertices; 0 = all. Part of

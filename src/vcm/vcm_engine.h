@@ -25,31 +25,22 @@
 #define GRAPHITE_VCM_VCM_ENGINE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
-#include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
-#include "ckpt/checkpoint_store.h"
-#include "ckpt/fault_injector.h"
-#include "engine/delivery.h"
 #include "engine/message_traits.h"
 #include "engine/metrics.h"
-#include "engine/parallel.h"
-#include "graph/partitioner.h"
+#include "engine/superstep_driver.h"
 #include "util/serde.h"
 #include "util/timer.h"
 
 namespace graphite {
 
-struct VcmOptions {
-  int num_workers = 4;
-  bool use_threads = false;
-  /// OS-thread scheduling when use_threads is set (engine/parallel.h).
-  RuntimeOptions runtime;
+struct VcmOptions : EngineOptions {
   bool always_active = false;
   int max_supersteps = std::numeric_limits<int>::max();
   /// Unit->worker placement policy (graph/partitioner.h): hash of the
@@ -57,39 +48,30 @@ struct VcmOptions {
   Placement placement;
 };
 
-/// Per-worker send-side context handed to Program::Compute.
+/// Per-chunk send-side context handed to Program::Compute.
 template <typename Message>
 class VcmContext {
  public:
-  VcmContext(int superstep, int my_worker, const std::vector<int>& worker_of,
-             std::vector<Writer>* wire, int64_t* messages_sent)
-      : superstep_(superstep),
-        my_worker_(my_worker),
-        worker_of_(worker_of),
-        wire_(wire),
-        messages_sent_(messages_sent) {}
+  VcmContext(const ChunkCursor<ChunkTally>& at,
+             const std::vector<int>& worker_of)
+      : at_(at), worker_of_(worker_of) {}
 
   /// Current superstep, starting at 0.
-  int superstep() const { return superstep_; }
+  int superstep() const { return at_.superstep; }
 
   /// Sends `msg` to unit `dst`, delivered at the start of the next
   /// superstep. Serialized immediately into the destination worker's wire
   /// buffer so byte metrics reflect the wire format.
   void Send(uint32_t dst, const Message& msg) {
-    Writer& w = (*wire_)[worker_of_[dst]];
+    Writer& w = (*at_.wire)[worker_of_[dst]];
     w.WriteU64(dst);
     MessageTraits<Message>::Write(w, msg);
-    ++*messages_sent_;
+    ++at_.tally->messages;
   }
 
-  int my_worker() const { return my_worker_; }
-
  private:
-  int superstep_;
-  int my_worker_;
+  const ChunkCursor<ChunkTally>& at_;
   const std::vector<int>& worker_of_;
-  std::vector<Writer>* wire_;
-  int64_t* messages_sent_;
 };
 
 /// Adapters over a mutable time-axis graph (DESIGN.md §4l) may expose the
@@ -98,8 +80,7 @@ class VcmContext {
 /// skips the frame. Headless adapters checkpoint as {0, 0}.
 template <typename A>
 concept VcmAdapterHasHead = requires(const A& a) {
-  { a.head().base_epoch } -> std::convertible_to<uint64_t>;
-  { a.head().delta_watermark } -> std::convertible_to<uint64_t>;
+  { a.head() } -> std::convertible_to<GraphHead>;
 };
 
 // lint:region(ingest-seed)
@@ -119,43 +100,84 @@ struct VcmWarmStart {
 };
 // lint:endregion(ingest-seed)
 
+namespace vcm_internal {
+
+/// RunVcm's operator for the superstep driver (engine/superstep_driver.h).
+template <typename Program>
+struct VcmOperator {
+  using Value = typename Program::Value;
+  using Message = typename Program::Message;
+  /// Checkpointing needs the unit Value on the wire too (the Message
+  /// already has traits by the engine contract); see ckpt/checkpoint.h.
+  static constexpr bool kCheckpointable = HasWireTraits<Value>;
+  static constexpr bool kPrefetchDense = true;
+
+  Program& program;
+  DeliveryPlane<Message>& plane;
+  std::vector<Value>& values;
+  /// Incremental superstep 0 (VcmWarmStart) runs only these units; null
+  /// otherwise.
+  const std::vector<uint32_t>* seed_units;
+
+  void Visit(const ChunkCursor<ChunkTally>& at, uint32_t u) {
+    if (at.superstep == 0 && seed_units != nullptr &&
+        !std::binary_search(seed_units->begin(), seed_units->end(), u)) {
+      return;  // Keeps its converged warm value and stays quiet.
+    }
+    VcmContext<Message> ctx(at, plane.map().worker_of());
+    program.Compute(ctx, u, values[u], plane.MessagesFor(at.worker, u));
+    ++at.tally->compute_calls;
+  }
+
+  // The per-message wire format: dst, then the payload (DecodeItem).
+  void Decode(Reader& reader, int dst) {
+    const uint32_t unit = static_cast<uint32_t>(reader.ReadU64());
+    plane.Deliver(dst, unit, DecodeItem(reader));
+  }
+
+  // The checkpoint codec (the driver frames each worker's section).
+  void EncodeUnit(Writer& w, uint32_t u) const {
+    MessageTraits<Value>::Write(w, values[u]);
+  }
+  void DecodeUnit(Reader& r, uint32_t u) {
+    values[u] = MessageTraits<Value>::Read(r);
+  }
+  void EncodeItem(Writer& w, const Message& m) const {
+    MessageTraits<Message>::Write(w, m);
+  }
+  Message DecodeItem(Reader& r) const {
+    return MessageTraits<Message>::Read(r);
+  }
+};
+
+}  // namespace vcm_internal
+
 /// Runs `program` over `adapter` to convergence (or max_supersteps).
 /// Final unit values are moved into *out_values if non-null.
-/// `initial_messages` seed the superstep-0 inboxes — used by GoFFish to
-/// carry temporal messages from the previous snapshot; units with seed
-/// messages receive them in superstep 0 (all existing units run then).
 /// `recovery` connects the run to the checkpoint subsystem (ckpt/):
 /// checkpoints are written where options.runtime.checkpoint says, into
 /// recovery.store; with recovery.resume the run restarts from the newest
-/// valid checkpoint (initial_messages are then ignored — the frame holds
-/// the delivered inboxes). Requires MessageTraits for Value when used.
+/// valid checkpoint. Requires MessageTraits for Value when used.
 /// `warm` turns the run into an incremental recompute (see VcmWarmStart);
 /// a successful checkpoint resume takes precedence over the warm seed.
 template <typename Program, typename Adapter>
-RunMetrics RunVcm(
-    const Adapter& adapter, Program& program, const VcmOptions& options,
-    std::vector<typename Program::Value>* out_values = nullptr,
-    const std::vector<std::pair<uint32_t, typename Program::Message>>&
-        initial_messages = {},
-    const RecoveryContext& recovery = {},
-    const VcmWarmStart<Program>* warm = nullptr) {
+RunMetrics RunVcm(const Adapter& adapter, Program& program,
+                  const VcmOptions& options,
+                  std::vector<typename Program::Value>* out_values = nullptr,
+                  const RecoveryContext& recovery = {},
+                  const VcmWarmStart<Program>* warm = nullptr) {
   using Value = typename Program::Value;
   using Message = typename Program::Message;
 
   const size_t n = adapter.NumUnits();
-  const int num_workers = options.num_workers;
-  GRAPHITE_CHECK(num_workers >= 1);
+  // Non-existent units stay off every owner list.
+  SuperstepDriver<Message> driver(
+      options,
+      WorkerMap(
+          n, options.num_workers, options.placement,
+          [&adapter](uint32_t u) { return adapter.PartitionId(u); },
+          [&adapter](uint32_t u) { return adapter.UnitExists(u); }));
 
-  // Delivery plane (engine/delivery.h): materializes the placement policy
-  // over the adapter's unit universe (non-existent units stay off every
-  // owner list) and owns inboxes, mail tracking and the messaging loop.
-  DeliveryPlane<Message> plane(WorkerMap(
-      n, num_workers, options.placement,
-      [&adapter](uint32_t u) { return adapter.PartitionId(u); },
-      [&adapter](uint32_t u) { return adapter.UnitExists(u); }));
-  plane.set_frontier_density(options.runtime.frontier_density);
-
-  // State.
   std::vector<Value> values(n);  // lint:allow(vector: per-run vertex values, live across supersteps)
   // lint:region(ingest-seed)
   // Warm start: adopt the converged pre-append values; only units beyond
@@ -173,282 +195,19 @@ RunMetrics RunVcm(
 
   // The mutable time-axis head this run executes against; stamped into
   // checkpoint frames and compared on resume.
-  uint64_t head_epoch = 0;
-  uint64_t head_watermark = 0;
-  if constexpr (VcmAdapterHasHead<Adapter>) {
-    head_epoch = adapter.head().base_epoch;
-    head_watermark = adapter.head().delta_watermark;
-  }
-
-  // Persistent pool + fixed chunk table, reused across supersteps.
-  SuperstepRuntime rt(num_workers, options.use_threads, options.runtime,
-                      plane.map().worker_sizes());
-  plane.Bind(&rt);
-  const std::unique_ptr<Transport> transport =
-      MakeTransport(options.runtime.transport, num_workers);
-  const int num_chunks = rt.num_chunks();
-
-  // Checkpointing needs the unit Value on the wire too (the Message
-  // already has traits by the engine contract); see ckpt/checkpoint.h.
-  constexpr bool kCheckpointable = HasWireTraits<Value>;
-  // A VCM worker section: per owned unit, the mail flag, the value and the
-  // undelivered inbox for the next superstep.
-  // (The bodies sit behind if constexpr so a Value without wire traits
-  // still compiles — the lambdas are then never called.)
-  auto encode_section = [&](int w) {
-    Writer enc;
-    if constexpr (kCheckpointable) {
-      for (const uint32_t u : plane.map().units_of(w)) {
-        enc.WriteU64(u);
-        enc.WriteByte(plane.MailFlag(u));
-        MessageTraits<Value>::Write(enc, values[u]);
-        enc.WriteU64(plane.InboxCountFor(w, u));
-        for (const Message& m : plane.MessagesFor(w, u)) {
-          MessageTraits<Message>::Write(enc, m);
-        }
-      }
-    }
-    return enc.Release();
-  };
-  // Inverse; the store's CRC already vouched for the bytes, so reads are
-  // the fast aborting kind. Messages are restored through plane.Deliver in
-  // section order (owner order), which rebuilds the mail flags and mailed
-  // list exactly as the encoding run had them; the caller Seals after.
-  auto decode_section = [&](int w, const std::string& bytes) {
-    if constexpr (kCheckpointable) {
-      Reader r(bytes);
-      while (!r.AtEnd()) {
-        const uint32_t u = static_cast<uint32_t>(r.ReadU64());
-        GRAPHITE_CHECK(u < n);
-        const uint8_t mail_flag = r.ReadByte();
-        values[u] = MessageTraits<Value>::Read(r);
-        const uint64_t num_msgs = r.ReadU64();
-        GRAPHITE_CHECK((mail_flag != 0) == (num_msgs > 0));
-        for (uint64_t i = 0; i < num_msgs; ++i) {
-          plane.Deliver(w, u, MessageTraits<Message>::Read(r));
-        }
-      }
-    }
-  };
-
-  // Recovery (ckpt/): restore the exact input of a checkpointed superstep,
-  // or fall through to a cold start (which still seeds initial_messages).
-  int start_superstep = 0;
-  bool resumed = false;
-  CheckpointStore* store = recovery.store;
+  GraphHead head;
+  if constexpr (VcmAdapterHasHead<Adapter>) head = adapter.head();
+  vcm_internal::VcmOperator<Program> op{program, driver.plane(), values,
+                                        nullptr};
   RunMetrics metrics;
-  if constexpr (kCheckpointable) {
-    if (store != nullptr && recovery.resume) {
-      Result<CheckpointBlob> blob =
-          recovery.resume_from >= 0 ? store->Load(recovery.resume_from)
-                                    : store->LoadLatestValid();
-      if (blob.ok()) {
-        Result<CheckpointFrame> frame = DecodeFrame(blob.value().payload);
-        GRAPHITE_CHECK(frame.ok());
-        const CheckpointFrame& f = frame.value();
-        // A frame from a different time-axis head describes a view this
-        // run no longer has: treat it exactly like no valid checkpoint.
-        if (f.base_epoch == head_epoch && f.delta_watermark == head_watermark) {
-        GRAPHITE_CHECK(f.num_units == n);
-        GRAPHITE_CHECK(static_cast<int>(f.sections.size()) == num_workers);
-        // Sections cover disjoint owned-unit sets: decode in parallel.
-        // Each lane Delivers into its own worker's inbox and Seals.
-        std::vector<int64_t> unused_ns;  // lint:allow(vector: recovery decode only, not superstep-rate)
-        rt.ParallelFor(num_workers, &unused_ns, [&](int w, int) {
-          decode_section(w, f.sections[w]);
-          plane.Seal(w);
-        });
-        start_superstep = f.superstep;
-        resumed = true;
-        metrics.resumed_from = f.superstep;
-        metrics.supersteps = f.counters.supersteps;
-        metrics.compute_calls = f.counters.compute_calls;
-        metrics.scatter_calls = f.counters.scatter_calls;
-        metrics.messages = f.counters.messages;
-        metrics.message_bytes = f.counters.message_bytes;
-        }
-      }
-    }
-  } else {
-    // Programs without wire traits for Value can run, but cannot
-    // checkpoint or resume.
-    GRAPHITE_CHECK(store == nullptr && !recovery.resume);
-  }
-  if (!resumed) {
-    for (const auto& [unit, msg] : initial_messages) {
-      GRAPHITE_CHECK(unit < n && adapter.UnitExists(unit));
-      plane.Deliver(plane.map().WorkerOf(unit), unit, msg);
-    }
-    plane.SealAll();
-  }
-
-  // Wire buffers, indexed [chunk][dst_worker]; chunk rows concatenate in
-  // chunk order to exactly sequential mode's per-worker buffers. Reused
-  // across supersteps (Clear keeps capacity).
-  std::vector<std::vector<Writer>> wire(num_chunks);  // lint:allow(vector: per-run wire matrix; Writer::Clear reuses capacity)
-  for (auto& row : wire) row.resize(num_workers);
-  std::vector<int> row_src(num_chunks);  // lint:allow(vector: per-run chunk map, sized once)
-  for (int c = 0; c < num_chunks; ++c) row_src[c] = rt.chunk(c).worker;
-  std::vector<int64_t> chunk_messages(num_chunks, 0);  // lint:allow(vector: per-run counters, sized once)
-  std::vector<int64_t> chunk_calls(num_chunks, 0);  // lint:allow(vector: per-run counters, sized once)
-  std::vector<int64_t> chunk_ns(num_chunks, 0);  // lint:allow(vector: per-run timings, sized once)
-
-  std::atomic<bool> killed{false};
-  const int64_t run_start = NowNanos();
-  [[maybe_unused]] int64_t last_checkpoint_t = run_start;
-
+  driver.Recover(op, recovery, head, &metrics);
+  const int start = std::max(0, metrics.resumed_from);
   // Warm-seed applies only to a genuinely first superstep: a resume from a
   // checkpoint of the incremental run already carries the seeded state.
-  const bool warm_seeded = warm != nullptr && !resumed;
-  for (int superstep = start_superstep; superstep < options.max_supersteps;
-       ++superstep) {
-    SuperstepMetrics ss;
-    ss.worker_compute_ns.assign(num_workers, 0);
-    ss.worker_in_bytes.assign(num_workers, 0);
-    ss.worker_compute_calls.assign(num_workers, 0);
-    std::fill(chunk_messages.begin(), chunk_messages.end(), int64_t{0});
-    std::fill(chunk_calls.begin(), chunk_calls.end(), int64_t{0});
-
-    // --- Compute phase: chunked, work-stealing when configured. ---
-    ss.steals = rt.ComputePhase(
-        &ss.thread_compute_ns, [&](int c, const WorkChunk& chunk, int) {
-          if (killed.load(std::memory_order_relaxed)) return;
-          if (recovery.fault != nullptr &&
-              recovery.fault->Fire(superstep, chunk.worker)) {
-            killed.store(true, std::memory_order_relaxed);
-            return;
-          }
-          const int64_t t0 = NowNanos();
-          VcmContext<Message> ctx(superstep, chunk.worker,
-                                  plane.map().worker_of(), &wire[c],
-                                  &chunk_messages[c]);
-          const std::vector<uint32_t>& mine =
-              plane.map().units_of(chunk.worker);
-          const bool seed0 = warm_seeded && superstep == 0;
-          const auto process = [&](uint32_t u) {
-            if (seed0 &&
-                !std::binary_search(warm->seed_units.begin(),
-                                    warm->seed_units.end(), u) &&
-                !plane.HasMail(u)) {
-              // Incremental superstep 0: only the append's seed units (and
-              // units holding initial_messages) run; everything else keeps
-              // its converged warm value and stays quiet.
-              return;
-            }
-            program.Compute(ctx, u, values[u],
-                            plane.MessagesFor(chunk.worker, u));
-            ++chunk_calls[c];
-          };
-          const bool every_unit = superstep == 0 || options.always_active;
-          if (every_unit || plane.FrontierIsDense(chunk.worker)) {
-            for (size_t i = chunk.begin; i < chunk.end; ++i) {
-              const uint32_t u = mine[i];
-              if (!every_unit && !plane.HasMail(u)) continue;
-              if (i + 1 < chunk.end) plane.Prefetch(chunk.worker, mine[i + 1]);
-              process(u);
-            }
-          } else {
-            // Frontier path: the sorted mailed-unit list sliced to this
-            // chunk's unit range — the dense scan's activation set in the
-            // dense scan's order, without the per-unit flag sweep. The
-            // next unit's inbox span is prefetched behind the current
-            // compute call.
-            const uint32_t lo = mine[chunk.begin];
-            const uint32_t hi = chunk.end < mine.size()
-                                    ? mine[chunk.end]
-                                    : std::numeric_limits<uint32_t>::max();
-            const std::span<const uint32_t> fs =
-                plane.FrontierSlice(chunk.worker, lo, hi);
-            for (size_t i = 0; i < fs.size(); ++i) {
-              if (i + 1 < fs.size()) plane.Prefetch(chunk.worker, fs[i + 1]);
-              process(fs[i]);
-            }
-          }
-          chunk_ns[c] = NowNanos() - t0;
-        });
-    if (killed.load(std::memory_order_relaxed)) {
-      // Simulated crash (ckpt/fault_injector.h): return exactly as a dead
-      // process would look to a restarting one — nothing from the killed
-      // superstep is accumulated, checkpointed or trusted.
-      metrics.interrupted = true;
-      metrics.makespan_ns = NowNanos() - run_start;
-      if (out_values != nullptr) *out_values = std::move(values);
-      return metrics;
-    }
-    for (int c = 0; c < num_chunks; ++c) {
-      const int w = rt.chunk(c).worker;
-      ss.worker_compute_ns[w] += chunk_ns[c];
-      ss.worker_compute_calls[w] += chunk_calls[c];
-      ss.compute_calls += chunk_calls[c];
-      ss.messages += chunk_messages[c];
-    }
-
-    // --- Barrier: drop the consumed flat inboxes and reset the superstep
-    // arenas. Arenas reset only here (see DESIGN.md §4f) — the messaging
-    // phase below refills them for superstep+1, and a checkpoint encoded
-    // after messaging may still reference arena-backed storage. ---
-    const int64_t barrier_t = NowNanos();
-    plane.Barrier();
-    ss.barrier_ns = NowNanos() - barrier_t;
-
-    // --- Messaging: the plane routes every wire row through the transport
-    // and each destination lane decodes its own frames. ---
-    const int64_t msg_t = NowNanos();
-    const bool any_message = plane.Route(
-        *transport, std::span<std::vector<Writer>>(wire), row_src, &ss,
-        [&plane](Reader& reader, int dst) {
-          const uint32_t unit = static_cast<uint32_t>(reader.ReadU64());
-          Message msg = MessageTraits<Message>::Read(reader);
-          plane.Deliver(dst, unit, std::move(msg));
-        });
-    ss.messaging_ns = NowNanos() - msg_t;
-    // The mailed lists now hold superstep+1's activation set (sealed by
-    // Route above); record its size before the next barrier clears it.
-    plane.CountFrontier(&ss.frontier_units, &ss.frontier_dense_workers);
-
-    metrics.Accumulate(ss);
-    // Always-active programs run to max_supersteps (the loop bound);
-    // message-driven ones halt on the first quiet superstep.
-    const bool halting = !any_message && !options.always_active;
-    if constexpr (kCheckpointable) {
-      // Barrier checkpoint: the messaging phase has delivered the inboxes
-      // of superstep+1, so the frame captures exactly that superstep's
-      // input. The final barrier is never checkpointed.
-      if (store != nullptr && !halting &&
-          superstep + 1 < options.max_supersteps &&
-          options.runtime.checkpoint.ShouldCheckpoint(
-              superstep, NowNanos() - last_checkpoint_t)) {
-        const int64_t ckpt_t0 = NowNanos();
-        CheckpointFrame frame;
-        frame.superstep = superstep + 1;
-        frame.num_units = n;
-        frame.base_epoch = head_epoch;
-        frame.delta_watermark = head_watermark;
-        frame.counters = {metrics.supersteps, metrics.compute_calls,
-                          metrics.scatter_calls, metrics.messages,
-                          metrics.message_bytes, 0, 0};
-        frame.sections.resize(num_workers);
-        // Sections cover disjoint owned-unit sets: encode in parallel on
-        // the run's pool.
-        std::vector<int64_t> unused_ns;  // lint:allow(vector: checkpoint barrier only, not superstep-rate)
-        rt.ParallelFor(num_workers, &unused_ns, [&](int w, int) {
-          frame.sections[w] = encode_section(w);
-        });
-        const Status committed =
-            store->Commit(frame.superstep, EncodeFrame(frame));
-        GRAPHITE_CHECK(committed.ok());
-        last_checkpoint_t = NowNanos();
-        SuperstepMetrics& back = metrics.per_superstep.back();
-        back.checkpoint_ns = last_checkpoint_t - ckpt_t0;
-        back.checkpoint_bytes = store->last_commit_bytes();
-        ++metrics.checkpoints;
-        metrics.checkpoint_ns += back.checkpoint_ns;
-        metrics.checkpoint_bytes += back.checkpoint_bytes;
-      }
-    }
-    if (halting) break;
-  }
-
+  if (warm != nullptr && start == 0) op.seed_units = &warm->seed_units;
+  const int64_t run_start = NowNanos();
+  driver.Run(op, start, options.max_supersteps, options.always_active,
+             &metrics);
   metrics.makespan_ns = NowNanos() - run_start;
   if (out_values != nullptr) *out_values = std::move(values);
   return metrics;

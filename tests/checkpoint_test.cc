@@ -231,24 +231,21 @@ TEST(CheckpointPolicyTest, ModesDecideBarriers) {
 
 struct ModeSpec {
   const char* name;
-  Scheduling scheduling;
   int num_threads;
   int chunk_size;
 };
 
 // The container may expose a single core; explicit thread counts keep the
-// pool modes honest (and the matrix identical everywhere).
+// threaded modes honest (and the matrix identical everywhere).
 const ModeSpec kModes[] = {
-    {"spawn", Scheduling::kSpawn, 0, 64},
-    {"pool", Scheduling::kPool, 2, 64},
-    {"stealing", Scheduling::kStealing, 4, 4},
+    {"steal2", 2, 64},
+    {"stealing", 4, 4},
 };
 
 IcmOptions MakeIcmOptions(const ModeSpec& mode, int workers) {
   IcmOptions options;
   options.num_workers = workers;
   options.use_threads = true;
-  options.runtime.scheduling = mode.scheduling;
   options.runtime.num_threads = mode.num_threads;
   options.runtime.chunk_size = mode.chunk_size;
   return options;
@@ -327,7 +324,7 @@ TEST(CheckpointRecoveryIcmTest, KilledAndResumedMatchesUninterrupted) {
 // silently falls back to the previous valid snapshot.
 TEST(CheckpointRecoveryIcmTest, CorruptLatestFallsBackToPreviousValid) {
   const TemporalGraph g = RecoveryGraph();
-  IcmOptions options = MakeIcmOptions(kModes[2], 3);
+  IcmOptions options = MakeIcmOptions(kModes[1], 3);
   options.runtime.checkpoint = CheckpointPolicy::EveryK(1);
 
   IcmSssp baseline_program(g, g.vertex_id(0));
@@ -388,7 +385,7 @@ TEST(CheckpointRecoveryIcmTest, ResumeOnEmptyStoreIsColdStart) {
 
 TEST(CheckpointRecoveryIcmTest, ResumeFromSpecificSuperstep) {
   const TemporalGraph g = RecoveryGraph();
-  IcmOptions options = MakeIcmOptions(kModes[1], 3);
+  IcmOptions options = MakeIcmOptions(kModes[0], 3);
   options.runtime.checkpoint = CheckpointPolicy::EveryK(1);
 
   IcmSssp baseline_program(g, g.vertex_id(0));
@@ -484,7 +481,6 @@ VcmOptions MakeVcmOptions(const ModeSpec& mode, int workers) {
   VcmOptions options;
   options.num_workers = workers;
   options.use_threads = true;
-  options.runtime.scheduling = mode.scheduling;
   options.runtime.num_threads = mode.num_threads;
   options.runtime.chunk_size = mode.chunk_size;
   return options;
@@ -527,7 +523,7 @@ TEST(CheckpointRecoveryVcmTest, KilledAndResumedMatchesUninterrupted) {
       RelayProgram killed_program(kUnits);
       std::vector<int64_t> killed_values;
       const RunMetrics killed = RunVcm(adapter, killed_program, options,
-                                       &killed_values, {}, crash);
+                                       &killed_values, crash);
       ASSERT_TRUE(fault.triggered()) << what;
       ASSERT_TRUE(killed.interrupted) << what;
       ASSERT_FALSE(store.ListCheckpoints().empty()) << what;
@@ -538,7 +534,7 @@ TEST(CheckpointRecoveryVcmTest, KilledAndResumedMatchesUninterrupted) {
       RelayProgram resumed_program(kUnits);
       std::vector<int64_t> resumed_values;
       const RunMetrics resumed = RunVcm(adapter, resumed_program, options,
-                                        &resumed_values, {}, resume);
+                                        &resumed_values, resume);
       // EveryK(3) commits after supersteps 2, 5, 8, ... — the newest
       // barrier at or before the kill point is superstep 9's.
       EXPECT_EQ(resumed.resumed_from, 9) << what;
@@ -551,7 +547,7 @@ TEST(CheckpointRecoveryVcmTest, KilledAndResumedMatchesUninterrupted) {
 TEST(CheckpointRecoveryVcmTest, CorruptLatestFallsBackToPreviousValid) {
   constexpr uint32_t kUnits = 24;
   const LineAdapter adapter{kUnits};
-  VcmOptions options = MakeVcmOptions(kModes[2], 3);
+  VcmOptions options = MakeVcmOptions(kModes[1], 3);
   options.runtime.checkpoint = CheckpointPolicy::EveryK(2);
 
   RelayProgram baseline_program(kUnits);
@@ -563,7 +559,7 @@ TEST(CheckpointRecoveryVcmTest, CorruptLatestFallsBackToPreviousValid) {
   RecoveryContext save;
   save.store = &store;
   RelayProgram run_program(kUnits);
-  RunVcm(adapter, run_program, options, nullptr, {}, save);
+  RunVcm(adapter, run_program, options, nullptr, save);
   const std::vector<int> ckpts = store.ListCheckpoints();
   ASSERT_GE(ckpts.size(), 2u);
 
@@ -574,7 +570,7 @@ TEST(CheckpointRecoveryVcmTest, CorruptLatestFallsBackToPreviousValid) {
   RelayProgram resumed_program(kUnits);
   std::vector<int64_t> resumed_values;
   const RunMetrics resumed =
-      RunVcm(adapter, resumed_program, options, &resumed_values, {}, resume);
+      RunVcm(adapter, resumed_program, options, &resumed_values, resume);
   EXPECT_EQ(resumed.resumed_from, ckpts[ckpts.size() - 2]);
   ExpectSameVcmOutcome(baseline, baseline_values, resumed, resumed_values,
                        "vcm-corrupt-fallback");

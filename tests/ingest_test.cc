@@ -694,16 +694,14 @@ TEST(IngestVersionTest, CompactKeepsPropertyIterationOrder) {
 struct ModeSpec {
   const char* name;
   bool use_threads;
-  Scheduling scheduling;
   int num_threads;
   int chunk_size;
 };
 
 const ModeSpec kModes[] = {
-    {"sequential", false, Scheduling::kStealing, 0, 64},
-    {"spawn", true, Scheduling::kSpawn, 0, 64},
-    {"pool2", true, Scheduling::kPool, 2, 64},
-    {"steal8", true, Scheduling::kStealing, 8, 4},
+    {"sequential", false, 0, 64},
+    {"steal2", true, 2, 64},
+    {"steal8", true, 8, 4},
 };
 
 const TransportKind kTransports[] = {TransportKind::kInProcess,
@@ -714,7 +712,6 @@ IcmOptions MakeOptions(const ModeSpec& mode, int workers,
   IcmOptions options;
   options.num_workers = workers;
   options.use_threads = mode.use_threads;
-  options.runtime.scheduling = mode.scheduling;
   options.runtime.num_threads = mode.num_threads;
   options.runtime.chunk_size = mode.chunk_size;
   options.runtime.transport = transport;
@@ -993,7 +990,7 @@ TEST_P(IngestIncrementalTest, VcmWarmStartMatchesFullRecompute) {
         HopProgram p{graph, 0};
         std::vector<int64_t> got;
         const RunMetrics m =
-            RunVcm(adapter, p, options, &got, {}, {}, &warm);
+            RunVcm(adapter, p, options, &got, {}, &warm);
         ASSERT_EQ(got, want) << variant << " w=" << workers
                              << " threads=" << threads;
         // Superstep 0 computed only seeded units, not the whole graph.
@@ -1108,7 +1105,7 @@ TEST(IngestCheckpointTest, KillAndResumeMidIncrementalIngest) {
   AppendReceipt receipt;
   ASSERT_TRUE(merged.Append(ChainExtension(), &receipt).ok());
 
-  IcmOptions options = MakeOptions(kModes[3], 3);
+  IcmOptions options = MakeOptions(kModes[2], 3);
   options.runtime.checkpoint = CheckpointPolicy::EveryK(1);
 
   const auto make_warm = [&] {

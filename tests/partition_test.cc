@@ -98,7 +98,7 @@ TEST(PartitionStrategiesTest, IcmResultsInvariantToStrategy) {
     const auto part = ComputePartition(g, s, 3);
     IcmOptions options;
     options.num_workers = 3;
-    options.custom_partition = &part;
+    options.placement = Placement::Explicit(&part);
     IcmSssp program(g, testutil::kA);
     auto got = IcmEngine<IcmSssp>::Run(g, program, options);
     for (size_t v = 0; v < g.num_vertices(); ++v) {
@@ -130,7 +130,7 @@ TEST(PartitionStrategiesTest, CutAffectsCrossWorkerBytesOnly) {
 
   IcmOptions one;
   one.num_workers = 2;
-  one.custom_partition = &all_zero;
+  one.placement = Placement::Explicit(&all_zero);
   IcmReach p1(g, source);
   auto r1 = IcmEngine<IcmReach>::Run(g, p1, one);
   ASSERT_GT(r1.metrics.messages, 0);
@@ -138,7 +138,7 @@ TEST(PartitionStrategiesTest, CutAffectsCrossWorkerBytesOnly) {
   const auto split = ComputePartition(g, PartitionStrategy::kBlock, 2);
   IcmOptions two;
   two.num_workers = 2;
-  two.custom_partition = &split;
+  two.placement = Placement::Explicit(&split);
   IcmReach p2(g, source);
   auto r2 = IcmEngine<IcmReach>::Run(g, p2, two);
 

@@ -1,6 +1,6 @@
-// The parallel runtime's oracle: every scheduling mode — sequential,
-// legacy per-superstep spawn, persistent pool, and chunked work stealing —
-// must produce a byte-identical IcmResult (states, call/message/byte
+// The parallel runtime's oracle: both scheduling modes — sequential and
+// chunked work stealing, at fewer and at more threads than workers — must
+// produce a byte-identical IcmResult (states, call/message/byte
 // counts, per-worker call vectors) for any logical worker count. The
 // per-destination wire buffers are filled in logical-worker order in every
 // mode (chunk rows concatenate in chunk order), so this is exact equality,
@@ -66,8 +66,8 @@ TEST(ThreadPoolTest, AtomicCursorDrainClaimsEachItemOnce) {
 }
 
 // --- The determinism matrix (ISSUE 1, transport axis from ISSUE 5):
-// {sequential, spawn, pool x2, pool x8 stealing} x {in-process, loopback
-// wire} x {1, 3, 7} logical workers must agree exactly. The delivery
+// {sequential, stealing x2, stealing x8} x {in-process, loopback wire} x
+// {1, 3, 7} logical workers must agree exactly. The delivery
 // plane visits wire rows in chunk order and decodes frames in write
 // order, so even the loopback transport — which copies every row through
 // the §VI wire encoding — reproduces sequential results byte for byte,
@@ -76,17 +76,16 @@ TEST(ThreadPoolTest, AtomicCursorDrainClaimsEachItemOnce) {
 struct ModeSpec {
   const char* name;
   bool use_threads;
-  Scheduling scheduling;
   int num_threads;
   int chunk_size;
 };
 
 const ModeSpec kModes[] = {
-    {"sequential", false, Scheduling::kStealing, 0, 64},
-    {"spawn", true, Scheduling::kSpawn, 0, 64},
-    {"pool2", true, Scheduling::kPool, 2, 64},
+    {"sequential", false, 0, 64},
+    // Fewer threads than workers: each thread owns several home workers.
+    {"steal2", true, 2, 64},
     // Tiny chunks force heavy inter-thread stealing on small graphs.
-    {"steal8", true, Scheduling::kStealing, 8, 4},
+    {"steal8", true, 8, 4},
 };
 
 const TransportKind kTransports[] = {TransportKind::kInProcess,
@@ -103,7 +102,6 @@ IcmOptions MakeOptions(const ModeSpec& mode, int workers,
   IcmOptions options;
   options.num_workers = workers;
   options.use_threads = mode.use_threads;
-  options.runtime.scheduling = mode.scheduling;
   options.runtime.num_threads = mode.num_threads;
   options.runtime.chunk_size = mode.chunk_size;
   options.runtime.transport = transport;
@@ -275,7 +273,6 @@ TEST(RuntimeDeterminismCrossEngine, AllPlatformsMatchSequential) {
   seq.chlonos_batch_size = 5;
   RunConfig par = seq;
   par.use_threads = true;
-  par.runtime.scheduling = Scheduling::kStealing;
   par.runtime.num_threads = 8;
   par.runtime.chunk_size = 4;
   RunConfig loop = par;
@@ -326,7 +323,6 @@ TEST(RuntimeDeterminismCrossEngine, FrontierMatchesDenseAllPlatforms) {
   RunConfig dense;
   dense.num_workers = 3;
   dense.use_threads = true;
-  dense.runtime.scheduling = Scheduling::kStealing;
   dense.runtime.num_threads = 4;
   dense.runtime.chunk_size = 2;
   dense.runtime.frontier_density = 0.0;
@@ -377,7 +373,6 @@ TEST(RuntimeDeterminismCrossEngine, SimdDeterminismMatchesScalarAllPlatforms) {
   RunConfig par;
   par.num_workers = 3;
   par.use_threads = true;
-  par.runtime.scheduling = Scheduling::kStealing;
   par.runtime.num_threads = 4;
   par.runtime.chunk_size = 2;
   par.chlonos_batch_size = 5;
@@ -442,10 +437,9 @@ TEST(RuntimeStealTest, SkewedPartitionReportsSteals) {
   IcmOptions options;
   options.num_workers = 4;
   options.use_threads = true;
-  options.runtime.scheduling = Scheduling::kStealing;
   options.runtime.num_threads = 4;
   options.runtime.chunk_size = 2;
-  options.custom_partition = &partition;
+  options.placement = Placement::Explicit(&partition);
   IcmPageRank program(g);
   const auto result =
       IcmEngine<IcmPageRank>::Run(g, program, PageRankOptions(options));

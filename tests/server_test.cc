@@ -86,8 +86,7 @@ TEST(QueryServiceTest, ResultFragmentIdenticalAcrossSchedulingModes) {
   for (const std::string& line : MixedRequests("t")) {
     QueryRequest req = MustParse(line);
     const std::string expected = Standalone(req, standalone_graph);
-    for (const char* mode :
-         {"sequential", "spawn", "pool", "stealing"}) {
+    for (const char* mode : {"sequential", "stealing"}) {
       req.mode = mode;
       req.workers = 4;
       const std::string response = service.Execute(req);
@@ -154,6 +153,25 @@ TEST(QueryServiceTest, ErrorsBecomeErrorResponses) {
       "{\"op\":\"run\",\"graph\":\"t\",\"alg\":\"sssp\","
       "\"platform\":\"msb\"}"));
   EXPECT_NE(bad_combo.find("InvalidArgument"), std::string::npos);
+}
+
+// Only "sequential" and "stealing" name a scheduling mode; the retired
+// "spawn" and "pool" are rejected like any other unknown name.
+TEST(QueryServiceTest, UnknownModeIsInvalidArgument) {
+  GraphRegistry registry;
+  QueryService service(&registry, nullptr);
+  registry.Add("t", testutil::MakeTransitGraph());
+  for (const char* mode : {"spawn", "pool", "warp-speed"}) {
+    const std::string response = service.Execute(MustParse(
+        std::string("{\"op\":\"run\",\"graph\":\"t\",\"alg\":\"bfs\","
+                    "\"mode\":\"") +
+        mode + "\"}"));
+    EXPECT_NE(response.find("\"ok\": false"), std::string::npos) << mode;
+    EXPECT_NE(response.find("InvalidArgument"), std::string::npos) << mode;
+    EXPECT_NE(response.find(std::string("unknown mode: ") + mode),
+              std::string::npos)
+        << response;
+  }
 }
 
 // The acceptance scenario: >= 64 concurrent mixed requests over >= 2

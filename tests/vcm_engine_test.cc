@@ -107,25 +107,6 @@ TEST(VcmEngineTest, AlwaysActiveRunsFixedSupersteps) {
   for (uint32_t u = 0; u < 5; ++u) EXPECT_EQ(values[u], 7);
 }
 
-TEST(VcmEngineTest, InitialMessagesSeedSuperstepZero) {
-  LineAdapter adapter(6);
-  struct SeedProgram {
-    using Value = int64_t;
-    using Message = int64_t;
-    Value Init(uint32_t) const { return 0; }
-    void Compute(VcmContext<Message>&, uint32_t, Value& val,
-                 std::span<const Message> msgs) {
-      for (const Message& msg : msgs) val += msg;
-    }
-  } program;
-  std::vector<std::pair<uint32_t, int64_t>> seeds = {{2, 50}, {2, 7}, {4, 1}};
-  std::vector<int64_t> values;
-  RunVcm(adapter, program, VcmOptions{}, &values, seeds);
-  EXPECT_EQ(values[2], 57);
-  EXPECT_EQ(values[4], 1);
-  EXPECT_EQ(values[0], 0);
-}
-
 TEST(VcmEngineTest, SnapshotAdapterSkipsInactiveUnits) {
   const TemporalGraph g = testutil::MakeTransitGraph();
   SnapshotAdapter adapter{SnapshotView(&g, 4)};
@@ -166,12 +147,17 @@ TEST(MetricsTest, SimulatedMakespanUsesSlowestWorker) {
   ss.worker_in_bytes = {0, 0};
   m.Accumulate(ss);
   // barrier cost 0, no bytes: exactly the slowest worker.
-  EXPECT_EQ(m.SimulatedMakespanNs(125e6, 0), 900);
+  RunMetrics::ClusterModel model;
+  model.network_bytes_per_sec = 125e6;
+  model.barrier_ns = 0;
+  model.per_message_ns = 0;
+  EXPECT_EQ(m.SimulatedMakespanNs(model), 900);
   // Network model adds bytes/bandwidth on the busiest worker.
   RunMetrics n;
   ss.worker_in_bytes = {125, 0};  // 125 bytes at 125 B/s = 1s.
   n.Accumulate(ss);
-  EXPECT_EQ(n.SimulatedMakespanNs(125.0, 0), 900 + 1'000'000'000);
+  model.network_bytes_per_sec = 125.0;
+  EXPECT_EQ(n.SimulatedMakespanNs(model), 900 + 1'000'000'000);
 }
 
 TEST(MetricsTest, ToStringMentionsCounters) {

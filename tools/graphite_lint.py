@@ -14,7 +14,8 @@ convention, and that clang-tidy/compilers cannot express:
   heap    No heap-allocation expressions (new, malloc/calloc/realloc,
           free, make_unique, make_shared) in the superstep hot path:
           src/icm/, src/vcm/, src/engine/delivery.h,
-          src/engine/flat_inbox.h. Hot-path storage is arena-backed
+          src/engine/flat_inbox.h, src/engine/superstep_driver.h (the
+          loop all four engines run). Hot-path storage is arena-backed
           (util/arena.h); steady-state supersteps allocate nothing.
 
   vector  Every std::vector that OWNS storage in a hot-path file (member,
@@ -70,7 +71,8 @@ JSON_HOME = "src/util/json.cc"
 SIMD_HOME = "src/util/simd.h"
 
 # The superstep hot path (DESIGN.md §4f/§4k): arena storage only.
-HOT_FILES = ("src/engine/delivery.h", "src/engine/flat_inbox.h")
+HOT_FILES = ("src/engine/delivery.h", "src/engine/flat_inbox.h",
+             "src/engine/superstep_driver.h")
 HOT_DIRS = ("src/icm/", "src/vcm/")
 
 MUTEX_TOKEN = re.compile(
@@ -315,6 +317,12 @@ SELF_TEST_CASES = [
      "std::mutex mu;  // lint:allow(mutex: adapter)"),
     ("heap", "src/icm/foo.h", "auto* p = new Thing();"),
     ("heap", "src/engine/flat_inbox.h", "void* p = malloc(64);"),
+    ("heap", "src/engine/superstep_driver.h",
+     "auto t = std::make_unique<InProcessTransport>(n);"),
+    ("vector", "src/engine/superstep_driver.h",
+     "std::vector<int64_t> per_chunk;"),
+    (None, "src/engine/superstep_driver.h",
+     "std::vector<int> row_src_;  // lint:allow(vector: per-run chunk map)"),
     (None, "src/icm/foo.h", "// allocate a new block lazily"),
     (None, "src/server/foo.cc", "auto* p = new Thing();"),  # not hot
     ("vector", "src/icm/foo.h", "std::vector<int> owned;"),
