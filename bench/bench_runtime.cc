@@ -16,7 +16,6 @@
 #include "algorithms/icm_ti.h"
 #include "bench_common.h"
 #include "util/json.h"
-#include "util/simd.h"
 
 namespace graphite {
 namespace {
@@ -77,14 +76,9 @@ int main(int argc, char** argv) {
   json.BeginObject();
   json.Key("hardware_concurrency").Int(threads);
   json.Key("num_workers").Int(workers);
-  // Which warp-kernel dispatch level the run used (boot default or the
-  // GRAPHITE_SIMD override) — timing baselines are only comparable at the
-  // same level, so the regression gate records and checks it.
-  json.Key("simd_dispatch").String(SimdLevelName(SimdDispatchLevel()));
   json.Key("note").String(
       "measured on a " + std::to_string(threads) +
-      "-core host with " + SimdLevelName(SimdDispatchLevel()) +
-      " warp dispatch, best of 3; the two scheduling modes are sequential "
+      "-core host, best of 3; the two scheduling modes are sequential "
       "and work stealing (the per-superstep spawn and static pool modes "
       "were removed after stealing beat both on every input); stealing "
       "needs >1 core to beat sequential, the small graphs (GPlus, Reddit, "

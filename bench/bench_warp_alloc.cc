@@ -31,7 +31,6 @@
 #include "util/arena.h"
 #include "util/json.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "util/timer.h"
 
 namespace graphite {
@@ -90,11 +89,9 @@ WarpWorkload BuildWarpWorkload(const TemporalGraph& g, uint64_t seed) {
 
 // Dense inbox variant: every non-empty vertex's message list tiled up to
 // kMaxMsgsPerVertex (payloads re-randomized so the tiles are not byte
-// copies). The sparse catalog at bench scale leaves every vertex well
-// below warp_internal::kSimdMinWork, so the hybrid kernel demotes every
-// call to its scalar path; the dense variant is the regime the wide
-// kernels exist for — fat superstep inboxes on high-in-degree vertices —
-// and is what the forced-SIMD gate measures.
+// copies). The sparse catalog at bench scale gives small inboxes; the
+// dense variant times the kernel on fat superstep inboxes, the shape
+// high-in-degree vertices produce.
 WarpWorkload DensifyWorkload(const WarpWorkload& src, uint64_t seed) {
   WarpWorkload wl;
   wl.outer = src.outer;
@@ -220,78 +217,6 @@ PathStats RunArena(const WarpWorkload& wl) {
   return st;
 }
 
-// Same arena path with the process dispatch pinned to `level` for the
-// duration of the run (restored afterwards) — the scalar-vs-SIMD
-// comparison keys and the forced-SIMD gate use this so the measurement
-// does not depend on the build's boot-time default.
-PathStats RunArenaAt(const WarpWorkload& wl, SimdLevel level) {
-  const SimdLevel saved = SimdDispatchLevel();
-  SimdSetDispatch(level);
-  const PathStats st = RunArena(wl);
-  SimdSetDispatch(saved);
-  return st;
-}
-
-// --- micro_sort: the partitioned endpoint sort in isolation -------------
-// Shaped single-vertex workloads that hit each branch of
-// warp_internal::SortClippedEndpoints: `spanning` (every message covers
-// the entry interval, so every clipped endpoint lands in a pinned
-// bucket), `staircase` (disjoint unit intervals in arrival order — the
-// interior is already sorted and the detection pass proves it), and
-// `shuffled` (random intervals — detection fails and the std::sort
-// fallback runs). WarpStats' timed sort counters give ns/endpoint and
-// the detection hit rate per shape.
-struct MicroSortStats {
-  double ns_per_endpoint = 0;
-  double presorted_hit_rate = 0;
-  double pinned_endpoint_share = 0;
-  uint64_t endpoints_per_call = 0;
-};
-
-constexpr size_t kMicroMsgs = 4096;
-constexpr int kMicroIters = 64;
-
-MicroSortStats RunMicroSort(const std::vector<Item>& msgs,
-                            TimePoint horizon) {
-  const std::vector<Entry> outer = {{Interval(0, horizon), int64_t{1}}};
-  Arena arena;
-  WarpScratch scratch;
-  scratch.Attach(&arena);
-  WarpOutput out;
-  out.Attach(&arena);
-  WarpStats st;
-  st.timed = true;
-  for (int i = 0; i < kMicroIters; ++i) {
-    TimeWarpInto<int64_t, int64_t>(outer, msgs, &scratch, &out, &st);
-  }
-  MicroSortStats ms;
-  if (st.sort_endpoints > 0) {
-    ms.ns_per_endpoint = static_cast<double>(st.sort_ns) /
-                         static_cast<double>(st.sort_endpoints);
-    ms.pinned_endpoint_share = static_cast<double>(st.sort_pinned) /
-                               static_cast<double>(st.sort_endpoints);
-    ms.endpoints_per_call =
-        st.sort_endpoints / static_cast<uint64_t>(kMicroIters);
-  }
-  if (st.sort_calls > 0) {
-    ms.presorted_hit_rate = static_cast<double>(st.sort_presorted) /
-                            static_cast<double>(st.sort_calls);
-  }
-  scratch.Release();
-  out.Release();
-  return ms;
-}
-
-void WriteMicroSortShape(JsonWriter* json, const char* name,
-                         const MicroSortStats& ms) {
-  json->Key(name).BeginObject();
-  json->Key("sort_ns_per_endpoint").Fixed(ms.ns_per_endpoint, 2);
-  json->Key("presorted_hit_rate").Fixed(ms.presorted_hit_rate, 3);
-  json->Key("pinned_endpoint_share").Fixed(ms.pinned_endpoint_share, 3);
-  json->Key("endpoints_per_call").UInt(ms.endpoints_per_call);
-  json->EndObject();
-}
-
 struct EngineStats {
   double wall_ms = 0;
   double allocs_per_superstep = 0;
@@ -355,19 +280,11 @@ int main(int argc, char** argv) {
   // timing keys were measured on a comparable host (core-count
   // mismatches downgrade timing gates to warnings).
   json.Key("hardware_concurrency").UInt(std::thread::hardware_concurrency());
-  // The dispatch level the soa path ran at (boot default or GRAPHITE_SIMD
-  // override) and the best level this host supports. The gate downgrades
-  // timing comparisons when baselines disagree on simd_dispatch.
-  const SimdLevel dispatch = SimdDispatchLevel();
-  const SimdLevel best = SimdMaxSupported();
-  json.Key("simd_dispatch").String(SimdLevelName(dispatch));
-  json.Key("simd_lanes").UInt(static_cast<uint64_t>(SimdLanes(dispatch)));
-  json.Key("simd_best").String(SimdLevelName(best));
   json.Key("datasets").BeginArray();
 
   double sum_legacy_allocs = 0, sum_soa_allocs = 0;
   double sum_legacy_ns = 0, sum_soa_ns = 0;
-  double sum_dense_scalar_ns = 0, sum_dense_simd_ns = 0;
+  double sum_dense_scalar_ns = 0;
   uint64_t sum_tuples = 0, sum_dense_tuples = 0;
   double e2e_ms = 0, e2e_allocs = 0;
   int64_t e2e_supersteps = 0;
@@ -380,21 +297,15 @@ int main(int argc, char** argv) {
     const WarpWorkload wl = BuildWarpWorkload(ds.workload.graph(), 7 + d);
     const PathStats legacy = RunLegacy(wl);
     const PathStats soa = RunArena(wl);
-    // Forced-level runs on the dense variant: the SIMD gate must measure
-    // the wide kernels, and the catalog workload never reaches
-    // kSimdMinWork at bench scale. The scalar companion run on the same
-    // dense workload makes the pair an honest in-workload comparison.
     const WarpWorkload dense = DensifyWorkload(wl, 99 + d);
-    const PathStats dense_scalar = RunArenaAt(dense, SimdLevel::kScalar);
-    const PathStats dense_simd = RunArenaAt(dense, best);
+    const PathStats dense_scalar = RunArena(dense);
     sum_legacy_allocs += legacy.allocs_per_superstep;
     sum_soa_allocs += soa.allocs_per_superstep;
     sum_legacy_ns += legacy.ns_per_superstep;
     sum_soa_ns += soa.ns_per_superstep;
     sum_dense_scalar_ns += dense_scalar.ns_per_superstep;
-    sum_dense_simd_ns += dense_simd.ns_per_superstep;
     sum_tuples += soa.tuples_per_superstep;
-    sum_dense_tuples += dense_simd.tuples_per_superstep;
+    sum_dense_tuples += dense_scalar.tuples_per_superstep;
 
     // End-to-end: one TI and one TD algorithm across the catalog.
     const Algorithm algo =
@@ -420,10 +331,9 @@ int main(int argc, char** argv) {
     json.Key("legacy_ns_per_tuple").Fixed(legacy.ns_per_tuple, 1);
     json.Key("soa_ns_per_tuple").Fixed(soa.ns_per_tuple, 1);
     json.Key("dense_scalar_ns_per_tuple").Fixed(dense_scalar.ns_per_tuple, 1);
-    json.Key("dense_simd_ns_per_tuple").Fixed(dense_simd.ns_per_tuple, 1);
     json.Key("tuples_per_superstep").UInt(soa.tuples_per_superstep);
     json.Key("dense_tuples_per_superstep")
-        .UInt(dense_simd.tuples_per_superstep);
+        .UInt(dense_scalar.tuples_per_superstep);
     json.Key(std::string("icm_") + AlgorithmName(algo) + "_wall_ms")
         .Fixed(eng.wall_ms, 1);
     json.Key("icm_allocs_per_superstep").Fixed(eng.allocs_per_superstep, 1);
@@ -431,37 +341,6 @@ int main(int argc, char** argv) {
     ds.workload.DropDerived();
   }
   json.EndArray();
-
-  // Partitioned-endpoint-sort microbench (DESIGN.md §4j): runs only on
-  // the vectorized path, so pin dispatch to the best supported level for
-  // the section (restored after).
-  {
-    const SimdLevel saved = SimdDispatchLevel();
-    SimdSetDispatch(best);
-    std::fprintf(stderr, "[sort] micro_sort shapes ...\n");
-    Rng rng(1234);
-    const TimePoint horizon = static_cast<TimePoint>(2 * kMicroMsgs);
-    std::vector<Item> spanning, staircase, shuffled;
-    for (size_t i = 0; i < kMicroMsgs; ++i) {
-      const auto payload = static_cast<int64_t>(i);
-      spanning.push_back({Interval(0, horizon), payload});
-      staircase.push_back({Interval(static_cast<TimePoint>(2 * i),
-                                    static_cast<TimePoint>(2 * i + 1)),
-                           payload});
-      const TimePoint a = rng.UniformRange(1, horizon - 2);
-      shuffled.push_back({Interval(a, rng.UniformRange(a + 1, horizon)),
-                          payload});
-    }
-    json.Key("micro_sort").BeginObject();
-    json.Key("simd_dispatch").String(SimdLevelName(best));
-    json.Key("messages").UInt(kMicroMsgs);
-    WriteMicroSortShape(&json, "spanning", RunMicroSort(spanning, horizon));
-    WriteMicroSortShape(&json, "staircase",
-                        RunMicroSort(staircase, horizon));
-    WriteMicroSortShape(&json, "shuffled", RunMicroSort(shuffled, horizon));
-    json.EndObject();
-    SimdSetDispatch(saved);
-  }
 
   // Aggregates. The alloc ratio is the headline: >=2x fewer heap
   // allocations per superstep is the acceptance floor; the SoA path is
@@ -476,22 +355,13 @@ int main(int argc, char** argv) {
       sum_dense_tuples == 0
           ? 0
           : sum_dense_scalar_ns / static_cast<double>(sum_dense_tuples);
-  const double simd_ns_per_tuple =
-      sum_dense_tuples == 0
-          ? 0
-          : sum_dense_simd_ns / static_cast<double>(sum_dense_tuples);
 
   json.Key("gated").BeginObject();
   GateEntry(&json, "warp_alloc_ratio", alloc_ratio, "higher", false);
   GateEntry(&json, "warp_soa_allocs_per_superstep", sum_soa_allocs, "lower",
             false);
   GateEntry(&json, "warp_soa_ns_per_tuple", soa_ns_per_tuple, "lower", true);
-  // Dense-workload pair: dispatch pinned to the best supported SIMD level
-  // vs pinned scalar on the same dense inboxes. This is the vectorized
-  // kernel's headline — the sparse catalog workload never reaches
-  // kSimdMinWork, so only the dense variant exercises the wide path.
-  GateEntry(&json, "warp_simd_ns_per_tuple", simd_ns_per_tuple, "lower",
-            true);
+  // The same kernel on the dense inboxes.
   GateEntry(&json, "warp_dense_scalar_ns_per_tuple",
             dense_scalar_ns_per_tuple, "lower", true);
   GateEntry(&json, "warp_legacy_ns_per_tuple", legacy_ns_per_tuple, "lower",

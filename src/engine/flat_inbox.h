@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "util/arena.h"
-#include "util/simd.h"
 #include "util/status.h"
 
 namespace graphite {
@@ -132,8 +131,7 @@ class FlatInbox {
   /// Software-prefetches the unit's sealed message span — the span-table
   /// read plus the leading cache lines of the grouped items — so a
   /// frontier walk can overlap the NEXT unit's inbox fetch with the
-  /// current unit's compute. Read-only and safe for units without mail;
-  /// a no-op where the compiler lacks the prefetch builtin.
+  /// current unit's compute. Read-only and safe for units without mail.
   void Prefetch(uint32_t unit) const {
     const uint32_t count = table_->count[unit];
     if (count == 0) return;
@@ -142,7 +140,9 @@ class FlatInbox {
     const size_t bytes =
         std::min(static_cast<size_t>(count) * sizeof(Item),
                  kInboxPrefetchBytes);
-    for (size_t off = 0; off < bytes; off += 64) GRAPHITE_PREFETCH(base + off);
+    for (size_t off = 0; off < bytes; off += 64) {
+      __builtin_prefetch(base + off, /*rw=*/0, /*locality=*/3);
+    }
   }
 
   /// Superstep barrier: zero the consumed spans and forget the buffers.

@@ -28,20 +28,6 @@
 //                   boundaries, each item's live slice range [first, past)
 //                   falling out of the merge. Per-slice live counts come
 //                   from a difference array + prefix sum.
-//
-//                   The endpoint pass exists twice (DESIGN.md §4j): the
-//                   scalar body above is the portable default and the
-//                   pinned determinism reference, and BuildSlicesVector is
-//                   an explicitly vectorized equivalent (util/simd.h:
-//                   wide clip, one combined (time, pos·kind) endpoint
-//                   sort specialized by a three-way counting partition on
-//                   the entry bounds with interior-sortedness detection,
-//                   then one fused scan recovering bounds and both
-//                   endpoint streams). Dispatch is decided once per process
-//                   (GRAPHITE_SIMD env / GRAPHITE_NATIVE build default);
-//                   both paths produce byte-identical slice state, which
-//                   tests/warp_soa_test.cc pins across the dispatch
-//                   matrix.
 //   Payload pass    Slices are walked in time order deciding emission vs
 //                   maximality merge, then groups are materialized with
 //                   one counting scatter over the clip list. The clip
@@ -80,7 +66,6 @@
 #include "temporal/interval.h"
 #include "temporal/interval_map.h"
 #include "util/arena.h"
-#include "util/simd.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -138,17 +123,7 @@ struct WarpStats {
   int64_t tuples = 0;       ///< Tuples emitted after the maximality merge.
   int64_t endpoint_ns = 0;  ///< Endpoint pass time (only when `timed`).
   int64_t payload_ns = 0;   ///< Payload pass time (only when `timed`).
-  // Vectorized endpoint pass (DESIGN.md §4j). simd_lanes records which
-  // path the last kernel call dispatched to (1 = scalar reference); the
-  // sort_* counters cover the partitioned endpoint sort of the vector
-  // path only, so a bench can report the partition/pre-sortedness win.
-  int simd_lanes = 1;          ///< 64-bit lanes of the dispatched path.
-  int64_t sort_calls = 0;      ///< Partitioned endpoint sorts performed.
-  int64_t sort_presorted = 0;  ///< ... whose interior was already ordered.
-  int64_t sort_pinned = 0;     ///< Endpoints pinned to an entry bound.
-  int64_t sort_endpoints = 0;  ///< Endpoints through the partitioned sort.
-  int64_t sort_ns = 0;         ///< Partitioned sort time (only when `timed`).
-  bool timed = false;          ///< Sample NowNanos around the passes.
+  bool timed = false;       ///< Sample NowNanos around the passes.
 };
 
 /// Time-join: all pairwise intersections, ordered by (outer, inner) index.
@@ -171,17 +146,10 @@ namespace warp_internal {
 
 /// One clipped interval endpoint: its time and the clip-list position of
 /// the item it belongs to. Sorted on the single scalar key.
-///
-/// The vector path reuses the struct for its combined endpoint stream
-/// with pos = (clip_pos << 1) | is_end, so one sort orders starts and
-/// ends together while ties at equal times keep starts-by-pos before
-/// ends-by-pos exactly as the scalar path's two independent sorts do.
 struct Endpoint {
   TimePoint time;
   uint32_t pos;
 };
-// The SIMD key gather (SimdGatherKeysI64) assumes this exact layout.
-static_assert(sizeof(Endpoint) == 16 && offsetof(Endpoint, time) == 0);
 
 /// Payload-pass sentinel: slice has no reserved pool span (it merged).
 inline constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -203,13 +171,6 @@ struct WarpScratch {
     cursor.Attach(arena);
     live.Attach(arena);
     used.Attach(arena);
-    soa_start.Attach(arena);
-    soa_end.Attach(arena);
-    clip_start.Attach(arena);
-    clip_end.Attach(arena);
-    comb.Attach(arena);
-    sort_tmp.Attach(arena);
-    times.Attach(arena);
   }
   void Release() {
     item.Release();
@@ -222,13 +183,6 @@ struct WarpScratch {
     cursor.Release();
     live.Release();
     used.Release();
-    soa_start.Release();
-    soa_end.Release();
-    clip_start.Release();
-    clip_end.Release();
-    comb.Release();
-    sort_tmp.Release();
-    times.Release();
   }
 
   // Endpoint-pass SoA state, rebuilt per outer entry:
@@ -243,17 +197,6 @@ struct WarpScratch {
   ArenaVec<uint32_t> cursor;  ///< per slice: pool scatter cursor / kNoSlot
   ArenaVec<uint32_t> live;    ///< gathered group / per-slice item runs
   ArenaVec<char> used;        ///< multiset-match scratch
-  // Vector endpoint-pass state (DESIGN.md §4j). soa_start/soa_end is the
-  // padded SoA snapshot of the inner set's intervals, built ONCE per
-  // kernel call (not per outer entry) so the wide clip streams two flat
-  // int64 arrays instead of re-walking the AoS items for every entry.
-  ArenaVec<TimePoint> soa_start;  ///< per inner item: interval.start
-  ArenaVec<TimePoint> soa_end;    ///< per inner item: interval.end
-  ArenaVec<TimePoint> clip_start;  ///< wide clip output, per inner item
-  ArenaVec<TimePoint> clip_end;    ///< wide clip output, per inner item
-  ArenaVec<warp_internal::Endpoint> comb;      ///< combined endpoint stream
-  ArenaVec<warp_internal::Endpoint> sort_tmp;  ///< partition scatter buffer
-  ArenaVec<TimePoint> times;  ///< gathered keys for sortedness detection
 };
 
 /// Flat structure-of-arrays warp output: tuples plus one shared pool of
@@ -319,14 +262,9 @@ namespace warp_internal {
 /// boundary times — each item's live slice range [first, past) falls out
 /// of the merge — and computes per-slice live counts with a difference
 /// array + prefix sum. Returns false when nothing overlaps the entry.
-///
-/// This scalar body is the portable default and the pinned determinism
-/// reference for BuildSlicesVector below — do not "optimize" it; change
-/// behaviour only with a matching vector-path change and a run of the
-/// warp_simd_matrix tests.
 template <typename M>
-bool BuildSlicesScalar(std::span<const TemporalItem<M>> inner,
-                       const Interval& entry_interval, WarpScratch* s) {
+bool BuildSlices(std::span<const TemporalItem<M>> inner,
+                 const Interval& entry_interval, WarpScratch* s) {
   auto& item = s->item;
   auto& starts = s->starts;
   auto& ends = s->ends;
@@ -389,242 +327,6 @@ bool BuildSlicesScalar(std::span<const TemporalItem<M>> inner,
   return true;
 }
 
-/// Below this much total endpoint work (outer entries x inner items) the
-/// wide path's fixed costs — the SoA snapshot, the partition's counting
-/// passes — outweigh its per-element wins, so small kernel calls take the
-/// scalar path even under a wide dispatch (micro_warp's 1x8 .. 16x4096
-/// grid locates the crossover). Identical results either way; only the
-/// WarpStats::simd_lanes report differs.
-inline constexpr size_t kSimdMinWork = 256;
-
-/// The dispatch level a kernel call of this shape actually runs at:
-/// the process dispatch, demoted to scalar for small calls.
-inline SimdLevel ResolveKernelLevel(size_t outer_n, size_t inner_n) {
-  const SimdLevel simd = SimdDispatchLevel();
-  if (simd == SimdLevel::kScalar) return simd;
-  const size_t work = inner_n * (outer_n == 0 ? 1 : outer_n);
-  return work >= kSimdMinWork ? simd : SimdLevel::kScalar;
-}
-
-/// Builds the per-call SoA snapshot of the inner intervals consumed by
-/// the wide clip. Runs once per TimeWarpInto/TimeWarpCombineInto call and
-/// is amortized over every outer entry (the scalar path instead re-walks
-/// the AoS items per entry).
-template <typename M>
-void PrepareWarpSoA(std::span<const TemporalItem<M>> inner, WarpScratch* s) {
-  const size_t n = inner.size();
-  // pos carries (clip_pos << 1 | kind) in a uint32.
-  GRAPHITE_CHECK(n < (size_t{1} << 30));
-  s->soa_start.ResizeUninitialized(n);
-  s->soa_end.ResizeUninitialized(n);
-  TimePoint* ss = s->soa_start.data();
-  TimePoint* se = s->soa_end.data();
-  for (size_t j = 0; j < n; ++j) {
-    ss[j] = inner[j].interval.start;
-    se[j] = inner[j].interval.end;
-  }
-}
-
-/// Sorts the combined endpoint stream by (time, pos) with a counting
-/// partition specialized for clipped endpoints: every clipped start is
-/// pinned at the entry's lower bound `lo` (the stream's global minimum —
-/// ends satisfy end > start >= lo) and every clipped end at the upper
-/// bound `hi`, and within either pinned bucket ties resolve by pos, which
-/// is exactly the stream's build order. So one stable three-way scatter
-/// orders both pinned buckets for free and only the strictly-interior
-/// middle can need comparison sorting at all — and since inboxes arrive
-/// roughly time-ordered, the middle is detected already-sorted far more
-/// often than not (wide non-decreasing check + scalar tie confirm for
-/// vector-width middles, one scalar scan for tiny ones), with std::sort
-/// as the fallback. The sorted stream is left in `tmp` — the caller reads
-/// it from there, saving a copy-back pass. Counters land in `stats` for
-/// the micro_sort bench section.
-inline void SortClippedEndpoints(ArenaVec<Endpoint>& comb,
-                                 ArenaVec<Endpoint>& tmp, TimePoint lo,
-                                 TimePoint hi, SimdLevel level,
-                                 ArenaVec<TimePoint>& times,
-                                 WarpStats* stats) {
-  const size_t m = comb.size();
-  const bool timed = stats != nullptr && stats->timed;
-  const int64_t t0 = timed ? NowNanos() : 0;
-  Endpoint* cb = comb.data();
-  size_t n_lo = 0;
-  size_t n_hi = 0;
-  for (size_t i = 0; i < m; ++i) {
-    n_lo += cb[i].time == lo ? 1 : 0;
-    n_hi += cb[i].time == hi ? 1 : 0;
-  }
-  tmp.ResizeUninitialized(m);
-  Endpoint* t = tmp.data();
-  size_t p_lo = 0;
-  size_t p_mid = n_lo;
-  size_t p_hi = m - n_hi;
-  const size_t mid_begin = n_lo;
-  const size_t mid_end = m - n_hi;
-  for (size_t i = 0; i < m; ++i) {
-    const Endpoint ep = cb[i];
-    if (ep.time == lo) {
-      t[p_lo++] = ep;
-    } else if (ep.time == hi) {
-      t[p_hi++] = ep;
-    } else {
-      t[p_mid++] = ep;
-    }
-  }
-  bool presorted = true;
-  const size_t mid_n = mid_end - mid_begin;
-  if (mid_n > 1) {
-    if (mid_n >= 16) {
-      // Wide detection pays for itself: gather the times, wide
-      // non-decreasing check, then confirm ties are pos-ordered.
-      times.ResizeUninitialized(mid_n);
-      SimdGatherKeysI64(level, t + mid_begin, mid_n, times.data());
-      presorted = SimdIsSortedI64(level, times.data(), mid_n);
-      if (presorted) {
-        for (size_t i = mid_begin + 1; i < mid_end && presorted; ++i) {
-          presorted = t[i - 1].time != t[i].time || t[i - 1].pos < t[i].pos;
-        }
-      }
-    } else {
-      // Tiny middle: one scalar (time, pos) scan is cheaper than the
-      // gather + wide check round trip.
-      for (size_t i = mid_begin + 1; i < mid_end && presorted; ++i) {
-        presorted = t[i - 1].time < t[i].time ||
-                    (t[i - 1].time == t[i].time && t[i - 1].pos < t[i].pos);
-      }
-    }
-    if (!presorted) {
-      std::sort(t + mid_begin, t + mid_end,
-                [](const Endpoint& a, const Endpoint& b) {
-                  return a.time != b.time ? a.time < b.time : a.pos < b.pos;
-                });
-    }
-  }
-  if (stats != nullptr) {
-    ++stats->sort_calls;
-    stats->sort_presorted += presorted ? 1 : 0;
-    stats->sort_pinned += static_cast<int64_t>(n_lo + n_hi);
-    stats->sort_endpoints += static_cast<int64_t>(m);
-    if (timed) stats->sort_ns += NowNanos() - t0;
-  }
-}
-
-/// Vectorized endpoint pass (DESIGN.md §4j), byte-identical to
-/// BuildSlicesScalar by construction:
-///   1. wide clip of the per-call SoA interval snapshot;
-///   2. compaction into the clip list plus ONE combined endpoint stream
-///      keyed (time, pos·kind) — sorting it once is order-equivalent to
-///      the scalar path's two independent (time, pos) sorts because the
-///      kind bit only breaks ties between a start and an end at equal
-///      time, a pairing the scalar merge routes by stream anyway (starts
-///      recorded before ends at each boundary);
-///   3. the partitioned endpoint sort above;
-///   4. one fused scan over the sorted stream recovering bounds[] (a new
-///      bound whenever the time changes), first[]/past[], and the
-///      per-stream sorted starts[]/ends[] arrays the payload pass reads
-///      (stable partition on the kind bit preserves (time, pos) order);
-///   5. live counts: same difference array, wide prefix scan.
-template <typename M>
-bool BuildSlicesVector(std::span<const TemporalItem<M>> inner,
-                       const Interval& entry_interval, WarpScratch* s,
-                       SimdLevel level, WarpStats* stats) {
-  const size_t n = inner.size();
-  GRAPHITE_CHECK(s->soa_start.size() == n);  // PrepareWarpSoA ran.
-  const TimePoint es = entry_interval.start;
-  const TimePoint ee = entry_interval.end;
-
-  s->clip_start.ResizeUninitialized(n);
-  s->clip_end.ResizeUninitialized(n);
-  TimePoint* cs = s->clip_start.data();
-  TimePoint* ce = s->clip_end.data();
-  SimdClipI64(level, s->soa_start.data(), s->soa_end.data(), n, es, ee, cs,
-              ce);
-
-  auto& item = s->item;
-  auto& comb = s->comb;
-  item.clear();
-  comb.ResizeUninitialized(2 * n);
-  Endpoint* cb = comb.data();
-  uint32_t c = 0;
-  size_t w = 0;
-  for (uint32_t j = 0; j < n; ++j) {
-    if (cs[j] >= ce[j]) continue;
-    item.push_back(j);
-    cb[w] = {cs[j], c << 1};
-    cb[w + 1] = {ce[j], (c << 1) | 1u};
-    w += 2;
-    ++c;
-  }
-  if (c == 0) return false;
-  comb.Truncate(w);
-  const size_t m = w;
-
-  SortClippedEndpoints(comb, s->sort_tmp, es, ee, level, s->times, stats);
-  const Endpoint* sorted = s->sort_tmp.data();
-
-  auto& bounds = s->bounds;
-  auto& first = s->first;
-  auto& past = s->past;
-  auto& starts = s->starts;
-  auto& ends = s->ends;
-  bounds.ResizeUninitialized(m);  // Truncated to the distinct count below.
-  first.ResizeUninitialized(c);
-  past.ResizeUninitialized(c);
-  starts.ResizeUninitialized(c);
-  ends.ResizeUninitialized(c);
-  uint32_t num_bounds = 0;
-  uint32_t si = 0;
-  uint32_t ei = 0;
-  TimePoint prev = 0;
-  for (size_t i = 0; i < m; ++i) {
-    const Endpoint ep = sorted[i];
-    if (num_bounds == 0 || ep.time != prev) {
-      bounds[num_bounds++] = ep.time;
-      prev = ep.time;
-    }
-    const uint32_t slice = num_bounds - 1;
-    const uint32_t pos = ep.pos >> 1;
-    if (ep.pos & 1u) {
-      past[pos] = slice;
-      ends[ei++] = {ep.time, pos};
-    } else {
-      first[pos] = slice;
-      starts[si++] = {ep.time, pos};
-    }
-  }
-  // Every start precedes its end, so both streams drained completely.
-  GRAPHITE_CHECK(si == c && ei == c);
-  bounds.Truncate(num_bounds);
-  const size_t num_slices = num_bounds - 1;
-
-  auto& live_count = s->live_count;
-  live_count.ResizeUninitialized(num_bounds);
-  std::memset(live_count.data(), 0, num_bounds * sizeof(int32_t));
-  for (uint32_t k = 0; k < c; ++k) {
-    ++live_count[first[k]];
-    --live_count[past[k]];
-  }
-  const int32_t last_diff = live_count[num_slices];
-  SimdPrefixSumI32(level, live_count.data(), num_slices);
-  GRAPHITE_CHECK((num_slices == 0 ? 0 : live_count[num_slices - 1]) +
-                     last_diff ==
-                 0);
-  return true;
-}
-
-/// Endpoint-pass dispatcher: the scalar reference at SimdLevel::kScalar,
-/// the vectorized equivalent otherwise. Callers resolve the level once
-/// per kernel call (and run PrepareWarpSoA first for non-scalar levels).
-template <typename M>
-bool BuildSlices(std::span<const TemporalItem<M>> inner,
-                 const Interval& entry_interval, WarpScratch* s,
-                 SimdLevel level, WarpStats* stats) {
-  if (level == SimdLevel::kScalar) {
-    return BuildSlicesScalar(inner, entry_interval, s);
-  }
-  return BuildSlicesVector(inner, entry_interval, s, level, stats);
-}
-
 }  // namespace warp_internal
 
 /// Time-warp over a temporally partitioned outer set and an arbitrary
@@ -645,15 +347,6 @@ void TimeWarpInto(std::span<const typename IntervalMap<S>::Entry> outer,
   using warp_internal::kNoSlot;
   out->clear();
   if (outer.empty() || inner.empty()) return;
-  // Dispatch is resolved once per kernel call; the SoA interval snapshot
-  // feeding the wide clip is likewise built once and amortized over every
-  // outer entry.
-  const SimdLevel simd =
-      warp_internal::ResolveKernelLevel(outer.size(), inner.size());
-  if (simd != SimdLevel::kScalar) {
-    warp_internal::PrepareWarpSoA(inner, scratch);
-  }
-  if (stats != nullptr) stats->simd_lanes = SimdLanes(simd);
 
   // Multiset equality of the previous tuple's group and a gathered live
   // set, by message value (only == required of the payload; identity
@@ -683,8 +376,7 @@ void TimeWarpInto(std::span<const typename IntervalMap<S>::Entry> outer,
     GRAPHITE_CHECK(entry.interval.IsValid());
     const bool timed = stats != nullptr && stats->timed;
     const int64_t t0 = timed ? NowNanos() : 0;
-    const bool any =
-        warp_internal::BuildSlices(inner, entry.interval, scratch, simd, stats);
+    const bool any = warp_internal::BuildSlices(inner, entry.interval, scratch);
     const int64_t t1 = timed ? NowNanos() : 0;
     if (timed) stats->endpoint_ns += t1 - t0;
     if (!any) continue;
@@ -837,19 +529,12 @@ void TimeWarpCombineInto(
     WarpScratch* scratch, OutVec* out, WarpStats* stats = nullptr) {
   out->clear();
   if (outer.empty() || inner.empty()) return;
-  const SimdLevel simd =
-      warp_internal::ResolveKernelLevel(outer.size(), inner.size());
-  if (simd != SimdLevel::kScalar) {
-    warp_internal::PrepareWarpSoA(inner, scratch);
-  }
-  if (stats != nullptr) stats->simd_lanes = SimdLanes(simd);
 
   for (const auto& entry : outer) {
     GRAPHITE_CHECK(entry.interval.IsValid());
     const bool timed = stats != nullptr && stats->timed;
     const int64_t t0 = timed ? NowNanos() : 0;
-    const bool any =
-        warp_internal::BuildSlices(inner, entry.interval, scratch, simd, stats);
+    const bool any = warp_internal::BuildSlices(inner, entry.interval, scratch);
     const int64_t t1 = timed ? NowNanos() : 0;
     if (timed) stats->endpoint_ns += t1 - t0;
     if (!any) continue;

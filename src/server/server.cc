@@ -370,16 +370,24 @@ void Server::ConnectionLoop(int fd) {
     --state->pending;
     state->cv.NotifyAll();
   };
+  // Between reads `buffer` holds only the unfinished last line, and the
+  // next search starts past it (`scanned`), so each byte is searched once.
   std::string buffer;
+  size_t scanned = 0;
   char chunk[4096];
   for (;;) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
     buffer.append(chunk, static_cast<size_t>(n));
+    bool too_long = false;
     size_t start = 0;
-    for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
+    for (size_t nl = buffer.find('\n', scanned); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
+      if (nl - start > kMaxRequestLineBytes) {
+        too_long = true;
+        break;
+      }
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -391,6 +399,19 @@ void Server::ConnectionLoop(int fd) {
       HandleLine(line, respond);
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
+    if (too_long || scanned > kMaxRequestLineBytes) {
+      {
+        MutexLock lock(state->mu);
+        ++state->pending;
+      }
+      respond(QueryService::ErrorResponse(
+          -1, "",
+          Status::InvalidArgument("request line exceeds " +
+                                  std::to_string(kMaxRequestLineBytes) +
+                                  " bytes")));
+      break;
+    }
   }
   {
     // Wait out async data-op responses before closing the socket.

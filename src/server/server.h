@@ -24,6 +24,7 @@
 #define GRAPHITE_SERVER_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -38,6 +39,10 @@
 #include "util/thread_annotations.h"
 
 namespace graphite {
+
+/// Longest request line a TCP connection accepts, newline excluded. A
+/// longer line gets one error reply, then the connection closes.
+inline constexpr size_t kMaxRequestLineBytes = size_t{16} << 20;
 
 struct ServerOptions {
   SchedulerOptions scheduler;

@@ -1,429 +1,13 @@
-// Runtime-dispatched SIMD primitives for the warp kernel's endpoint pass
-// (icm/warp.h) and the engines' prefetch plumbing (engine/flat_inbox.h).
-//
-// Design rules (DESIGN.md §4j):
-//   * Every primitive has a scalar body that is the portable reference;
-//     the SSE2/AVX2 bodies compute bit-identical results (all operations
-//     are exact integer compares/adds), so switching the dispatch level
-//     can never change a result byte. tests/simd_test.cc pins each
-//     primitive against the scalar body and tests/warp_soa_test.cc pins
-//     the whole kernel across the dispatch matrix.
-//   * Dispatch is decided once per process: the GRAPHITE_SIMD environment
-//     variable ("scalar", "sse2", "avx2", or "native"/"best") wins,
-//     otherwise a GRAPHITE_NATIVE build dispatches to the best level the
-//     CPU supports and the portable default build stays scalar. Tests and
-//     benches may override with SimdSetDispatch (clamped to CPU support).
-//   * The AVX2 bodies are compiled with a function-level target attribute,
-//     so every build — including the portable default — contains all
-//     levels and any binary can execute any supported level. This is what
-//     lets the default/asan/tsan test builds run the full dispatch matrix
-//     on capable hosts while still defaulting to the scalar path.
-//
-// On non-x86-64 targets (or non-GNU compilers) only the scalar level
-// exists and every dispatch request clamps to it.
+// The warp kernel has one scalar endpoint pass; these names remain only
+// for bench/e2e's host report, which prints "scalar".
 #ifndef GRAPHITE_UTIL_SIMD_H_
 #define GRAPHITE_UTIL_SIMD_H_
 
-#include <atomic>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define GRAPHITE_SIMD_X86 1
-#include <immintrin.h>
-#endif
-
-// Best-effort software prefetch (read, high temporal locality); a no-op
-// where the builtin is unavailable.
-#if defined(__GNUC__) || defined(__clang__)
-#define GRAPHITE_PREFETCH(addr) __builtin_prefetch((addr), 0, 3)
-#else
-#define GRAPHITE_PREFETCH(addr) ((void)0)
-#endif
-
 namespace graphite {
 
-/// Instruction-set level of the wide kernels. Ordered: a CPU supporting a
-/// level supports every lower one.
-enum class SimdLevel : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
-
-/// 64-bit lanes processed per step at the level (1 / 2 / 4).
-constexpr int SimdLanes(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kSse2:
-      return 2;
-    case SimdLevel::kAvx2:
-      return 4;
-    default:
-      return 1;
-  }
-}
-
-inline const char* SimdLevelName(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kSse2:
-      return "sse2";
-    case SimdLevel::kAvx2:
-      return "avx2";
-    default:
-      return "scalar";
-  }
-}
-
-/// Best level this CPU can execute (compile-target permitting).
-inline SimdLevel SimdMaxSupported() {
-#if GRAPHITE_SIMD_X86
-  // SSE2 is part of the x86-64 baseline; AVX2 is a runtime cpuid check.
-  return __builtin_cpu_supports("avx2") ? SimdLevel::kAvx2 : SimdLevel::kSse2;
-#else
-  return SimdLevel::kScalar;
-#endif
-}
-
-/// Parses a GRAPHITE_SIMD value. "native"/"best"/"max" request the CPU's
-/// best level; unknown or null values return `fallback` unchanged. The
-/// result is NOT yet clamped to CPU support.
-inline SimdLevel SimdLevelFromName(const char* name, SimdLevel fallback) {
-  if (name == nullptr || *name == '\0') return fallback;
-  if (std::strcmp(name, "scalar") == 0) return SimdLevel::kScalar;
-  if (std::strcmp(name, "sse2") == 0) return SimdLevel::kSse2;
-  if (std::strcmp(name, "avx2") == 0) return SimdLevel::kAvx2;
-  if (std::strcmp(name, "native") == 0 || std::strcmp(name, "best") == 0 ||
-      std::strcmp(name, "max") == 0) {
-    return SimdMaxSupported();
-  }
-  return fallback;
-}
-
-namespace simd_internal {
-
-/// The process-default dispatch policy: GRAPHITE_SIMD env override first,
-/// else best-supported under GRAPHITE_NATIVE builds, else scalar.
-inline SimdLevel InitialDispatch() {
-#ifdef GRAPHITE_NATIVE
-  const SimdLevel fallback = SimdMaxSupported();
-#else
-  const SimdLevel fallback = SimdLevel::kScalar;
-#endif
-  const SimdLevel want =
-      SimdLevelFromName(std::getenv("GRAPHITE_SIMD"), fallback);
-  return want <= SimdMaxSupported() ? want : SimdMaxSupported();
-}
-
-inline std::atomic<int>& DispatchState() {
-  static std::atomic<int> level{static_cast<int>(InitialDispatch())};
-  return level;
-}
-
-}  // namespace simd_internal
-
-/// The process-wide dispatch level the kernels run at. Decided once (env
-/// override / build default), overridable via SimdSetDispatch.
-inline SimdLevel SimdDispatchLevel() {
-  return static_cast<SimdLevel>(
-      simd_internal::DispatchState().load(std::memory_order_relaxed));
-}
-
-/// Forces the dispatch level (tests, benches), clamped to what the CPU
-/// supports; returns the level actually applied.
-inline SimdLevel SimdSetDispatch(SimdLevel want) {
-  const SimdLevel applied = want <= SimdMaxSupported() ? want
-                                                       : SimdMaxSupported();
-  simd_internal::DispatchState().store(static_cast<int>(applied),
-                                       std::memory_order_relaxed);
-  return applied;
-}
-
-// ---------------------------------------------------------------------------
-// Wide primitives. Each takes the level explicitly so a kernel resolves
-// dispatch once and stays on that level for the whole call.
-// ---------------------------------------------------------------------------
-
-namespace simd_internal {
-
-inline void PrefixSumI32Scalar(int32_t* a, size_t n) {
-  int32_t run = 0;
-  for (size_t i = 0; i < n; ++i) {
-    run += a[i];
-    a[i] = run;
-  }
-}
-
-inline void NeqFlagsI64Scalar(const int64_t* t, size_t n, int32_t* flags) {
-  if (n == 0) return;
-  flags[0] = 1;
-  for (size_t i = 1; i < n; ++i) flags[i] = t[i] != t[i - 1] ? 1 : 0;
-}
-
-inline void ClipI64Scalar(const int64_t* s, const int64_t* e, size_t n,
-                          int64_t lo, int64_t hi, int64_t* cs, int64_t* ce) {
-  for (size_t i = 0; i < n; ++i) {
-    cs[i] = s[i] > lo ? s[i] : lo;
-    ce[i] = e[i] < hi ? e[i] : hi;
-  }
-}
-
-/// times[i] = *(const int64_t*)(base + stride16 * i) — the strided key
-/// gather over a 16-byte {int64 key, uint32 tag} record array.
-inline void GatherKeysScalar(const void* base, size_t n, int64_t* times) {
-  const char* p = static_cast<const char*>(base);
-  for (size_t i = 0; i < n; ++i) {
-    int64_t t;
-    std::memcpy(&t, p + 16 * i, sizeof(t));
-    times[i] = t;
-  }
-}
-
-inline bool IsSortedI64Scalar(const int64_t* a, size_t n) {
-  for (size_t i = 1; i < n; ++i) {
-    if (a[i - 1] > a[i]) return false;
-  }
-  return true;
-}
-
-#if GRAPHITE_SIMD_X86
-
-inline void PrefixSumI32Sse2(int32_t* a, size_t n) {
-  __m128i carry = _mm_setzero_si128();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    x = _mm_add_epi32(x, _mm_slli_si128(x, 4));
-    x = _mm_add_epi32(x, _mm_slli_si128(x, 8));
-    x = _mm_add_epi32(x, carry);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(a + i), x);
-    carry = _mm_shuffle_epi32(x, _MM_SHUFFLE(3, 3, 3, 3));
-  }
-  int32_t run = _mm_cvtsi128_si32(carry);
-  for (; i < n; ++i) {
-    run += a[i];
-    a[i] = run;
-  }
-}
-
-inline void NeqFlagsI64Sse2(const int64_t* t, size_t n, int32_t* flags) {
-  if (n == 0) return;
-  flags[0] = 1;
-  size_t i = 1;
-  const __m128i one = _mm_set1_epi32(1);
-  for (; i + 2 <= n; i += 2) {
-    const __m128i cur =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + i));
-    const __m128i prev =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + i - 1));
-    // SSE2 has no 64-bit compare: AND the 32-bit equality halves.
-    const __m128i eq32 = _mm_cmpeq_epi32(cur, prev);
-    const __m128i eq64 =
-        _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-    // Dwords 0 and 2 carry the per-qword mask (-1 equal / 0 not); flag is
-    // 1 + mask. Pack them into lanes 0..1 and store the low 8 bytes.
-    const __m128i packed = _mm_shuffle_epi32(eq64, _MM_SHUFFLE(2, 0, 2, 0));
-    const __m128i f = _mm_add_epi32(one, packed);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(flags + i), f);
-  }
-  for (; i < n; ++i) flags[i] = t[i] != t[i - 1] ? 1 : 0;
-}
-
-inline void GatherKeysSse2(const void* base, size_t n, int64_t* times) {
-  const char* p = static_cast<const char*>(base);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i t0 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p + 16 * i));
-    const __m128i t1 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p + 16 * i + 16));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(times + i),
-                     _mm_unpacklo_epi64(t0, t1));
-  }
-  for (; i < n; ++i) {
-    std::memcpy(times + i, p + 16 * i, sizeof(int64_t));
-  }
-}
-
-__attribute__((target("avx2"))) inline void PrefixSumI32Avx2(int32_t* a,
-                                                             size_t n) {
-  __m256i carry = _mm256_setzero_si256();  // every lane = running total
-  const __m256i pick3 = _mm256_set1_epi32(3);
-  const __m256i pick7 = _mm256_set1_epi32(7);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));  // scan per 128 lane
-    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 8));
-    // Carry the low half's total (element 3) into the high half.
-    __m256i low3 = _mm256_permutevar8x32_epi32(x, pick3);
-    low3 = _mm256_blend_epi32(_mm256_setzero_si256(), low3, 0xF0);
-    x = _mm256_add_epi32(x, low3);
-    x = _mm256_add_epi32(x, carry);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + i), x);
-    carry = _mm256_permutevar8x32_epi32(x, pick7);  // every lane = x[7]
-  }
-  int32_t run = _mm_cvtsi128_si32(_mm256_castsi256_si128(carry));
-  for (; i < n; ++i) {
-    run += a[i];
-    a[i] = run;
-  }
-}
-
-__attribute__((target("avx2"))) inline void NeqFlagsI64Avx2(const int64_t* t,
-                                                            size_t n,
-                                                            int32_t* flags) {
-  if (n == 0) return;
-  flags[0] = 1;
-  size_t i = 1;
-  const __m128i one = _mm_set1_epi32(1);
-  const __m256i pack = _mm256_set_epi32(0, 0, 0, 0, 6, 4, 2, 0);
-  for (; i + 4 <= n; i += 4) {
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + i));
-    const __m256i prev =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + i - 1));
-    const __m256i eq = _mm256_cmpeq_epi64(cur, prev);
-    // Low dword of each qword mask, packed into the low 128 bits.
-    const __m256i packed = _mm256_permutevar8x32_epi32(eq, pack);
-    const __m128i f = _mm_add_epi32(one, _mm256_castsi256_si128(packed));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(flags + i), f);
-  }
-  for (; i < n; ++i) flags[i] = t[i] != t[i - 1] ? 1 : 0;
-}
-
-__attribute__((target("avx2"))) inline void ClipI64Avx2(
-    const int64_t* s, const int64_t* e, size_t n, int64_t lo, int64_t hi,
-    int64_t* cs, int64_t* ce) {
-  const __m256i vlo = _mm256_set1_epi64x(lo);
-  const __m256i vhi = _mm256_set1_epi64x(hi);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vs =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + i));
-    const __m256i ve =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e + i));
-    // AVX2 lacks 64-bit min/max: compare + blend (signed compare, exact).
-    const __m256i smax =
-        _mm256_blendv_epi8(vlo, vs, _mm256_cmpgt_epi64(vs, vlo));
-    const __m256i emin =
-        _mm256_blendv_epi8(vhi, ve, _mm256_cmpgt_epi64(vhi, ve));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(cs + i), smax);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ce + i), emin);
-  }
-  for (; i < n; ++i) {
-    cs[i] = s[i] > lo ? s[i] : lo;
-    ce[i] = e[i] < hi ? e[i] : hi;
-  }
-}
-
-__attribute__((target("avx2"))) inline void GatherKeysAvx2(const void* base,
-                                                           size_t n,
-                                                           int64_t* times) {
-  const char* p = static_cast<const char*>(base);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Two 32-byte loads cover 4 records; keys sit in qwords 0 and 2.
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 16 * i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 16 * i + 32));
-    const __m256i ka = _mm256_permute4x64_epi64(a, _MM_SHUFFLE(3, 1, 2, 0));
-    const __m256i kb = _mm256_permute4x64_epi64(b, _MM_SHUFFLE(3, 1, 2, 0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(times + i),
-                        _mm256_permute2x128_si256(ka, kb, 0x20));
-  }
-  for (; i < n; ++i) {
-    std::memcpy(times + i, p + 16 * i, sizeof(int64_t));
-  }
-}
-
-__attribute__((target("avx2"))) inline bool IsSortedI64Avx2(const int64_t* a,
-                                                            size_t n) {
-  size_t i = 0;
-  // Overlapping loads a[i..i+3] vs a[i+1..i+4]: any lane with prev > next
-  // breaks sortedness (movemask folds the 4 compares into one test).
-  for (; i + 5 <= n; i += 4) {
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i nxt =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i + 1));
-    if (_mm256_movemask_epi8(_mm256_cmpgt_epi64(cur, nxt)) != 0) return false;
-  }
-  for (; i + 1 < n; ++i) {
-    if (a[i] > a[i + 1]) return false;
-  }
-  return true;
-}
-
-#endif  // GRAPHITE_SIMD_X86
-
-}  // namespace simd_internal
-
-/// In-place inclusive prefix sum over int32.
-inline void SimdPrefixSumI32(SimdLevel level, int32_t* a, size_t n) {
-#if GRAPHITE_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    return simd_internal::PrefixSumI32Avx2(a, n);
-  }
-  if (level == SimdLevel::kSse2) return simd_internal::PrefixSumI32Sse2(a, n);
-#endif
-  (void)level;
-  simd_internal::PrefixSumI32Scalar(a, n);
-}
-
-/// flags[0] = 1; flags[i] = (t[i] != t[i-1]). Prefix-summing the flags
-/// yields each element's 1-based distinct rank in a sorted array.
-inline void SimdNeqFlagsI64(SimdLevel level, const int64_t* t, size_t n,
-                            int32_t* flags) {
-#if GRAPHITE_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    return simd_internal::NeqFlagsI64Avx2(t, n, flags);
-  }
-  if (level == SimdLevel::kSse2) {
-    return simd_internal::NeqFlagsI64Sse2(t, n, flags);
-  }
-#endif
-  (void)level;
-  simd_internal::NeqFlagsI64Scalar(t, n, flags);
-}
-
-/// cs[i] = max(s[i], lo), ce[i] = min(e[i], hi) — the interval clip's
-/// branch-free half; the caller tests cs < ce itself.
-inline void SimdClipI64(SimdLevel level, const int64_t* s, const int64_t* e,
-                        size_t n, int64_t lo, int64_t hi, int64_t* cs,
-                        int64_t* ce) {
-#if GRAPHITE_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    return simd_internal::ClipI64Avx2(s, e, n, lo, hi, cs, ce);
-  }
-#endif
-  (void)level;  // SSE2 lacks 64-bit compares; its clip is the scalar body.
-  simd_internal::ClipI64Scalar(s, e, n, lo, hi, cs, ce);
-}
-
-/// Strided key gather: times[i] = the leading int64 of the i-th 16-byte
-/// record at `base` (layout of warp_internal::Endpoint).
-inline void SimdGatherKeysI64(SimdLevel level, const void* base, size_t n,
-                              int64_t* times) {
-#if GRAPHITE_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    return simd_internal::GatherKeysAvx2(base, n, times);
-  }
-  if (level == SimdLevel::kSse2) {
-    return simd_internal::GatherKeysSse2(base, n, times);
-  }
-#endif
-  (void)level;
-  simd_internal::GatherKeysScalar(base, n, times);
-}
-
-/// True when a[] is non-decreasing.
-inline bool SimdIsSortedI64(SimdLevel level, const int64_t* a, size_t n) {
-#if GRAPHITE_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    return simd_internal::IsSortedI64Avx2(a, n);
-  }
-#endif
-  (void)level;  // SSE2 lacks 64-bit compares; early-exit scalar is fine.
-  return simd_internal::IsSortedI64Scalar(a, n);
-}
+enum class SimdLevel : int { kScalar = 0 };
+inline SimdLevel SimdDispatchLevel() { return SimdLevel::kScalar; }
+inline const char* SimdLevelName(SimdLevel) { return "scalar"; }
 
 }  // namespace graphite
 

@@ -16,7 +16,6 @@
 #include "engine/thread_pool.h"
 #include "icm/icm_engine.h"
 #include "testutil.h"
-#include "util/simd.h"
 
 namespace graphite {
 namespace {
@@ -355,75 +354,6 @@ TEST(RuntimeDeterminismCrossEngine, FrontierMatchesDenseAllPlatforms) {
   check(Platform::kChl, bfs, kInfCost, "frontier/bfs/chl");
   check(Platform::kTgb, sssp, kInfCost, "frontier/sssp/tgb");
   check(Platform::kGof, sssp, kInfCost, "frontier/sssp/gof");
-}
-
-// --- SIMD dispatch axis (ISSUE 8, DESIGN.md §4j): the vectorized warp
-// endpoint pass must reproduce the scalar reference byte-for-byte through
-// the whole engine stack, not just in kernel unit tests. Every dispatch
-// level the host supports runs the full engine matrix — all four
-// platforms, stealing + tiny chunks, both transports — against a
-// scalar-dispatch reference. Engines that never call the warp (VCM-based
-// baselines) double as a regression net for the prefetch plumbing, which
-// must be invisible in results. ---
-TEST(RuntimeDeterminismCrossEngine, SimdDeterminismMatchesScalarAllPlatforms) {
-  const SimdLevel saved = SimdDispatchLevel();
-  testutil::RandomGraphOptions opt;
-  opt.full_lifespan_prob = 0.6;
-  Workload w(testutil::MakeRandomGraph(23, opt));
-  RunConfig par;
-  par.num_workers = 3;
-  par.use_threads = true;
-  par.runtime.num_threads = 4;
-  par.runtime.chunk_size = 2;
-  par.chlonos_batch_size = 5;
-  RunConfig loop = par;
-  loop.runtime.transport = TransportKind::kLoopbackWire;
-
-  const auto check = [&](Platform p, auto runner, auto absent,
-                         const char* what) {
-    SimdSetDispatch(SimdLevel::kScalar);
-    RunMetrics ms;
-    const auto want = runner(w, p, par, &ms);
-    for (const SimdLevel level : {SimdLevel::kSse2, SimdLevel::kAvx2}) {
-      if (level > SimdMaxSupported()) continue;
-      SimdSetDispatch(level);
-      RunMetrics mp, ml;
-      const auto got = runner(w, p, par, &mp);
-      const auto wired = runner(w, p, loop, &ml);
-      for (VertexIdx v = 0; v < w.graph().num_vertices(); ++v) {
-        for (TimePoint t = 0; t < w.graph().horizon(); ++t) {
-          ASSERT_EQ(ResultAt(want, v, t, absent), ResultAt(got, v, t, absent))
-              << what << "/" << SimdLevelName(level) << " v=" << v
-              << " t=" << t;
-          ASSERT_EQ(ResultAt(want, v, t, absent),
-                    ResultAt(wired, v, t, absent))
-              << what << "/" << SimdLevelName(level) << "/loopback v=" << v
-              << " t=" << t;
-        }
-      }
-      EXPECT_EQ(ms.messages, mp.messages)
-          << what << "/" << SimdLevelName(level);
-      EXPECT_EQ(ms.message_bytes, mp.message_bytes)
-          << what << "/" << SimdLevelName(level);
-      EXPECT_EQ(ms.compute_calls, mp.compute_calls)
-          << what << "/" << SimdLevelName(level);
-      EXPECT_EQ(ms.messages, ml.messages)
-          << what << "/" << SimdLevelName(level) << "/loopback";
-      EXPECT_EQ(ms.compute_calls, ml.compute_calls)
-          << what << "/" << SimdLevelName(level) << "/loopback";
-    }
-  };
-  const auto bfs = [](Workload& wl, Platform p, const RunConfig& c,
-                      RunMetrics* m) { return RunBfsOn(wl, p, c, m); };
-  const auto sssp = [](Workload& wl, Platform p, const RunConfig& c,
-                       RunMetrics* m) { return RunSsspOn(wl, p, c, m); };
-  check(Platform::kIcm, bfs, kInfCost, "simd/bfs/icm");
-  check(Platform::kIcm, sssp, kInfCost, "simd/sssp/icm");
-  check(Platform::kMsb, bfs, kInfCost, "simd/bfs/msb");
-  check(Platform::kChl, bfs, kInfCost, "simd/bfs/chl");
-  check(Platform::kTgb, sssp, kInfCost, "simd/sssp/tgb");
-  check(Platform::kGof, sssp, kInfCost, "simd/sssp/gof");
-  SimdSetDispatch(saved);
 }
 
 // Work stealing actually happens under skew: all vertices on one logical

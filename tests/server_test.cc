@@ -9,6 +9,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -749,13 +750,34 @@ class LineClient {
   }
   ~LineClient() { ::close(fd_); }
 
-  void Send(const std::string& line) {
-    const std::string out = line + "\n";
+  void Send(const std::string& line) { SendRaw(line + "\n"); }
+
+  /// Writes `bytes` as they are; MSG_NOSIGNAL turns a server that closed
+  /// early into a failed check instead of a SIGPIPE.
+  void SendRaw(const std::string& bytes) {
     size_t off = 0;
-    while (off < out.size()) {
-      const ssize_t n = ::write(fd_, out.data() + off, out.size() - off);
+    while (off < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
       GRAPHITE_CHECK(n > 0 || errno == EINTR);
       if (n > 0) off += static_cast<size_t>(n);
+    }
+  }
+
+  /// Sends each write as its own segment, so 1-byte writes reach the
+  /// server as 1-byte reads where the scheduler allows.
+  void DisableNagle() {
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+
+  /// True when the server has closed the connection with nothing unread.
+  bool AtEof() {
+    char c;
+    for (;;) {
+      const ssize_t n = ::read(fd_, &c, 1);
+      if (n < 0 && errno == EINTR) continue;
+      return buffer_.empty() && n == 0;
     }
   }
 
@@ -812,6 +834,62 @@ TEST(ServerTcpTest, ProtocolOverLoopback) {
     client.Send("{\"id\":3,\"op\":\"shutdown\"}");
     EXPECT_NE(client.ReadLine().find("\"op\": \"shutdown\""),
               std::string::npos);
+  }
+  serve.join();
+}
+
+// A line past kMaxRequestLineBytes with no newline gets one error reply
+// and EOF; the server keeps serving other connections.
+TEST(ServerTcpTest, OverlongLineGetsErrorThenEof) {
+  Server server;
+  auto port = server.ListenTcp(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  std::thread serve([&] { server.ServeTcp(); });
+
+  {
+    LineClient client(*port);
+    client.SendRaw(std::string(kMaxRequestLineBytes + 1, 'x'));
+    const std::string line = client.ReadLine();
+    EXPECT_NE(line.find("\"ok\": false"), std::string::npos) << line;
+    EXPECT_NE(line.find("request line exceeds"), std::string::npos) << line;
+    EXPECT_TRUE(client.AtEof());
+  }
+  {
+    LineClient client(*port);
+    client.Send("{\"id\":1,\"op\":\"ping\"}");
+    EXPECT_NE(client.ReadLine().find("\"op\": \"ping\""),
+              std::string::npos);
+    client.Send("{\"id\":2,\"op\":\"shutdown\"}");
+    client.ReadLine();
+  }
+  serve.join();
+}
+
+// A request written one byte at a time is answered as if sent whole.
+TEST(ServerTcpTest, TrickledRequestGetsNormalAnswer) {
+  Server server;
+  server.registry().Add("t", testutil::MakeTransitGraph());
+  auto port = server.ListenTcp(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  std::thread serve([&] { server.ServeTcp(); });
+
+  {
+    LineClient client(*port);
+    client.DisableNagle();
+    const std::string request =
+        "{\"id\":5,\"op\":\"run\",\"graph\":\"t\",\"alg\":\"sssp\","
+        "\"source\":0}\r\n";
+    for (const char c : request) client.SendRaw(std::string(1, c));
+    const std::string line = client.ReadLine();
+    const QueryRequest req = MustParse(
+        "{\"op\":\"run\",\"graph\":\"t\",\"alg\":\"sssp\",\"source\":0}");
+    EXPECT_NE(line.find(Standalone(req, testutil::MakeTransitGraph())),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find("\"id\": 5"), std::string::npos) << line;
+
+    client.Send("{\"id\":6,\"op\":\"shutdown\"}");
+    client.ReadLine();
   }
   serve.join();
 }

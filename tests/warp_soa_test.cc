@@ -5,6 +5,10 @@
 // must agree exactly with the reference — same slice boundaries, same
 // state values, same message-value groups — on random interval sets.
 //
+// Besides small random sets, both properties run on large shapes (up to
+// 400-message inboxes, kTimeMin/kTimeMax message ends, time-sorted
+// arrivals) so the kernel's sort and merge see realistic inbox sizes.
+//
 // The SoA cases deliberately reuse one arena across all repetitions with
 // barrier-style Release/Reset between them, so the suite doubles as the
 // ASan/TSan workout for arena recycling (tests/CMakeLists.txt runs it
@@ -20,7 +24,6 @@
 #include "temporal/time.h"
 #include "util/arena.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace graphite {
 namespace {
@@ -106,6 +109,38 @@ void ExpectSame(const std::vector<CanonTuple>& expected,
   }
 }
 
+// Large shapes: every third seed draws up to 400 messages (the rest up to
+// 40), about one message end in twelve is kTimeMin/kTimeMax, and even
+// seeds arrive sorted by start time, as a time-ordered inbox would.
+void MakeLargeWorkload(uint64_t seed, TimePoint horizon,
+                       std::vector<Entry>* outer, std::vector<Item>* inner) {
+  Rng rng(seed);
+  TimePoint t = rng.UniformRange(0, 4);
+  const int num_states = 1 + static_cast<int>(rng.Uniform(6));
+  for (int i = 0; i < num_states && t < horizon; ++i) {
+    const TimePoint end = (i == num_states - 1 || t + 1 >= horizon)
+                              ? horizon
+                              : rng.UniformRange(t + 1, horizon);
+    outer->push_back({{t, end}, static_cast<int>(rng.Uniform(3))});
+    t = end;
+  }
+  const int num_msgs =
+      static_cast<int>(rng.Uniform(seed % 3 == 0 ? 400 : 40));
+  for (int i = 0; i < num_msgs; ++i) {
+    TimePoint s = rng.UniformRange(0, horizon - 1);
+    TimePoint e = rng.UniformRange(s + 1, horizon + 2);
+    if (rng.Uniform(12) == 0) s = kTimeMin;
+    if (rng.Uniform(12) == 0) e = kTimeMax;
+    inner->push_back({{s, e}, static_cast<int>(rng.Uniform(3))});
+  }
+  if (seed % 2 == 0) {
+    std::sort(inner->begin(), inner->end(),
+              [](const Item& a, const Item& b) {
+                return a.interval.start < b.interval.start;
+              });
+  }
+}
+
 TEST(WarpSoaPropertyTest, BothApisMatchNaiveReference) {
   constexpr TimePoint kHorizon = 28;
   // One arena for the whole suite, recycled between cases exactly like an
@@ -116,25 +151,31 @@ TEST(WarpSoaPropertyTest, BothApisMatchNaiveReference) {
   WarpOutput soa;
   soa.Attach(&arena);
 
-  for (uint64_t seed = 1; seed <= 400; ++seed) {
-    Rng rng(seed);
+  // Seeds past 400 draw the large shapes.
+  for (uint64_t seed = 1; seed <= 650; ++seed) {
     std::vector<Entry> outer;
-    TimePoint t = rng.UniformRange(0, 4);  // leading gap sometimes
-    const int num_states = 1 + static_cast<int>(rng.Uniform(6));
-    for (int i = 0; i < num_states && t < kHorizon; ++i) {
-      const TimePoint end = (i == num_states - 1 || t + 1 >= kHorizon)
-                                ? kHorizon
-                                : rng.UniformRange(t + 1, kHorizon);
-      // Few distinct values so equal-value maximality merges happen often.
-      outer.push_back({{t, end}, static_cast<int>(rng.Uniform(3))});
-      t = end;
-    }
     std::vector<Item> inner;
-    const int num_msgs = static_cast<int>(rng.Uniform(30));
-    for (int i = 0; i < num_msgs; ++i) {
-      const TimePoint s = rng.UniformRange(0, kHorizon - 1);
-      inner.push_back({{s, rng.UniformRange(s + 1, kHorizon + 1)},
-                       static_cast<int>(rng.Uniform(3))});
+    if (seed > 400) {
+      MakeLargeWorkload(seed, kHorizon, &outer, &inner);
+    } else {
+      Rng rng(seed);
+      TimePoint t = rng.UniformRange(0, 4);  // leading gap sometimes
+      const int num_states = 1 + static_cast<int>(rng.Uniform(6));
+      for (int i = 0; i < num_states && t < kHorizon; ++i) {
+        const TimePoint end = (i == num_states - 1 || t + 1 >= kHorizon)
+                                  ? kHorizon
+                                  : rng.UniformRange(t + 1, kHorizon);
+        // Few distinct values so equal-value maximality merges happen
+        // often.
+        outer.push_back({{t, end}, static_cast<int>(rng.Uniform(3))});
+        t = end;
+      }
+      const int num_msgs = static_cast<int>(rng.Uniform(30));
+      for (int i = 0; i < num_msgs; ++i) {
+        const TimePoint s = rng.UniformRange(0, kHorizon - 1);
+        inner.push_back({{s, rng.UniformRange(s + 1, kHorizon + 1)},
+                         static_cast<int>(rng.Uniform(3))});
+      }
     }
 
     const std::vector<CanonTuple> expected =
@@ -185,25 +226,30 @@ TEST(WarpSoaPropertyTest, CombineIntoMatchesNaiveSliceModel) {
   combined.Attach(&arena);
   auto add = [](int a, int b) { return a + b; };
 
-  for (uint64_t seed = 500; seed <= 650; ++seed) {
-    Rng rng(seed);
+  // Seeds past 650 draw the large shapes.
+  for (uint64_t seed = 500; seed <= 800; ++seed) {
     constexpr TimePoint kHorizon = 24;
     std::vector<Entry> outer;
-    TimePoint t = 0;
-    const int num_states = 1 + static_cast<int>(rng.Uniform(4));
-    for (int i = 0; i < num_states && t < kHorizon; ++i) {
-      const TimePoint end = (i == num_states - 1 || t + 1 >= kHorizon)
-                                ? kHorizon
-                                : rng.UniformRange(t + 1, kHorizon);
-      outer.push_back({{t, end}, static_cast<int>(rng.Uniform(2))});
-      t = end;
-    }
     std::vector<Item> inner;
-    const int num_msgs = static_cast<int>(rng.Uniform(20));
-    for (int i = 0; i < num_msgs; ++i) {
-      const TimePoint s = rng.UniformRange(0, kHorizon - 1);
-      inner.push_back({{s, rng.UniformRange(s + 1, kHorizon + 1)},
-                       static_cast<int>(rng.Uniform(5))});
+    if (seed > 650) {
+      MakeLargeWorkload(seed, kHorizon, &outer, &inner);
+    } else {
+      Rng rng(seed);
+      TimePoint t = 0;
+      const int num_states = 1 + static_cast<int>(rng.Uniform(4));
+      for (int i = 0; i < num_states && t < kHorizon; ++i) {
+        const TimePoint end = (i == num_states - 1 || t + 1 >= kHorizon)
+                                  ? kHorizon
+                                  : rng.UniformRange(t + 1, kHorizon);
+        outer.push_back({{t, end}, static_cast<int>(rng.Uniform(2))});
+        t = end;
+      }
+      const int num_msgs = static_cast<int>(rng.Uniform(20));
+      for (int i = 0; i < num_msgs; ++i) {
+        const TimePoint s = rng.UniformRange(0, kHorizon - 1);
+        inner.push_back({{s, rng.UniformRange(s + 1, kHorizon + 1)},
+                         static_cast<int>(rng.Uniform(5))});
+      }
     }
 
     TimeWarpCombineInto<int, int>(outer, inner, add, &scratch, &combined);
@@ -270,220 +316,6 @@ TEST(WarpSoaPropertyTest, CombineIntoMatchesNaiveSliceModel) {
       arena.Reset();
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Scalar-vs-SIMD dispatch matrix (DESIGN.md §4j). The vectorized endpoint
-// pass must be BYTE-identical to the scalar reference — same tuples, same
-// spans, same pool contents, same combined folds — on every dispatch
-// level this host can execute. Forcing levels through SimdSetDispatch in
-// one process covers the same code paths the GRAPHITE_SIMD env override
-// selects (both feed the same process-wide dispatch state); the native
-// ctest entry additionally runs this suite with the env override set.
-// ---------------------------------------------------------------------------
-
-std::vector<SimdLevel> AvailableLevels() {
-  std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  if (SimdMaxSupported() >= SimdLevel::kSse2) {
-    levels.push_back(SimdLevel::kSse2);
-  }
-  if (SimdMaxSupported() >= SimdLevel::kAvx2) {
-    levels.push_back(SimdLevel::kAvx2);
-  }
-  return levels;
-}
-
-// Restores the process dispatch level on scope exit so these tests cannot
-// leak a forced level into unrelated suites.
-struct DispatchGuard {
-  SimdLevel saved = SimdDispatchLevel();
-  ~DispatchGuard() { SimdSetDispatch(saved); }
-};
-
-void MakeWorkload(uint64_t seed, TimePoint horizon, std::vector<Entry>* outer,
-                  std::vector<Item>* inner) {
-  Rng rng(seed);
-  TimePoint t = rng.UniformRange(0, 4);
-  const int num_states = 1 + static_cast<int>(rng.Uniform(6));
-  for (int i = 0; i < num_states && t < horizon; ++i) {
-    const TimePoint end = (i == num_states - 1 || t + 1 >= horizon)
-                              ? horizon
-                              : rng.UniformRange(t + 1, horizon);
-    outer->push_back({{t, end}, static_cast<int>(rng.Uniform(3))});
-    t = end;
-  }
-  // Every third seed goes big enough that outer x inner clears the
-  // kernel's kSimdMinWork demotion threshold and genuinely runs the wide
-  // path; the rest stay small and cover the demotion itself.
-  const int num_msgs =
-      static_cast<int>(rng.Uniform(seed % 3 == 0 ? 400 : 40));
-  for (int i = 0; i < num_msgs; ++i) {
-    // Mix time-ordered and shuffled arrivals so the partitioned sort
-    // exercises both its presorted-interior hit and its std::sort
-    // fallback, plus open-ended sentinel intervals for the wide clip.
-    TimePoint s = rng.UniformRange(0, horizon - 1);
-    TimePoint e = rng.UniformRange(s + 1, horizon + 2);
-    if (rng.Uniform(12) == 0) s = kTimeMin;
-    if (rng.Uniform(12) == 0) e = kTimeMax;
-    inner->push_back({{s, e}, static_cast<int>(rng.Uniform(3))});
-  }
-  if (seed % 2 == 0) {
-    std::sort(inner->begin(), inner->end(),
-              [](const Item& a, const Item& b) {
-                return a.interval.start < b.interval.start;
-              });
-  }
-}
-
-TEST(WarpSimdMatrixTest, TimeWarpIntoByteIdenticalAcrossDispatchLevels) {
-  DispatchGuard guard;
-  constexpr TimePoint kHorizon = 30;
-  Arena arena;
-  WarpScratch scratch;
-  scratch.Attach(&arena);
-  WarpOutput out;
-  out.Attach(&arena);
-
-  for (uint64_t seed = 1; seed <= 250; ++seed) {
-    std::vector<Entry> outer;
-    std::vector<Item> inner;
-    MakeWorkload(seed, kHorizon, &outer, &inner);
-
-    // Scalar reference snapshot.
-    SimdSetDispatch(SimdLevel::kScalar);
-    WarpStats ref_stats;
-    TimeWarpInto<int, int>(outer, inner, &scratch, &out, &ref_stats);
-    std::vector<FlatWarpTuple> ref_tuples(out.tuples().begin(),
-                                          out.tuples().end());
-    std::vector<std::vector<uint32_t>> ref_groups;
-    for (size_t i = 0; i < out.size(); ++i) {
-      ref_groups.emplace_back(out.group(i).begin(), out.group(i).end());
-    }
-    if (!outer.empty() && !inner.empty()) {
-      EXPECT_EQ(1, ref_stats.simd_lanes);
-    }
-
-    for (const SimdLevel level : AvailableLevels()) {
-      if (level == SimdLevel::kScalar) continue;
-      SimdSetDispatch(level);
-      WarpStats stats;
-      TimeWarpInto<int, int>(outer, inner, &scratch, &out, &stats);
-      ASSERT_EQ(ref_tuples.size(), out.size())
-          << SimdLevelName(level) << " seed=" << seed;
-      for (size_t i = 0; i < out.size(); ++i) {
-        // Byte-identical: every field of every tuple, including the pool
-        // span coordinates, not just canonicalized content. (Field-wise
-        // rather than memcmp only to skip struct tail padding.)
-        ASSERT_TRUE(ref_tuples[i].interval == out[i].interval &&
-                    ref_tuples[i].outer_index == out[i].outer_index &&
-                    ref_tuples[i].group.offset == out[i].group.offset &&
-                    ref_tuples[i].group.count == out[i].group.count)
-            << SimdLevelName(level) << " seed=" << seed << " tuple=" << i;
-        const auto group = out.group(i);
-        ASSERT_EQ(ref_groups[i].size(), group.size());
-        ASSERT_TRUE(std::equal(group.begin(), group.end(),
-                               ref_groups[i].begin()))
-            << SimdLevelName(level) << " seed=" << seed << " tuple=" << i;
-      }
-      if (!outer.empty() && !inner.empty()) {
-        // Small calls are demoted to the scalar path even under a wide
-        // dispatch (warp_internal::kSimdMinWork); the report reflects
-        // the path that actually ran.
-        const size_t work = inner.size() * std::max<size_t>(outer.size(), 1);
-        EXPECT_EQ(work >= warp_internal::kSimdMinWork ? SimdLanes(level) : 1,
-                  stats.simd_lanes);
-      }
-    }
-
-    if (seed % 5 == 0) {
-      scratch.Release();
-      out.Release();
-      arena.Reset();
-    }
-  }
-}
-
-TEST(WarpSimdMatrixTest, CombineIntoByteIdenticalAcrossDispatchLevels) {
-  DispatchGuard guard;
-  constexpr TimePoint kHorizon = 26;
-  Arena arena;
-  WarpScratch scratch;
-  scratch.Attach(&arena);
-  SuperstepVec<CombinedWarpTuple<int>> out;
-  out.Attach(&arena);
-  auto add = [](int a, int b) { return a + b; };
-
-  for (uint64_t seed = 700; seed <= 850; ++seed) {
-    std::vector<Entry> outer;
-    std::vector<Item> inner;
-    MakeWorkload(seed, kHorizon, &outer, &inner);
-
-    SimdSetDispatch(SimdLevel::kScalar);
-    TimeWarpCombineInto<int, int>(outer, inner, add, &scratch, &out);
-    std::vector<CombinedWarpTuple<int>> ref(out.span().begin(),
-                                            out.span().end());
-
-    for (const SimdLevel level : AvailableLevels()) {
-      if (level == SimdLevel::kScalar) continue;
-      SimdSetDispatch(level);
-      TimeWarpCombineInto<int, int>(outer, inner, add, &scratch, &out);
-      ASSERT_EQ(ref.size(), out.size())
-          << SimdLevelName(level) << " seed=" << seed;
-      for (size_t i = 0; i < out.size(); ++i) {
-        ASSERT_TRUE(ref[i].interval == out[i].interval &&
-                    ref[i].outer_index == out[i].outer_index &&
-                    ref[i].combined == out[i].combined &&
-                    ref[i].group_size == out[i].group_size)
-            << SimdLevelName(level) << " seed=" << seed << " tuple=" << i;
-      }
-    }
-
-    if (seed % 4 == 0) {
-      scratch.Release();
-      out.Release();
-      arena.Reset();
-    }
-  }
-}
-
-// The partitioned endpoint sort's observability contract: counters move,
-// and on time-ordered inboxes the interior is detected presorted.
-TEST(WarpSimdMatrixTest, SortCountersReportPartitionAndPresortedness) {
-  if (SimdMaxSupported() < SimdLevel::kSse2) GTEST_SKIP();
-  DispatchGuard guard;
-  SimdSetDispatch(SimdMaxSupported());
-  Arena arena;
-  WarpScratch scratch;
-  scratch.Attach(&arena);
-  WarpOutput out;
-  out.Attach(&arena);
-
-  // Workloads sized to clear the kSimdMinWork demotion threshold (small
-  // calls run the scalar path, which never touches the sort counters).
-  const int n = static_cast<int>(warp_internal::kSimdMinWork);
-
-  // Time-ordered messages spanning past both entry bounds: every clipped
-  // endpoint pins to a bound, the interior is empty (trivially sorted).
-  std::vector<Entry> outer{{{10, 2000}, 1}};
-  std::vector<Item> pinned;
-  for (int i = 0; i < n; ++i) pinned.push_back({{0, 3000}, i % 3});
-  WarpStats stats;
-  TimeWarpInto<int, int>(outer, pinned, &scratch, &out, &stats);
-  EXPECT_EQ(1, stats.sort_calls);
-  EXPECT_EQ(1, stats.sort_presorted);
-  EXPECT_EQ(2 * n, stats.sort_pinned);
-  EXPECT_EQ(2 * n, stats.sort_endpoints);
-
-  // Reverse-time interior endpoints force the std::sort fallback.
-  std::vector<Item> shuffled;
-  for (int i = 0; i < n; ++i) {
-    shuffled.push_back({{1998 - 2 * i, 1999 - i}, i % 3});
-  }
-  WarpStats stats2;
-  TimeWarpInto<int, int>(outer, shuffled, &scratch, &out, &stats2);
-  EXPECT_EQ(1, stats2.sort_calls);
-  EXPECT_EQ(0, stats2.sort_presorted);
-  EXPECT_GT(stats2.sort_endpoints, stats2.sort_pinned);
 }
 
 }  // namespace

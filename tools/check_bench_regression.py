@@ -23,9 +23,7 @@ or GRAPHITE_PERF_STRICT=1. When the two reports record different
 `hardware_concurrency` values, timing gates are additionally downgraded to
 warnings even under --strict — a baseline taken on a different core count
 says nothing about timing on this host — while allocation/count gates stay
-enforced (they are core-count independent). The same downgrade applies
-when the reports record different `simd_dispatch` levels: scalar-vs-AVX2
-timings are not comparable, but allocation counts are dispatch-invariant.
+enforced (they are core-count independent).
 
 Keys present only in the fresh run (a newly added gate whose baseline has
 not been regenerated yet) are reported as notes, never failures.
@@ -120,12 +118,8 @@ def self_test():
     import subprocess
     import tempfile
 
-    def report(gated, cores=8, simd="avx2"):
-        return {
-            "hardware_concurrency": cores,
-            "simd_dispatch": simd,
-            "gated": gated,
-        }
+    def report(gated, cores=8):
+        return {"hardware_concurrency": cores, "gated": gated}
 
     def entry(value, better="lower", timing=False):
         return {"value": value, "better": better, "timing": timing}
@@ -211,14 +205,6 @@ def self_test():
             extra=["--strict"],
             want=0,
             grep="hardware_concurrency",
-        )
-        run(
-            "simd_mismatch_downgrades_timing_even_strict",
-            report({"warp_ms": entry(10.0, timing=True)}, simd="avx2"),
-            report({"warp_ms": entry(20.0, timing=True)}, simd="scalar"),
-            extra=["--strict"],
-            want=0,
-            grep="simd_dispatch",
         )
         run(
             "core_mismatch_still_enforces_counts",
@@ -316,15 +302,6 @@ def main(argv):
             f"fresh={fresh_cores}; timing gates are warnings only "
             "(alloc/count gates still enforced)"
         )
-    base_simd = committed_report.get("simd_dispatch")
-    fresh_simd = fresh_report.get("simd_dispatch")
-    simd_match = base_simd == fresh_simd
-    if not simd_match:
-        print(
-            f"note: simd_dispatch baseline={base_simd} vs "
-            f"fresh={fresh_simd}; timing gates are warnings only "
-            "(alloc/count gates are dispatch-invariant, still enforced)"
-        )
 
     failures = []
     for key, base in committed.items():
@@ -338,9 +315,9 @@ def main(argv):
         direction = base["better"]
         bad = regressed(direction, base_v, fresh_v)
         # Timing gates require --strict plus a comparable host (same core
-        # count and SIMD dispatch); non-timing gates (allocs, counts, call
-        # ratios) always enforce.
-        enforce = not timing or (strict and cores_match and simd_match)
+        # count); non-timing gates (allocs, counts, call ratios) always
+        # enforce.
+        enforce = not timing or (strict and cores_match)
         verdict = "OK"
         if bad:
             verdict = "REGRESSION" if enforce else "warn"

@@ -30,10 +30,10 @@ convention, and that clang-tidy/compilers cannot express:
           back. sprintf (unbounded) is banned outright. util/json.cc
           itself is exempt (it implements the writer).
 
-  simd    SIMD intrinsics live in util/simd.h only: no *mmintrin includes,
-          _mm_*/..._mm512_* calls, or __m128/__m256/__m512 types anywhere
-          else, so every kernel stays runtime-dispatched through the
-          SimdLevel wrapper instead of hard-wiring an ISA.
+  simd    No SIMD intrinsics anywhere: no <*intrin.h> includes,
+          _mm_*/..._mm512_* calls, or __m128/__m256/__m512 types. The
+          kernels are portable scalar code; a wide path would need a
+          measured workload that runs it (DESIGN.md §4j).
 
 Suppression: a comment containing `lint:allow(<rule>...)` on the same
 line silences that rule for the line — the convention is
@@ -68,7 +68,6 @@ CXX_EXTENSIONS = (".h", ".cc", ".cpp", ".hpp")
 # Files allowed to touch the raw primitives a rule otherwise bans.
 MUTEX_HOME = "src/util/mutex.h"
 JSON_HOME = "src/util/json.cc"
-SIMD_HOME = "src/util/simd.h"
 
 # The superstep hot path (DESIGN.md §4f/§4k): arena storage only.
 HOT_FILES = ("src/engine/delivery.h", "src/engine/flat_inbox.h",
@@ -90,7 +89,7 @@ PRINTF_CALL = re.compile(r"\b(?:sn|f|v|vsn)?printf\s*\(")
 SPRINTF_CALL = re.compile(r"\bsprintf\s*\(")
 JSON_IN_LITERAL = re.compile(r'\{\\"|\\":|\\"\}|"\{"|"\["')
 SIMD_TOKEN = re.compile(r"\b_mm(?:256|512)?_\w+|\b__m(?:128|256|512)[id]?\b")
-SIMD_INCLUDE = re.compile(r"#\s*include\s*<\w*mmintrin\.h>|<immintrin\.h>")
+SIMD_INCLUDE = re.compile(r"#\s*include\s*<\w*intrin\.h>")
 ALLOW = re.compile(r"lint:allow\((\w+)")
 REGION_OPEN = re.compile(r"lint:region\(([\w-]+)\)")
 REGION_CLOSE = re.compile(r"lint:endregion\(([\w-]+)\)")
@@ -255,13 +254,8 @@ def lint_file(rel, text):
                     "printf-built JSON; emit through util/json.h JsonWriter "
                     "(fixed-size buffers truncate silently)",
                 )
-        if rel != SIMD_HOME:
-            if SIMD_TOKEN.search(stripped) or SIMD_INCLUDE.search(stripped):
-                report(
-                    "simd",
-                    "SIMD intrinsics outside util/simd.h; go through the "
-                    "runtime-dispatched Simd* primitives",
-                )
+        if SIMD_TOKEN.search(stripped) or SIMD_INCLUDE.search(stripped):
+            report("simd", "SIMD intrinsics; keep the kernels portable scalar")
     if open_region is not None:
         findings.append(Finding(
             rel, open_region[1], "region",
@@ -340,8 +334,8 @@ SELF_TEST_CASES = [
     (None, "src/util/json.cc",
      'std::snprintf(buf, sizeof(buf), "\\u%04x", c);'),
     ("simd", "src/icm/foo.h", "__m256i v = _mm256_set1_epi64x(1);"),
-    ("simd", "src/engine/foo.h", "#include <immintrin.h>"),
-    (None, "src/util/simd.h", "__m256i v = _mm256_set1_epi64x(1);"),
+    ("simd", "src/engine/foo.h", "#include <x86intrin.h>"),
+    ("simd", "src/util/simd.h", "__m256i v = _mm256_set1_epi64x(1);"),
     # Named regions (delta-append warm-seed path).
     (None, "src/icm/icm_engine.h",
      "// lint:region(ingest-seed)\nstd::vector<int> seeds;\n"
