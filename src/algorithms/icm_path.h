@@ -14,6 +14,7 @@
 #define GRAPHITE_ALGORITHMS_ICM_PATH_H_
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -45,6 +46,13 @@ struct PathLabels {
     return v ? *v : 1;
   }
 };
+
+/// The vertex index of a point query's target; nullopt when there is no
+/// target or it is not in the graph (nothing to bound then).
+inline std::optional<VertexIdx> IndexOfTarget(const TemporalGraph& g,
+                                              std::optional<VertexId> target) {
+  return target ? g.IndexOf(*target) : std::nullopt;
+}
 
 /// Temporal single-source shortest (cheapest) path — the paper's Alg. 1.
 /// State: minimum known travel cost from the source, per arrival interval.
@@ -88,13 +96,20 @@ class IcmSssp {
 /// Earliest arrival time from the source. State: earliest time-respecting
 /// arrival, per interval; only the first reachable instant matters, which
 /// the interval [arrival, inf) of each message encodes.
+///
+/// With a `target` (a point query reading one vertex), MasterCompute keeps
+/// the target's best arrival as a bound and Scatter drops every send that
+/// arrives at or after it: travel times are non-negative, so such a send
+/// only leads to arrivals no earlier than the bound. The target's value is
+/// the full run's; other vertices may stay unreached.
 class IcmEat {
  public:
   using State = int64_t;
   using Message = int64_t;
 
-  IcmEat(const TemporalGraph& g, VertexId source)
-      : labels_(g), source_(source) {}
+  IcmEat(const TemporalGraph& g, VertexId source,
+         std::optional<VertexId> target = std::nullopt)
+      : labels_(g), source_(source), target_(IndexOfTarget(g, target)) {}
 
   State Init(VertexIdx) const { return kInfCost; }
 
@@ -120,12 +135,24 @@ class IcmEat {
     // its start is feasible (arrival <= slice.start).
     (void)arrival;
     const TimePoint arr = ctx.interval().start + tt;
+    if (arr >= bound_) return;
     ctx.Send(Interval(arr, kTimeMax), arr);
+  }
+
+  /// The bound: the target's earliest arrival so far (kInfCost before).
+  void MasterCompute(std::span<const IntervalMap<State>> states, int) {
+    if (!target_) return;
+    bound_ = kInfCost;
+    for (const auto& e : states[*target_].entries()) {
+      bound_ = std::min(bound_, e.value);
+    }
   }
 
  private:
   PathLabels labels_;
   VertexId source_;
+  std::optional<VertexIdx> target_;
+  TimePoint bound_ = kInfCost;
 };
 
 /// Time-minimum spanning tree: EAT plus the parent vertex id carried in
@@ -175,13 +202,28 @@ class IcmTmst {
 
 /// Time-respecting reachability from the source: state is 1 over the
 /// intervals where the vertex has been reached, else 0.
+///
+/// Two optional scopes for point queries, both exact for what they read:
+///   * `by`: only states at instants <= by are read (reach_at). A send
+///     arriving after `by` is dropped and every message is clipped to
+///     [arrival, by+1), so no state past `by` is produced.
+///   * `target`: only that vertex is read (path reach). MasterCompute
+///     keeps the first instant at which it is reached as a bound, and a
+///     send arriving at or after the bound is dropped: with non-negative
+///     travel times it only reaches vertices at instants the target
+///     already covers.
 class IcmReach {
  public:
   using State = uint8_t;
   using Message = uint8_t;
 
-  IcmReach(const TemporalGraph& g, VertexId source)
-      : labels_(g), source_(source) {}
+  IcmReach(const TemporalGraph& g, VertexId source,
+           std::optional<VertexId> target = std::nullopt,
+           TimePoint by = kTimeMax)
+      : labels_(g),
+        source_(source),
+        target_(IndexOfTarget(g, target)),
+        until_(by == kTimeMax ? kTimeMax : by + 1) {}
 
   State Init(VertexIdx) const { return 0; }
 
@@ -198,12 +240,29 @@ class IcmReach {
 
   void Scatter(IcmScatterContext<IcmReach>& ctx, const State&) {
     const TimePoint tt = labels_.TravelTime(ctx);
-    ctx.Send(Interval(ctx.interval().start + tt, kTimeMax), 1);
+    const TimePoint arr = ctx.interval().start + tt;
+    if (arr >= until_ || arr >= bound_) return;
+    ctx.Send(Interval(arr, until_), 1);
+  }
+
+  /// The bound: the first instant the target is reached (kTimeMax before).
+  void MasterCompute(std::span<const IntervalMap<State>> states, int) {
+    if (!target_) return;
+    bound_ = kTimeMax;
+    for (const auto& e : states[*target_].entries()) {
+      if (e.value == 1) {
+        bound_ = e.interval.start;  // Entries are sorted by start.
+        return;
+      }
+    }
   }
 
  private:
   PathLabels labels_;
   VertexId source_;
+  std::optional<VertexIdx> target_;
+  TimePoint until_;  ///< One past the last instant read.
+  TimePoint bound_ = kTimeMax;
 };
 
 /// Fastest (minimum-duration) path. Messages carry the journey's start

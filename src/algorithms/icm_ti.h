@@ -18,7 +18,9 @@
 namespace graphite {
 
 /// Per-snapshot BFS depth from a source vertex. State: hop distance,
-/// kInfCost when unreached at that time-point.
+/// kInfCost when unreached at that time-point. BFS is time-independent,
+/// so a run seeded only on `seed` (bfs_at seeds one instant) computes
+/// exactly the full run's depths there and produces no other interval.
 class IcmBfs {
  public:
   using State = int64_t;
@@ -28,7 +30,8 @@ class IcmBfs {
   /// refined at property boundaries (see IcmUsesEdgeProperties).
   static constexpr bool kUsesEdgeProperties = false;
 
-  explicit IcmBfs(VertexId source) : source_(source) {}
+  explicit IcmBfs(VertexId source, Interval seed = Interval::All())
+      : source_(source), seed_(seed) {}
 
   State Init(VertexIdx) const { return kInfCost; }
 
@@ -38,7 +41,10 @@ class IcmBfs {
 
   void Compute(IcmVertexContext<IcmBfs>& ctx, std::span<const Message> msgs) {
     if (ctx.superstep() == 0) {
-      if (ctx.vertex_id() == source_) ctx.SetState(ctx.interval(), 0);
+      const Interval seeded = ctx.interval().Intersect(seed_);
+      if (ctx.vertex_id() == source_ && seeded.IsValid()) {
+        ctx.SetState(seeded, 0);
+      }
       return;
     }
     Message min_val = kInfCost;
@@ -54,6 +60,7 @@ class IcmBfs {
 
  private:
   VertexId source_;
+  Interval seed_;
 };
 
 /// Per-snapshot weakly connected components: min-vertex-id label

@@ -37,6 +37,20 @@ TemporalResult<double> NormalizeLcc(const TemporalGraph& g,
   return out;
 }
 
+// The canonical SSSP form every platform returns: only reached entries
+// (the kInfCost "unreached" sentinel dropped), coalesced.
+void DropUnreached(TemporalResult<int64_t>* result) {
+  for (auto& m : *result) {
+    std::vector<std::pair<Interval, int64_t>> keep;
+    for (const auto& e : m.entries()) {
+      if (e.value != kInfCost) keep.emplace_back(e.interval, e.value);
+    }
+    m.clear();
+    for (auto& [iv, val] : keep) m.Set(iv, val);
+    m.Coalesce();
+  }
+}
+
 void StoreMetrics(RunMetrics* sink, RunMetrics metrics) {
   if (sink != nullptr) *sink = std::move(metrics);
 }
@@ -238,7 +252,7 @@ TemporalResult<int64_t> RunSsspOn(Workload& w, Platform p,
       IcmSssp program(g, config.source);
       auto r = IcmEngine<IcmSssp>::Run(g, program, config.ToIcm());
       StoreMetrics(metrics, std::move(r.metrics));
-      for (auto& m : r.states) m.Coalesce();
+      DropUnreached(&r.states);
       return std::move(r.states);
     }
     case Platform::kTgb: {
@@ -261,16 +275,7 @@ TemporalResult<int64_t> RunSsspOn(Workload& w, Platform p,
       GofSssp program(g, config.source);
       auto r = RunGoffish(g, program, config.ToGoffish());
       StoreMetrics(metrics, std::move(r.metrics));
-      // Canonicalize: drop the "unreached" sentinel entries.
-      for (auto& m : r.result) {
-        std::vector<std::pair<Interval, int64_t>> keep;
-        for (const auto& e : m.entries()) {
-          if (e.value != kInfCost) keep.emplace_back(e.interval, e.value);
-        }
-        m.clear();
-        for (auto& [iv, val] : keep) m.Set(iv, val);
-        m.Coalesce();
-      }
+      DropUnreached(&r.result);
       return std::move(r.result);
     }
     default:

@@ -38,6 +38,10 @@
 //     void Scatter(IcmScatterContext<MyAlgorithm>& ctx, const State& s);
 //     // Optional commutative+associative combiner:
 //     // static Message Combine(const Message&, const Message&);
+//     // Optional master compute (DESIGN.md §4i), read-only and on the
+//     // coordinating thread: once after recovery, then at every barrier.
+//     // void MasterCompute(std::span<const IntervalMap<State>> states,
+//     //                    int next_superstep);
 //   };
 #ifndef GRAPHITE_ICM_ICM_ENGINE_H_
 #define GRAPHITE_ICM_ICM_ENGINE_H_
@@ -78,6 +82,18 @@ struct IcmOptions : EngineOptions {
   /// hash partitioner by default, or any strategy/explicit map.
   Placement placement;
 };
+
+/// Programs that prune by a global quantity (a point query's target bound)
+/// read it here. The hook runs on the coordinating thread between compute
+/// phases, sees every vertex state read-only and must not allocate; it
+/// may only change what later Scatter calls send, and only by dropping
+/// sends that cannot change the vertex states the caller reads. Whatever
+/// it derives must be a pure function of the states it sees, so a resumed
+/// run recomputes it and no checkpoint field carries it.
+template <typename P>
+concept IcmHasMasterCompute =
+    requires(P& p, std::span<const IntervalMap<typename P::State>> states,
+             int next_superstep) { p.MasterCompute(states, next_superstep); };
 
 template <typename P>
 concept IcmHasCombiner = requires(const typename P::Message& a,
@@ -330,6 +346,8 @@ class IcmEngine {
     // Warm-seed applies only to a genuinely first superstep: a resume from
     // a checkpoint of the incremental run already carries the seeded state.
     warm_seeded_ = warm_ != nullptr && start == 0;
+    next_superstep_ = start;
+    MasterCompute();
     const int64_t run_start = NowNanos();
     driver.Run(*this, start, options_.max_supersteps, options_.always_active,
                &result_.metrics);
@@ -367,6 +385,16 @@ class IcmEngine {
 
   void AtBarrier() {
     for (WorkerScratch& s : scratch_) s.ResetAtBarrier();
+    ++next_superstep_;
+    MasterCompute();
+  }
+
+  void MasterCompute() {
+    if constexpr (IcmHasMasterCompute<Program>) {
+      program_.MasterCompute(
+          std::span<const IntervalMap<State>>(result_.states),
+          next_superstep_);
+    }
   }
 
   void Carry(CarryCounters* c) const {
@@ -837,6 +865,7 @@ class IcmEngine {
   // One per OS lane; capacities survive supersteps.
   std::vector<WorkerScratch> scratch_;  // lint:allow(vector: amortized scratch)
   bool warm_seeded_ = false;  ///< Superstep 0 runs the warm seed.
+  int next_superstep_ = 0;    ///< The superstep MasterCompute precedes.
 };
 
 }  // namespace graphite

@@ -329,11 +329,17 @@ Status RenderPath(const QueryRequest& req, Workload& w,
     out->EndArray();
   };
 
+  // eat and reach run ICM scoped to the target (DESIGN.md §4i): the
+  // program prunes every send that cannot improve it.
   if (req.kind == "eat") {
-    const auto eat = RunEatOn(w, Platform::kIcm, *config, metrics);
-    const bool ok = eat[*tgt] != kInfCost;
+    IcmEat program(g, req.source, req.target);
+    auto r = IcmEngine<IcmEat>::Run(g, program, config->ToIcm());
+    *metrics = std::move(r.metrics);
+    int64_t eat = kInfCost;
+    for (const auto& e : r.states[*tgt].entries()) eat = std::min(eat, e.value);
+    const bool ok = eat != kInfCost;
     out->Key("reachable").Bool(ok);
-    if (ok) out->Key("value").Int(eat[*tgt]);
+    if (ok) out->Key("value").Int(eat);
   } else if (req.kind == "sssp") {
     const auto costs = RunSsspOn(w, Platform::kIcm, *config, metrics);
     int64_t best = kInfCost;
@@ -356,11 +362,17 @@ Status RenderPath(const QueryRequest& req, Workload& w,
     out->Key("reachable").Bool(ok);
     if (ok) out->Key("value").Int(latest[*src]);
   } else if (req.kind == "reach") {
-    const auto reach = RunRhOn(w, Platform::kIcm, *config, metrics);
-    const auto& entries = reach[*tgt].entries();
-    out->Key("reachable").Bool(!entries.empty());
+    IcmReach program(g, req.source, req.target);
+    auto r = IcmEngine<IcmReach>::Run(g, program, config->ToIcm());
+    *metrics = std::move(r.metrics);
+    IntervalMap<uint8_t> reached;
+    for (const auto& e : r.states[*tgt].entries()) {
+      if (e.value == 1) reached.Set(e.interval, 1);
+    }
+    reached.Coalesce();
+    out->Key("reachable").Bool(!reached.empty());
     out->Key("intervals").BeginArray();
-    for (const auto& e : entries) {
+    for (const auto& e : reached.entries()) {
       out->BeginArray().Int(e.interval.start).Int(e.interval.end).EndArray();
     }
     out->EndArray();
@@ -385,7 +397,10 @@ Status RenderReachAt(const QueryRequest& req, Workload& w,
   if (req.at < 0) {
     return Status::InvalidArgument("reach_at requires \"at\" >= 0");
   }
-  const auto reach = RunRhOn(w, Platform::kIcm, *config, metrics);
+  // Scoped to the instant read: no message outlives `at`.
+  IcmReach program(g, req.source, std::nullopt, req.at);
+  auto reach = IcmEngine<IcmReach>::Run(g, program, config->ToIcm());
+  *metrics = std::move(reach.metrics);
   out->Key("type").String("reach_at");
   out->Key("source").Int(req.source);
   out->Key("at").Int(req.at);
@@ -395,7 +410,7 @@ Status RenderReachAt(const QueryRequest& req, Workload& w,
   bool truncated = false;
   out->Key("vertices").BeginArray();
   for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-    if (ResultAt<uint8_t>(reach, v, req.at, 0) != 1) continue;
+    if (reach.states[v].Get(req.at) != uint8_t{1}) continue;
     ++count;
     digest.MixInt(g.vertex_id(v));
     if (req.max_vertices > 0 && listed >= req.max_vertices) {
@@ -425,7 +440,13 @@ Status RenderBfsAt(const QueryRequest& req, Workload& w,
   if (req.at < 0) {
     return Status::InvalidArgument("bfs_at requires \"at\" >= 0");
   }
-  const auto levels = RunBfsOn(w, Platform::kIcm, *config, metrics);
+  // BFS is time-independent: seeding the source only at `at` computes
+  // exactly the levels there and nothing else. (`at` = kTimeMax, outside
+  // every half-open lifespan, seeds nothing.)
+  IcmBfs program(req.source,
+                 Interval(req.at, req.at == kTimeMax ? kTimeMax : req.at + 1));
+  auto bfs = IcmEngine<IcmBfs>::Run(g, program, config->ToIcm());
+  *metrics = std::move(bfs.metrics);
   out->Key("type").String("bfs_at");
   out->Key("source").Int(req.source);
   out->Key("at").Int(req.at);
@@ -435,8 +456,8 @@ Status RenderBfsAt(const QueryRequest& req, Workload& w,
   bool truncated = false;
   out->Key("vertices").BeginArray();
   for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-    const auto level = levels[v].Get(req.at);
-    if (!level) continue;
+    const auto level = bfs.states[v].Get(req.at);
+    if (!level || *level == kInfCost) continue;  // Not alive, or unreached.
     ++count;
     digest.MixInt(g.vertex_id(v));
     digest.MixInt(*level);

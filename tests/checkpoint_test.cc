@@ -320,6 +320,73 @@ TEST(CheckpointRecoveryIcmTest, KilledAndResumedMatchesUninterrupted) {
   }
 }
 
+// The scoped point-query programs (DESIGN.md §4i) prune by a target bound
+// their MasterCompute derives from the states; no frame carries it. A run
+// killed at any superstep and resumed must rebuild the bound from the
+// restored states and report the target's answer and every counter as an
+// uninterrupted run does.
+TEST(CheckpointRecoveryScopedTest, KilledAtEachSuperstepRebuildsTheBound) {
+  const TemporalGraph g = RecoveryGraph();
+  const VertexId source = g.vertex_id(0);
+  // The target the full run reaches last, so the bound prunes for long.
+  IcmEat full(g, source);
+  const auto unscoped = IcmEngine<IcmEat>::Run(g, full);
+  VertexIdx tgt = 0;
+  int64_t latest = kNegInf;
+  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
+    for (const auto& e : unscoped.states[v].entries()) {
+      if (e.value != kInfCost && e.value > latest) {
+        latest = e.value;
+        tgt = v;
+      }
+    }
+  }
+  const VertexId target = g.vertex_id(tgt);
+  IcmOptions options = MakeIcmOptions(kModes[1], 3);
+  options.runtime.checkpoint = CheckpointPolicy::EveryK(1);
+
+  const auto check = [&](auto make_program, int64_t unscoped_messages,
+                         const std::string& what) {
+    using Program = decltype(make_program());
+    Program baseline_program = make_program();
+    const auto baseline =
+        IcmEngine<Program>::Run(g, baseline_program, options);
+    ASSERT_GE(baseline.metrics.supersteps, 3) << what;
+    // The bound has to bite for the resume to prove anything.
+    ASSERT_LT(baseline.metrics.messages, unscoped_messages) << what;
+    for (int kill = 0; kill < baseline.metrics.supersteps; ++kill) {
+      const std::string at = what + " kill=" + std::to_string(kill);
+      CheckpointStore store(NewDir("scoped_kill"));
+      FaultInjector fault;
+      fault.ScheduleKill(kill, /*worker=*/0);
+      RecoveryContext crash;
+      crash.store = &store;
+      crash.fault = &fault;
+      Program killed_program = make_program();
+      const auto killed =
+          IcmEngine<Program>::Run(g, killed_program, options, crash);
+      ASSERT_TRUE(killed.metrics.interrupted) << at;
+
+      RecoveryContext resume;
+      resume.store = &store;
+      resume.resume = true;
+      Program resumed_program = make_program();
+      const auto resumed =
+          IcmEngine<Program>::Run(g, resumed_program, options, resume);
+      EXPECT_EQ(resumed.metrics.resumed_from, kill == 0 ? -1 : kill) << at;
+      EXPECT_EQ(baseline.states[tgt].entries(), resumed.states[tgt].entries())
+          << at;
+      ExpectSameOutcome(baseline, resumed, at);
+    }
+  };
+  IcmReach reach_all(g, source);
+  const int64_t reach_messages =
+      IcmEngine<IcmReach>::Run(g, reach_all).metrics.messages;
+  check([&] { return IcmEat(g, source, target); }, unscoped.metrics.messages,
+        "eat");
+  check([&] { return IcmReach(g, source, target); }, reach_messages, "reach");
+}
+
 // A corrupted latest checkpoint is detected by its checksum and recovery
 // silently falls back to the previous valid snapshot.
 TEST(CheckpointRecoveryIcmTest, CorruptLatestFallsBackToPreviousValid) {

@@ -15,6 +15,7 @@
 #include "algorithms/runners.h"
 #include "engine/thread_pool.h"
 #include "icm/icm_engine.h"
+#include "server/query_service.h"
 #include "testutil.h"
 
 namespace graphite {
@@ -354,6 +355,111 @@ TEST(RuntimeDeterminismCrossEngine, FrontierMatchesDenseAllPlatforms) {
   check(Platform::kChl, bfs, kInfCost, "frontier/bfs/chl");
   check(Platform::kTgb, sssp, kInfCost, "frontier/sssp/tgb");
   check(Platform::kGof, sssp, kInfCost, "frontier/sssp/gof");
+}
+
+// The scoped point-query programs (DESIGN.md §4i) prune by a bound their
+// MasterCompute derives from the states at each barrier. The states there
+// are mode-independent, so every mode prunes the same sends: states and
+// every counter must match sequential at each worker count, over both
+// transports, with the frontier always dense (density 0) or never
+// (density 1), and the server fragments built on them must too.
+TEST(RuntimeDeterminismScoped, PointQueriesMatchSequential) {
+  testutil::RandomGraphOptions opt;
+  opt.num_vertices = 60;
+  opt.num_edges = 220;
+  const TemporalGraph g = testutil::MakeRandomGraph(21, opt);
+  const VertexId source = g.vertex_id(0);
+  const TimePoint at = g.horizon() / 2;
+  // A target the full run reaches late, so the bound prunes something.
+  Workload w{TemporalGraph(g)};
+  RunConfig full;
+  full.source = source;
+  const std::vector<int64_t> eat = RunEatOn(w, Platform::kIcm, full);
+  VertexIdx tgt = 0;
+  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
+    if (eat[v] != kInfCost && (eat[tgt] == kInfCost || eat[v] > eat[tgt])) {
+      tgt = v;
+    }
+  }
+  const VertexId target = g.vertex_id(tgt);
+
+  const double kDensities[] = {0.0, 1.0};
+  for (int workers : {1, 3, 4}) {
+    IcmOptions base = MakeOptions(kModes[0], workers);
+    base.runtime.frontier_density = 0.0;
+    IcmEat eat_ref(g, source, target);
+    const auto want_eat = IcmEngine<IcmEat>::Run(g, eat_ref, base);
+    IcmReach reach_ref(g, source, target);
+    const auto want_reach = IcmEngine<IcmReach>::Run(g, reach_ref, base);
+    IcmReach by_ref(g, source, std::nullopt, at);
+    const auto want_by = IcmEngine<IcmReach>::Run(g, by_ref, base);
+    IcmBfs bfs_ref(source, Interval(at, at + 1));
+    const auto want_bfs = IcmEngine<IcmBfs>::Run(g, bfs_ref, base);
+    for (const ModeSpec& mode : kModes) {
+      for (const TransportKind transport : kTransports) {
+        for (const double density : kDensities) {
+          IcmOptions options = MakeOptions(mode, workers, transport);
+          options.runtime.frontier_density = density;
+          const std::string label = MatrixLabel(mode, transport, workers) +
+                                    " d=" + std::to_string(density);
+          IcmEat e(g, source, target);
+          ExpectIdentical(want_eat, IcmEngine<IcmEat>::Run(g, e, options),
+                          ("eat " + label).c_str());
+          IcmReach r(g, source, target);
+          ExpectIdentical(want_reach, IcmEngine<IcmReach>::Run(g, r, options),
+                          ("reach " + label).c_str());
+          IcmReach b(g, source, std::nullopt, at);
+          ExpectIdentical(want_by, IcmEngine<IcmReach>::Run(g, b, options),
+                          ("reach_at " + label).c_str());
+          IcmBfs f(source, Interval(at, at + 1));
+          ExpectIdentical(want_bfs, IcmEngine<IcmBfs>::Run(g, f, options),
+                          ("bfs_at " + label).c_str());
+        }
+      }
+    }
+  }
+
+  // The same runs through the server's renders, stealing over the
+  // loopback wire against sequential in-process.
+  const std::string src = std::to_string(source);
+  const std::string lines[] = {
+      "{\"op\":\"path\",\"kind\":\"eat\",\"source\":" + src +
+          ",\"target\":" + std::to_string(target) + "}",
+      "{\"op\":\"path\",\"kind\":\"reach\",\"source\":" + src +
+          ",\"target\":" + std::to_string(target) + "}",
+      "{\"op\":\"reach_at\",\"source\":" + src +
+          ",\"at\":" + std::to_string(at) + "}",
+      "{\"op\":\"bfs_at\",\"source\":" + src +
+          ",\"at\":" + std::to_string(at) + "}",
+  };
+  for (const std::string& line : lines) {
+    auto req = QueryService::Parse(line);
+    ASSERT_TRUE(req.ok());
+    for (int workers : {1, 3, 4}) {
+      req->workers = workers;
+      ServiceOptions seq;
+      RunMetrics ms;
+      const auto want = QueryService::RenderFragmentWith(*req, w, seq, &ms);
+      ASSERT_TRUE(want.ok());
+      for (const double density : kDensities) {
+        ServiceOptions par;
+        par.default_use_threads = true;
+        par.runtime.num_threads = 8;
+        par.runtime.chunk_size = 4;
+        par.runtime.transport = TransportKind::kLoopbackWire;
+        par.runtime.frontier_density = density;
+        RunMetrics mp;
+        const auto got = QueryService::RenderFragmentWith(*req, w, par, &mp);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*want, *got) << line << " w=" << workers;
+        EXPECT_EQ(ms.supersteps, mp.supersteps) << line;
+        EXPECT_EQ(ms.compute_calls, mp.compute_calls) << line;
+        EXPECT_EQ(ms.scatter_calls, mp.scatter_calls) << line;
+        EXPECT_EQ(ms.messages, mp.messages) << line;
+        EXPECT_EQ(ms.message_bytes, mp.message_bytes) << line;
+      }
+    }
+  }
 }
 
 // Work stealing actually happens under skew: all vertices on one logical

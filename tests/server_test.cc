@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "algorithms/oracle.h"
 #include "testutil.h"
 #include "util/mutex.h"
 
@@ -172,6 +173,85 @@ TEST(QueryServiceTest, UnknownModeIsInvalidArgument) {
     EXPECT_NE(response.find(std::string("unknown mode: ") + mode),
               std::string::npos)
         << response;
+  }
+}
+
+JsonValue MustParseJson(const std::string& text) {
+  auto doc = ParseJson(text);
+  GRAPHITE_CHECK(doc.ok());
+  return *doc;
+}
+
+// bfs_at lists exactly the vertices reached at `at`, each with its level,
+// and counts them: a vertex alive at `at` but unreached is not listed.
+TEST(QueryServiceTest, BfsAtListsOnlyReachedVertices) {
+  // 0 -> 1 -> 2 -> 3 is a chain at t = 6 (2 -> 3 only on [5, 8)); 4 -> 5
+  // is alive everywhere but disconnected from 0; 6 lives only on [0, 3).
+  TemporalGraphBuilder b;
+  for (VertexId v = 0; v < 6; ++v) b.AddVertex(v, Interval(0, 10));
+  b.AddVertex(6, Interval(0, 3));
+  b.AddEdge(100, 0, 1, Interval(0, 10));
+  b.AddEdge(101, 1, 2, Interval(4, 10));
+  b.AddEdge(102, 2, 3, Interval(5, 8));
+  b.AddEdge(103, 4, 5, Interval(0, 10));
+  b.AddEdge(104, 0, 6, Interval(0, 3));
+  BuilderOptions options;
+  options.horizon = 10;
+  auto built = b.Build(options);
+  ASSERT_TRUE(built.ok());
+  const TemporalGraph g = std::move(built).value();
+  const auto oracle = OracleBfs(g, 0);
+
+  for (const TimePoint at : {0, 2, 4, 6, 9}) {
+    QueryRequest req = MustParse("{\"op\":\"bfs_at\",\"source\":0,\"at\":" +
+                                 std::to_string(at) + "}");
+    const JsonValue doc = MustParseJson(Standalone(req, g));
+    std::vector<std::pair<int64_t, int64_t>> listed;
+    for (const JsonValue& row : doc.Find("vertices")->items()) {
+      listed.emplace_back(row.items()[0].AsInt(), row.items()[1].AsInt());
+    }
+    std::vector<std::pair<int64_t, int64_t>> want;
+    for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
+      const int64_t level = oracle[v][static_cast<size_t>(at)];
+      if (level != kInfCost) want.emplace_back(g.vertex_id(v), level);
+    }
+    EXPECT_EQ(listed, want) << "at=" << at;
+    EXPECT_EQ(doc.GetInt("count", -1), static_cast<int64_t>(want.size()))
+        << "at=" << at;
+  }
+}
+
+// run sssp drops the "unreached" entries on every platform, so the three
+// TD platforms render the same listing, count and digest.
+TEST(QueryServiceTest, RunSsspIdenticalAcrossPlatforms) {
+  testutil::RandomGraphOptions opt;
+  opt.num_vertices = 40;
+  opt.num_edges = 140;
+  std::vector<TemporalGraph> graphs;
+  graphs.push_back(testutil::MakeRandomGraph(5, opt));
+  graphs.push_back(testutil::MakeRandomGraph(6, opt));
+  for (const TemporalGraph& g : graphs) {
+    for (const VertexId source : {0, 7, 19}) {
+      std::vector<JsonValue> docs;
+      for (const char* platform : {"icm", "tgb", "gof"}) {
+        docs.push_back(MustParseJson(Standalone(
+            MustParse("{\"op\":\"run\",\"alg\":\"sssp\",\"platform\":\"" +
+                      std::string(platform) +
+                      "\",\"source\":" + std::to_string(source) + "}"),
+            g)));
+      }
+      for (size_t p = 1; p < docs.size(); ++p) {
+        JsonWriter want;
+        JsonWriter got;
+        docs[0].Find("vertices")->WriteTo(&want);
+        docs[p].Find("vertices")->WriteTo(&got);
+        EXPECT_EQ(want.Take(), got.Take()) << "source " << source;
+        EXPECT_EQ(docs[0].GetInt("reached", -1), docs[p].GetInt("reached", -2))
+            << "source " << source;
+        EXPECT_EQ(docs[0].GetString("digest"), docs[p].GetString("digest"))
+            << "source " << source;
+      }
+    }
   }
 }
 

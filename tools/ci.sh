@@ -5,7 +5,8 @@
 #   tools/ci.sh --fast     # tier-1 build + tests + lint only
 #
 # Every stage is also runnable by hand; this script only sequences them:
-#   1. default preset: configure, build, ctest (everything but perf)
+#   1. default preset: configure, build, ctest (everything but perf),
+#      then the differential suites again at a large trial count
 #   2. sanitizer presets: tsan, asan, ubsan — each builds its tree and
 #      runs its labeled suite (the sanitizer matrices in tests/)
 #   3. clang-tidy over src/ using the default tree's compile_commands.json
@@ -39,6 +40,10 @@ cmake --build build -j "$(nproc)"
 
 banner "tier-1: ctest (all labels except perf)"
 ctest --test-dir build -LE perf --output-on-failure
+
+banner "differential suites at a large trial count"
+GRAPHITE_DIFFERENTIAL_TRIALS=200 \
+  ctest --test-dir build -L differential --output-on-failure
 
 if [[ "$FAST" -eq 0 ]]; then
   for san in tsan asan ubsan; do
