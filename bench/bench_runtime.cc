@@ -178,43 +178,6 @@ int main(int argc, char** argv) {
                 threads);
   }
   json.EndObject();
-
-  // --- Part 3: transport dimension (ISSUE 5). Same graph and stealing
-  // mode, in-process vs loopback-wire delivery: the loopback backend
-  // copies every wire row through the §VI varint framing and decodes from
-  // the copy, so its overhead is the serialization tax a real socket
-  // backend would start from (results stay byte-identical either way —
-  // see tests/runtime_determinism_test.cc).
-  TextTable ttable;
-  ttable.AddRow({"Transport", "wall-ms"});
-  double transport_ms[2] = {0, 0};
-  const TransportKind kTransports[] = {TransportKind::kInProcess,
-                                       TransportKind::kLoopbackWire};
-  for (int i = 0; i < 2; ++i) {
-    IcmOptions options;
-    options.num_workers = workers;
-    options.use_threads = true;
-    options.runtime.num_threads = threads;
-    options.runtime.transport = kTransports[i];
-    transport_ms[i] = Measure([&] {
-                        IcmPageRank program(g);
-                        return IcmEngine<IcmPageRank>::Run(
-                                   g, program, PageRankOptions(options))
-                            .metrics;
-                      }).wall_ms;
-    ttable.AddRow({TransportKindName(kTransports[i]),
-                   FormatDouble(transport_ms[i], 1)});
-  }
-  const double overhead =
-      transport_ms[1] / std::max(1e-9, transport_ms[0]);
-  std::printf("Transport backends (power-law PageRank, stealing):\n%s\n",
-              ttable.ToString().c_str());
-  std::printf("Loopback-wire overhead vs in-process: %.2fx\n", overhead);
-  json.Key("transport_pr").BeginObject();
-  json.Key("in_process_ms").Fixed(transport_ms[0], 3);
-  json.Key("loopback_wire_ms").Fixed(transport_ms[1], 3);
-  json.Key("loopback_overhead").Fixed(overhead, 2);
-  json.EndObject();
   json.EndObject();
 
   std::ofstream out(json_path);

@@ -224,17 +224,12 @@ struct EngineStats {
 };
 
 // End-to-end ICM run (flat inboxes + arena-backed warp throughout),
-// sequential for deterministic allocation counts. The transport selects
-// the delivery backend: in-process (zero-copy) or loopback wire (every
-// row copied through the §VI framing) — the loopback keys gate the wire
-// path's allocation behavior.
-EngineStats RunEngine(Workload& w, Algorithm a,
-                      TransportKind transport = TransportKind::kInProcess) {
+// sequential for deterministic allocation counts.
+EngineStats RunEngine(Workload& w, Algorithm a) {
   RunConfig config;
   config.num_workers = 4;
   config.use_threads = false;
   config.source = HubVertex(w.graph());
-  config.runtime.transport = transport;
   const uint64_t a0 = benchalloc::AllocCount();
   const int64_t t0 = NowNanos();
   const RunMetrics m = RunForMetrics(w, Platform::kIcm, a, config);
@@ -288,8 +283,6 @@ int main(int argc, char** argv) {
   uint64_t sum_tuples = 0, sum_dense_tuples = 0;
   double e2e_ms = 0, e2e_allocs = 0;
   int64_t e2e_supersteps = 0;
-  double loop_ms = 0, loop_allocs = 0;
-  int64_t loop_supersteps = 0;
 
   for (size_t d = 0; d < datasets.size(); ++d) {
     BenchDataset& ds = datasets[d];
@@ -316,11 +309,6 @@ int main(int argc, char** argv) {
     e2e_ms += eng.wall_ms;
     e2e_allocs += eng.allocs_per_superstep * eng.supersteps;
     e2e_supersteps += eng.supersteps;
-    const EngineStats loop =
-        RunEngine(ds.workload, algo, TransportKind::kLoopbackWire);
-    loop_ms += loop.wall_ms;
-    loop_allocs += loop.allocs_per_superstep * loop.supersteps;
-    loop_supersteps += loop.supersteps;
 
     json.BeginObject();
     json.Key("dataset").String(ds.name);
@@ -370,13 +358,6 @@ int main(int argc, char** argv) {
             e2e_supersteps == 0 ? 0 : e2e_allocs / e2e_supersteps, "lower",
             false);
   GateEntry(&json, "icm_e2e_wall_ms", e2e_ms, "lower", true);
-  // Loopback-wire gate (ISSUE 5): the wire path's per-superstep allocation
-  // count is deterministic and enforced unconditionally; its wall time —
-  // the copy-and-reparse tax over in-process — only in strict mode.
-  GateEntry(&json, "icm_loopback_allocs_per_superstep",
-            loop_supersteps == 0 ? 0 : loop_allocs / loop_supersteps,
-            "lower", false);
-  GateEntry(&json, "icm_loopback_wall_ms", loop_ms, "lower", true);
   json.EndObject();
   json.EndObject();
 

@@ -7,24 +7,18 @@
 #ifndef GRAPHITE_CKPT_CHECKPOINT_POLICY_H_
 #define GRAPHITE_CKPT_CHECKPOINT_POLICY_H_
 
-#include <cstdint>
-
 namespace graphite {
 
 struct CheckpointPolicy {
   enum class Mode {
-    kNone,       ///< Never checkpoint (default).
-    kEveryK,     ///< At every k-th superstep barrier.
-    kWallClock,  ///< When at least interval_ns elapsed since the last one.
+    kNone,    ///< Never checkpoint (default).
+    kEveryK,  ///< At every k-th superstep barrier.
   };
 
   Mode mode = Mode::kNone;
   /// kEveryK: checkpoint after supersteps k-1, 2k-1, ... (i.e. every k-th
   /// barrier). 1 = every barrier.
   int every_k = 1;
-  /// kWallClock: minimum nanoseconds between checkpoints. 0 = every
-  /// barrier.
-  int64_t interval_ns = 0;
 
   static CheckpointPolicy None() { return {}; }
   static CheckpointPolicy EveryK(int k) {
@@ -33,27 +27,12 @@ struct CheckpointPolicy {
     p.every_k = k < 1 ? 1 : k;
     return p;
   }
-  static CheckpointPolicy WallClock(int64_t ns) {
-    CheckpointPolicy p;
-    p.mode = Mode::kWallClock;
-    p.interval_ns = ns < 0 ? 0 : ns;
-    return p;
-  }
 
   bool enabled() const { return mode != Mode::kNone; }
 
-  /// Decides the barrier at the end of `superstep`; `since_last_ns` is the
-  /// wall time elapsed since the previous checkpoint (or run start).
-  bool ShouldCheckpoint(int superstep, int64_t since_last_ns) const {
-    switch (mode) {
-      case Mode::kNone:
-        return false;
-      case Mode::kEveryK:
-        return (superstep + 1) % every_k == 0;
-      case Mode::kWallClock:
-        return since_last_ns >= interval_ns;
-    }
-    return false;
+  /// Decides the barrier at the end of `superstep`.
+  bool ShouldCheckpoint(int superstep) const {
+    return mode == Mode::kEveryK && (superstep + 1) % every_k == 0;
   }
 };
 

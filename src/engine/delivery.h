@@ -7,22 +7,22 @@
 // fixed lifecycle; engines own only their wire format (what one
 // message's bytes mean), passed in as the driver operator's Decode.
 //
-// Parameterization:
-//   * Placement (graph/partitioner.h) — WorkerMap materializes whichever
-//     unit->worker policy the engine's options carry (hash default,
-//     explicit map, or a strategy from graph/partition_strategies.h).
-//   * Transport (engine/transport.h) — Route() carries every wire row
-//     through the run's backend: the zero-copy in-process hop, or the
-//     loopback wire channel that copies each row's bytes out of the
-//     sender and decodes purely from the copy.
+// Placement (graph/partitioner.h): WorkerMap materializes whichever
+// unit->worker policy the engine's options carry (hash default, explicit
+// map, or a strategy from graph/partition_strategies.h).
+//
+// The hop: Route() decodes each wire row in place, straight out of the
+// sender's buffer, on the destination's delivery lane, then clears the
+// row for the next superstep's refill. Bytes never move; a multi-process
+// backend would add its hop at this one call site.
 //
 // Determinism: Route visits rows in index order and a row's messages in
 // write order, so per-inbox arrival order — and therefore Seal's grouped
-// layout and every result byte — is independent of scheduling mode and
-// transport backend (runtime_determinism_test enforces the full matrix).
+// layout and every result byte — is independent of scheduling mode
+// (runtime_determinism_test enforces the full matrix).
 //
-// Concurrency: each destination worker's inbox, mailed list and transport
-// channel are touched only by that destination's delivery lane inside
+// Concurrency: each destination worker's inbox, mailed list and wire
+// column are touched only by that destination's delivery lane inside
 // Route's ParallelFor; Deliver outside Route (checkpoint restore, GoFFish
 // snapshot seeds) follows the same owner-lane discipline.
 #ifndef GRAPHITE_ENGINE_DELIVERY_H_
@@ -37,7 +37,6 @@
 #include "engine/flat_inbox.h"
 #include "engine/metrics.h"
 #include "engine/parallel.h"
-#include "engine/transport.h"
 #include "graph/partitioner.h"
 #include "util/serde.h"
 #include "util/status.h"
@@ -239,7 +238,7 @@ class DeliveryPlane {
     return {lo, static_cast<size_t>(hi - lo)};
   }
   /// Frontier metrics for the superstep that just sealed: total mailed
-  /// units across workers (scheduling/transport/density invariant) and how
+  /// units across workers (scheduling/density invariant) and how
   /// many workers went dense. Call before Barrier().
   void CountFrontier(int64_t* frontier_units, int64_t* dense_workers) const {
     for (int w = 0; w < map_.num_workers(); ++w) {
@@ -261,18 +260,18 @@ class DeliveryPlane {
     }
   }
 
-  /// The messaging phase all four engines shared: carries every filled
-  /// wire row through `transport` and decodes each destination's frames on
-  /// its own delivery lane, then Seals it. `wire[r][dst]` is row r's
-  /// buffer for destination dst and `row_src[r]` its source worker; rows
-  /// must be grouped by source worker in worker order (chunk order), which
-  /// is what makes arrival order equal sequential mode's byte for byte.
-  /// `decode` reads ONE message from the Reader and Delivers it (the
+  /// The messaging phase all four engines share: on each destination's
+  /// delivery lane, decodes every filled wire row for that destination in
+  /// place, clears it, then Seals the destination. `wire[r][dst]` is row
+  /// r's buffer for destination dst and `row_src[r]` its source worker;
+  /// rows must be grouped by source worker in worker order (chunk order),
+  /// which is what makes arrival order equal sequential mode's byte for
+  /// byte. `decode` reads ONE message from the Reader and Delivers it (the
   /// engine's wire format lives entirely in that lambda). Accumulates
   /// message_bytes / worker_in_bytes / thread_messaging_ns into *ss;
   /// returns whether any row carried bytes (the engines' halt signal).
   template <typename DecodeFn>
-  bool Route(Transport& transport, std::span<std::vector<Writer>> wire,
+  bool Route(std::span<std::vector<Writer>> wire,
              std::span<const int> row_src, SuperstepMetrics* ss,
              DecodeFn&& decode) {
     const int num_workers = map_.num_workers();
@@ -285,14 +284,10 @@ class DeliveryPlane {
         if (row_src[r] != dst) {
           ss->worker_in_bytes[dst] += static_cast<int64_t>(row.size());
         }
-        transport.Ship(row_src[r], dst, &row);
-      }
-      const size_t frames = transport.NumFrames(dst);
-      for (size_t k = 0; k < frames; ++k) {
-        Reader reader(transport.Frame(dst, k));
+        Reader reader(row.buffer());
         while (!reader.AtEnd()) decode(reader, dst);
+        row.Clear();
       }
-      transport.Consume(dst);
       Seal(dst);
     });
     bool any_message = false;

@@ -37,7 +37,7 @@ struct SuperstepMetrics {
   int64_t checkpoint_ns = 0;     ///< Time writing a barrier checkpoint.
   int64_t checkpoint_bytes = 0;  ///< Committed envelope size (0 = none).
   /// Units mailed this superstep (= next superstep's activation set);
-  /// invariant across scheduling, transport, and frontier density.
+  /// invariant across scheduling and frontier density.
   int64_t frontier_units = 0;
   /// Workers whose mailed set exceeded the density threshold and fell
   /// back to the dense activation scan (varies with frontier_density).

@@ -35,7 +35,6 @@
 
 #include "ckpt/checkpoint_policy.h"
 #include "engine/thread_pool.h"
-#include "engine/transport.h"
 #include "util/arena.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -50,11 +49,6 @@ struct RuntimeOptions {
   int num_threads = 0;
   /// Work-stealing granularity: items (vertices/units) per chunk.
   int chunk_size = 64;
-  /// Which backend the delivery plane routes wire rows through: the
-  /// zero-copy in-process hop, or the loopback wire channel that copies
-  /// every row through §VI wire bytes and back (engine/transport.h).
-  /// Results are value-identical in either; tests enforce the matrix.
-  TransportKind transport = TransportKind::kInProcess;
   /// Compute-frontier density threshold, as a fraction of each worker's
   /// owned units: after messaging, a worker whose mailed-unit count is at
   /// most `frontier_density * owned` gets a sorted frontier of exactly the

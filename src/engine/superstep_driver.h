@@ -2,9 +2,9 @@
 // GoFFish, Chlonos). This is the data structure / frontier / operator
 // split of "Essentials of Parallel Graph Analytics": the driver owns the
 // data structures (placement, the DeliveryPlane's inboxes, the
-// SuperstepRuntime's chunk table and pool, the transport, the
-// [chunk][dst] wire matrix) and the frontier (which units a superstep
-// visits); each engine supplies only its operator.
+// SuperstepRuntime's chunk table and pool, the [chunk][dst] wire
+// matrix) and the frontier (which units a superstep visits); each engine
+// supplies only its operator.
 //
 // Per superstep, Run() does:
 //
@@ -21,8 +21,8 @@
 //   barrier     DeliveryPlane::Barrier (the only arena reset), then
 //               op.AtBarrier.
 //   messaging   op.PreRoute turns outboxes into wire rows (GoFFish,
-//               Chlonos), then DeliveryPlane::Route ships every row
-//               through the transport with op.Decode as the wire format;
+//               Chlonos), then DeliveryPlane::Route decodes every row
+//               in place with op.Decode as the wire format;
 //               CountFrontier records the next activation set.
 //   halt        nothing routed (unless always-active), or max_supersteps.
 //   checkpoint  at a non-final barrier the policy picks, a frame with one
@@ -66,7 +66,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -79,7 +78,6 @@
 #include "engine/delivery.h"
 #include "engine/metrics.h"
 #include "engine/parallel.h"
-#include "engine/transport.h"
 #include "graph/partitioner.h"
 #include "graph/temporal_graph.h"
 #include "util/serde.h"
@@ -92,8 +90,8 @@ namespace graphite {
 struct EngineOptions {
   int num_workers = 4;
   bool use_threads = false;
-  /// OS-thread scheduling, transport, frontier density and checkpoint
-  /// policy (engine/parallel.h). Results are identical in every setting.
+  /// OS-thread scheduling, frontier density and checkpoint policy
+  /// (engine/parallel.h). Results are identical in every setting.
   RuntimeOptions runtime;
 };
 
@@ -127,8 +125,6 @@ class SuperstepDriver {
       : plane_(std::move(map), num_units),
         rt_(options.num_workers, options.use_threads, options.runtime,
             plane_.map().worker_sizes()),
-        transport_(MakeTransport(options.runtime.transport,
-                                 options.num_workers)),
         checkpoint_policy_(options.runtime.checkpoint),
         wire_(rt_.num_chunks()),
         row_src_(rt_.num_chunks()),
@@ -214,7 +210,6 @@ class SuperstepDriver {
     const int num_chunks = rt_.num_chunks();
     FaultInjector* const fault = recovery_.fault;
     std::atomic<bool> killed{false};
-    [[maybe_unused]] int64_t last_checkpoint_t = NowNanos();
     for (int superstep = first; superstep < max_supersteps; ++superstep) {
       SuperstepMetrics ss;
       ss.worker_compute_ns.assign(num_workers, 0);
@@ -263,7 +258,7 @@ class SuperstepDriver {
       const int64_t msg_t = NowNanos();
       if constexpr (requires { op.PreRoute(&ss); }) op.PreRoute(&ss);
       const bool any_message = plane_.Route(
-          *transport_, std::span<std::vector<Writer>>(wire_), row_src_, &ss,
+          std::span<std::vector<Writer>>(wire_), row_src_, &ss,
           [&op](Reader& reader, int dst) { op.Decode(reader, dst); });
       ss.messaging_ns = NowNanos() - msg_t;
       // The mailed lists now hold superstep+1's activation set (sealed by
@@ -277,9 +272,8 @@ class SuperstepDriver {
         // never checkpointed: there is nothing left to resume.
         if (recovery_.store != nullptr && !halting &&
             superstep + 1 < max_supersteps &&
-            checkpoint_policy_.ShouldCheckpoint(
-                superstep, NowNanos() - last_checkpoint_t)) {
-          last_checkpoint_t = WriteCheckpoint(op, superstep + 1, metrics);
+            checkpoint_policy_.ShouldCheckpoint(superstep)) {
+          WriteCheckpoint(op, superstep + 1, metrics);
         }
       }
       if (halting) break;
@@ -369,10 +363,9 @@ class SuperstepDriver {
     }
   }
 
-  // Encodes and commits the frame for `next_superstep`; returns the
-  // commit's end time.
+  // Encodes and commits the frame for `next_superstep`.
   template <typename Op>
-  int64_t WriteCheckpoint(Op& op, int next_superstep, RunMetrics* metrics) {
+  void WriteCheckpoint(Op& op, int next_superstep, RunMetrics* metrics) {
     const int64_t t0 = NowNanos();
     CheckpointFrame frame;
     frame.superstep = next_superstep;
@@ -392,19 +385,16 @@ class SuperstepDriver {
     });
     CheckpointStore* store = recovery_.store;
     GRAPHITE_CHECK(store->Commit(frame.superstep, EncodeFrame(frame)).ok());
-    const int64_t t1 = NowNanos();
     SuperstepMetrics& back = metrics->per_superstep.back();
-    back.checkpoint_ns = t1 - t0;
+    back.checkpoint_ns = NowNanos() - t0;
     back.checkpoint_bytes = store->last_commit_bytes();
     ++metrics->checkpoints;
     metrics->checkpoint_ns += back.checkpoint_ns;
     metrics->checkpoint_bytes += back.checkpoint_bytes;
-    return t1;
   }
 
   DeliveryPlane<Item> plane_;
   SuperstepRuntime rt_;
-  std::unique_ptr<Transport> transport_;
   CheckpointPolicy checkpoint_policy_;
   RecoveryContext recovery_;
   GraphHead head_;

@@ -554,7 +554,13 @@ Result<QueryRequest> QueryService::Parse(const std::string& line) {
   r.target = doc->GetInt("target", -1);
   r.deadline = doc->GetInt("deadline", -1);
   r.at = doc->GetInt("at", -1);
-  r.workers = static_cast<int>(doc->GetInt("workers", 0));
+  const int64_t workers = doc->GetInt("workers", 0);
+  if (workers < 0 || workers > kMaxRequestWorkers) {
+    return Status::InvalidArgument(
+        "\"workers\" must be in [0, " + std::to_string(kMaxRequestWorkers) +
+        "], got " + std::to_string(workers));
+  }
+  r.workers = static_cast<int>(workers);
   r.mode = doc->GetString("mode");
   r.use_cache = doc->GetBool("cache", true);
   r.want_metrics = doc->GetBool("metrics", false);

@@ -16,8 +16,8 @@
 //   stats    — entity counts and optional edge-property aggregation.
 //
 // Every data op renders a *canonical result fragment*: a deterministic
-// JSON object independent of scheduling mode, transport, thread count and
-// queue interleaving (the runtime determinism matrix pins the underlying
+// JSON object independent of scheduling mode, thread count and queue
+// interleaving (the runtime determinism matrix pins the underlying
 // result equality). The fragment is what the ResultCache stores and what
 // the concurrency tests compare byte-for-byte against standalone runs;
 // the per-request envelope (id, queue wait, run latency, cached flag) is
@@ -38,6 +38,12 @@
 #include "util/status.h"
 
 namespace graphite {
+
+/// Most logical workers a request's "workers" (or the server's --workers
+/// default) may name. A run builds a [chunk][destination] wire matrix of
+/// at least workers^2 rows, so an unbounded count stalls its scheduler
+/// lane; the paper's clusters have at most 10 machines.
+inline constexpr int kMaxRequestWorkers = 64;
 
 /// A decoded protocol request (one JSON object per line on the wire).
 struct QueryRequest {

@@ -6,11 +6,14 @@
 //
 // Protocol: one JSON object per line; see src/server/server.h and the
 // README "serving" quickstart.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "server/server.h"
@@ -27,10 +30,29 @@ void Usage() {
                "  --queue N          admission queue bound (default 128)\n"
                "  --cache-entries N  result cache entries (default 1024)\n"
                "  --cache-mb N       result cache size bound in MiB\n"
-               "  --workers N        default per-request workers (default 4)\n"
+               "  --workers N        default per-request workers (default 4,\n"
+               "                     at most 64)\n"
                "  --preload NAME=DATASET[:SCALE]  generate + register a\n"
                "                     catalog dataset before serving\n"
                "  --preload NAME=@FILE            load a text-format graph\n");
+}
+
+/// Parses `text` as one whole integer token in [lo, hi]; anything else
+/// (empty, trailing bytes, out of range) exits with status 2 naming the
+/// flag, before any graph loads or threads start.
+template <typename T>
+T ParseFlag(const std::string& flag, const char* text, T lo, T hi) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    std::fprintf(stderr,
+                 "bad value for %s: '%s' (want an integer in [%s, %s])\n",
+                 flag.c_str(), text, std::to_string(lo).c_str(),
+                 std::to_string(hi).c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 struct Preload {
@@ -46,6 +68,7 @@ int main(int argc, char** argv) {
   bool stdio = false;
   std::vector<Preload> preloads;
 
+  constexpr size_t kSizeMax = std::numeric_limits<size_t>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -56,21 +79,22 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--port") {
-      port = std::atoi(next());
+      port = ParseFlag(arg, next(), 0, 65535);
     } else if (arg == "--stdio") {
       stdio = true;
     } else if (arg == "--threads") {
-      options.scheduler.num_threads = std::atoi(next());
+      options.scheduler.num_threads =
+          ParseFlag(arg, next(), 1, std::numeric_limits<int>::max());
     } else if (arg == "--queue") {
-      options.scheduler.max_queue =
-          static_cast<size_t>(std::atoll(next()));
+      options.scheduler.max_queue = ParseFlag(arg, next(), size_t{1}, kSizeMax);
     } else if (arg == "--cache-entries") {
-      options.cache_entries = static_cast<size_t>(std::atoll(next()));
+      options.cache_entries = ParseFlag(arg, next(), size_t{0}, kSizeMax);
     } else if (arg == "--cache-mb") {
-      options.cache_bytes =
-          static_cast<size_t>(std::atoll(next())) << 20;
+      options.cache_bytes = ParseFlag(arg, next(), size_t{0}, kSizeMax >> 20)
+                            << 20;
     } else if (arg == "--workers") {
-      options.service.default_workers = std::atoi(next());
+      options.service.default_workers =
+          ParseFlag(arg, next(), 1, graphite::kMaxRequestWorkers);
     } else if (arg == "--preload") {
       const std::string spec = next();
       const size_t eq = spec.find('=');

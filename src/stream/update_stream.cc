@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "algorithms/common.h"
-#include "icm/message.h"
 #include "util/rng.h"
-#include "util/serde.h"
 
 namespace graphite {
 
@@ -380,98 +378,6 @@ Result<EdgeBatch> UpdateBatcher::FlushAll(TimePoint horizon) {
   }
   edges_.clear();
   edge_index_.clear();
-  return batch;
-}
-
-std::string EncodeEdgeBatch(const EdgeBatch& batch) {
-  Writer w;
-  w.WriteU64(batch.vertices.size());
-  for (const EdgeBatch::NewVertex& v : batch.vertices) {
-    w.WriteI64(v.vid);
-    WriteInterval(w, v.interval);
-  }
-  w.WriteU64(batch.edges.size());
-  for (const EdgeBatch::NewEdge& e : batch.edges) {
-    w.WriteI64(e.eid);
-    w.WriteI64(e.src);
-    w.WriteI64(e.dst);
-    WriteInterval(w, e.interval);
-  }
-  w.WriteU64(batch.props.size());
-  for (const EdgeBatch::NewEdgeProp& p : batch.props) {
-    w.WriteI64(p.eid);
-    w.WriteBytes(p.label);
-    WriteInterval(w, p.interval);
-    w.WriteI64(p.value);
-  }
-  return w.Release();
-}
-
-Result<EdgeBatch> DecodeEdgeBatch(std::string_view bytes) {
-  Reader r(bytes);
-  EdgeBatch batch;
-  // Each list element is >= 3 bytes on the wire, so a count larger than
-  // the remaining bytes is corruption — reject it before reserving.
-  auto check_count = [&](uint64_t count) -> Status {
-    if (count > bytes.size() - r.position()) {
-      return Status::DataLoss("implausible element count " +
-                              std::to_string(count) + " at byte " +
-                              std::to_string(r.position()) + " of " +
-                              std::to_string(bytes.size()));
-    }
-    return Status::OK();
-  };
-  auto read_interval = [&](Interval* out) -> Status {
-    GRAPHITE_RETURN_NOT_OK(TryReadInterval(r, out));
-    if (!out->IsValid()) {
-      return Status::DataLoss("invalid interval " + out->ToString() +
-                              " at byte " + std::to_string(r.position()));
-    }
-    return Status::OK();
-  };
-
-  uint64_t num_vertices = 0;
-  GRAPHITE_RETURN_NOT_OK(r.TryReadU64(&num_vertices));
-  GRAPHITE_RETURN_NOT_OK(check_count(num_vertices));
-  batch.vertices.reserve(num_vertices);
-  for (uint64_t i = 0; i < num_vertices; ++i) {
-    EdgeBatch::NewVertex v;
-    GRAPHITE_RETURN_NOT_OK(r.TryReadI64(&v.vid));
-    GRAPHITE_RETURN_NOT_OK(read_interval(&v.interval));
-    batch.vertices.push_back(std::move(v));
-  }
-
-  uint64_t num_edges = 0;
-  GRAPHITE_RETURN_NOT_OK(r.TryReadU64(&num_edges));
-  GRAPHITE_RETURN_NOT_OK(check_count(num_edges));
-  batch.edges.reserve(num_edges);
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    EdgeBatch::NewEdge e;
-    GRAPHITE_RETURN_NOT_OK(r.TryReadI64(&e.eid));
-    GRAPHITE_RETURN_NOT_OK(r.TryReadI64(&e.src));
-    GRAPHITE_RETURN_NOT_OK(r.TryReadI64(&e.dst));
-    GRAPHITE_RETURN_NOT_OK(read_interval(&e.interval));
-    batch.edges.push_back(std::move(e));
-  }
-
-  uint64_t num_props = 0;
-  GRAPHITE_RETURN_NOT_OK(r.TryReadU64(&num_props));
-  GRAPHITE_RETURN_NOT_OK(check_count(num_props));
-  batch.props.reserve(num_props);
-  for (uint64_t i = 0; i < num_props; ++i) {
-    EdgeBatch::NewEdgeProp p;
-    GRAPHITE_RETURN_NOT_OK(r.TryReadI64(&p.eid));
-    GRAPHITE_RETURN_NOT_OK(r.TryReadBytes(&p.label));
-    GRAPHITE_RETURN_NOT_OK(read_interval(&p.interval));
-    GRAPHITE_RETURN_NOT_OK(r.TryReadI64(&p.value));
-    batch.props.push_back(std::move(p));
-  }
-
-  if (!r.AtEnd()) {
-    return Status::DataLoss("trailing bytes after edge batch at byte " +
-                            std::to_string(r.position()) + " of " +
-                            std::to_string(bytes.size()));
-  }
   return batch;
 }
 

@@ -167,20 +167,6 @@ class UpdateBatcher {
   std::unordered_map<EdgeId, size_t> edge_index_;  // eid -> edges_ slot
 };
 
-/// Binary EdgeBatch frame codec (the wire/at-rest format of the append
-/// path; used by the server's replicated-append future work and fuzzed in
-/// tests/serde_fuzz_test.cc). Layout, all varint via util/serde.h with
-/// intervals in the §VI compact codec:
-///   u64 #vertices | (i64 vid, interval)*
-///   u64 #edges    | (i64 eid, i64 src, i64 dst, interval)*
-///   u64 #props    | (i64 eid, bytes label, interval, i64 value)*
-/// Encoding is deterministic in batch order, so decode→encode is
-/// byte-identical. Decode never aborts on hostile bytes: truncation,
-/// implausible counts, invalid intervals, and trailing garbage are all
-/// DataLoss.
-std::string EncodeEdgeBatch(const EdgeBatch& batch);
-Result<EdgeBatch> DecodeEdgeBatch(std::string_view bytes);
-
 /// Generates a deterministic random update stream (used by tests and the
 /// streaming example): `churn` controls how often live edges are removed.
 std::vector<GraphUpdate> SyntheticUpdateStream(uint64_t seed,

@@ -29,8 +29,8 @@ class Writer {
     WriteU64(s.size());
     buf_.append(s);
   }
-  /// Appends raw bytes with NO length prefix. For transport framing that
-  /// carries its own envelope (the payload is already self-describing).
+  /// Appends raw bytes with NO length prefix, for payloads that are
+  /// already self-describing (Chlonos copies pre-encoded messages).
   void Append(std::string_view s) { buf_.append(s); }
   /// Appends a length-prefixed vector of signed varints.
   void WriteI64Vec(const std::vector<int64_t>& v) {
@@ -69,8 +69,8 @@ class Writer {
 class Reader {
  public:
   /// Accepts any contiguous byte range (std::string converts implicitly).
-  /// The bytes must outlive the Reader — frames sliced out of a transport
-  /// stream stay valid until that channel is consumed.
+  /// The bytes must outlive the Reader — DeliveryPlane::Route decodes
+  /// straight from a wire row and clears it only afterwards.
   explicit Reader(std::string_view buf) : buf_(buf) {}
 
   uint64_t ReadU64() {

@@ -18,8 +18,8 @@ void PutVarint64(std::string* out, uint64_t value);
 
 /// Decodes a varint from [*pos, buf.size()). Advances *pos past the varint.
 /// Returns false on truncated input or overlong (>10 byte) encodings.
-/// Takes a view so callers can decode frames sliced out of a larger
-/// transport stream without copying.
+/// Takes a view so callers can decode a slice of a larger buffer without
+/// copying.
 bool GetVarint64(std::string_view buf, size_t* pos, uint64_t* value);
 
 /// Zig-zag maps a signed value so small magnitudes encode compactly.

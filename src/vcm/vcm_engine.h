@@ -83,23 +83,6 @@ concept VcmAdapterHasHead = requires(const A& a) {
   { a.head() } -> std::convertible_to<GraphHead>;
 };
 
-// lint:region(ingest-seed)
-/// Warm-start input for RunVcm (DESIGN.md §4l): the converged values of a
-/// previous run on the pre-append view, plus the units superstep 0 must
-/// re-run — the append's fresh units and touched sources (derive from
-/// AppendReceipt). Every other unit keeps its converged value and stays
-/// quiet until a message arrives. Requires a monotone program: Compute
-/// must fold toward a unique fixed point, and its superstep-0 (empty
-/// inbox) body must be re-runnable from a converged value.
-template <typename Program>
-struct VcmWarmStart {
-  /// Converged values from the previous run; size must equal the unit
-  /// count the previous run saw (fresh units get Init()).
-  std::vector<typename Program::Value> values;
-  std::vector<uint32_t> seed_units;  ///< Sorted ascending.
-};
-// lint:endregion(ingest-seed)
-
 namespace vcm_internal {
 
 /// RunVcm's operator for the superstep driver (engine/superstep_driver.h).
@@ -115,15 +98,8 @@ struct VcmOperator {
   Program& program;
   DeliveryPlane<Message>& plane;
   std::vector<Value>& values;
-  /// Incremental superstep 0 (VcmWarmStart) runs only these units; null
-  /// otherwise.
-  const std::vector<uint32_t>* seed_units;
 
   void Visit(const ChunkCursor<ChunkTally>& at, uint32_t u) {
-    if (at.superstep == 0 && seed_units != nullptr &&
-        !std::binary_search(seed_units->begin(), seed_units->end(), u)) {
-      return;  // Keeps its converged warm value and stays quiet.
-    }
     VcmContext<Message> ctx(at, plane.map().worker_of());
     program.Compute(ctx, u, values[u], plane.MessagesFor(at.worker, u));
     ++at.tally->compute_calls;
@@ -158,14 +134,11 @@ struct VcmOperator {
 /// checkpoints are written where options.runtime.checkpoint says, into
 /// recovery.store; with recovery.resume the run restarts from the newest
 /// valid checkpoint. Requires MessageTraits for Value when used.
-/// `warm` turns the run into an incremental recompute (see VcmWarmStart);
-/// a successful checkpoint resume takes precedence over the warm seed.
 template <typename Program, typename Adapter>
 RunMetrics RunVcm(const Adapter& adapter, Program& program,
                   const VcmOptions& options,
                   std::vector<typename Program::Value>* out_values = nullptr,
-                  const RecoveryContext& recovery = {},
-                  const VcmWarmStart<Program>* warm = nullptr) {
+                  const RecoveryContext& recovery = {}) {
   using Value = typename Program::Value;
   using Message = typename Program::Message;
 
@@ -179,17 +152,7 @@ RunMetrics RunVcm(const Adapter& adapter, Program& program,
           [&adapter](uint32_t u) { return adapter.UnitExists(u); }));
 
   std::vector<Value> values(n);  // lint:allow(vector: per-run vertex values, live across supersteps)
-  // lint:region(ingest-seed)
-  // Warm start: adopt the converged pre-append values; only units beyond
-  // the pre-append range fall through to Init below.
-  uint32_t warm_count = 0;
-  if (warm != nullptr) {
-    GRAPHITE_CHECK(warm->values.size() <= n);
-    warm_count = static_cast<uint32_t>(warm->values.size());
-    std::copy(warm->values.begin(), warm->values.end(), values.begin());
-  }
-  // lint:endregion(ingest-seed)
-  for (uint32_t u = warm_count; u < n; ++u) {
+  for (uint32_t u = 0; u < n; ++u) {
     if (adapter.UnitExists(u)) values[u] = program.Init(u);
   }
 
@@ -197,14 +160,10 @@ RunMetrics RunVcm(const Adapter& adapter, Program& program,
   // checkpoint frames and compared on resume.
   GraphHead head;
   if constexpr (VcmAdapterHasHead<Adapter>) head = adapter.head();
-  vcm_internal::VcmOperator<Program> op{program, driver.plane(), values,
-                                        nullptr};
+  vcm_internal::VcmOperator<Program> op{program, driver.plane(), values};
   RunMetrics metrics;
   driver.Recover(op, recovery, head, &metrics);
   const int start = std::max(0, metrics.resumed_from);
-  // Warm-seed applies only to a genuinely first superstep: a resume from a
-  // checkpoint of the incremental run already carries the seeded state.
-  if (warm != nullptr && start == 0) op.seed_units = &warm->seed_units;
   const int64_t run_start = NowNanos();
   driver.Run(op, start, options.max_supersteps, options.always_active,
              &metrics);

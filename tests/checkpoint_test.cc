@@ -207,23 +207,15 @@ TEST(CheckpointFrameTest, TrailingBytesRejected) {
 
 TEST(CheckpointPolicyTest, ModesDecideBarriers) {
   EXPECT_FALSE(CheckpointPolicy::None().enabled());
-  EXPECT_FALSE(CheckpointPolicy::None().ShouldCheckpoint(0, 1 << 30));
+  EXPECT_FALSE(CheckpointPolicy::None().ShouldCheckpoint(0));
 
   const CheckpointPolicy k3 = CheckpointPolicy::EveryK(3);
   ASSERT_TRUE(k3.enabled());
   std::vector<int> hits;
   for (int s = 0; s < 9; ++s) {
-    if (k3.ShouldCheckpoint(s, 0)) hits.push_back(s);
+    if (k3.ShouldCheckpoint(s)) hits.push_back(s);
   }
   EXPECT_EQ(hits, (std::vector<int>{2, 5, 8}));
-
-  const CheckpointPolicy wall = CheckpointPolicy::WallClock(1000);
-  ASSERT_TRUE(wall.enabled());
-  EXPECT_FALSE(wall.ShouldCheckpoint(0, 999));
-  EXPECT_TRUE(wall.ShouldCheckpoint(0, 1000));
-  // 0 means every barrier; negative input is clamped.
-  EXPECT_TRUE(CheckpointPolicy::WallClock(0).ShouldCheckpoint(5, 0));
-  EXPECT_TRUE(CheckpointPolicy::WallClock(-7).ShouldCheckpoint(5, 0));
   EXPECT_EQ(CheckpointPolicy::EveryK(0).every_k, 1);
 }
 
@@ -477,14 +469,14 @@ TEST(CheckpointRecoveryIcmTest, ResumeFromSpecificSuperstep) {
   ExpectSameOutcome(baseline, resumed, "resume-from-1");
 }
 
-TEST(CheckpointRecoveryIcmTest, WallClockPolicyBounds) {
+TEST(CheckpointRecoveryIcmTest, EveryKPolicyBounds) {
   const TemporalGraph g = testutil::MakeTransitGraph();
   IcmOptions options;
   options.num_workers = 2;
 
-  // interval 0: every barrier except the halting one checkpoints.
-  options.runtime.checkpoint = CheckpointPolicy::WallClock(0);
-  CheckpointStore every(NewDir("icm_wall0"));
+  // k = 1: every barrier except the halting one checkpoints.
+  options.runtime.checkpoint = CheckpointPolicy::EveryK(1);
+  CheckpointStore every(NewDir("icm_every1"));
   RecoveryContext ctx_every;
   ctx_every.store = &every;
   IcmSssp p1(g, testutil::kA);
@@ -492,10 +484,9 @@ TEST(CheckpointRecoveryIcmTest, WallClockPolicyBounds) {
   EXPECT_EQ(r1.metrics.checkpoints, r1.metrics.supersteps - 1);
   EXPECT_GT(r1.metrics.checkpoint_bytes, 0);
 
-  // An unreachable interval: no barrier qualifies.
-  options.runtime.checkpoint =
-      CheckpointPolicy::WallClock(int64_t{1} << 60);
-  CheckpointStore never(NewDir("icm_wallmax"));
+  // A period longer than the run: no barrier qualifies.
+  options.runtime.checkpoint = CheckpointPolicy::EveryK(1 << 30);
+  CheckpointStore never(NewDir("icm_everymax"));
   RecoveryContext ctx_never;
   ctx_never.store = &never;
   IcmSssp p2(g, testutil::kA);

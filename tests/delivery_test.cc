@@ -1,9 +1,9 @@
-// Unit suite for the shared delivery plane (engine/delivery.h) and its
-// transport backends (engine/transport.h): WorkerMap placement semantics
-// (hash default vs explicit maps, sparse external ids), Deliver/Seal
-// grouping order, empty-superstep seals, barrier cleanup, checkpoint
-// drain/restore through the plane's accessors, and the in-process vs
-// loopback-wire transport contract (aliasing vs copying).
+// Unit suite for the shared delivery plane (engine/delivery.h): WorkerMap
+// placement semantics (hash default vs explicit maps, sparse external
+// ids), Deliver/Seal grouping order, empty-superstep seals, barrier
+// cleanup, checkpoint drain/restore through the plane's accessors, and
+// Route's in-place decode (row order, byte accounting, row clearing, the
+// quiet-superstep halt signal).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "engine/delivery.h"
-#include "engine/transport.h"
 #include "graph/partitioner.h"
 #include "util/serde.h"
 
@@ -356,147 +355,64 @@ TEST_F(DeliveryPlaneTest, CheckpointDrainRestoreRoundTrips) {
   }
 }
 
-// --- Transport contract ---
+// --- Route ---
 
-TEST(TransportTest, KindNamesAreStable) {
-  EXPECT_STREQ(TransportKindName(TransportKind::kInProcess), "in_process");
-  EXPECT_STREQ(TransportKindName(TransportKind::kLoopbackWire),
-               "loopback_wire");
-  EXPECT_EQ(MakeTransport(TransportKind::kInProcess, 2)->kind(),
-            TransportKind::kInProcess);
-  EXPECT_EQ(MakeTransport(TransportKind::kLoopbackWire, 2)->kind(),
-            TransportKind::kLoopbackWire);
-}
+// Route decodes each destination's rows in row (chunk) order, straight
+// from the sender's buffer, counts every row's bytes once (cross-worker
+// rows also as the destination's in-bytes) and clears the rows it read.
+TEST_F(DeliveryPlaneTest, RouteDecodesRowsInOrderAndClearsThem) {
+  // Two source rows (one per worker), messages as (unit, value) pairs.
+  std::vector<std::vector<Writer>> wire(2);
+  for (auto& row : wire) row.resize(2);
+  wire[0][1].WriteU64(1);
+  wire[0][1].WriteI64(100);
+  wire[0][0].WriteU64(2);
+  wire[0][0].WriteI64(200);
+  wire[1][1].WriteU64(1);
+  wire[1][1].WriteI64(101);
+  const std::vector<int> row_src = {0, 1};
+  const int64_t cross = static_cast<int64_t>(wire[0][1].size());
+  const int64_t total = static_cast<int64_t>(
+      wire[0][0].size() + wire[0][1].size() + wire[1][1].size());
 
-TEST(TransportTest, InProcessAliasesSenderRowAndClearsOnConsume) {
-  auto transport = MakeTransport(TransportKind::kInProcess, 2);
-  Writer row;
-  row.WriteU64(7);
-  transport->Ship(0, 1, &row);
-  ASSERT_EQ(transport->NumFrames(1), 1u);
-  // Zero-copy: the frame IS the sender's buffer.
-  EXPECT_EQ(transport->Frame(1, 0).data(), row.buffer().data());
-  transport->Consume(1);
-  EXPECT_EQ(transport->NumFrames(1), 0u);
-  EXPECT_EQ(row.size(), 0u);  // consumed rows are reset for refill
-}
-
-TEST(TransportTest, LoopbackCopiesBytesOutOfSender) {
-  auto transport = MakeTransport(TransportKind::kLoopbackWire, 2);
-  Writer row;
-  row.WriteU64(41);
-  row.WriteU64(42);
-  const std::string sent = row.buffer();
-  transport->Ship(0, 1, &row);
-  // Send semantics: the bytes left the sender immediately...
-  EXPECT_EQ(row.size(), 0u);
-  row.WriteU64(999);  // ...so sender reuse cannot corrupt the frame.
-  ASSERT_EQ(transport->NumFrames(1), 1u);
-  EXPECT_EQ(std::string(transport->Frame(1, 0)), sent);
-  transport->Consume(1);
-  EXPECT_EQ(transport->NumFrames(1), 0u);
-}
-
-TEST(TransportTest, LoopbackPreservesFrameBoundariesAndOrder) {
-  auto transport = MakeTransport(TransportKind::kLoopbackWire, 3);
-  Writer a, b, c;
-  a.WriteU64(1);
-  b.WriteU64(2);
-  b.WriteU64(22);
-  c.WriteU64(3);
-  transport->Ship(0, 2, &a);
-  transport->Ship(1, 2, &b);
-  transport->Ship(0, 1, &c);
-  ASSERT_EQ(transport->NumFrames(2), 2u);
-  ASSERT_EQ(transport->NumFrames(1), 1u);
-  Reader ra(transport->Frame(2, 0));
-  EXPECT_EQ(ra.ReadU64(), 1u);
-  EXPECT_TRUE(ra.AtEnd());
-  Reader rb(transport->Frame(2, 1));
-  EXPECT_EQ(rb.ReadU64(), 2u);
-  EXPECT_EQ(rb.ReadU64(), 22u);
-  EXPECT_TRUE(rb.AtEnd());
-  Reader rc(transport->Frame(1, 0));
-  EXPECT_EQ(rc.ReadU64(), 3u);
-  transport->Consume(2);
-  transport->Consume(1);
-}
-
-// Route end to end: both transports must produce identical sealed inboxes
-// and identical byte metrics from the same wire rows.
-TEST(TransportTest, RouteIdenticalAcrossBackends) {
-  const std::vector<int> assignment = {0, 1, 0, 1};
-  for (const TransportKind kind :
-       {TransportKind::kInProcess, TransportKind::kLoopbackWire}) {
-    DeliveryPlane<int64_t> plane(
-        WorkerMap(assignment.size(), 2, Placement::Explicit(&assignment),
-                  [](uint32_t u) { return static_cast<VertexId>(u); }));
-    SuperstepRuntime rt(2, false, RuntimeOptions{},
-                        plane.map().worker_sizes());
-    plane.Bind(&rt);
-    auto transport = MakeTransport(kind, 2);
-
-    // Two source rows (one per worker), messages as (unit, value) pairs.
-    std::vector<std::vector<Writer>> wire(2);
-    for (auto& row : wire) row.resize(2);
-    wire[0][1].WriteU64(1);
-    wire[0][1].WriteI64(100);
-    wire[0][0].WriteU64(2);
-    wire[0][0].WriteI64(200);
-    wire[1][1].WriteU64(1);
-    wire[1][1].WriteI64(101);
-    const std::vector<int> row_src = {0, 1};
-
-    SuperstepMetrics ss;
-    ss.worker_in_bytes.assign(2, 0);
-    const bool any = plane.Route(
-        *transport, std::span<std::vector<Writer>>(wire), row_src, &ss,
-        [&plane](Reader& reader, int dst) {
-          const uint32_t unit = static_cast<uint32_t>(reader.ReadU64());
-          plane.Deliver(dst, unit, reader.ReadI64());
-        });
-    EXPECT_TRUE(any) << TransportKindName(kind);
-    ASSERT_EQ(plane.InboxCountFor(1, 1), 2u) << TransportKindName(kind);
-    // Row order == worker order: worker 0's message precedes worker 1's.
-    EXPECT_EQ(plane.MessagesFor(1, 1)[0], 100);
-    EXPECT_EQ(plane.MessagesFor(1, 1)[1], 101);
-    ASSERT_EQ(plane.InboxCountFor(0, 2), 1u);
-    EXPECT_EQ(plane.MessagesFor(0, 2)[0], 200);
-    EXPECT_GT(ss.message_bytes, 0);
-    // Cross-worker bytes: only wire[0][1] and nothing into worker 0.
-    EXPECT_EQ(ss.worker_in_bytes[0], 0);
-    EXPECT_GT(ss.worker_in_bytes[1], 0);
-    // Rows were consumed (cleared) by the transport.
-    for (auto& rows : wire) {
-      for (Writer& row : rows) EXPECT_EQ(row.size(), 0u);
-    }
+  SuperstepMetrics ss;
+  ss.worker_in_bytes.assign(2, 0);
+  const bool any = plane_.Route(
+      std::span<std::vector<Writer>>(wire), row_src, &ss,
+      [this](Reader& reader, int dst) {
+        const uint32_t unit = static_cast<uint32_t>(reader.ReadU64());
+        plane_.Deliver(dst, unit, reader.ReadI64());
+      });
+  EXPECT_TRUE(any);
+  ASSERT_EQ(plane_.InboxCountFor(1, 1), 2u);
+  // Row order == worker order: worker 0's message precedes worker 1's.
+  EXPECT_EQ(plane_.MessagesFor(1, 1)[0], 100);
+  EXPECT_EQ(plane_.MessagesFor(1, 1)[1], 101);
+  ASSERT_EQ(plane_.InboxCountFor(0, 2), 1u);
+  EXPECT_EQ(plane_.MessagesFor(0, 2)[0], 200);
+  EXPECT_EQ(ss.message_bytes, total);
+  // Cross-worker bytes: only wire[0][1] and nothing into worker 0.
+  EXPECT_EQ(ss.worker_in_bytes[0], 0);
+  EXPECT_EQ(ss.worker_in_bytes[1], cross);
+  // Rows were consumed (cleared) for the next superstep's refill.
+  for (auto& rows : wire) {
+    for (Writer& row : rows) EXPECT_EQ(row.size(), 0u);
   }
 }
 
-// An empty Route (quiet superstep) must report no messages over both
-// backends — the engines' halt signal.
-TEST(TransportTest, RouteEmptyIsQuiet) {
-  const std::vector<int> assignment = {0, 1};
-  for (const TransportKind kind :
-       {TransportKind::kInProcess, TransportKind::kLoopbackWire}) {
-    DeliveryPlane<int64_t> plane(
-        WorkerMap(assignment.size(), 2, Placement::Explicit(&assignment),
-                  [](uint32_t u) { return static_cast<VertexId>(u); }));
-    SuperstepRuntime rt(2, false, RuntimeOptions{},
-                        plane.map().worker_sizes());
-    plane.Bind(&rt);
-    auto transport = MakeTransport(kind, 2);
-    std::vector<std::vector<Writer>> wire(2);
-    for (auto& row : wire) row.resize(2);
-    const std::vector<int> row_src = {0, 1};
-    SuperstepMetrics ss;
-    ss.worker_in_bytes.assign(2, 0);
-    const bool any =
-        plane.Route(*transport, std::span<std::vector<Writer>>(wire), row_src,
-                    &ss, [](Reader&, int) { FAIL() << "decode on empty"; });
-    EXPECT_FALSE(any) << TransportKindName(kind);
-    EXPECT_EQ(ss.message_bytes, 0);
-  }
+// An empty Route (quiet superstep) must decode nothing and report no
+// messages — the engines' halt signal.
+TEST_F(DeliveryPlaneTest, RouteEmptyIsQuiet) {
+  std::vector<std::vector<Writer>> wire(2);
+  for (auto& row : wire) row.resize(2);
+  const std::vector<int> row_src = {0, 1};
+  SuperstepMetrics ss;
+  ss.worker_in_bytes.assign(2, 0);
+  const bool any =
+      plane_.Route(std::span<std::vector<Writer>>(wire), row_src, &ss,
+                   [](Reader&, int) { FAIL() << "decode on empty"; });
+  EXPECT_FALSE(any);
+  EXPECT_EQ(ss.message_bytes, 0);
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 // more superstep, a dropped warp merge, a different activation set)
 // fails here even when every mode agrees with every other.
 //
-// The counters are invariant under scheduling, transport and thread
-// count (see runtime_determinism_test.cc), so the runs are sequential.
+// The counters are invariant under scheduling and thread count (see
+// runtime_determinism_test.cc), so the runs are sequential.
 // When a deliberate model change moves them, re-pin from the failure
 // output: each mismatch prints the actual row in table syntax.
 #include <gtest/gtest.h>

@@ -1,9 +1,9 @@
 // The mutable time-axis head (DESIGN.md §4l): TemporalGraph::Append /
-// Compact semantics, the UpdateBatcher producer, the EdgeBatch codec, and
-// the acceptance matrix for incremental recompute — RunIncremental (ICM)
-// and the VCM warm start must produce byte-identical final states versus a
-// full recompute on the merged graph, across every scheduling mode, both
-// transports, several worker counts, and both before and after Compact().
+// Compact semantics, the UpdateBatcher producer, and the acceptance matrix
+// for incremental recompute — RunIncremental (ICM) must produce
+// byte-identical final states versus a full recompute on the merged graph,
+// across every scheduling mode, several worker counts, and both before and
+// after Compact().
 // Also covers the checkpoint interaction: frames taken against one graph
 // head are ignored once the head moves, and a run killed mid-incremental
 // resumes to the same fixed point.
@@ -30,7 +30,6 @@
 #include "server/graph_registry.h"
 #include "stream/update_stream.h"
 #include "testutil.h"
-#include "vcm/vcm_engine.h"
 
 namespace graphite {
 namespace {
@@ -704,17 +703,12 @@ const ModeSpec kModes[] = {
     {"steal8", true, 8, 4},
 };
 
-const TransportKind kTransports[] = {TransportKind::kInProcess,
-                                     TransportKind::kLoopbackWire};
-
-IcmOptions MakeOptions(const ModeSpec& mode, int workers,
-                       TransportKind transport = TransportKind::kInProcess) {
+IcmOptions MakeOptions(const ModeSpec& mode, int workers) {
   IcmOptions options;
   options.num_workers = workers;
   options.use_threads = mode.use_threads;
   options.runtime.num_threads = mode.num_threads;
   options.runtime.chunk_size = mode.chunk_size;
-  options.runtime.transport = transport;
   return options;
 }
 
@@ -834,24 +828,21 @@ void CheckIcmIncrementalMatrix(uint64_t seed, const char* prog_name) {
     const auto want =
         IcmEngine<Program>::Run(*graph, full_program, MakeOptions(kModes[0], 3));
     for (const ModeSpec& mode : kModes) {
-      for (const TransportKind transport : kTransports) {
-        for (int workers : {1, 3, 7}) {
-          // RunIncremental consumes the warm start; re-copy per cell.
-          IcmWarmStart<Program> warm;
-          warm.states = pre_run.states;
-          warm.receipt = receipt;
-          Program p(*graph, source);
-          const auto got = IcmEngine<Program>::RunIncremental(
-              *graph, p, std::move(warm),
-              MakeOptions(mode, workers, transport));
-          const std::string what = std::string(prog_name) + "/" + variant +
-                                   "/" + mode.name +
-                                   " w=" + std::to_string(workers);
-          ASSERT_EQ(want.states.size(), got.states.size()) << what;
-          for (size_t v = 0; v < want.states.size(); ++v) {
-            ASSERT_EQ(want.states[v].entries(), got.states[v].entries())
-                << what << " v=" << v;
-          }
+      for (int workers : {1, 3, 7}) {
+        // RunIncremental consumes the warm start; re-copy per cell.
+        IcmWarmStart<Program> warm;
+        warm.states = pre_run.states;
+        warm.receipt = receipt;
+        Program p(*graph, source);
+        const auto got = IcmEngine<Program>::RunIncremental(
+            *graph, p, std::move(warm), MakeOptions(mode, workers));
+        const std::string what = std::string(prog_name) + "/" + variant +
+                                 "/" + mode.name +
+                                 " w=" + std::to_string(workers);
+        ASSERT_EQ(want.states.size(), got.states.size()) << what;
+        for (size_t v = 0; v < want.states.size(); ++v) {
+          ASSERT_EQ(want.states[v].entries(), got.states[v].entries())
+              << what << " v=" << v;
         }
       }
     }
@@ -904,103 +895,6 @@ TEST(IngestIncrementalTest, IncrementalDoesLessComputeWork) {
   }
   EXPECT_LT(inc.metrics.compute_calls, full.metrics.compute_calls);
   EXPECT_LT(inc.metrics.messages, full.metrics.messages);
-}
-
-// --- VCM warm start ---
-
-// A graph-backed adapter exposing the mutation head (so checkpoints taken
-// through it are head-stamped, exercising VcmAdapterHasHead).
-class WholeGraphAdapter {
- public:
-  explicit WholeGraphAdapter(const TemporalGraph* g) : g_(g) {}
-  size_t NumUnits() const { return g_->num_vertices(); }
-  bool UnitExists(uint32_t) const { return true; }
-  int64_t PartitionId(uint32_t u) const {
-    return static_cast<int64_t>(g_->vertex_id(u));
-  }
-  GraphHead head() const { return g_->head(); }
-
- private:
-  const TemporalGraph* g_;
-};
-
-// Monotone min-hop program written to the warm-start contract: its
-// superstep-0 body is re-runnable from a converged value (a unit with a
-// finite value re-sends it), so seeding only the append's touched sources
-// and fresh units re-converges to the full fixed point.
-struct HopProgram {
-  using Value = int64_t;
-  using Message = int64_t;
-  const TemporalGraph* g;
-  uint32_t source;
-
-  Value Init(uint32_t) const { return kInfCost; }
-
-  void Compute(VcmContext<Message>& ctx, uint32_t u, Value& val,
-               std::span<const Message> msgs) {
-    int64_t best = val;
-    if (u == source) best = std::min<int64_t>(best, 0);
-    for (const Message& m : msgs) best = std::min(best, m);
-    const bool improved = best < val;
-    val = best;
-    if (val == kInfCost) return;
-    if (improved || ctx.superstep() == 0) {
-      for (const StoredEdge& e : g->OutEdges(u)) ctx.Send(e.dst, val + 1);
-    }
-  }
-};
-
-TEST_P(IngestIncrementalTest, VcmWarmStartMatchesFullRecompute) {
-  const TemporalGraph pre = FullSpanRandomGraph(GetParam() + 5);
-  WholeGraphAdapter pre_adapter(&pre);
-  HopProgram pre_program{&pre, 0};
-  std::vector<int64_t> pre_values;
-  RunVcm(pre_adapter, pre_program, VcmOptions{}, &pre_values);
-
-  TemporalGraph merged = pre;
-  AppendReceipt receipt;
-  ASSERT_TRUE(merged.Append(RandomGraphExtension(), &receipt).ok());
-  TemporalGraph compacted = merged;
-  compacted.Compact();
-
-  // Seed units: the append's touched sources plus the fresh range.
-  std::vector<uint32_t> seeds(receipt.touched_sources.begin(),
-                              receipt.touched_sources.end());
-  for (uint32_t v = receipt.first_fresh_vertex; v < merged.num_vertices();
-       ++v) {
-    seeds.push_back(v);
-  }
-
-  const std::pair<const TemporalGraph*, const char*> variants[] = {
-      {&merged, "delta"}, {&compacted, "compacted"}};
-  for (const auto& [graph, variant] : variants) {
-    WholeGraphAdapter adapter(graph);
-    HopProgram full_program{graph, 0};
-    std::vector<int64_t> want;
-    RunVcm(adapter, full_program, VcmOptions{}, &want);
-
-    for (int workers : {1, 3, 7}) {
-      for (bool threads : {false, true}) {
-        VcmWarmStart<HopProgram> warm;
-        warm.values = pre_values;
-        warm.seed_units = seeds;
-        VcmOptions options;
-        options.num_workers = workers;
-        options.use_threads = threads;
-        HopProgram p{graph, 0};
-        std::vector<int64_t> got;
-        const RunMetrics m =
-            RunVcm(adapter, p, options, &got, {}, &warm);
-        ASSERT_EQ(got, want) << variant << " w=" << workers
-                             << " threads=" << threads;
-        // Superstep 0 computed only seeded units, not the whole graph.
-        EXPECT_LT(m.compute_calls,
-                  static_cast<int64_t>(merged.num_vertices()) +
-                      static_cast<int64_t>(seeds.size()) * 8)
-            << variant;
-      }
-    }
-  }
 }
 
 // --- Checkpoint interaction with the mutation head ---
@@ -1198,35 +1092,6 @@ TEST(IngestBatcherTest, DrainClosedEmitsFinalLifespansOnly) {
       batcher.Push(GraphUpdate::SetVertexProp(9, 100, "label", 1)).ok());
   // Time cannot go backwards.
   EXPECT_FALSE(batcher.Push(GraphUpdate::AddVertex(3, 102)).ok());
-}
-
-// --- EdgeBatch frame codec ---
-
-TEST(IngestCodecTest, RoundTripIsByteStable) {
-  const EdgeBatch batch = TransitExtension();
-  const std::string bytes = EncodeEdgeBatch(batch);
-  const auto decoded = DecodeEdgeBatch(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(EncodeEdgeBatch(decoded.value()), bytes);
-  const EdgeBatch& d = decoded.value();
-  ASSERT_EQ(d.vertices.size(), batch.vertices.size());
-  ASSERT_EQ(d.edges.size(), batch.edges.size());
-  ASSERT_EQ(d.props.size(), batch.props.size());
-  EXPECT_EQ(d.edges[0].eid, batch.edges[0].eid);
-  EXPECT_EQ(d.props[0].label, batch.props[0].label);
-  EXPECT_EQ(d.props[0].interval, batch.props[0].interval);
-
-  // Truncation is DataLoss, never an abort.
-  for (size_t keep : {size_t{0}, size_t{1}, bytes.size() / 2,
-                      bytes.size() - 1}) {
-    const auto got = DecodeEdgeBatch(std::string_view(bytes).substr(0, keep));
-    if (!got.ok()) {
-      EXPECT_EQ(got.status().code(), StatusCode::kDataLoss) << keep;
-    }
-  }
-  // Trailing garbage is DataLoss too.
-  EXPECT_EQ(DecodeEdgeBatch(bytes + "x").status().code(),
-            StatusCode::kDataLoss);
 }
 
 }  // namespace

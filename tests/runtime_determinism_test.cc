@@ -65,13 +65,11 @@ TEST(ThreadPoolTest, AtomicCursorDrainClaimsEachItemOnce) {
   for (int i = 0; i < kItems; ++i) ASSERT_EQ(claimed[i].load(), 1) << i;
 }
 
-// --- The determinism matrix (ISSUE 1, transport axis from ISSUE 5):
-// {sequential, stealing x2, stealing x8} x {in-process, loopback wire} x
-// {1, 3, 7} logical workers must agree exactly. The delivery
-// plane visits wire rows in chunk order and decodes frames in write
-// order, so even the loopback transport — which copies every row through
-// the §VI wire encoding — reproduces sequential results byte for byte,
-// message counts included. ---
+// --- The determinism matrix: {sequential, stealing x2, stealing x8} x
+// {1, 3, 7} logical workers must agree exactly. The delivery plane visits
+// wire rows in chunk order and decodes each row in write order, so
+// stealing reproduces sequential results byte for byte, message counts
+// included. ---
 
 struct ModeSpec {
   const char* name;
@@ -88,23 +86,16 @@ const ModeSpec kModes[] = {
     {"steal8", true, 8, 4},
 };
 
-const TransportKind kTransports[] = {TransportKind::kInProcess,
-                                     TransportKind::kLoopbackWire};
-
-std::string MatrixLabel(const ModeSpec& mode, TransportKind transport,
-                        int workers) {
-  return std::string(mode.name) + "/" + TransportKindName(transport) +
-         " w=" + std::to_string(workers);
+std::string MatrixLabel(const ModeSpec& mode, int workers) {
+  return std::string(mode.name) + " w=" + std::to_string(workers);
 }
 
-IcmOptions MakeOptions(const ModeSpec& mode, int workers,
-                       TransportKind transport = TransportKind::kInProcess) {
+IcmOptions MakeOptions(const ModeSpec& mode, int workers) {
   IcmOptions options;
   options.num_workers = workers;
   options.use_threads = mode.use_threads;
   options.runtime.num_threads = mode.num_threads;
   options.runtime.chunk_size = mode.chunk_size;
-  options.runtime.transport = transport;
   return options;
 }
 
@@ -152,13 +143,10 @@ TEST_P(RuntimeDeterminismTest, SsspMatrix) {
     const auto want =
         IcmEngine<IcmSssp>::Run(g, program, MakeOptions(kModes[0], workers));
     for (const ModeSpec& mode : kModes) {
-      for (const TransportKind transport : kTransports) {
-        IcmSssp p(g, g.vertex_id(0));
-        const auto got = IcmEngine<IcmSssp>::Run(
-            g, p, MakeOptions(mode, workers, transport));
-        ExpectIdentical(want, got,
-                        MatrixLabel(mode, transport, workers).c_str());
-      }
+      IcmSssp p(g, g.vertex_id(0));
+      const auto got =
+          IcmEngine<IcmSssp>::Run(g, p, MakeOptions(mode, workers));
+      ExpectIdentical(want, got, MatrixLabel(mode, workers).c_str());
     }
   }
 }
@@ -174,13 +162,10 @@ TEST_P(RuntimeDeterminismTest, PageRankMatrix) {
     const auto want = IcmEngine<IcmPageRank>::Run(
         g, program, PageRankOptions(MakeOptions(kModes[0], workers)));
     for (const ModeSpec& mode : kModes) {
-      for (const TransportKind transport : kTransports) {
-        IcmPageRank p(g);
-        const auto got = IcmEngine<IcmPageRank>::Run(
-            g, p, PageRankOptions(MakeOptions(mode, workers, transport)));
-        ExpectIdentical(want, got,
-                        MatrixLabel(mode, transport, workers).c_str());
-      }
+      IcmPageRank p(g);
+      const auto got = IcmEngine<IcmPageRank>::Run(
+          g, p, PageRankOptions(MakeOptions(mode, workers)));
+      ExpectIdentical(want, got, MatrixLabel(mode, workers).c_str());
     }
   }
 }
@@ -201,14 +186,11 @@ TEST_P(RuntimeDeterminismTest, SuppressionMatrix) {
     const auto want = IcmEngine<IcmSssp>::Run(g, program, base);
     EXPECT_GE(want.suppressed_vertices, 0);
     for (const ModeSpec& mode : kModes) {
-      for (const TransportKind transport : kTransports) {
-        IcmSssp p(g, g.vertex_id(0));
-        IcmOptions options = MakeOptions(mode, workers, transport);
-        options.suppression_threshold = 0.3;
-        const auto got = IcmEngine<IcmSssp>::Run(g, p, options);
-        ExpectIdentical(want, got,
-                        MatrixLabel(mode, transport, workers).c_str());
-      }
+      IcmSssp p(g, g.vertex_id(0));
+      IcmOptions options = MakeOptions(mode, workers);
+      options.suppression_threshold = 0.3;
+      const auto got = IcmEngine<IcmSssp>::Run(g, p, options);
+      ExpectIdentical(want, got, MatrixLabel(mode, workers).c_str());
     }
   }
 }
@@ -217,9 +199,9 @@ TEST_P(RuntimeDeterminismTest, SuppressionMatrix) {
 // dense activation scan everywhere, a huge density keeps every worker on
 // the sorted-frontier path, and the 0.5 default mixes the two as mailed
 // sets grow and shrink. All three must be byte-identical across the full
-// scheduling x transport x worker matrix — the frontier visits exactly
-// the units the dense scan finds active, in the same unit order, so wire
-// rows and results cannot differ. frontier_units (mailed-unit totals) is
+// scheduling x worker matrix — the frontier visits exactly the units the
+// dense scan finds active, in the same unit order, so wire rows and
+// results cannot differ. frontier_units (mailed-unit totals) is
 // also density-invariant; frontier_dense_workers intentionally is NOT
 // compared across densities (it is what the knob changes). ---
 TEST_P(RuntimeDeterminismTest, FrontierVsDenseMatrix) {
@@ -234,22 +216,20 @@ TEST_P(RuntimeDeterminismTest, FrontierVsDenseMatrix) {
     base.runtime.frontier_density = 0.0;  // pure dense-scan reference
     const auto want = IcmEngine<IcmSssp>::Run(g, program, base);
     for (const ModeSpec& mode : kModes) {
-      for (const TransportKind transport : kTransports) {
-        for (const double density : kDensities) {
-          IcmSssp p(g, g.vertex_id(0));
-          IcmOptions options = MakeOptions(mode, workers, transport);
-          options.runtime.frontier_density = density;
-          const auto got = IcmEngine<IcmSssp>::Run(g, p, options);
-          const std::string label = MatrixLabel(mode, transport, workers) +
-                                    " d=" + std::to_string(density);
-          ExpectIdentical(want, got, label.c_str());
-          ASSERT_EQ(want.metrics.per_superstep.size(),
-                    got.metrics.per_superstep.size());
-          for (size_t s = 0; s < want.metrics.per_superstep.size(); ++s) {
-            EXPECT_EQ(want.metrics.per_superstep[s].frontier_units,
-                      got.metrics.per_superstep[s].frontier_units)
-                << label << " ss=" << s;
-          }
+      for (const double density : kDensities) {
+        IcmSssp p(g, g.vertex_id(0));
+        IcmOptions options = MakeOptions(mode, workers);
+        options.runtime.frontier_density = density;
+        const auto got = IcmEngine<IcmSssp>::Run(g, p, options);
+        const std::string label = MatrixLabel(mode, workers) +
+                                  " d=" + std::to_string(density);
+        ExpectIdentical(want, got, label.c_str());
+        ASSERT_EQ(want.metrics.per_superstep.size(),
+                  got.metrics.per_superstep.size());
+        for (size_t s = 0; s < want.metrics.per_superstep.size(); ++s) {
+          EXPECT_EQ(want.metrics.per_superstep[s].frontier_units,
+                    got.metrics.per_superstep[s].frontier_units)
+              << label << " ss=" << s;
         }
       }
     }
@@ -260,7 +240,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RuntimeDeterminismTest,
                          ::testing::Values(7, 1234, 987654));
 
 // The runtime and delivery plane are shared by all four engines; every
-// platform's stealing mode — over both transports — must reproduce its
+// platform's stealing mode must reproduce its
 // own sequential results and message counts exactly (TI algorithms on
 // MSB/Chlonos, TD on TGB/GoFFish).
 TEST(RuntimeDeterminismCrossEngine, AllPlatformsMatchSequential) {
@@ -275,29 +255,21 @@ TEST(RuntimeDeterminismCrossEngine, AllPlatformsMatchSequential) {
   par.use_threads = true;
   par.runtime.num_threads = 8;
   par.runtime.chunk_size = 4;
-  RunConfig loop = par;
-  loop.runtime.transport = TransportKind::kLoopbackWire;
 
   const auto check = [&](Platform p, Algorithm a, auto runner,
                          auto absent, const char* what) {
-    RunMetrics ms, mp, ml;
+    RunMetrics ms, mp;
     const auto want = runner(w, p, seq, &ms);
     const auto got = runner(w, p, par, &mp);
-    const auto wired = runner(w, p, loop, &ml);
     for (VertexIdx v = 0; v < w.graph().num_vertices(); ++v) {
       for (TimePoint t = 0; t < w.graph().horizon(); ++t) {
         ASSERT_EQ(ResultAt(want, v, t, absent), ResultAt(got, v, t, absent))
             << what << " v=" << v << " t=" << t;
-        ASSERT_EQ(ResultAt(want, v, t, absent), ResultAt(wired, v, t, absent))
-            << what << "/loopback v=" << v << " t=" << t;
       }
     }
     EXPECT_EQ(ms.messages, mp.messages) << what;
     EXPECT_EQ(ms.message_bytes, mp.message_bytes) << what;
     EXPECT_EQ(ms.compute_calls, mp.compute_calls) << what;
-    EXPECT_EQ(ms.messages, ml.messages) << what << "/loopback";
-    EXPECT_EQ(ms.message_bytes, ml.message_bytes) << what << "/loopback";
-    EXPECT_EQ(ms.compute_calls, ml.compute_calls) << what << "/loopback";
     (void)a;
   };
   const auto bfs = [](Workload& wl, Platform p, const RunConfig& c,
@@ -360,8 +332,8 @@ TEST(RuntimeDeterminismCrossEngine, FrontierMatchesDenseAllPlatforms) {
 // The scoped point-query programs (DESIGN.md §4i) prune by a bound their
 // MasterCompute derives from the states at each barrier. The states there
 // are mode-independent, so every mode prunes the same sends: states and
-// every counter must match sequential at each worker count, over both
-// transports, with the frontier always dense (density 0) or never
+// every counter must match sequential at each worker count, with the
+// frontier always dense (density 0) or never
 // (density 1), and the server fragments built on them must too.
 TEST(RuntimeDeterminismScoped, PointQueriesMatchSequential) {
   testutil::RandomGraphOptions opt;
@@ -396,31 +368,29 @@ TEST(RuntimeDeterminismScoped, PointQueriesMatchSequential) {
     IcmBfs bfs_ref(source, Interval(at, at + 1));
     const auto want_bfs = IcmEngine<IcmBfs>::Run(g, bfs_ref, base);
     for (const ModeSpec& mode : kModes) {
-      for (const TransportKind transport : kTransports) {
-        for (const double density : kDensities) {
-          IcmOptions options = MakeOptions(mode, workers, transport);
-          options.runtime.frontier_density = density;
-          const std::string label = MatrixLabel(mode, transport, workers) +
-                                    " d=" + std::to_string(density);
-          IcmEat e(g, source, target);
-          ExpectIdentical(want_eat, IcmEngine<IcmEat>::Run(g, e, options),
-                          ("eat " + label).c_str());
-          IcmReach r(g, source, target);
-          ExpectIdentical(want_reach, IcmEngine<IcmReach>::Run(g, r, options),
-                          ("reach " + label).c_str());
-          IcmReach b(g, source, std::nullopt, at);
-          ExpectIdentical(want_by, IcmEngine<IcmReach>::Run(g, b, options),
-                          ("reach_at " + label).c_str());
-          IcmBfs f(source, Interval(at, at + 1));
-          ExpectIdentical(want_bfs, IcmEngine<IcmBfs>::Run(g, f, options),
-                          ("bfs_at " + label).c_str());
-        }
+      for (const double density : kDensities) {
+        IcmOptions options = MakeOptions(mode, workers);
+        options.runtime.frontier_density = density;
+        const std::string label = MatrixLabel(mode, workers) +
+                                  " d=" + std::to_string(density);
+        IcmEat e(g, source, target);
+        ExpectIdentical(want_eat, IcmEngine<IcmEat>::Run(g, e, options),
+                        ("eat " + label).c_str());
+        IcmReach r(g, source, target);
+        ExpectIdentical(want_reach, IcmEngine<IcmReach>::Run(g, r, options),
+                        ("reach " + label).c_str());
+        IcmReach b(g, source, std::nullopt, at);
+        ExpectIdentical(want_by, IcmEngine<IcmReach>::Run(g, b, options),
+                        ("reach_at " + label).c_str());
+        IcmBfs f(source, Interval(at, at + 1));
+        ExpectIdentical(want_bfs, IcmEngine<IcmBfs>::Run(g, f, options),
+                        ("bfs_at " + label).c_str());
       }
     }
   }
 
-  // The same runs through the server's renders, stealing over the
-  // loopback wire against sequential in-process.
+  // The same runs through the server's renders, stealing against
+  // sequential.
   const std::string src = std::to_string(source);
   const std::string lines[] = {
       "{\"op\":\"path\",\"kind\":\"eat\",\"source\":" + src +
@@ -446,7 +416,6 @@ TEST(RuntimeDeterminismScoped, PointQueriesMatchSequential) {
         par.default_use_threads = true;
         par.runtime.num_threads = 8;
         par.runtime.chunk_size = 4;
-        par.runtime.transport = TransportKind::kLoopbackWire;
         par.runtime.frontier_density = density;
         RunMetrics mp;
         const auto got = QueryService::RenderFragmentWith(*req, w, par, &mp);

@@ -12,7 +12,6 @@
 
 #include "ckpt/checkpoint.h"
 #include "icm/message.h"
-#include "stream/update_stream.h"
 #include "util/json.h"
 #include "util/serde.h"
 #include "util/varint.h"
@@ -208,114 +207,6 @@ TEST(SerdeFuzzTest, CheckpointFrameFuzz) {
       if (!damaged.ok()) {
         EXPECT_EQ(damaged.status().code(), StatusCode::kDataLoss);
       }
-    }
-  }
-}
-
-// --- EdgeBatch frame fuzzing (ISSUE 10, DESIGN.md §4l) ----------------
-//
-// The append path's wire format: every byte a replicated-append peer (or
-// a hostile client, once the server speaks it) would send reaches
-// DecodeEdgeBatch. The contract mirrors the frame codec above — a Status,
-// never an abort — and encoding is canonical, so decode→encode is
-// byte-identical.
-
-// A random but VALID batch (valid intervals, arbitrary label bytes).
-EdgeBatch RandomEdgeBatch(std::mt19937_64& rng) {
-  const auto random_interval = [&rng] {
-    const TimePoint s = static_cast<TimePoint>(rng() % 1000);
-    return rng() % 4 == 0
-               ? Interval(s, kTimeMax)
-               : Interval(s, s + 1 + static_cast<TimePoint>(rng() % 60));
-  };
-  EdgeBatch batch;
-  batch.vertices.resize(rng() % 5);
-  for (auto& v : batch.vertices) {
-    v.vid = static_cast<VertexId>(rng());
-    v.interval = random_interval();
-  }
-  batch.edges.resize(rng() % 6);
-  for (auto& e : batch.edges) {
-    e.eid = static_cast<EdgeId>(rng());
-    e.src = static_cast<VertexId>(rng());
-    e.dst = static_cast<VertexId>(rng());
-    e.interval = random_interval();
-  }
-  batch.props.resize(rng() % 6);
-  for (auto& p : batch.props) {
-    p.eid = static_cast<EdgeId>(rng());
-    p.label.resize(rng() % 20);
-    for (char& ch : p.label) ch = static_cast<char>(rng());
-    p.interval = random_interval();
-    p.value = static_cast<PropValue>(rng());
-  }
-  return batch;
-}
-
-TEST(SerdeFuzzTest, EdgeBatchFrameRoundTripIsByteStable) {
-  std::mt19937_64 rng(47);
-  for (int round = 0; round < 200; ++round) {
-    const EdgeBatch batch = RandomEdgeBatch(rng);
-    const std::string bytes = EncodeEdgeBatch(batch);
-    const auto got = DecodeEdgeBatch(bytes);
-    ASSERT_TRUE(got.ok()) << "round " << round << ": "
-                          << got.status().ToString();
-    const EdgeBatch& d = got.value();
-    ASSERT_EQ(d.vertices.size(), batch.vertices.size()) << round;
-    ASSERT_EQ(d.edges.size(), batch.edges.size()) << round;
-    ASSERT_EQ(d.props.size(), batch.props.size()) << round;
-    for (size_t i = 0; i < batch.edges.size(); ++i) {
-      EXPECT_EQ(d.edges[i].eid, batch.edges[i].eid) << round;
-      EXPECT_EQ(d.edges[i].interval, batch.edges[i].interval) << round;
-    }
-    for (size_t i = 0; i < batch.props.size(); ++i) {
-      EXPECT_EQ(d.props[i].label, batch.props[i].label) << round;
-      EXPECT_EQ(d.props[i].value, batch.props[i].value) << round;
-    }
-    // Canonical encoding: decode→encode reproduces the exact bytes.
-    EXPECT_EQ(EncodeEdgeBatch(d), bytes) << "round " << round;
-  }
-}
-
-// Pure random bytes must yield DataLoss or a decodable batch — never an
-// abort, never an out-of-bounds read (asan/ubsan presets enforce the
-// latter), never an implausible-count allocation blowup.
-TEST(SerdeFuzzTest, EdgeBatchRandomBytesNeverAbort) {
-  std::mt19937_64 rng(53);
-  for (int round = 0; round < 2000; ++round) {
-    std::string bytes(rng() % 80, '\0');
-    for (char& ch : bytes) ch = static_cast<char>(rng());
-    const auto got = DecodeEdgeBatch(bytes);
-    if (!got.ok()) {
-      EXPECT_EQ(got.status().code(), StatusCode::kDataLoss) << round;
-    } else {
-      // Whatever it accepted must re-encode to a decodable frame.
-      EXPECT_TRUE(DecodeEdgeBatch(EncodeEdgeBatch(got.value())).ok()) << round;
-    }
-  }
-}
-
-// Mutated valid frames: byte flips, insertions, and truncations of a
-// well-formed encoding. Accept-or-DataLoss; anything accepted must
-// survive an encode→decode round trip.
-TEST(SerdeFuzzTest, EdgeBatchMutatedValidFramesNeverAbort) {
-  std::mt19937_64 rng(59);
-  for (int round = 0; round < 500; ++round) {
-    std::string bytes = EncodeEdgeBatch(RandomEdgeBatch(rng));
-    if (bytes.empty()) continue;
-    const int mutation = static_cast<int>(rng() % 3);
-    if (mutation == 0) {
-      bytes[rng() % bytes.size()] ^= static_cast<char>(1 + rng() % 255);
-    } else if (mutation == 1) {
-      bytes.insert(rng() % bytes.size(), 1, static_cast<char>(rng()));
-    } else {
-      bytes.resize(rng() % bytes.size());
-    }
-    const auto got = DecodeEdgeBatch(bytes);
-    if (!got.ok()) {
-      EXPECT_EQ(got.status().code(), StatusCode::kDataLoss) << round;
-    } else {
-      EXPECT_TRUE(DecodeEdgeBatch(EncodeEdgeBatch(got.value())).ok()) << round;
     }
   }
 }

@@ -176,6 +176,36 @@ TEST(QueryServiceTest, UnknownModeIsInvalidArgument) {
   }
 }
 
+// "workers" is range-checked before the narrowing cast: negative counts,
+// values that wrap when truncated to int, and counts past the cap are
+// InvalidArgument; the cap itself runs.
+TEST(QueryServiceTest, WorkersOutOfRangeIsInvalidArgument) {
+  const std::string run = "{\"op\":\"run\",\"graph\":\"t\",\"alg\":\"bfs\"";
+  const std::string head = run + ",";
+  for (const int64_t workers :
+       {int64_t{-1}, (int64_t{1} << 32) + 4,
+        int64_t{kMaxRequestWorkers} + 1}) {
+    const auto req = QueryService::Parse(
+        head + "\"workers\":" + std::to_string(workers) + "}");
+    ASSERT_FALSE(req.ok()) << workers;
+    EXPECT_EQ(req.status().code(), StatusCode::kInvalidArgument) << workers;
+    EXPECT_NE(req.status().message().find("\"workers\""), std::string::npos)
+        << req.status().ToString();
+  }
+
+  GraphRegistry registry;
+  QueryService service(&registry, nullptr);
+  registry.Add("t", testutil::MakeTransitGraph());
+  const QueryRequest at_cap = MustParse(
+      head + "\"workers\":" + std::to_string(kMaxRequestWorkers) + "}");
+  EXPECT_EQ(at_cap.workers, kMaxRequestWorkers);
+  const std::string response = service.Execute(at_cap);
+  EXPECT_NE(response.find("\"ok\": true"), std::string::npos) << response;
+  // Absent or 0 means the service default.
+  EXPECT_EQ(MustParse(run + "}").workers, 0);
+  EXPECT_EQ(MustParse(head + "\"workers\":0}").workers, 0);
+}
+
 JsonValue MustParseJson(const std::string& text) {
   auto doc = ParseJson(text);
   GRAPHITE_CHECK(doc.ok());

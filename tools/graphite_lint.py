@@ -49,7 +49,7 @@ one anywhere else, with an unknown name, unbalanced, or left unclosed is
 itself a finding (rule `region`). Current regions:
 
   ingest-seed   The delta-append warm-seed path (DESIGN.md §4l) in the
-                ICM/VCM engines: runs once per incremental run, before
+                ICM engine: runs once per incremental run, before
                 the superstep loop's zero-alloc regime applies.
 
 Usage: graphite_lint.py [--self-test] [--list-rules] [paths...]
@@ -98,7 +98,7 @@ REGION_CLOSE = re.compile(r"lint:endregion\(([\w-]+)\)")
 # suppresses inside). Everything else about a region marker is a finding.
 REGIONS = {
     "ingest-seed": {
-        "files": ("src/icm/icm_engine.h", "src/vcm/vcm_engine.h"),
+        "files": ("src/icm/icm_engine.h",),
         "rules": ("heap", "vector"),
     },
 }
@@ -312,7 +312,7 @@ SELF_TEST_CASES = [
     ("heap", "src/icm/foo.h", "auto* p = new Thing();"),
     ("heap", "src/engine/flat_inbox.h", "void* p = malloc(64);"),
     ("heap", "src/engine/superstep_driver.h",
-     "auto t = std::make_unique<InProcessTransport>(n);"),
+     "auto pool = std::make_unique<ThreadPool>(n);"),
     ("vector", "src/engine/superstep_driver.h",
      "std::vector<int64_t> per_chunk;"),
     (None, "src/engine/superstep_driver.h",
