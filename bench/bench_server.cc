@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
   const double speedup = hit_ns > 0 ? miss_ns / hit_ns : 0.0;
 
   // ---- Throughput: mixed request shapes over both graphs through the
-  // full protocol path (parse, admission, per-graph serialization, cache
+  // full protocol path (parse, admission, the FIFO job queue, cache
   // fast path on repeats), 4 scheduler workers.
   server.cache().Clear();  // contents only; counters survive by design
   const ResultCacheStats cache_before = server.cache().stats();

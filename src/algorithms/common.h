@@ -20,10 +20,6 @@ inline constexpr int64_t kInfCost = std::numeric_limits<int64_t>::max();
 /// "No departure possible" sentinel for latest-departure.
 inline constexpr int64_t kNegInf = std::numeric_limits<int64_t>::min();
 
-/// Canonical edge-property names used by the TD algorithms.
-inline constexpr const char* kTravelTimeLabel = "travel-time";
-inline constexpr const char* kTravelCostLabel = "travel-cost";
-
 /// Per-vertex, per-time-point algorithm output, used to compare platforms:
 /// result[v] maps time intervals to the algorithm's value for vertex v.
 template <typename V>

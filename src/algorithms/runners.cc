@@ -120,37 +120,29 @@ bool Supports(Platform p, Algorithm a) {
 }
 
 const TemporalGraph& Workload::reversed() const {
-  if (!reversed_) reversed_ = ReverseGraph(g_);
-  return *reversed_;
+  return derived_->reversed.Get([this] { return ReverseGraph(g_); });
 }
 const TemporalGraph& Workload::undirected() const {
-  if (!undirected_) undirected_ = MakeUndirected(g_);
-  return *undirected_;
+  return derived_->undirected.Get([this] { return MakeUndirected(g_); });
 }
 const TransformedGraph& Workload::transformed() const {
-  if (!transformed_) transformed_ = BuildTransformedGraph(g_);
-  return *transformed_;
+  return derived_->transformed.Get(
+      [this] { return BuildTransformedGraph(g_); });
 }
 const TransformedGraph& Workload::transformed_zero() const {
-  if (!transformed_zero_) {
+  return derived_->transformed_zero.Get([this] {
     TransformOptions options;
     options.forced_travel_time = 0;
-    transformed_zero_ = BuildTransformedGraph(g_, options);
-  }
-  return *transformed_zero_;
+    return BuildTransformedGraph(g_, options);
+  });
 }
-void Workload::DropDerived() {
-  reversed_.reset();
-  undirected_.reset();
-  transformed_.reset();
-  transformed_zero_.reset();
-}
+void Workload::DropDerived() { derived_ = std::make_unique<Derived>(); }
 
 // ---------------------------------------------------------------------
 // TI runners.
 // ---------------------------------------------------------------------
 
-TemporalResult<int64_t> RunBfsOn(Workload& w, Platform p,
+TemporalResult<int64_t> RunBfsOn(const Workload& w, Platform p,
                                  const RunConfig& config, RunMetrics* metrics) {
   switch (p) {
     case Platform::kIcm: {
@@ -171,7 +163,7 @@ TemporalResult<int64_t> RunBfsOn(Workload& w, Platform p,
   }
 }
 
-TemporalResult<int64_t> RunWccOn(Workload& w, Platform p,
+TemporalResult<int64_t> RunWccOn(const Workload& w, Platform p,
                                  const RunConfig& config, RunMetrics* metrics) {
   switch (p) {
     case Platform::kIcm: {
@@ -191,7 +183,7 @@ TemporalResult<int64_t> RunWccOn(Workload& w, Platform p,
   }
 }
 
-TemporalResult<int64_t> RunSccOn(Workload& w, Platform p,
+TemporalResult<int64_t> RunSccOn(const Workload& w, Platform p,
                                  const RunConfig& config, RunMetrics* metrics) {
   switch (p) {
     case Platform::kIcm: {
@@ -210,7 +202,7 @@ TemporalResult<int64_t> RunSccOn(Workload& w, Platform p,
   }
 }
 
-TemporalResult<double> RunPrOn(Workload& w, Platform p,
+TemporalResult<double> RunPrOn(const Workload& w, Platform p,
                                const RunConfig& config, RunMetrics* metrics) {
   switch (p) {
     case Platform::kIcm: {
@@ -243,7 +235,7 @@ TemporalResult<double> RunPrOn(Workload& w, Platform p,
 // TD runners.
 // ---------------------------------------------------------------------
 
-TemporalResult<int64_t> RunSsspOn(Workload& w, Platform p,
+TemporalResult<int64_t> RunSsspOn(const Workload& w, Platform p,
                                   const RunConfig& config,
                                   RunMetrics* metrics) {
   const TemporalGraph& g = w.graph();
@@ -284,8 +276,8 @@ TemporalResult<int64_t> RunSsspOn(Workload& w, Platform p,
   }
 }
 
-std::vector<int64_t> RunEatOn(Workload& w, Platform p, const RunConfig& config,
-                              RunMetrics* metrics) {
+std::vector<int64_t> RunEatOn(const Workload& w, Platform p,
+                              const RunConfig& config, RunMetrics* metrics) {
   const TemporalGraph& g = w.graph();
   std::vector<int64_t> eat(g.num_vertices(), kInfCost);
   switch (p) {
@@ -337,7 +329,7 @@ std::vector<int64_t> RunEatOn(Workload& w, Platform p, const RunConfig& config,
   }
 }
 
-std::vector<int64_t> RunFastOn(Workload& w, Platform p,
+std::vector<int64_t> RunFastOn(const Workload& w, Platform p,
                                const RunConfig& config, RunMetrics* metrics) {
   const TemporalGraph& g = w.graph();
   std::vector<int64_t> fastest(g.num_vertices(), kInfCost);
@@ -395,8 +387,8 @@ std::vector<int64_t> RunFastOn(Workload& w, Platform p,
   return fastest;
 }
 
-std::vector<int64_t> RunLdOn(Workload& w, Platform p, const RunConfig& config,
-                             RunMetrics* metrics) {
+std::vector<int64_t> RunLdOn(const Workload& w, Platform p,
+                             const RunConfig& config, RunMetrics* metrics) {
   const TemporalGraph& g = w.graph();
   const VertexId target = ResolveTarget(g, config);
   const TimePoint deadline = ResolveDeadline(g, config);
@@ -457,7 +449,8 @@ std::vector<int64_t> RunLdOn(Workload& w, Platform p, const RunConfig& config,
   }
 }
 
-std::vector<std::pair<int64_t, int64_t>> RunTmstOn(Workload& w, Platform p,
+std::vector<std::pair<int64_t, int64_t>> RunTmstOn(const Workload& w,
+                                                   Platform p,
                                                    const RunConfig& config,
                                                    RunMetrics* metrics) {
   const TemporalGraph& g = w.graph();
@@ -510,7 +503,7 @@ std::vector<std::pair<int64_t, int64_t>> RunTmstOn(Workload& w, Platform p,
   }
 }
 
-TemporalResult<uint8_t> RunRhOn(Workload& w, Platform p,
+TemporalResult<uint8_t> RunRhOn(const Workload& w, Platform p,
                                 const RunConfig& config, RunMetrics* metrics) {
   const TemporalGraph& g = w.graph();
   switch (p) {
@@ -561,7 +554,7 @@ TemporalResult<uint8_t> RunRhOn(Workload& w, Platform p,
   }
 }
 
-TemporalResult<int64_t> RunTcOn(Workload& w, Platform p,
+TemporalResult<int64_t> RunTcOn(const Workload& w, Platform p,
                                 const RunConfig& config, RunMetrics* metrics) {
   const TemporalGraph& g = w.graph();
   switch (p) {
@@ -611,7 +604,7 @@ TemporalResult<int64_t> RunTcOn(Workload& w, Platform p,
   }
 }
 
-TemporalResult<double> RunLccOn(Workload& w, Platform p,
+TemporalResult<double> RunLccOn(const Workload& w, Platform p,
                                 const RunConfig& config, RunMetrics* metrics) {
   if (p == Platform::kIcm) {
     auto r = RunIcmLcc(w.graph(), config.ToIcm());
@@ -624,7 +617,7 @@ TemporalResult<double> RunLccOn(Workload& w, Platform p,
   return NormalizeLcc(w.graph(), tc);
 }
 
-RunMetrics RunForMetrics(Workload& w, Platform p, Algorithm a,
+RunMetrics RunForMetrics(const Workload& w, Platform p, Algorithm a,
                          const RunConfig& config) {
   GRAPHITE_CHECK(Supports(p, a));
   RunMetrics metrics;

@@ -23,6 +23,8 @@
 #include "baselines/goffish.h"
 #include "baselines/msb.h"
 #include "baselines/tgb.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace graphite {
 
@@ -82,7 +84,9 @@ struct RunConfig : EngineOptions {
 };
 
 /// A prepared dataset: the interval graph plus the derived structures the
-/// platforms need. Derived graphs are built lazily and cached.
+/// platforms need. Derived graphs are built lazily and cached. A Workload
+/// may be shared by concurrent runs: racing first callers build each
+/// derived graph once, and every caller gets the same one.
 class Workload {
  public:
   explicit Workload(TemporalGraph g) : g_(std::move(g)) {}
@@ -96,61 +100,86 @@ class Workload {
   const TransformedGraph& transformed_zero() const;
 
   /// Releases cached derived structures (frees memory between benches).
+  /// No other call may run on this Workload meanwhile.
   void DropDerived();
 
  private:
+  // One derived structure, built by the first caller. The value is never
+  // replaced while the Workload is shared, so the returned reference
+  // outlives the lock.
+  template <typename T>
+  class Lazy {
+   public:
+    template <typename Build>
+    const T& Get(Build build) {
+      MutexLock lock(mu_);
+      if (!value_) value_.emplace(build());
+      return *value_;
+    }
+
+   private:
+    Mutex mu_;
+    std::optional<T> value_ GRAPHITE_GUARDED_BY(mu_);
+  };
+  struct Derived {
+    Lazy<TemporalGraph> reversed;
+    Lazy<TemporalGraph> undirected;
+    Lazy<TransformedGraph> transformed;
+    Lazy<TransformedGraph> transformed_zero;
+  };
+
   TemporalGraph g_;
-  mutable std::optional<TemporalGraph> reversed_;
-  mutable std::optional<TemporalGraph> undirected_;
-  mutable std::optional<TransformedGraph> transformed_;
-  mutable std::optional<TransformedGraph> transformed_zero_;
+  // Held by pointer so Workload stays movable (Mutex is not).
+  std::unique_ptr<Derived> derived_ = std::make_unique<Derived>();
 };
 
 /// Runs (algorithm, platform) and returns the metrics; results are
 /// discarded. CHECK-fails if the pair is unsupported.
-RunMetrics RunForMetrics(Workload& w, Platform p, Algorithm a,
+RunMetrics RunForMetrics(const Workload& w, Platform p, Algorithm a,
                          const RunConfig& config);
 
 // --- Typed runners used by the cross-platform equivalence tests. ---
 // Each returns the per-(vertex, time) result in a canonical form plus the
 // metrics via *metrics (ignored when null).
 
-TemporalResult<int64_t> RunBfsOn(Workload& w, Platform p,
+TemporalResult<int64_t> RunBfsOn(const Workload& w, Platform p,
                                  const RunConfig& config,
                                  RunMetrics* metrics = nullptr);
-TemporalResult<int64_t> RunWccOn(Workload& w, Platform p,
+TemporalResult<int64_t> RunWccOn(const Workload& w, Platform p,
                                  const RunConfig& config,
                                  RunMetrics* metrics = nullptr);
-TemporalResult<int64_t> RunSccOn(Workload& w, Platform p,
+TemporalResult<int64_t> RunSccOn(const Workload& w, Platform p,
                                  const RunConfig& config,
                                  RunMetrics* metrics = nullptr);
-TemporalResult<double> RunPrOn(Workload& w, Platform p,
+TemporalResult<double> RunPrOn(const Workload& w, Platform p,
                                const RunConfig& config,
                                RunMetrics* metrics = nullptr);
-TemporalResult<int64_t> RunSsspOn(Workload& w, Platform p,
+TemporalResult<int64_t> RunSsspOn(const Workload& w, Platform p,
                                   const RunConfig& config,
                                   RunMetrics* metrics = nullptr);
 /// Earliest arrival per vertex (kInfCost when unreachable).
-std::vector<int64_t> RunEatOn(Workload& w, Platform p, const RunConfig& config,
+std::vector<int64_t> RunEatOn(const Workload& w, Platform p,
+                              const RunConfig& config,
                               RunMetrics* metrics = nullptr);
 /// Minimum journey duration per vertex (kInfCost when unreachable).
-std::vector<int64_t> RunFastOn(Workload& w, Platform p,
+std::vector<int64_t> RunFastOn(const Workload& w, Platform p,
                                const RunConfig& config,
                                RunMetrics* metrics = nullptr);
 /// Latest departure per vertex (kNegInf when impossible).
-std::vector<int64_t> RunLdOn(Workload& w, Platform p, const RunConfig& config,
+std::vector<int64_t> RunLdOn(const Workload& w, Platform p,
+                             const RunConfig& config,
                              RunMetrics* metrics = nullptr);
 /// (earliest arrival, tree parent id) per vertex.
 std::vector<std::pair<int64_t, int64_t>> RunTmstOn(
-    Workload& w, Platform p, const RunConfig& config,
+    const Workload& w, Platform p, const RunConfig& config,
     RunMetrics* metrics = nullptr);
-TemporalResult<uint8_t> RunRhOn(Workload& w, Platform p,
+TemporalResult<uint8_t> RunRhOn(const Workload& w, Platform p,
                                 const RunConfig& config,
                                 RunMetrics* metrics = nullptr);
-TemporalResult<int64_t> RunTcOn(Workload& w, Platform p,
+TemporalResult<int64_t> RunTcOn(const Workload& w, Platform p,
                                 const RunConfig& config,
                                 RunMetrics* metrics = nullptr);
-TemporalResult<double> RunLccOn(Workload& w, Platform p,
+TemporalResult<double> RunLccOn(const Workload& w, Platform p,
                                 const RunConfig& config,
                                 RunMetrics* metrics = nullptr);
 

@@ -65,9 +65,9 @@ void AttachProperties(Rng& rng, const GenOptions& opt, TemporalGraphBuilder& b,
             ? span.end
             : std::min<TimePoint>(span.end,
                                   rng.UniformRange(t + 1, span.end + 1));
-    b.SetEdgeProperty(eid, "travel-time", Interval(t, end),
+    b.SetEdgeProperty(eid, kTravelTimeLabel, Interval(t, end),
                       1 + rng.UniformRange(0, opt.max_travel_time));
-    b.SetEdgeProperty(eid, "travel-cost", Interval(t, end),
+    b.SetEdgeProperty(eid, kTravelCostLabel, Interval(t, end),
                       1 + rng.UniformRange(0, opt.max_travel_cost));
     t = end;
   }

@@ -54,6 +54,11 @@ using PropValue = int64_t;
 /// Interned property-label identifier.
 using LabelId = uint16_t;
 
+/// Canonical edge-property names used by the TD algorithms and the TGB
+/// transformation.
+inline constexpr const char* kTravelTimeLabel = "travel-time";
+inline constexpr const char* kTravelCostLabel = "travel-cost";
+
 inline constexpr VertexIdx kInvalidVertex = static_cast<VertexIdx>(-1);
 
 /// One label's temporal values on one entity: runs sorted by start and

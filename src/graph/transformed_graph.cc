@@ -26,8 +26,8 @@ struct EdgeWeights {
 std::vector<EdgeWeights> ResolveWeights(const TemporalGraph& g,
                                         const TransformOptions& options) {
   std::vector<EdgeWeights> weights(g.num_edges());
-  auto time_label = g.LabelIdOf(options.travel_time_label);
-  auto cost_label = g.LabelIdOf(options.travel_cost_label);
+  auto time_label = g.LabelIdOf(kTravelTimeLabel);
+  auto cost_label = g.LabelIdOf(kTravelCostLabel);
   for (EdgePos pos = 0; pos < g.num_edges(); ++pos) {
     if (time_label) weights[pos].time_runs = g.EdgeProperty(pos, *time_label);
     if (cost_label) weights[pos].cost_runs = g.EdgeProperty(pos, *cost_label);

@@ -24,11 +24,9 @@ namespace graphite {
 using ReplicaIdx = uint32_t;
 inline constexpr ReplicaIdx kInvalidReplica = static_cast<ReplicaIdx>(-1);
 
+/// Travel time and cost come from the kTravelTimeLabel and
+/// kTravelCostLabel edge properties; a missing one means unit time or cost.
 struct TransformOptions {
-  /// Edge property giving traversal duration; missing => unit travel time.
-  std::string travel_time_label = "travel-time";
-  /// Edge property giving traversal weight; missing => unit cost.
-  std::string travel_cost_label = "travel-cost";
   /// When >= 0, overrides every travel time (the transformation is
   /// algorithm-specific: clustering algorithms expand with zero travel
   /// time so triangles connect same-time replicas).

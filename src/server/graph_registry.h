@@ -25,10 +25,9 @@
 // unlocking — so Get and List never wait on graph construction or
 // destruction.
 //
-// The registry itself is thread-safe. A ResidentGraph's Workload is NOT:
-// its lazy derived-graph builders race if two runs touch the same entry
-// concurrently, which is exactly why the JobScheduler serializes jobs
-// per graph (one at a time per graph, overlap across graphs).
+// The registry is thread-safe, and so is a ResidentGraph's Workload:
+// concurrent runs may share one entry, and each derived graph is built
+// once however many of them ask for it first.
 #ifndef GRAPHITE_SERVER_GRAPH_REGISTRY_H_
 #define GRAPHITE_SERVER_GRAPH_REGISTRY_H_
 

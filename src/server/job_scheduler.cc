@@ -22,8 +22,7 @@ Status JobScheduler::Submit(QueryRequest req,
     return Status::InvalidArgument("not a data op: " + req.op);
   }
   // Cache fast path: answered inline on the submitting thread, no queue,
-  // no supersteps. Registry and cache are thread-safe, so this never
-  // touches a Workload and needs no per-graph serialization.
+  // no supersteps. Registry and cache are thread-safe.
   if (auto hit = service_->TryServeFromCache(req)) {
     {
       MutexLock lock(mu_);
@@ -54,23 +53,12 @@ Status JobScheduler::Submit(QueryRequest req,
   return Status::OK();
 }
 
-bool JobScheduler::AnyRunnable() const {
-  for (const Job& j : queue_) {
-    if (busy_graphs_.count(j.req.graph) == 0) return true;
-  }
-  return false;
-}
-
 bool JobScheduler::PickRunnable(Job* out) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (busy_graphs_.count(it->req.graph) != 0) continue;
-    *out = std::move(*it);
-    queue_.erase(it);
-    busy_graphs_.insert(out->req.graph);
-    ++running_;
-    return true;
-  }
-  return false;
+  if (queue_.empty()) return false;
+  *out = std::move(queue_.front());
+  queue_.pop_front();
+  ++running_;
+  return true;
 }
 
 void JobScheduler::RunJob(Job job) {
@@ -78,20 +66,17 @@ void JobScheduler::RunJob(Job job) {
   ExecStats stats;
   std::string response = service_->Execute(job.req, queue_wait_ns, &stats);
   job.done(std::move(response));
-  // Counters must land in the same critical section that releases the
-  // graph and wakes Drain(): a stats() read right after Drain() returns
-  // has to see every completed job accounted for.
+  // Counters must land in the same critical section that wakes Drain():
+  // a stats() read right after Drain() returns has to see every
+  // completed job accounted for.
   {
     MutexLock lock(mu_);
-    busy_graphs_.erase(job.req.graph);
     --running_;
     ++completed_;
     queue_wait_ns_ += queue_wait_ns;
     run_ns_ += stats.run_ns;
     supersteps_ += stats.supersteps;
   }
-  // Freeing the graph may make a queued job runnable for ANY worker.
-  work_cv_.NotifyAll();
   drain_cv_.NotifyAll();
 }
 
@@ -100,9 +85,8 @@ void JobScheduler::WorkerLoop() {
     Job job;
     {
       MutexLock lock(mu_);
-      while (!stopping_ && !AnyRunnable()) work_cv_.Wait(mu_);
+      while (!stopping_ && !PickRunnable(&job)) work_cv_.Wait(mu_);
       if (stopping_) return;
-      if (!PickRunnable(&job)) continue;
     }
     RunJob(std::move(job));
   }

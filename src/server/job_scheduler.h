@@ -8,12 +8,10 @@
 //     answered inline on the submitting thread, without touching the
 //     queue or running a single superstep. This is what makes repeated
 //     requests an order of magnitude faster than cold runs.
-//   * Per-graph serialization — at most one job runs against a graph at
-//     a time (a Workload's lazy derived-graph builders are not
-//     thread-safe), while jobs on *different* graphs overlap freely
-//     across the worker pool. Workers scan the queue FIFO and pick the
-//     first runnable job, so a busy graph never blocks another graph's
-//     queued work (no head-of-line blocking across graphs).
+//   * One FIFO queue — each idle worker pops the head. Jobs on the same
+//     graph run concurrently: a Workload builds each derived graph once
+//     even under racing callers, so the scheduler keeps no per-graph
+//     state.
 //
 // `num_threads == 0` is an admission-only mode used by tests: requests
 // queue (or get rejected) deterministically and are executed by explicit
@@ -24,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,8 +73,8 @@ class JobScheduler {
   /// OutOfRange "server shutting down" error response. Idempotent.
   void Stop();
 
-  /// Admission-only mode: runs the first runnable queued job on the
-  /// calling thread. Returns false when nothing is runnable.
+  /// Admission-only mode: runs the queue's head job on the calling
+  /// thread. Returns false when the queue is empty.
   bool RunOneForTest();
 
   SchedulerStats stats() const;
@@ -90,10 +87,8 @@ class JobScheduler {
   };
 
   void WorkerLoop();
-  /// Pops the first queued job whose graph is idle.
+  /// Pops the queue's head job.
   bool PickRunnable(Job* out) GRAPHITE_REQUIRES(mu_);
-  /// True when some queued job's graph is idle (the worker wake predicate).
-  bool AnyRunnable() const GRAPHITE_REQUIRES(mu_);
   void RunJob(Job job);
 
   QueryService* service_;
@@ -103,7 +98,6 @@ class JobScheduler {
   CondVar work_cv_;   ///< Signals workers: queue changed.
   CondVar drain_cv_;  ///< Signals Drain/Stop: job finished.
   std::deque<Job> queue_ GRAPHITE_GUARDED_BY(mu_);
-  std::set<std::string> busy_graphs_ GRAPHITE_GUARDED_BY(mu_);
   size_t running_ GRAPHITE_GUARDED_BY(mu_) = 0;
   bool stopping_ GRAPHITE_GUARDED_BY(mu_) = false;
 

@@ -193,7 +193,7 @@ void EmitScalar(const TemporalGraph& g, const std::vector<int64_t>& values,
   if (truncated) w->Key("truncated").Bool(true);
 }
 
-Status RenderRun(const QueryRequest& req, Workload& w,
+Status RenderRun(const QueryRequest& req, const Workload& w,
                  const ServiceOptions& options, JsonWriter* out,
                  RunMetrics* metrics) {
   auto alg = ParseAlgorithmName(req.alg);
@@ -295,7 +295,7 @@ Status RenderRun(const QueryRequest& req, Workload& w,
   return Status::OK();
 }
 
-Status RenderPath(const QueryRequest& req, Workload& w,
+Status RenderPath(const QueryRequest& req, const Workload& w,
                   const ServiceOptions& options, JsonWriter* out,
                   RunMetrics* metrics) {
   auto config = BuildConfig(req, options);
@@ -384,7 +384,7 @@ Status RenderPath(const QueryRequest& req, Workload& w,
   return Status::OK();
 }
 
-Status RenderReachAt(const QueryRequest& req, Workload& w,
+Status RenderReachAt(const QueryRequest& req, const Workload& w,
                      const ServiceOptions& options, JsonWriter* out,
                      RunMetrics* metrics) {
   auto config = BuildConfig(req, options);
@@ -427,7 +427,7 @@ Status RenderReachAt(const QueryRequest& req, Workload& w,
   return Status::OK();
 }
 
-Status RenderBfsAt(const QueryRequest& req, Workload& w,
+Status RenderBfsAt(const QueryRequest& req, const Workload& w,
                    const ServiceOptions& options, JsonWriter* out,
                    RunMetrics* metrics) {
   auto config = BuildConfig(req, options);
@@ -475,7 +475,8 @@ Status RenderBfsAt(const QueryRequest& req, Workload& w,
   return Status::OK();
 }
 
-Status RenderStats(const QueryRequest& req, Workload& w, JsonWriter* out) {
+Status RenderStats(const QueryRequest& req, const Workload& w,
+                   JsonWriter* out) {
   const TemporalGraph& g = w.graph();
   out->Key("type").String("stats");
   out->Key("vertices").Int(static_cast<int64_t>(g.num_vertices()));
@@ -495,7 +496,7 @@ Status RenderStats(const QueryRequest& req, Workload& w, JsonWriter* out) {
   return Status::OK();
 }
 
-Status RenderOps(const QueryRequest& req, Workload& w,
+Status RenderOps(const QueryRequest& req, const Workload& w,
                  const ServiceOptions& options, JsonWriter* out,
                  RunMetrics* metrics) {
   out->BeginObject();
@@ -667,15 +668,15 @@ Result<QueryRequest> QueryService::Parse(const std::string& line) {
 }
 
 Result<std::string> QueryService::RenderFragment(const QueryRequest& req,
-                                                 Workload& base,
+                                                 const Workload& base,
                                                  RunMetrics* metrics) {
   ServiceOptions options;  // static entry point: library defaults
   return RenderFragmentWith(req, base, options, metrics);
 }
 
 Result<std::string> QueryService::RenderFragmentWith(
-    const QueryRequest& req, Workload& base, const ServiceOptions& options,
-    RunMetrics* metrics) {
+    const QueryRequest& req, const Workload& base,
+    const ServiceOptions& options, RunMetrics* metrics) {
   RunMetrics local;
   if (metrics == nullptr) metrics = &local;
   JsonWriter w;
@@ -814,7 +815,7 @@ std::string QueryService::Execute(const QueryRequest& req,
 }
 
 std::string QueryService::ExecuteOn(const QueryRequest& req,
-                                    ResidentGraph& entry,
+                                    const ResidentGraph& entry,
                                     int64_t queue_wait_ns, ExecStats* stats) {
   ExecStats es;
   if (stats == nullptr) stats = &es;

@@ -139,7 +139,7 @@ class QueryService {
   /// if `entry` is still the resident version when the run ends: a job
   /// that outlives an append or drop would otherwise insert a key under a
   /// superseded epoch that no request can hit.
-  std::string ExecuteOn(const QueryRequest& req, ResidentGraph& entry,
+  std::string ExecuteOn(const QueryRequest& req, const ResidentGraph& entry,
                         int64_t queue_wait_ns = 0, ExecStats* stats = nullptr);
 
   /// Renders the canonical result fragment for `req` against `base` —
@@ -147,12 +147,12 @@ class QueryService {
   /// so tests can compute the standalone expectation, and so the cache
   /// stores precisely this. Pre-filters (select/window) are applied here.
   static Result<std::string> RenderFragment(const QueryRequest& req,
-                                            Workload& base,
+                                            const Workload& base,
                                             RunMetrics* metrics = nullptr);
 
   /// RenderFragment with explicit execution defaults (the instance path).
   static Result<std::string> RenderFragmentWith(const QueryRequest& req,
-                                                Workload& base,
+                                                const Workload& base,
                                                 const ServiceOptions& options,
                                                 RunMetrics* metrics);
 

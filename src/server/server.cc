@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <istream>
 #include <memory>
@@ -54,6 +55,17 @@ struct ConnState {
   int64_t pending GRAPHITE_GUARDED_BY(mu) = 0;
 };
 
+/// A control op's success reply, opened with the fields every one starts
+/// with; the caller adds its own and closes the object.
+JsonWriter OkReply(const QueryRequest& req) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("id").Int(req.id);
+  w.Key("ok").Bool(true);
+  w.Key("op").String(req.op);
+  return w;
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -71,6 +83,9 @@ Status Server::LoadDataset(const std::string& name,
                            const std::string& dataset, double scale) {
   if (name.empty()) {
     return Status::InvalidArgument("load needs a graph name");
+  }
+  if (!std::isfinite(scale) || scale <= 0) {
+    return Status::InvalidArgument("load scale must be a finite number > 0");
   }
   const std::string want = Lower(dataset);
   for (DatasetSpec& spec : DatasetCatalog(scale)) {
@@ -110,11 +125,7 @@ std::string Server::LoadResponse(const QueryRequest& req) {
   auto entry = registry_.Get(req.graph);
   GRAPHITE_CHECK(entry != nullptr);
   const TemporalGraph& g = entry->workload.graph();
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("id").Int(req.id);
-  w.Key("ok").Bool(true);
-  w.Key("op").String("load");
+  JsonWriter w = OkReply(req);
   w.Key("graph").String(req.graph);
   w.Key("epoch").UInt(entry->epoch);
   w.Key("vertices").UInt(g.num_vertices());
@@ -126,11 +137,7 @@ std::string Server::LoadResponse(const QueryRequest& req) {
 
 std::string Server::HandleControl(const QueryRequest& req) {
   if (req.op == "ping") {
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("id").Int(req.id);
-    w.Key("ok").Bool(true);
-    w.Key("op").String("ping");
+    JsonWriter w = OkReply(req);
     w.EndObject();
     return w.Take();
   }
@@ -150,11 +157,7 @@ std::string Server::HandleControl(const QueryRequest& req) {
     // old ones; erasing the prefix reclaims the now-unreachable entries.
     const int64_t invalidated =
         cache_.ErasePrefix(QueryService::GraphPrefix(req.graph));
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("id").Int(req.id);
-    w.Key("ok").Bool(true);
-    w.Key("op").String("append");
+    JsonWriter w = OkReply(req);
     w.Key("graph").String(req.graph);
     w.Key("epoch").UInt(info->epoch);
     w.Key("base_epoch").UInt(info->head.base_epoch);
@@ -175,22 +178,14 @@ std::string Server::HandleControl(const QueryRequest& req) {
           req.id, req.op,
           Status::NotFound("graph not resident: \"" + req.graph + "\""));
     }
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("id").Int(req.id);
-    w.Key("ok").Bool(true);
-    w.Key("op").String("drop");
+    JsonWriter w = OkReply(req);
     w.Key("graph").String(req.graph);
     w.Key("invalidated").Int(invalidated);
     w.EndObject();
     return w.Take();
   }
   if (req.op == "list") {
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("id").Int(req.id);
-    w.Key("ok").Bool(true);
-    w.Key("op").String("list");
+    JsonWriter w = OkReply(req);
     w.Key("graphs").BeginArray();
     for (const ResidentGraphInfo& info : registry_.List()) {
       w.BeginObject();
@@ -210,11 +205,7 @@ std::string Server::HandleControl(const QueryRequest& req) {
   if (req.op == "metrics") {
     const SchedulerStats sched = scheduler_.stats();
     const ResultCacheStats cache = cache_.stats();
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("id").Int(req.id);
-    w.Key("ok").Bool(true);
-    w.Key("op").String("metrics");
+    JsonWriter w = OkReply(req);
     w.Key("scheduler").BeginObject();
     w.Key("submitted").Int(sched.submitted);
     w.Key("rejected").Int(sched.rejected);
@@ -245,11 +236,7 @@ std::string Server::HandleControl(const QueryRequest& req) {
   }
   if (req.op == "shutdown") {
     RequestShutdown();
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("id").Int(req.id);
-    w.Key("ok").Bool(true);
-    w.Key("op").String("shutdown");
+    JsonWriter w = OkReply(req);
     w.EndObject();
     return w.Take();
   }
@@ -261,7 +248,12 @@ void Server::HandleLine(const std::string& line,
                         std::function<void(std::string)> respond) {
   auto req = QueryService::Parse(line);
   if (!req.ok()) {
-    respond(QueryService::ErrorResponse(-1, "", req.status()));
+    // Echo the "id" of an object whose other fields are bad, so a client
+    // pipelining requests can tell which one failed.
+    auto doc = ParseJson(line);
+    const int64_t id =
+        doc.ok() && doc->is_object() ? doc->GetInt("id", -1) : -1;
+    respond(QueryService::ErrorResponse(id, "", req.status()));
     return;
   }
   if (QueryService::IsDataOp(req->op)) {

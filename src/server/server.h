@@ -4,7 +4,7 @@
 //   GraphRegistry  — partitioned TemporalGraphs resident across requests
 //   ResultCache    — LRU over canonical result fragments
 //   QueryService   — request decoding + canonical execution
-//   JobScheduler   — bounded admission, per-graph serialization
+//   JobScheduler   — bounded admission, one FIFO queue
 //
 // and speaks a line-delimited JSON protocol over two fronts:
 //
@@ -67,7 +67,8 @@ class Server {
                   std::function<void(std::string)> respond);
 
   /// Generates a catalog dataset (case-insensitive prefix, e.g.
-  /// "twitter") and registers it under `name`.
+  /// "twitter") and registers it under `name`. A `scale` that is not a
+  /// finite number > 0 is InvalidArgument.
   Status LoadDataset(const std::string& name, const std::string& dataset,
                      double scale);
   /// Loads a text-format graph file and registers it under `name`.

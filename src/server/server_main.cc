@@ -7,6 +7,7 @@
 // Protocol: one JSON object per line; see src/server/server.h and the
 // README "serving" quickstart.
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,9 +56,27 @@ T ParseFlag(const std::string& flag, const char* text, T lo, T hi) {
   return value;
 }
 
+/// Parses a --preload SCALE as one whole finite number > 0, or exits
+/// with status 2 as ParseFlag does.
+double ParseScale(const char* text) {
+  double value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value <= 0) {
+    std::fprintf(stderr,
+                 "bad value for --preload: scale '%s' (want a finite "
+                 "number > 0)\n",
+                 text);
+    std::exit(2);
+  }
+  return value;
+}
+
 struct Preload {
   std::string name;
   std::string source;  // dataset[:scale] or @file
+  double scale = 1.0;  // of a dataset source
 };
 
 }  // namespace
@@ -102,7 +121,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad --preload spec: %s\n", spec.c_str());
         return 2;
       }
-      preloads.push_back({spec.substr(0, eq), spec.substr(eq + 1)});
+      Preload p{spec.substr(0, eq), spec.substr(eq + 1)};
+      const size_t colon = p.source.rfind(':');
+      if (p.source.rfind('@', 0) != 0 && colon != std::string::npos) {
+        p.scale = ParseScale(p.source.c_str() + colon + 1);
+      }
+      preloads.push_back(std::move(p));
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
@@ -124,14 +148,8 @@ int main(int argc, char** argv) {
     if (!p.source.empty() && p.source[0] == '@') {
       s = server.LoadFile(p.name, p.source.substr(1));
     } else {
-      double scale = 1.0;
-      std::string dataset = p.source;
-      const size_t colon = dataset.rfind(':');
-      if (colon != std::string::npos) {
-        scale = std::atof(dataset.c_str() + colon + 1);
-        dataset.resize(colon);
-      }
-      s = server.LoadDataset(p.name, dataset, scale);
+      s = server.LoadDataset(p.name, p.source.substr(0, p.source.rfind(':')),
+                             p.scale);
     }
     if (!s.ok()) {
       std::fprintf(stderr, "preload %s failed: %s\n", p.name.c_str(),

@@ -13,7 +13,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -500,6 +502,31 @@ TEST(ServerLoadTest, LoadOfDirectoryFails) {
   EXPECT_EQ(server.registry().Get("d"), nullptr);
 }
 
+// A `load` scale must be a finite number > 0: anything else is
+// InvalidArgument and registers nothing.
+TEST(ServerLoadTest, LoadRejectsScaleNotFiniteAndPositive) {
+  Server server;
+  std::string response;
+  for (const char* scale : {"0", "-5", "-0.5"}) {
+    server.HandleLine(
+        std::string("{\"id\":1,\"op\":\"load\",\"graph\":\"t\","
+                    "\"dataset\":\"reddit\",\"scale\":") +
+            scale + "}",
+        [&](std::string line) { response = std::move(line); });
+    EXPECT_NE(response.find("\"ok\": false"), std::string::npos) << scale;
+    EXPECT_NE(response.find("InvalidArgument"), std::string::npos)
+        << scale << "\n" << response;
+    EXPECT_EQ(server.registry().Get("t"), nullptr) << scale;
+  }
+  for (const double scale : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(server.LoadDataset("t", "reddit", scale).code(),
+              StatusCode::kInvalidArgument)
+        << scale;
+  }
+  EXPECT_EQ(server.registry().Get("t"), nullptr);
+}
+
 // A job that pinned the resident entry before an append and finishes
 // after it must answer from its pinned view but must NOT cache under the
 // superseded epoch: the append already erased the graph's prefix, so such
@@ -728,6 +755,127 @@ TEST(ServerConcurrencyTest, InterleavedJobsMatchStandalone) {
   EXPECT_GE(cs.hits, 1);
   EXPECT_EQ(server.scheduler().stats().submitted,
             static_cast<int64_t>(items.size()));
+}
+
+// Racing first callers build each derived graph once: every thread gets
+// the same object back. Each thread asks in a different order, so builds
+// of different derived graphs overlap too.
+TEST(WorkloadTest, DerivedGraphsBuiltOnceUnderConcurrency) {
+  const Workload w{testutil::MakeRandomGraph(5)};
+  auto derived = [&w](int which) -> const void* {
+    switch (which) {
+      case 0: return &w.reversed();
+      case 1: return &w.undirected();
+      case 2: return &w.transformed();
+      default: return &w.transformed_zero();
+    }
+  };
+  constexpr int kThreads = 8;
+  using Seen = std::array<const void*, 4>;
+  std::vector<Seen> seen(kThreads);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      for (int k = 0; k < 4; ++k) {
+        const int which = (t + k) % 4;
+        seen[t][which] = derived(which);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]) << t;
+  EXPECT_EQ(w.reversed().num_edges(), w.graph().num_edges());
+  EXPECT_EQ(w.undirected().num_edges(), 2 * w.graph().num_edges());
+}
+
+// Jobs on one resident graph run side by side, each needing a different
+// derived graph of the shared Workload (undirected, reversed,
+// transformed, zero-travel transformed) while the others build theirs;
+// every fragment must still equal the standalone render.
+TEST(ServerConcurrencyTest, JobsOnOneGraphShareItsDerivedGraphs) {
+  ServerOptions options;
+  options.scheduler.num_threads = 4;
+  Server server(options);
+  testutil::RandomGraphOptions ropt;
+  ropt.full_lifespan_prob = 1.0;
+  const TemporalGraph graph = testutil::MakeRandomGraph(91, ropt);
+  server.registry().Add("g", TemporalGraph(graph));
+
+  // "cache":false makes every request run, none served from the cache.
+  const std::string g = "\"graph\":\"g\",\"cache\":false";
+  const std::vector<std::string> shapes = {
+      "\"op\":\"run\"," + g + ",\"alg\":\"wcc\"",
+      "\"op\":\"run\"," + g + ",\"alg\":\"scc\"",
+      "\"op\":\"run\"," + g + ",\"alg\":\"sssp\",\"source\":0,"
+          "\"platform\":\"tgb\"",
+      "\"op\":\"run\"," + g + ",\"alg\":\"tc\",\"platform\":\"tgb\"",
+      "\"op\":\"path\"," + g + ",\"kind\":\"ld\",\"source\":0,"
+          "\"target\":5",
+  };
+  std::vector<std::string> expected;
+  for (const std::string& shape : shapes) {
+    expected.push_back(Standalone(MustParse("{" + shape + "}"), graph));
+  }
+
+  Mutex mu;
+  std::vector<std::string> responses;
+  auto respond = [&](std::string line) {
+    MutexLock lock(mu);
+    responses.push_back(std::move(line));
+  };
+  // Submitter s sends every shape once, starting at shape s, under id
+  // s * |shapes| + shape.
+  constexpr int kSubmitters = 8;
+  const int64_t n = static_cast<int64_t>(shapes.size());
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      for (int64_t k = 0; k < n; ++k) {
+        const int64_t shape = (s + k) % n;
+        server.HandleLine("{\"id\":" + std::to_string(s * n + shape) + "," +
+                              shapes[shape] + "}",
+                          respond);
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  server.scheduler().Drain();
+
+  ASSERT_EQ(responses.size(), static_cast<size_t>(kSubmitters * n));
+  for (const std::string& response : responses) {
+    auto doc = ParseJson(response);
+    ASSERT_TRUE(doc.ok()) << response;
+    ASSERT_TRUE(doc->GetBool("ok")) << response;
+    const int64_t shape = doc->GetInt("id", -1) % n;
+    EXPECT_NE(response.find(expected[shape]), std::string::npos)
+        << shapes[shape] << "\n" << response;
+    EXPECT_FALSE(doc->GetBool("cached")) << response;
+  }
+}
+
+// A line that fails to parse is answered with its "id" when it is an
+// object carrying one, so a client pipelining requests can tell which
+// one failed; anything else gets -1.
+TEST(ServerProtocolTest, ParseErrorEchoesRequestId) {
+  Server server;
+  std::string response;
+  auto respond = [&](std::string line) { response = std::move(line); };
+  const std::pair<const char*, int64_t> cases[] = {
+      {"{\"id\":5,\"op\":\"append\",\"graph\":\"t\",\"vertices\":\"x\"}", 5},
+      {"{\"id\":7,\"op\":\"run\",\"workers\":65}", 7},
+      {"[{\"id\":3}]", -1},
+      {"not json", -1},
+  };
+  for (const auto& [line, id] : cases) {
+    server.HandleLine(line, respond);
+    auto doc = ParseJson(response);
+    ASSERT_TRUE(doc.ok()) << response;
+    EXPECT_FALSE(doc->GetBool("ok", true)) << line;
+    EXPECT_EQ(doc->GetInt("id", -2), id) << line << "\n" << response;
+  }
 }
 
 TEST(SchedulerTest, BoundedAdmissionRejectsWhenFull) {
