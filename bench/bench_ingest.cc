@@ -150,7 +150,7 @@ RecomputeSample RecomputePass(const IngestWorkload& w, VertexId source,
     s.full_calls += full.metrics.compute_calls;
 
     for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-      GRAPHITE_CHECK(result.states[v].entries() == full.states[v].entries());
+      GRAPHITE_CHECK(result.states[v] == full.states[v]);
     }
   }
   return s;

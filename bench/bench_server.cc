@@ -6,15 +6,18 @@
 // TimeSlice a windowed `run` makes before its engine run) on Twitter-like
 // graphs 4x apart, and the text-format load (ReadTextGraph, what
 // `--preload NAME=@FILE` and the `load` op run) of one catalog graph.
-// Heap allocations on the hit path, in the pre-filter and in the load
-// are counted exactly via the replaced operator new
-// (bench/alloc_counter.h).
+// It also renders 300 seeded uncached `path eat` reads per graph
+// in-process and reports their per-read time, engine counters and heap
+// allocations. Heap allocations on the hit path, in the pre-filter, in the
+// load and per point read are counted exactly via the replaced operator
+// new (bench/alloc_counter.h).
 //
 // Output: a JSON report (default BENCH_server.json in the working
 // directory). The committed copy at the repo root is the regression
 // baseline: tools/check_bench_regression.py compares the "gated" block of
 // a fresh run against it (ctest label `perf`). The >=10x hit/miss speedup
-// acceptance, the hit-path, pre-filter and text-load allocation counts,
+// acceptance, the hit-path, pre-filter, text-load and point-read
+// allocation counts,
 // and the pre-filter's allocation growth between the two graph sizes are
 // deterministic-ish per build and gated unconditionally; raw
 // latency/throughput keys are timing
@@ -42,6 +45,7 @@
 #include "query/temporal_query.h"
 #include "server/server.h"
 #include "util/json.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace graphite {
@@ -142,6 +146,56 @@ TextLoadSample MeasureTextLoad(const std::string& text) {
   s.bytes = text.size();
   s.ns = static_cast<double>(NowNanos() - t0) / kReps;
   s.allocs = static_cast<double>(benchalloc::AllocCount() - a0) / kReps;
+  return s;
+}
+
+// Uncached `path eat` reads rendered in-process: per-read means over
+// seeded random (source with out-edges, any target) pairs.
+struct PointReadSample {
+  int reads = 0;
+  double us = 0;           // the whole render: engine run + fragment
+  double makespan_us = 0;  // the engine run alone
+  double compute_calls = 0;
+  double messages = 0;
+  double supersteps = 0;
+  double allocs = 0;
+};
+
+PointReadSample MeasurePointReads(const Workload& w, int reads,
+                                  uint64_t seed) {
+  const TemporalGraph& g = w.graph();
+  std::vector<VertexId> sources;
+  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
+    if (g.OutEdges(v).size() > 0) sources.push_back(g.vertex_id(v));
+  }
+  GRAPHITE_CHECK(!sources.empty());
+  QueryRequest req;
+  req.op = "path";
+  req.kind = "eat";
+  req.workers = 4;
+  req.mode = "sequential";
+  Rng rng(seed);
+  PointReadSample s;
+  s.reads = reads;
+  for (int i = 0; i < reads; ++i) {
+    req.source = sources[rng.Uniform(sources.size())];
+    req.target = g.vertex_id(static_cast<VertexIdx>(
+        rng.Uniform(static_cast<uint64_t>(g.num_vertices()))));
+    RunMetrics m;
+    const uint64_t a0 = benchalloc::AllocCount();
+    const int64_t t0 = NowNanos();
+    GRAPHITE_CHECK(QueryService::RenderFragment(req, w, &m).ok());
+    s.us += static_cast<double>(NowNanos() - t0) / 1e3;
+    s.allocs += static_cast<double>(benchalloc::AllocCount() - a0);
+    s.makespan_us += static_cast<double>(m.makespan_ns) / 1e3;
+    s.compute_calls += static_cast<double>(m.compute_calls);
+    s.messages += static_cast<double>(m.messages);
+    s.supersteps += static_cast<double>(m.supersteps);
+  }
+  for (double* x : {&s.us, &s.makespan_us, &s.compute_calls, &s.messages,
+                    &s.supersteps, &s.allocs}) {
+    *x /= reads;
+  }
   return s;
 }
 
@@ -297,6 +351,23 @@ int main(int argc, char** argv) {
               text_load.ns / 1e6, load_ns_per_line, load_mb_per_s,
               load_allocs_per_kline);
 
+  // ---- Point reads: what one uncached serve-cold `path eat` costs, per
+  // layer (engine run vs render) and in model counters. A source-rooted
+  // read should allocate and visit in proportion to what it reaches, not
+  // to the graph's vertex count.
+  constexpr int kPointReads = 300;
+  PointReadSample point[std::size(kResidents)];
+  for (size_t i = 0; i < std::size(kResidents); ++i) {
+    const Workload& w = server.registry().Get(kResidents[i].name)->workload;
+    point[i] = MeasurePointReads(w, kPointReads, 21 + i);
+    std::printf("  path eat (%s, %zu vertices, %d reads): %.1f us (engine "
+                "%.1f us), %.0f compute calls, %.0f messages, %.1f "
+                "supersteps, %.0f allocs per read\n",
+                kResidents[i].name, w.graph().num_vertices(), kPointReads,
+                point[i].us, point[i].makespan_us, point[i].compute_calls,
+                point[i].messages, point[i].supersteps, point[i].allocs);
+  }
+
   std::printf(
       "Serving bench (scale %.2f, %d cores): miss %.1f us, hit %.2f us "
       "(%.0fx, %.1f allocs/hit), mixed %zu reqs in %.1f ms (%.0f req/s, "
@@ -341,6 +412,22 @@ int main(int argc, char** argv) {
   json.Key("mb_per_s").Fixed(load_mb_per_s, 1);
   json.Key("allocs").Fixed(text_load.allocs, 1);
   json.EndObject();
+  json.Key("point_reads").BeginArray();
+  for (size_t i = 0; i < std::size(kResidents); ++i) {
+    const PointReadSample& p = point[i];
+    json.BeginObject();
+    json.Key("graph").String(kResidents[i].name);
+    json.Key("kind").String("eat");
+    json.Key("reads").Int(p.reads);
+    json.Key("us").Fixed(p.us, 1);
+    json.Key("makespan_us").Fixed(p.makespan_us, 1);
+    json.Key("compute_calls").Fixed(p.compute_calls, 1);
+    json.Key("messages").Fixed(p.messages, 1);
+    json.Key("supersteps").Fixed(p.supersteps, 2);
+    json.Key("allocs").Fixed(p.allocs, 1);
+    json.EndObject();
+  }
+  json.EndArray();
   json.Key("gated").BeginObject();
   // The serving acceptance: repeated requests answered from cache at
   // least an order of magnitude faster than the cold run. Encoded as a
@@ -355,6 +442,9 @@ int main(int argc, char** argv) {
             "lower", /*timing=*/false);
   GateEntry(&json, "server_text_load_allocs_per_kline", load_allocs_per_kline,
             "lower", /*timing=*/false);
+  // Mean heap allocations of one uncached `path eat` read on rd.
+  GateEntry(&json, "server_point_query_allocs", point[1].allocs, "lower",
+            /*timing=*/false);
   GateEntry(&json, "server_hit_ns", hit_ns, "lower", /*timing=*/true);
   GateEntry(&json, "server_miss_ns", miss_ns, "lower", /*timing=*/true);
   GateEntry(&json, "server_mixed_rps", rps, "higher", /*timing=*/true);

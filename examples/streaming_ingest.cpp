@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
     incremental_calls += result.metrics.compute_calls;
     full_calls += full.metrics.compute_calls;
     for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-      GRAPHITE_CHECK(result.states[v].entries() == full.states[v].entries());
+      GRAPHITE_CHECK(result.states[v] == full.states[v]);
     }
     std::printf("  account 0 reaches %lld accounts "
                 "(incremental: %lld compute calls vs %lld full — states "

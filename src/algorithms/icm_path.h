@@ -65,6 +65,8 @@ class IcmSssp {
       : labels_(g), source_(source) {}
 
   State Init(VertexIdx) const { return kInfCost; }
+  /// Superstep 0 only seeds the source (IcmHasSeedVertex).
+  VertexId SeedVertex() const { return source_; }
 
   static Message Combine(const Message& a, const Message& b) {
     return std::min(a, b);
@@ -112,6 +114,8 @@ class IcmEat {
       : labels_(g), source_(source), target_(IndexOfTarget(g, target)) {}
 
   State Init(VertexIdx) const { return kInfCost; }
+  /// Superstep 0 only seeds the source (IcmHasSeedVertex).
+  VertexId SeedVertex() const { return source_; }
 
   static Message Combine(const Message& a, const Message& b) {
     return std::min(a, b);
@@ -167,6 +171,8 @@ class IcmTmst {
       : labels_(g), source_(source) {}
 
   State Init(VertexIdx) const { return {kInfCost, -1}; }
+  /// Superstep 0 only seeds the source (IcmHasSeedVertex).
+  VertexId SeedVertex() const { return source_; }
 
   static Message Combine(const Message& a, const Message& b) {
     return std::min(a, b);  // Lexicographic: arrival, then parent id.
@@ -226,6 +232,8 @@ class IcmReach {
         until_(by == kTimeMax ? kTimeMax : by + 1) {}
 
   State Init(VertexIdx) const { return 0; }
+  /// Superstep 0 only seeds the source (IcmHasSeedVertex).
+  VertexId SeedVertex() const { return source_; }
 
   static Message Combine(const Message&, const Message&) { return 1; }
 
@@ -281,6 +289,8 @@ class IcmFast {
       : labels_(g), source_(source) {}
 
   State Init(VertexIdx) const { return kNegInf; }
+  /// Superstep 0 only seeds the source (IcmHasSeedVertex).
+  VertexId SeedVertex() const { return source_; }
 
   static Message Combine(const Message& a, const Message& b) {
     return std::max(a, b);
@@ -337,6 +347,8 @@ class IcmLatestDeparture {
       : labels_(reversed), target_(target), deadline_(deadline) {}
 
   State Init(VertexIdx) const { return kNegInf; }
+  /// Superstep 0 only seeds the target (IcmHasSeedVertex).
+  VertexId SeedVertex() const { return target_; }
 
   static Message Combine(const Message& a, const Message& b) {
     return std::max(a, b);

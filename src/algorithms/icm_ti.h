@@ -34,6 +34,8 @@ class IcmBfs {
       : source_(source), seed_(seed) {}
 
   State Init(VertexIdx) const { return kInfCost; }
+  /// Superstep 0 only seeds the source (IcmHasSeedVertex).
+  VertexId SeedVertex() const { return source_; }
 
   static Message Combine(const Message& a, const Message& b) {
     return std::min(a, b);

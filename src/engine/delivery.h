@@ -43,6 +43,18 @@
 
 namespace graphite {
 
+/// The units of ascending `units` in [unit_begin, unit_end): two binary
+/// searches.
+inline std::span<const uint32_t> SortedSlice(std::span<const uint32_t> units,
+                                             uint32_t unit_begin,
+                                             uint32_t unit_end) {
+  const uint32_t* lo =
+      std::lower_bound(units.data(), units.data() + units.size(), unit_begin);
+  const uint32_t* hi =
+      std::lower_bound(lo, units.data() + units.size(), unit_end);
+  return {lo, static_cast<size_t>(hi - lo)};
+}
+
 /// A Placement materialized over a concrete unit universe: the forward
 /// map (worker_of) used on the send side and the inverse lists
 /// (units_of) that drive compute distribution. Built once per run — the
@@ -231,11 +243,7 @@ class DeliveryPlane {
   /// this is two binary searches).
   std::span<const uint32_t> FrontierSlice(int worker, uint32_t unit_begin,
                                           uint32_t unit_end) const {
-    const std::span<const uint32_t> f = inbox_[worker].Frontier();
-    const uint32_t* lo = std::lower_bound(f.data(), f.data() + f.size(),
-                                          unit_begin);
-    const uint32_t* hi = std::lower_bound(lo, f.data() + f.size(), unit_end);
-    return {lo, static_cast<size_t>(hi - lo)};
+    return SortedSlice(inbox_[worker].Frontier(), unit_begin, unit_end);
   }
   /// Frontier metrics for the superstep that just sealed: total mailed
   /// units across workers (scheduling/density invariant) and how

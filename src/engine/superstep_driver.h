@@ -15,7 +15,9 @@
 //               frontier went dense, or else its slice of the sorted
 //               frontier — prefetching the next unit's inbox (on the
 //               dense paths only when op.kPrefetchDense) — calling
-//               op.Visit once per unit.
+//               op.Visit once per unit. When the operator names a seed
+//               set (op.SeedUnits), superstep 0 visits only those units,
+//               through the frontier path.
 //   fold        per-chunk time and Tally counters into SuperstepMetrics,
 //               keyed by logical worker; op.Fold adds engine extras.
 //   barrier     DeliveryPlane::Barrier (the only arena reset), then
@@ -49,6 +51,13 @@
 //   void EncodeItem(Writer&, const Item&) const;    one undelivered
 //   Item DecodeItem(Reader&) const;                 message
 //   void Carry(CarryCounters*);  engine counters a frame carries; optional
+//   std::optional<std::span<const uint32_t>> SeedUnits();  optional:
+//       superstep 0's activation set (distinct owned units, any order), or
+//       nullopt for every owned unit. An operator names one only when its
+//       superstep-0 visit does nothing on every other unit; a cold start
+//       of a source-rooted program then costs what it traverses, not
+//       O(units). Ignored when always-active and on a resume (which starts
+//       past superstep 0).
 //
 // Units: the plane's inbox universe is DeliveryPlane::layers() copies of
 // the WorkerMap's unit space; the driver visits a chunk's units in every
@@ -210,13 +219,18 @@ class SuperstepDriver {
     const int num_chunks = rt_.num_chunks();
     FaultInjector* const fault = recovery_.fault;
     std::atomic<bool> killed{false};
+    bool seeded = false;
+    if constexpr (requires { op.SeedUnits(); }) {
+      if (first == 0 && !always_active) seeded = SplitSeeds(op.SeedUnits());
+    }
     for (int superstep = first; superstep < max_supersteps; ++superstep) {
       SuperstepMetrics ss;
       ss.worker_compute_ns.assign(num_workers, 0);
       ss.worker_in_bytes.assign(num_workers, 0);
       ss.worker_compute_calls.assign(num_workers, 0);
       std::fill(tally_.begin(), tally_.end(), Tally{});
-      const bool every = superstep == 0 || always_active;
+      const bool from_seeds = superstep == 0 && seeded;
+      const bool every = always_active || (superstep == 0 && !seeded);
 
       ss.steals = rt_.ComputePhase(
           &ss.thread_compute_ns,
@@ -229,7 +243,7 @@ class SuperstepDriver {
             const int64_t t0 = NowNanos();
             const ChunkCursor<Tally> at{superstep, chunk.worker, c,
                                         thread,    &tally_[c],   &wire_[c]};
-            VisitChunk(op, at, chunk, every);
+            VisitChunk(op, at, chunk, every, from_seeds);
             chunk_ns_[c] = NowNanos() - t0;
           });
       if (killed.load(std::memory_order_relaxed)) {
@@ -291,13 +305,31 @@ class SuperstepDriver {
   static constexpr bool kPrefetchesDense =
       requires { requires Op::kPrefetchDense; };
 
+  // Splits the operator's seed set by owner into seeds_; false when it
+  // names none (every unit is visited).
+  bool SplitSeeds(std::optional<std::span<const uint32_t>> units) {
+    if (!units) return false;
+    const uint32_t stride = static_cast<uint32_t>(plane_.map().num_units());
+    seeds_.assign(plane_.num_workers(), {});
+    for (const uint32_t u : *units) {
+      GRAPHITE_CHECK(u < plane_.num_units());
+      seeds_[plane_.map().WorkerOf(u % stride)].push_back(u);
+    }
+    for (std::vector<uint32_t>& mine : seeds_) {
+      std::sort(mine.begin(), mine.end());
+    }
+    return true;
+  }
+
   // Visits one chunk's activation set, layer by layer (see "Units").
+  // `from_seeds` takes superstep 0's set from seeds_ instead of the mail.
   template <typename Op>
   void VisitChunk(Op& op, const ChunkCursor<Tally>& at, const WorkChunk& chunk,
-                  bool every) {
+                  bool every, bool from_seeds) {
     const std::vector<uint32_t>& mine = plane_.map().units_of(chunk.worker);
     const uint32_t stride = static_cast<uint32_t>(plane_.map().num_units());
-    const bool dense = every || plane_.FrontierIsDense(chunk.worker);
+    const bool dense =
+        every || (!from_seeds && plane_.FrontierIsDense(chunk.worker));
     for (uint32_t layer = 0; layer < plane_.layers(); ++layer) {
       const uint32_t base = layer * stride;
       if (dense) {
@@ -313,14 +345,15 @@ class SuperstepDriver {
         }
         continue;
       }
-      // Frontier path: the sorted mailed-unit list sliced to this chunk's
-      // unit range — exactly the units the sweep would find, in the same
-      // order, without the per-unit flag reads.
+      // Frontier path: the sorted mailed-unit list (or seed list) sliced
+      // to this chunk's unit range — exactly the units the sweep would
+      // find, in the same order, without the per-unit flag reads.
       const uint32_t lo = base + mine[chunk.begin];
       const uint32_t hi =
           chunk.end < mine.size() ? base + mine[chunk.end] : base + stride;
       const std::span<const uint32_t> fs =
-          plane_.FrontierSlice(chunk.worker, lo, hi);
+          from_seeds ? SortedSlice(seeds_[chunk.worker], lo, hi)
+                     : plane_.FrontierSlice(chunk.worker, lo, hi);
       for (size_t i = 0; i < fs.size(); ++i) {
         if (i + 1 < fs.size()) plane_.Prefetch(chunk.worker, fs[i + 1]);
         op.Visit(at, fs[i]);
@@ -405,6 +438,8 @@ class SuperstepDriver {
   std::vector<int> row_src_;  // lint:allow(vector: per-run chunk map, sized once)
   std::vector<Tally> tally_;  // lint:allow(vector: per-run counters, sized once)
   std::vector<int64_t> chunk_ns_;  // lint:allow(vector: per-run timings, sized once)
+  // Superstep 0's seed set by owner, ascending (SplitSeeds).
+  std::vector<std::vector<uint32_t>> seeds_;  // lint:allow(vector: per-run seed set, built once before superstep 0)
 };
 
 }  // namespace graphite

@@ -6,7 +6,10 @@
 //                 Compute runs once per vertex over that span with no
 //                 messages (the paper's "compute is called on all vertices
 //                 in superstep 1, with no messages and for the entire
-//                 vertex lifespan").
+//                 vertex lifespan"). A program that declares a seed vertex
+//                 (SeedVertex below: the source of a traversal) is called
+//                 on that vertex only; on every other vertex its
+//                 superstep-0 Compute would do nothing.
 //   superstep k   Only vertices that received messages are active. The
 //                 time-warp operator aligns and groups the messages with
 //                 the partitioned vertex states; Compute runs once per warp
@@ -42,6 +45,8 @@
 //     // coordinating thread: once after recovery, then at every barrier.
 //     // void MasterCompute(std::span<const IntervalMap<State>> states,
 //     //                    int next_superstep);
+//     // Optional seed vertex (IcmHasSeedVertex):
+//     // VertexId SeedVertex() const;
 //   };
 #ifndef GRAPHITE_ICM_ICM_ENGINE_H_
 #define GRAPHITE_ICM_ICM_ENGINE_H_
@@ -94,6 +99,17 @@ template <typename P>
 concept IcmHasMasterCompute =
     requires(P& p, std::span<const IntervalMap<typename P::State>> states,
              int next_superstep) { p.MasterCompute(states, next_superstep); };
+
+/// Source-rooted programs whose superstep-0 Compute changes nothing on
+/// any vertex but one declare that vertex (`VertexId SeedVertex() const`).
+/// A cold run's superstep 0 then calls Compute on it alone (a vertex id
+/// not in the graph seeds nothing), so a point query costs the vertices it
+/// reaches instead of every vertex. Counters differ only in superstep 0's
+/// compute_calls; states, messages and supersteps are unchanged.
+template <typename P>
+concept IcmHasSeedVertex = requires(const P& p) {
+  { p.SeedVertex() } -> std::convertible_to<VertexId>;
+};
 
 template <typename P>
 concept IcmHasCombiner = requires(const typename P::Message& a,
@@ -395,6 +411,20 @@ class IcmEngine {
           std::span<const IntervalMap<State>>(result_.states),
           next_superstep_);
     }
+  }
+
+  // Superstep 0's activation set: the program's seed vertex, if it
+  // declares one (IcmHasSeedVertex); every vertex otherwise, and on a
+  // warm start, which seeds from its receipt (WarmSeedVertex).
+  std::optional<std::span<const uint32_t>> SeedUnits() {
+    if constexpr (IcmHasSeedVertex<Program>) {
+      if (warm_ == nullptr) {
+        const auto seed = g_.IndexOf(program_.SeedVertex());
+        seed_ = seed.value_or(0);
+        return std::span<const uint32_t>(&seed_, seed ? 1 : 0);
+      }
+    }
+    return std::nullopt;
   }
 
   void Carry(CarryCounters* c) const {
@@ -865,6 +895,7 @@ class IcmEngine {
   // One per OS lane; capacities survive supersteps.
   std::vector<WorkerScratch> scratch_;  // lint:allow(vector: amortized scratch)
   bool warm_seeded_ = false;  ///< Superstep 0 runs the warm seed.
+  VertexIdx seed_ = 0;        ///< What SeedUnits' span points at.
   int next_superstep_ = 0;    ///< The superstep MasterCompute precedes.
 };
 

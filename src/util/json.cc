@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -111,28 +112,36 @@ JsonWriter& JsonWriter::Double(double value) {
     out_.append("null");
     return *this;
   }
+  // The shortest "%.Pg" that parses back to the value; integral values get
+  // a ".0" so the token parses back as a double-typed number. No shorter P
+  // can round-trip than the digit count of the shortest round-trip text
+  // (one scientific conversion), and that P nearly always does. It can
+  // miss where the correctly rounded P digits fall outside the round-trip
+  // interval, which is narrower below an exact power of two (2^-44: the
+  // shortest text is 5.684341886080802e-14, "%.16g" 5.684341886080801e-14
+  // parses to the predecessor), so each candidate is parsed back and P
+  // grows until one holds; 17 digits always do.
   char buf[40];
-  // Shortest %g that round-trips a double; force a ".0" for integral
-  // values so the token parses back as a double-typed number.
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  double parsed = 0;
-  std::sscanf(buf, "%lf", &parsed);
-  if (parsed == value) {
-    for (int prec = 1; prec < 17; ++prec) {
-      char probe[40];
-      std::snprintf(probe, sizeof(probe), "%.*g", prec, value);
-      std::sscanf(probe, "%lf", &parsed);
-      if (parsed == value) {
-        std::memcpy(buf, probe, sizeof(probe));
-        break;
-      }
-    }
+  const std::to_chars_result shortest =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::scientific);
+  GRAPHITE_CHECK(shortest.ec == std::errc());
+  int digits = 0;
+  for (const char* c = buf; c != shortest.ptr && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++digits;
   }
-  out_.append(buf);
-  if (out_.find_first_of(".eEn", out_.size() - std::strlen(buf)) ==
-      std::string::npos) {
-    out_.append(".0");
+  std::to_chars_result general;
+  for (;; ++digits) {
+    general = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, digits);
+    GRAPHITE_CHECK(general.ec == std::errc());
+    if (digits >= 17) break;
+    double parsed = 0;
+    std::from_chars(buf, general.ptr, parsed);
+    if (parsed == value) break;
   }
+  const std::string_view text(buf, static_cast<size_t>(general.ptr - buf));
+  out_.append(text);
+  if (text.find_first_of(".eEn") == std::string_view::npos) out_.append(".0");
   return *this;
 }
 

@@ -248,7 +248,7 @@ void ExpectSameOutcome(const IcmResult<P>& want, const IcmResult<P>& got,
                        const std::string& what) {
   ASSERT_EQ(want.states.size(), got.states.size()) << what;
   for (size_t v = 0; v < want.states.size(); ++v) {
-    ASSERT_EQ(want.states[v].entries(), got.states[v].entries())
+    ASSERT_EQ(want.states[v], got.states[v])
         << what << " v=" << v;
   }
   EXPECT_EQ(want.metrics.supersteps, got.metrics.supersteps) << what;
@@ -366,7 +366,7 @@ TEST(CheckpointRecoveryScopedTest, KilledAtEachSuperstepRebuildsTheBound) {
       const auto resumed =
           IcmEngine<Program>::Run(g, resumed_program, options, resume);
       EXPECT_EQ(resumed.metrics.resumed_from, kill == 0 ? -1 : kill) << at;
-      EXPECT_EQ(baseline.states[tgt].entries(), resumed.states[tgt].entries())
+      EXPECT_EQ(baseline.states[tgt], resumed.states[tgt])
           << at;
       ExpectSameOutcome(baseline, resumed, at);
     }

@@ -139,7 +139,7 @@ TEST(BuilderTest, UnvalidatedOverlapsResolveLikeSet) {
   EXPECT_EQ(labels, (std::vector<std::string>{"z", "w"}));
   const PropRuns got = g->EdgeProperty(0, *g->LabelIdOf("w"));
   EXPECT_EQ(std::vector<PropRun>(got.entries().begin(), got.entries().end()),
-            want.entries());
+            std::vector<PropRun>(want.entries().begin(), want.entries().end()));
 }
 
 TEST(BuilderTest, InvalidIntervalRejected) {

@@ -52,7 +52,7 @@ TEST_P(IcmOptionsTest, SsspInvariant) {
     auto b = got.states[v];
     a.Coalesce();
     b.Coalesce();
-    ASSERT_EQ(a.entries(), b.entries()) << "v=" << v;
+    ASSERT_EQ(a, b) << "v=" << v;
   }
   // Optimizations never change what is sent, only how it is computed —
   // except suppression, which may alter call counts, never messages.

@@ -359,7 +359,7 @@ TEST(IngestAppendTest, AppendMatchesSingleShotBuild) {
     const auto got = IcmEngine<IcmSssp>::Run(got_graph, got_p, opts);
     ASSERT_EQ(want.states.size(), got.states.size()) << what;
     for (size_t v = 0; v < want.states.size(); ++v) {
-      ASSERT_EQ(want.states[v].entries(), got.states[v].entries())
+      ASSERT_EQ(want.states[v], got.states[v])
           << what << " v=" << v;
     }
     EXPECT_EQ(want.metrics.supersteps, got.metrics.supersteps) << what;
@@ -841,7 +841,7 @@ void CheckIcmIncrementalMatrix(uint64_t seed, const char* prog_name) {
                                  " w=" + std::to_string(workers);
         ASSERT_EQ(want.states.size(), got.states.size()) << what;
         for (size_t v = 0; v < want.states.size(); ++v) {
-          ASSERT_EQ(want.states[v].entries(), got.states[v].entries())
+          ASSERT_EQ(want.states[v], got.states[v])
               << what << " v=" << v;
         }
       }
@@ -891,7 +891,7 @@ TEST(IngestIncrementalTest, IncrementalDoesLessComputeWork) {
       merged, inc_program, std::move(warm), MakeOptions(kModes[0], 3));
 
   for (size_t v = 0; v < full.states.size(); ++v) {
-    ASSERT_EQ(full.states[v].entries(), inc.states[v].entries()) << v;
+    ASSERT_EQ(full.states[v], inc.states[v]) << v;
   }
   EXPECT_LT(inc.metrics.compute_calls, full.metrics.compute_calls);
   EXPECT_LT(inc.metrics.messages, full.metrics.messages);
@@ -961,7 +961,7 @@ TEST(IngestCheckpointTest, HeadMismatchIgnoresStaleCheckpoints) {
     const auto got = IcmEngine<IcmSssp>::Run(merged, p, probe_options, resume);
     EXPECT_EQ(got.metrics.resumed_from, -1);
     for (size_t v = 0; v < want.states.size(); ++v) {
-      ASSERT_EQ(want.states[v].entries(), got.states[v].entries()) << v;
+      ASSERT_EQ(want.states[v], got.states[v]) << v;
     }
   }
 
@@ -980,7 +980,7 @@ TEST(IngestCheckpointTest, HeadMismatchIgnoresStaleCheckpoints) {
         merged, p, std::move(warm), probe_options, resume);
     EXPECT_EQ(got.metrics.resumed_from, -1);
     for (size_t v = 0; v < want.states.size(); ++v) {
-      ASSERT_EQ(want.states[v].entries(), got.states[v].entries()) << v;
+      ASSERT_EQ(want.states[v], got.states[v]) << v;
     }
   }
 }
@@ -1040,8 +1040,8 @@ TEST(IngestCheckpointTest, KillAndResumeMidIncrementalIngest) {
   IcmEat full_program(merged, source);
   const auto full = IcmEngine<IcmEat>::Run(merged, full_program, options);
   for (size_t v = 0; v < full.states.size(); ++v) {
-    ASSERT_EQ(full.states[v].entries(), resumed.states[v].entries()) << v;
-    ASSERT_EQ(baseline.states[v].entries(), resumed.states[v].entries()) << v;
+    ASSERT_EQ(full.states[v], resumed.states[v]) << v;
+    ASSERT_EQ(baseline.states[v], resumed.states[v]) << v;
   }
   // Counter totals restored from the frame line up with the run that
   // never died.

@@ -106,7 +106,7 @@ TEST(PartitionStrategiesTest, IcmResultsInvariantToStrategy) {
       auto b = got.states[v];
       a.Coalesce();
       b.Coalesce();
-      ASSERT_EQ(a.entries(), b.entries()) << PartitionStrategyName(s);
+      ASSERT_EQ(a, b) << PartitionStrategyName(s);
     }
     EXPECT_EQ(got.metrics.messages, want.metrics.messages);
   }

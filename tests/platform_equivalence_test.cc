@@ -88,9 +88,9 @@ TEST_P(PlatformEquivalenceTest, SsspAcrossPlatforms) {
   // Every platform returns the canonical form (reached entries only,
   // coalesced), so the maps compare exactly, entry for entry.
   for (VertexIdx v = 0; v < graph().num_vertices(); ++v) {
-    ASSERT_EQ(icm[v].entries(), tgb[v].entries())
+    ASSERT_EQ(icm[v], tgb[v])
         << "SSSP icm/tgb v=" << v << " seed=" << GetParam();
-    ASSERT_EQ(icm[v].entries(), gof[v].entries())
+    ASSERT_EQ(icm[v], gof[v])
         << "SSSP icm/gof v=" << v << " seed=" << GetParam();
   }
 }

@@ -104,7 +104,7 @@ void ExpectIdentical(const IcmResult<Program>& want,
                      const IcmResult<Program>& got, const char* what) {
   ASSERT_EQ(want.states.size(), got.states.size()) << what;
   for (size_t v = 0; v < want.states.size(); ++v) {
-    ASSERT_EQ(want.states[v].entries(), got.states[v].entries())
+    ASSERT_EQ(want.states[v], got.states[v])
         << what << " v=" << v;
   }
   EXPECT_EQ(want.active_compute_calls, got.active_compute_calls) << what;
