@@ -49,8 +49,8 @@ class IcmTriangleCount {
   using Message = std::pair<int64_t, int64_t>;
 
   /// TI logic never reads edge properties: scatter slices are not
-  /// refined at property boundaries (see IcmUsesEdgeProperties).
-  static constexpr bool kUsesEdgeProperties = false;
+  /// refined at property boundaries (see IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const { return {}; }
 
   static constexpr int kMaxSupersteps = 4;
 

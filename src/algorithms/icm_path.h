@@ -14,6 +14,7 @@
 #define GRAPHITE_ALGORITHMS_ICM_PATH_H_
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <span>
 #include <utility>
@@ -24,14 +25,28 @@
 namespace graphite {
 
 /// Resolves the travel-time / travel-cost labels of a graph once, so the
-/// per-slice property lookups inside Scatter are by LabelId.
+/// per-slice property lookups inside Scatter are by LabelId, and lists
+/// them for the programs' ScatterLabels (IcmDeclaresScatterLabels).
 struct PathLabels {
   std::optional<LabelId> travel_time;
   std::optional<LabelId> travel_cost;
 
   explicit PathLabels(const TemporalGraph& g)
       : travel_time(g.LabelIdOf(kTravelTimeLabel)),
-        travel_cost(g.LabelIdOf(kTravelCostLabel)) {}
+        travel_cost(g.LabelIdOf(kTravelCostLabel)) {
+    if (travel_time) read_[num_time_++] = *travel_time;
+    num_both_ = num_time_;
+    if (travel_cost) read_[num_both_++] = *travel_cost;
+  }
+
+  /// The labels TravelTime reads (those the graph has).
+  std::span<const LabelId> TimeLabels() const {
+    return {read_.data(), num_time_};
+  }
+  /// The labels TravelTime and TravelCost read.
+  std::span<const LabelId> TimeAndCostLabels() const {
+    return {read_.data(), num_both_};
+  }
 
   template <typename Ctx>
   TimePoint TravelTime(const Ctx& ctx) const {
@@ -45,6 +60,11 @@ struct PathLabels {
     auto v = ctx.EdgeProp(*travel_cost);
     return v ? *v : 1;
   }
+
+ private:
+  std::array<LabelId, 2> read_{};
+  size_t num_time_ = 0;
+  size_t num_both_ = 0;
 };
 
 /// The vertex index of a point query's target; nullopt when there is no
@@ -67,6 +87,10 @@ class IcmSssp {
   State Init(VertexIdx) const { return kInfCost; }
   /// Superstep 0 only seeds the source (IcmHasSeedVertex).
   VertexId SeedVertex() const { return source_; }
+  /// Scatter reads travel time and cost (IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const {
+    return labels_.TimeAndCostLabels();
+  }
 
   static Message Combine(const Message& a, const Message& b) {
     return std::min(a, b);
@@ -116,6 +140,10 @@ class IcmEat {
   State Init(VertexIdx) const { return kInfCost; }
   /// Superstep 0 only seeds the source (IcmHasSeedVertex).
   VertexId SeedVertex() const { return source_; }
+  /// Scatter reads travel time only (IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const {
+    return labels_.TimeLabels();
+  }
 
   static Message Combine(const Message& a, const Message& b) {
     return std::min(a, b);
@@ -173,6 +201,10 @@ class IcmTmst {
   State Init(VertexIdx) const { return {kInfCost, -1}; }
   /// Superstep 0 only seeds the source (IcmHasSeedVertex).
   VertexId SeedVertex() const { return source_; }
+  /// Scatter reads travel time only (IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const {
+    return labels_.TimeLabels();
+  }
 
   static Message Combine(const Message& a, const Message& b) {
     return std::min(a, b);  // Lexicographic: arrival, then parent id.
@@ -234,6 +266,10 @@ class IcmReach {
   State Init(VertexIdx) const { return 0; }
   /// Superstep 0 only seeds the source (IcmHasSeedVertex).
   VertexId SeedVertex() const { return source_; }
+  /// Scatter reads travel time only (IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const {
+    return labels_.TimeLabels();
+  }
 
   static Message Combine(const Message&, const Message&) { return 1; }
 
@@ -291,6 +327,10 @@ class IcmFast {
   State Init(VertexIdx) const { return kNegInf; }
   /// Superstep 0 only seeds the source (IcmHasSeedVertex).
   VertexId SeedVertex() const { return source_; }
+  /// Scatter reads travel time only (IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const {
+    return labels_.TimeLabels();
+  }
 
   static Message Combine(const Message& a, const Message& b) {
     return std::max(a, b);
@@ -349,6 +389,10 @@ class IcmLatestDeparture {
   State Init(VertexIdx) const { return kNegInf; }
   /// Superstep 0 only seeds the target (IcmHasSeedVertex).
   VertexId SeedVertex() const { return target_; }
+  /// Scatter reads travel time only (IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const {
+    return labels_.TimeLabels();
+  }
 
   static Message Combine(const Message& a, const Message& b) {
     return std::max(a, b);

@@ -27,8 +27,8 @@ class IcmBfs {
   using Message = int64_t;
 
   /// TI logic never reads edge properties: scatter slices are not
-  /// refined at property boundaries (see IcmUsesEdgeProperties).
-  static constexpr bool kUsesEdgeProperties = false;
+  /// refined at property boundaries (see IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const { return {}; }
 
   explicit IcmBfs(VertexId source, Interval seed = Interval::All())
       : source_(source), seed_(seed) {}
@@ -73,8 +73,8 @@ class IcmWcc {
   using Message = int64_t;
 
   /// TI logic never reads edge properties: scatter slices are not
-  /// refined at property boundaries (see IcmUsesEdgeProperties).
-  static constexpr bool kUsesEdgeProperties = false;
+  /// refined at property boundaries (see IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const { return {}; }
 
   State Init(VertexIdx) const { return kInfCost; }
 
@@ -106,8 +106,8 @@ class IcmPageRank {
   using Message = double;
 
   /// TI logic never reads edge properties: scatter slices are not
-  /// refined at property boundaries (see IcmUsesEdgeProperties).
-  static constexpr bool kUsesEdgeProperties = false;
+  /// refined at property boundaries (see IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const { return {}; }
 
   static constexpr int kIterations = 10;
 
@@ -168,8 +168,8 @@ class IcmSccForward {
   using Message = int64_t;
 
   /// TI logic never reads edge properties: scatter slices are not
-  /// refined at property boundaries (see IcmUsesEdgeProperties).
-  static constexpr bool kUsesEdgeProperties = false;
+  /// refined at property boundaries (see IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const { return {}; }
 
   /// SCC is computed over the snapshot window [0, horizon); open-ended
   /// lifespans are clipped so the assignment loop terminates.
@@ -232,8 +232,8 @@ class IcmSccBackward {
   using Message = int64_t;
 
   /// TI logic never reads edge properties: scatter slices are not
-  /// refined at property boundaries (see IcmUsesEdgeProperties).
-  static constexpr bool kUsesEdgeProperties = false;
+  /// refined at property boundaries (see IcmDeclaresScatterLabels).
+  std::span<const LabelId> ScatterLabels() const { return {}; }
 
   IcmSccBackward(const std::vector<IntervalMap<int64_t>>* colors,
                  const std::vector<IntervalMap<int64_t>>* assigned)

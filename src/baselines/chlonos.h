@@ -13,6 +13,8 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -91,7 +93,16 @@ BaselineOutcome<typename Program::Value> RunChlonos(
     TimePoint b0;
     size_t n;
     std::vector<std::vector<Pending>> outbox{};  // Per chunk.
-    std::vector<Pending> pending{};
+    // One source worker's sharing scratch; capacities survive supersteps.
+    struct Share {
+      std::vector<Pending> pending;
+      Writer payloads;  // each payload serialized once, sliced below
+      std::vector<std::pair<uint32_t, uint32_t>> slices;  // offset, length
+      std::vector<uint32_t> order;
+      int64_t messages = 0;
+    };
+    std::vector<Share> share{};  // Per source worker.
+    std::vector<int64_t> share_ns{};
 
     // Unit idx = local snapshot k * n + vertex: the driver visits each
     // batched snapshot's copy of the chunk in turn.
@@ -111,76 +122,91 @@ BaselineOutcome<typename Program::Value> RunChlonos(
     // at consecutive time-points becomes ONE interval message on the
     // wire. Each source worker's chunk outboxes merge in chunk order into
     // the row of its first chunk (rows stay grouped by source worker).
+    // Source workers share in parallel: each writes only its own row and
+    // scratch, and the message counts sum after the join.
     void PreRoute(SuperstepMetrics* ss) {
-      for (int src_w = 0; src_w < driver.map().num_workers(); ++src_w) {
-        const auto [c0, c1] = driver.runtime().ChunkRange(src_w);
-        pending.clear();
-        if (c1 - c0 == 1) pending.swap(outbox[c0]);  // Both keep capacity.
-        for (int c = c0; c1 - c0 > 1 && c < c1; ++c) {
-          pending.insert(pending.end(),
-                         std::make_move_iterator(outbox[c].begin()),
-                         std::make_move_iterator(outbox[c].end()));
-          outbox[c].clear();
+      driver.runtime().ParallelFor(
+          driver.map().num_workers(), &share_ns,
+          [this](int src_w, int) { ShareFrom(src_w); });
+      for (Share& s : share) {
+        ss->messages += s.messages;
+        s.messages = 0;
+      }
+    }
+
+    void ShareFrom(int src_w) {
+      Share& s = share[src_w];
+      std::vector<Pending>& pending = s.pending;
+      const auto [c0, c1] = driver.runtime().ChunkRange(src_w);
+      pending.clear();
+      if (c1 - c0 == 1) pending.swap(outbox[c0]);  // Both keep capacity.
+      for (int c = c0; c1 - c0 > 1 && c < c1; ++c) {
+        pending.insert(pending.end(),
+                       std::make_move_iterator(outbox[c].begin()),
+                       std::make_move_iterator(outbox[c].end()));
+        outbox[c].clear();
+      }
+      if (pending.empty()) return;
+      // Serialize payloads once into a shared buffer (offset/length
+      // slices) so the share-grouping sorts without per-message
+      // allocations.
+      s.payloads.Clear();
+      s.slices.resize(pending.size());
+      for (size_t i = 0; i < pending.size(); ++i) {
+        const uint32_t begin = static_cast<uint32_t>(s.payloads.size());
+        MessageTraits<Message>::Write(s.payloads, pending[i].payload);
+        s.slices[i] = {begin,
+                       static_cast<uint32_t>(s.payloads.size()) - begin};
+      }
+      const std::string& bytes = s.payloads.buffer();
+      const auto& slices = s.slices;
+      auto slice_cmp = [&](uint32_t a, uint32_t b) {
+        const auto [ao, al] = slices[a];
+        const auto [bo, bl] = slices[b];
+        const int c = std::memcmp(bytes.data() + ao, bytes.data() + bo,
+                                  std::min(al, bl));
+        if (c != 0) return c < 0;
+        return al < bl;
+      };
+      auto slice_eq = [&](uint32_t a, uint32_t b) {
+        const auto [ao, al] = slices[a];
+        const auto [bo, bl] = slices[b];
+        return al == bl &&
+               std::memcmp(bytes.data() + ao, bytes.data() + bo, al) == 0;
+      };
+      std::vector<uint32_t>& order = s.order;
+      order.resize(pending.size());
+      for (uint32_t i = 0; i < pending.size(); ++i) order[i] = i;
+      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        if (pending[a].dst != pending[b].dst) {
+          return pending[a].dst < pending[b].dst;
         }
-        if (pending.empty()) continue;
-        // Serialize payloads once into a shared arena (offset/length
-        // slices) so the share-grouping sorts without per-message
-        // allocations.
-        Writer arena;
-        std::vector<std::pair<uint32_t, uint32_t>> slices(pending.size());
-        for (size_t i = 0; i < pending.size(); ++i) {
-          const uint32_t begin = static_cast<uint32_t>(arena.size());
-          MessageTraits<Message>::Write(arena, pending[i].payload);
-          slices[i] = {begin, static_cast<uint32_t>(arena.size()) - begin};
-        }
-        const std::string& bytes = arena.buffer();
-        auto slice_cmp = [&](uint32_t a, uint32_t b) {
-          const auto [ao, al] = slices[a];
-          const auto [bo, bl] = slices[b];
-          const int c = std::memcmp(bytes.data() + ao, bytes.data() + bo,
-                                    std::min(al, bl));
-          if (c != 0) return c < 0;
-          return al < bl;
-        };
-        auto slice_eq = [&](uint32_t a, uint32_t b) {
-          const auto [ao, al] = slices[a];
-          const auto [bo, bl] = slices[b];
-          return al == bl &&
-                 std::memcmp(bytes.data() + ao, bytes.data() + bo, al) == 0;
-        };
-        std::vector<uint32_t> order(pending.size());
-        for (uint32_t i = 0; i < pending.size(); ++i) order[i] = i;
-        std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-          if (pending[a].dst != pending[b].dst) {
-            return pending[a].dst < pending[b].dst;
+        if (!slice_eq(a, b)) return slice_cmp(a, b);
+        return pending[a].t < pending[b].t;
+      });
+      size_t i = 0;
+      while (i < order.size()) {
+        const Pending& head = pending[order[i]];
+        TimePoint t_end = head.t + 1;
+        size_t j = i + 1;
+        while (j < order.size()) {
+          const Pending& next = pending[order[j]];
+          if (next.dst != head.dst || next.t != t_end ||
+              !slice_eq(order[j], order[i])) {
+            break;
           }
-          if (!slice_eq(a, b)) return slice_cmp(a, b);
-          return pending[a].t < pending[b].t;
-        });
-        size_t i = 0;
-        while (i < order.size()) {
-          const Pending& head = pending[order[i]];
-          TimePoint t_end = head.t + 1;
-          size_t j = i + 1;
-          while (j < order.size()) {
-            const Pending& next = pending[order[j]];
-            if (next.dst != head.dst || next.t != t_end ||
-                !slice_eq(order[j], order[i])) {
-              break;
-            }
-            ++t_end;
-            ++j;
-          }
-          // One shared wire message covering [head.t, t_end):
-          // dst + interval + payload slice (already-serialized bytes).
-          Writer& row = driver.wire(c0)[driver.map().WorkerOf(head.dst)];
-          row.WriteU64(head.dst);
-          WriteInterval(row, Interval(head.t, t_end));
-          row.Append(std::string_view(bytes).substr(slices[order[i]].first,
-                                                    slices[order[i]].second));
-          ss->messages += 1;
-          i = j;
+          ++t_end;
+          ++j;
         }
+        // One shared wire message covering [head.t, t_end):
+        // dst + interval + payload slice (already-serialized bytes).
+        Writer& row = driver.wire(c0)[driver.map().WorkerOf(head.dst)];
+        row.WriteU64(head.dst);
+        WriteInterval(row, Interval(head.t, t_end));
+        row.Append(std::string_view(bytes).substr(slices[order[i]].first,
+                                                  slices[order[i]].second));
+        ++s.messages;
+        i = j;
       }
     }
 
@@ -237,6 +263,7 @@ BaselineOutcome<typename Program::Value> RunChlonos(
     SuperstepDriver<Message> driver(options, vmap, static_cast<size_t>(B) * n);
     Operator op{driver, adapters, programs, values, b0, n};
     op.outbox.resize(driver.runtime().num_chunks());
+    op.share.resize(driver.map().num_workers());
     driver.Run(op, 0, options.max_supersteps, options.always_active,
                &out.metrics);
 

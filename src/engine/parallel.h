@@ -166,11 +166,13 @@ class SuperstepRuntime {
   }
 
   /// Runs body(i, thread_id) for i in [0, count) across the pool (atomic
-  /// cursor; sequential without one). Used by the messaging
-  /// phase: i is a destination worker, and destination columns touch
-  /// disjoint inboxes, so the deliveries are data-race free.
+  /// cursor; sequential without one). Used by the messaging phase: i is
+  /// a destination worker, and destination columns touch disjoint
+  /// inboxes, so the deliveries are data-race free (Chlonos's sharing
+  /// likewise runs one source worker per i, each writing its own row).
   template <typename Body>
-  void ParallelFor(int count, std::vector<int64_t>* thread_ns, Body&& body) {
+  void ParallelFor(int count, std::vector<int64_t>* thread_ns,
+                   Body&& body) const {
     thread_ns->assign(num_threads_, 0);
     if (pool_ == nullptr) {
       const int64_t t0 = NowNanos();

@@ -549,6 +549,9 @@ class TemporalGraph {
 
  private:
   friend class TemporalGraphBuilder;
+  /// The hash-map builder that BuilderDifferentialTest keeps as the
+  /// reference for TemporalGraphBuilder's output and errors.
+  friend class HashMapGraphBuilder;
 
   /// (VertexId, VertexIdx) pairs sorted by id.
   using VidIndex = std::vector<std::pair<VertexId, VertexIdx>>;

@@ -112,6 +112,25 @@ Status Server::LoadFile(const std::string& name, const std::string& path) {
   return Status::OK();
 }
 
+std::vector<Status> Server::Preload(const std::vector<PreloadSpec>& specs) {
+  std::vector<Status> status(specs.size());
+  std::vector<std::thread> loaders;
+  loaders.reserve(specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    loaders.emplace_back([this, &spec = specs[i], &out = status[i]] {
+      if (spec.source.rfind('@', 0) == 0) {
+        out = LoadFile(spec.name, spec.source.substr(1));
+      } else {
+        out = LoadDataset(spec.name,
+                          spec.source.substr(0, spec.source.rfind(':')),
+                          spec.scale);
+      }
+    });
+  }
+  for (std::thread& t : loaders) t.join();
+  return status;
+}
+
 std::string Server::LoadResponse(const QueryRequest& req) {
   Status s;
   if (!req.file.empty()) {

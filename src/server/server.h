@@ -44,6 +44,15 @@ namespace graphite {
 /// longer line gets one error reply, then the connection closes.
 inline constexpr size_t kMaxRequestLineBytes = size_t{16} << 20;
 
+/// One graph to register before serving: a catalog dataset (`source` is
+/// `DATASET[:SCALE]`, `scale` its parsed SCALE) or, when `source` starts
+/// with '@', the text-format file named after it.
+struct PreloadSpec {
+  std::string name;
+  std::string source;
+  double scale = 1.0;
+};
+
 struct ServerOptions {
   SchedulerOptions scheduler;
   ServiceOptions service;
@@ -73,6 +82,12 @@ class Server {
                      double scale);
   /// Loads a text-format graph file and registers it under `name`.
   Status LoadFile(const std::string& name, const std::string& path);
+  /// Runs each preload on its own thread and joins them; returns one
+  /// status per spec, in spec order. Loads under distinct names are
+  /// independent (GraphRegistry::Add and ResultCache::ErasePrefix lock
+  /// for themselves); two specs of one name would race for which stays
+  /// registered, so callers pass distinct names.
+  std::vector<Status> Preload(const std::vector<PreloadSpec>& specs);
 
   /// Serves the protocol over an istream/ostream pair until EOF or a
   /// shutdown op; drains in-flight jobs before returning. Returns the

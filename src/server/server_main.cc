@@ -35,7 +35,9 @@ void Usage() {
                "                     at most 64)\n"
                "  --preload NAME=DATASET[:SCALE]  generate + register a\n"
                "                     catalog dataset before serving\n"
-               "  --preload NAME=@FILE            load a text-format graph\n");
+               "  --preload NAME=@FILE            load a text-format graph\n"
+               "                     (preloads load in parallel; each NAME\n"
+               "                     may appear once)\n");
 }
 
 /// Parses `text` as one whole integer token in [lo, hi]; anything else
@@ -73,19 +75,13 @@ double ParseScale(const char* text) {
   return value;
 }
 
-struct Preload {
-  std::string name;
-  std::string source;  // dataset[:scale] or @file
-  double scale = 1.0;  // of a dataset source
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   graphite::ServerOptions options;
   int port = -1;
   bool stdio = false;
-  std::vector<Preload> preloads;
+  std::vector<graphite::PreloadSpec> preloads;
 
   constexpr size_t kSizeMax = std::numeric_limits<size_t>::max();
   for (int i = 1; i < argc; ++i) {
@@ -121,10 +117,21 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad --preload spec: %s\n", spec.c_str());
         return 2;
       }
-      Preload p{spec.substr(0, eq), spec.substr(eq + 1)};
+      graphite::PreloadSpec p{spec.substr(0, eq), spec.substr(eq + 1)};
       const size_t colon = p.source.rfind(':');
       if (p.source.rfind('@', 0) != 0 && colon != std::string::npos) {
         p.scale = ParseScale(p.source.c_str() + colon + 1);
+      }
+      // The preloads load concurrently, so two of one name would race
+      // for which stays registered.
+      for (const graphite::PreloadSpec& earlier : preloads) {
+        if (earlier.name == p.name) {
+          std::fprintf(stderr,
+                       "bad value for --preload: duplicate --preload name "
+                       "'%s'\n",
+                       p.name.c_str());
+          return 2;
+        }
       }
       preloads.push_back(std::move(p));
     } else if (arg == "--help" || arg == "-h") {
@@ -143,17 +150,14 @@ int main(int argc, char** argv) {
   }
 
   graphite::Server server(options);
-  for (const Preload& p : preloads) {
-    graphite::Status s;
-    if (!p.source.empty() && p.source[0] == '@') {
-      s = server.LoadFile(p.name, p.source.substr(1));
-    } else {
-      s = server.LoadDataset(p.name, p.source.substr(0, p.source.rfind(':')),
-                             p.scale);
-    }
-    if (!s.ok()) {
+  // Every preload loads on its own thread; the outcomes print in flag
+  // order once all have finished.
+  const std::vector<graphite::Status> loaded = server.Preload(preloads);
+  for (size_t i = 0; i < preloads.size(); ++i) {
+    const graphite::PreloadSpec& p = preloads[i];
+    if (!loaded[i].ok()) {
       std::fprintf(stderr, "preload %s failed: %s\n", p.name.c_str(),
-                   s.ToString().c_str());
+                   loaded[i].ToString().c_str());
       return 1;
     }
     std::fprintf(stderr, "preloaded %s (%s)\n", p.name.c_str(),

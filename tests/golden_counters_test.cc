@@ -114,11 +114,11 @@ const RunnerGolden kRunnerGolden[] = {
     {Platform::kIcm, Algorithm::kScc, 46, 1062, 639, 639, 2934, 335, 17, 189, 25},
     {Platform::kIcm, Algorithm::kPr, 11, 2131, 2297, 2565, 31485, 429, 33, 193, 4},
     {Platform::kIcm, Algorithm::kSssp, 4, 14, 31, 31, 124, 25, 0, 5, 1},
-    {Platform::kIcm, Algorithm::kEat, 4, 13, 31, 31, 124, 25, 0, 5, 2},
-    {Platform::kIcm, Algorithm::kFast, 4, 15, 31, 32, 128, 25, 0, 7, 1},
+    {Platform::kIcm, Algorithm::kEat, 4, 13, 30, 30, 120, 25, 0, 5, 2},
+    {Platform::kIcm, Algorithm::kFast, 4, 15, 30, 31, 124, 25, 0, 7, 1},
     {Platform::kIcm, Algorithm::kLd, 3, 9, 23, 10, 40, 8, 0, 4, 2},
-    {Platform::kIcm, Algorithm::kTmst, 4, 13, 31, 31, 155, 25, 0, 5, 2},
-    {Platform::kIcm, Algorithm::kRh, 4, 13, 31, 31, 124, 25, 0, 5, 2},
+    {Platform::kIcm, Algorithm::kTmst, 4, 13, 30, 30, 150, 25, 0, 5, 2},
+    {Platform::kIcm, Algorithm::kRh, 4, 13, 30, 30, 120, 25, 0, 5, 2},
     {Platform::kIcm, Algorithm::kLcc, 4, 290, 407, 372, 2058, 81, 6, 95, 0},
     {Platform::kIcm, Algorithm::kTc, 4, 290, 407, 372, 2058, 81, 6, 95, 0},
     {Platform::kMsb, Algorithm::kBfs, 29, 346, 0, 42, 84, 40, 0, 0, 0},

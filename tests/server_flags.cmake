@@ -2,8 +2,12 @@
 # server serves stdin (--stdio) unless the flag under test is --port.
 #
 #   cmake -DSERVER=<graphite_server> -DFLAG=--threads -DVALUE=0
+#         [-DBEFORE=<flag>=<value>] [-DMESSAGE=<text>]
 #         -DINPUT=<requests.jsonl> -DEXPECT=reject|accept -P server_flags.cmake
 #
+# BEFORE passes one more flag ahead of the one under test (a first
+# --preload, to test a repeated name); a reject with MESSAGE must also
+# print that text on stderr.
 # reject: the server must exit with status 2 before serving, with a
 #         "bad value for <flag>" message on stderr.
 # accept: the server must answer INPUT's requests and exit with status 0.
@@ -11,8 +15,16 @@ set(serve --stdio)
 if(FLAG STREQUAL "--port")
   set(serve)
 endif()
+set(before)
+if(DEFINED BEFORE)
+  string(FIND "${BEFORE}" "=" eq)
+  string(SUBSTRING "${BEFORE}" 0 ${eq} before_flag)
+  math(EXPR value_at "${eq} + 1")
+  string(SUBSTRING "${BEFORE}" ${value_at} -1 before_value)
+  set(before ${before_flag} ${before_value})
+endif()
 execute_process(
-  COMMAND ${SERVER} ${serve} ${FLAG} "${VALUE}"
+  COMMAND ${SERVER} ${serve} ${before} ${FLAG} "${VALUE}"
   INPUT_FILE ${INPUT}
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
@@ -28,6 +40,13 @@ if(EXPECT STREQUAL "reject")
   if(at EQUAL -1)
     message(FATAL_ERROR "${FLAG} '${VALUE}': stderr does not name the flag: "
                         "${err}")
+  endif()
+  if(DEFINED MESSAGE)
+    string(FIND "${err}" "${MESSAGE}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "${FLAG} '${VALUE}': stderr lacks '${MESSAGE}': "
+                          "${err}")
+    endif()
   endif()
 else()
   if(NOT status EQUAL 0)

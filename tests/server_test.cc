@@ -22,6 +22,9 @@
 #include <vector>
 
 #include "algorithms/oracle.h"
+#include "gen/generators.h"
+#include "io/binary_format.h"
+#include "io/text_format.h"
 #include "testutil.h"
 #include "util/mutex.h"
 
@@ -500,6 +503,89 @@ TEST(ServerLoadTest, LoadOfDirectoryFails) {
                     [&](std::string line) { response = std::move(line); });
   EXPECT_NE(response.find("\"ok\": false"), std::string::npos) << response;
   EXPECT_EQ(server.registry().Get("d"), nullptr);
+}
+
+// Preloads run concurrently, one thread each: the resident graphs, their
+// listing and every fragment must equal those of the same four graphs
+// loaded one after another by `load` ops. A failing preload reports in
+// its own slot and leaves the others loaded.
+TEST(ServerLoadTest, ParallelPreloadsMatchSequentialLoads) {
+  const std::string dir = ::testing::TempDir();
+  const std::string tw_path = dir + "/preload_tw.txt";
+  const std::string us_path = dir + "/preload_us.txt";
+  ASSERT_TRUE(WriteTextGraphFile(
+                  Generate(DatasetByName("twitter", 0.05).options), tw_path)
+                  .ok());
+  ASSERT_TRUE(WriteTextGraphFile(
+                  Generate(DatasetByName("usrn", 0.05).options), us_path)
+                  .ok());
+  const std::vector<PreloadSpec> specs = {
+      {"tw", "@" + tw_path},
+      {"mag", "mag:0.05", 0.05},
+      {"rd", "reddit:0.05", 0.05},
+      {"us", "@" + us_path},
+  };
+
+  Server parallel;
+  for (const Status& s : parallel.Preload(specs)) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+
+  Server sequential;
+  std::string response;
+  auto respond = [&](std::string line) { response = std::move(line); };
+  const std::vector<std::string> loads = {
+      "{\"id\":1,\"op\":\"load\",\"graph\":\"tw\",\"file\":\"" + tw_path +
+          "\"}",
+      "{\"id\":2,\"op\":\"load\",\"graph\":\"mag\",\"dataset\":\"mag\","
+      "\"scale\":0.05}",
+      "{\"id\":3,\"op\":\"load\",\"graph\":\"rd\",\"dataset\":"
+      "\"reddit\",\"scale\":0.05}",
+      "{\"id\":4,\"op\":\"load\",\"graph\":\"us\",\"file\":\"" + us_path +
+          "\"}",
+  };
+  for (const std::string& load : loads) {
+    sequential.HandleLine(load, respond);
+    ASSERT_NE(response.find("\"ok\": true"), std::string::npos) << response;
+  }
+
+  const std::string list = "{\"id\":9,\"op\":\"list\"}";
+  std::string parallel_list;
+  parallel.HandleLine(list, [&](std::string line) { parallel_list = line; });
+  sequential.HandleLine(list, respond);
+  EXPECT_EQ(parallel_list, response);
+
+  for (const PreloadSpec& spec : specs) {
+    const auto p = parallel.registry().Get(spec.name);
+    const auto q = sequential.registry().Get(spec.name);
+    ASSERT_NE(p, nullptr) << spec.name;
+    ASSERT_NE(q, nullptr) << spec.name;
+    EXPECT_EQ(WriteBinaryGraph(p->workload.graph()),
+              WriteBinaryGraph(q->workload.graph()))
+        << spec.name;
+    for (const std::string& line : MixedRequests(spec.name)) {
+      const QueryRequest req = MustParse(line);
+      auto got = QueryService::RenderFragment(req, p->workload);
+      auto want = QueryService::RenderFragment(req, q->workload);
+      ASSERT_EQ(got.ok(), want.ok()) << line;
+      if (got.ok()) {
+        EXPECT_EQ(*got, *want) << line;
+      }
+    }
+  }
+
+  Server partial;
+  const std::vector<Status> status = partial.Preload(
+      {{"a", "reddit:0.05", 0.05}, {"b", "@" + dir + "/no_such_graph.txt"},
+       {"c", "nosuchdataset"}, {"d", "@" + us_path}});
+  ASSERT_EQ(status.size(), 4u);
+  EXPECT_TRUE(status[0].ok()) << status[0].ToString();
+  EXPECT_FALSE(status[1].ok());
+  EXPECT_EQ(status[2].code(), StatusCode::kNotFound) << status[2].ToString();
+  EXPECT_TRUE(status[3].ok()) << status[3].ToString();
+  EXPECT_NE(partial.registry().Get("a"), nullptr);
+  EXPECT_EQ(partial.registry().Get("b"), nullptr);
+  EXPECT_NE(partial.registry().Get("d"), nullptr);
 }
 
 // A `load` scale must be a finite number > 0: anything else is
