@@ -82,16 +82,13 @@ struct SweepPoint {
 inline std::vector<SweepPoint> RunSweep(
     std::vector<BenchDataset>& datasets, const RunConfig& config,
     const std::vector<Algorithm>& algorithms, bool include_icm = true) {
-  static const Platform kPlatforms[] = {Platform::kIcm, Platform::kMsb,
-                                        Platform::kChl, Platform::kTgb,
-                                        Platform::kGof};
   std::vector<SweepPoint> points;
   for (BenchDataset& ds : datasets) {
     RunConfig ds_config = config;
     // Source traversals from a hub; target the farthest-id vertex.
     ds_config.source = HubVertex(ds.workload.graph());
     for (Algorithm a : algorithms) {
-      for (Platform p : kPlatforms) {
+      for (Platform p : kAllPlatforms) {
         if (!Supports(p, a)) continue;
         if (!include_icm && p == Platform::kIcm) continue;
         std::fprintf(stderr, "[run] %-12s %-4s %-4s ...", ds.name.c_str(),

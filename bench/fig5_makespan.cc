@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
                   "Messaging-ms", "Barrier-ms", "Supersteps",
                   "Compute-calls", "Messages"});
     for (Algorithm a : algorithms) {
-      for (Platform p : {Platform::kIcm, Platform::kMsb, Platform::kChl,
-                         Platform::kTgb, Platform::kGof}) {
+      for (Platform p : kAllPlatforms) {
         if (!Supports(p, a)) continue;
         const auto& m = bench::Find(points, ds.name, a, p).metrics;
         table.AddRow({AlgorithmName(a), PlatformName(p),

@@ -15,13 +15,10 @@ std::vector<int64_t> EatFrom(const TemporalGraph& g, VertexIdx source,
   IcmEat program(g, g.vertex_id(source));
   auto result = IcmEngine<IcmEat>::Run(g, program, options);
   metrics->Merge(result.metrics);
-  std::vector<int64_t> eat(g.num_vertices(), kInfCost);
-  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-    for (const auto& entry : result.states[v].entries()) {
-      eat[v] = std::min(eat[v], entry.value);
-    }
-  }
-  return eat;
+  return FoldPerVertex(result.states, kInfCost,
+                       [](int64_t& eat, const auto& entry) {
+                         eat = std::min(eat, entry.value);
+                       });
 }
 
 }  // namespace

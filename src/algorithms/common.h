@@ -33,6 +33,20 @@ V ResultAt(const TemporalResult<V>& result, VertexIdx v, TimePoint t,
   return val ? *val : absent;
 }
 
+/// Folds each vertex's interval entries into one value: out[v] starts at
+/// `init` and `fold(out[v], entry)` runs over v's entries in time order.
+/// The runners reduce ICM and GoFFish states to their per-vertex answers
+/// with it (earliest arrival, latest departure, ...).
+template <typename T, typename V, typename Fold>
+std::vector<T> FoldPerVertex(const TemporalResult<V>& states, const T& init,
+                             Fold fold) {
+  std::vector<T> out(states.size(), init);
+  for (size_t v = 0; v < states.size(); ++v) {
+    for (const auto& entry : states[v].entries()) fold(out[v], entry);
+  }
+  return out;
+}
+
 /// Builds the reversed graph: every edge (u -> v) becomes (v -> u), keeping
 /// ids, lifespans and properties. Used by LD (reverse traversal in space
 /// and time) and the backward phases of SCC.

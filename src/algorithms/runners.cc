@@ -1,5 +1,7 @@
 #include "algorithms/runners.h"
 
+#include <strings.h>
+
 #include <algorithm>
 
 namespace graphite {
@@ -62,6 +64,37 @@ TemporalResult<V> Take(BaselineOutcome<V> outcome, RunMetrics* sink) {
   return std::move(outcome.result);
 }
 
+// An ICM run's final states, its metrics stored into *sink.
+template <typename Program>
+TemporalResult<typename Program::State> Take(IcmResult<Program> r,
+                                             RunMetrics* sink) {
+  StoreMetrics(sink, std::move(r.metrics));
+  return std::move(r.states);
+}
+
+// The per-vertex folds of the path runners (FoldPerVertex): the least
+// state (EAT, TMST) and the greatest (LD).
+constexpr auto kEarliest = [](auto& acc, const auto& e) {
+  acc = std::min(acc, e.value);
+};
+constexpr auto kLatest = [](auto& acc, const auto& e) {
+  acc = std::max(acc, e.value);
+};
+
+// The one of `values` whose display name `name` spells in any case.
+template <typename T, size_t N, typename NameOf>
+std::optional<T> FindByName(const T (&values)[N], NameOf name_of,
+                            std::string_view name) {
+  for (T value : values) {
+    const std::string_view display = name_of(value);
+    if (display.size() == name.size() &&
+        strncasecmp(display.data(), name.data(), name.size()) == 0) {
+      return value;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 const char* AlgorithmName(Algorithm a) {
@@ -93,6 +126,16 @@ const char* PlatformName(Platform p) {
   return "?";
 }
 
+Result<Algorithm> ParseAlgorithm(std::string_view name) {
+  if (auto a = FindByName(kAllAlgorithms, AlgorithmName, name)) return *a;
+  return Status::InvalidArgument("unknown algorithm: " + std::string(name));
+}
+
+Result<Platform> ParsePlatform(std::string_view name) {
+  if (auto p = FindByName(kAllPlatforms, PlatformName, name)) return *p;
+  return Status::InvalidArgument("unknown platform: " + std::string(name));
+}
+
 bool IsTimeDependent(Algorithm a) {
   switch (a) {
     case Algorithm::kBfs:
@@ -117,6 +160,36 @@ bool Supports(Platform p, Algorithm a) {
       return IsTimeDependent(a);
   }
   return false;
+}
+
+bool NeedsSource(Algorithm a) {
+  switch (a) {
+    case Algorithm::kBfs:
+    case Algorithm::kSssp:
+    case Algorithm::kEat:
+    case Algorithm::kFast:
+    case Algorithm::kTmst:
+    case Algorithm::kRh:
+      return true;
+    default:
+      return false;
+  }
+}
+
+Status CheckSource(const TemporalGraph& g, VertexId source) {
+  if (g.IndexOf(source)) return Status::OK();
+  return Status::NotFound("source vertex " + std::to_string(source) +
+                          " not in graph");
+}
+
+Status CheckRun(const TemporalGraph& g, Platform p, Algorithm a,
+                VertexId source) {
+  if (!Supports(p, a)) {
+    return Status::InvalidArgument(std::string(PlatformName(p)) +
+                                   " does not support " + AlgorithmName(a) +
+                                   " (TI: icm/msb/chl; TD: icm/tgb/gof)");
+  }
+  return NeedsSource(a) ? CheckSource(g, source) : Status::OK();
 }
 
 const TemporalGraph& Workload::reversed() const {
@@ -147,10 +220,10 @@ TemporalResult<int64_t> RunBfsOn(const Workload& w, Platform p,
   switch (p) {
     case Platform::kIcm: {
       IcmBfs program(config.source);
-      auto r = IcmEngine<IcmBfs>::Run(w.graph(), program, config.ToIcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      for (auto& m : r.states) m.Coalesce();
-      return std::move(r.states);
+      auto states = Take(
+          IcmEngine<IcmBfs>::Run(w.graph(), program, config.ToIcm()), metrics);
+      for (auto& m : states) m.Coalesce();
+      return states;
     }
     case Platform::kMsb:
       return Take(RunMsbBfs(w.graph(), config.source, config.ToVcm()), metrics);
@@ -168,10 +241,11 @@ TemporalResult<int64_t> RunWccOn(const Workload& w, Platform p,
   switch (p) {
     case Platform::kIcm: {
       IcmWcc program;
-      auto r = IcmEngine<IcmWcc>::Run(w.undirected(), program, config.ToIcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      for (auto& m : r.states) m.Coalesce();
-      return std::move(r.states);
+      auto states = Take(
+          IcmEngine<IcmWcc>::Run(w.undirected(), program, config.ToIcm()),
+          metrics);
+      for (auto& m : states) m.Coalesce();
+      return states;
     }
     case Platform::kMsb:
       return Take(RunMsbWcc(w.undirected(), config.ToVcm()), metrics);
@@ -242,10 +316,10 @@ TemporalResult<int64_t> RunSsspOn(const Workload& w, Platform p,
   switch (p) {
     case Platform::kIcm: {
       IcmSssp program(g, config.source);
-      auto r = IcmEngine<IcmSssp>::Run(g, program, config.ToIcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      DropUnreached(&r.states);
-      return std::move(r.states);
+      auto states =
+          Take(IcmEngine<IcmSssp>::Run(g, program, config.ToIcm()), metrics);
+      DropUnreached(&states);
+      return states;
     }
     case Platform::kTgb: {
       const TransformedGraph& tg = w.transformed();
@@ -265,10 +339,9 @@ TemporalResult<int64_t> RunSsspOn(const Workload& w, Platform p,
     }
     case Platform::kGof: {
       GofSssp program(g, config.source);
-      auto r = RunGoffish(g, program, config.ToGoffish());
-      StoreMetrics(metrics, std::move(r.metrics));
-      DropUnreached(&r.result);
-      return std::move(r.result);
+      auto states = Take(RunGoffish(g, program, config.ToGoffish()), metrics);
+      DropUnreached(&states);
+      return states;
     }
     default:
       GRAPHITE_CHECK(false);
@@ -279,18 +352,12 @@ TemporalResult<int64_t> RunSsspOn(const Workload& w, Platform p,
 std::vector<int64_t> RunEatOn(const Workload& w, Platform p,
                               const RunConfig& config, RunMetrics* metrics) {
   const TemporalGraph& g = w.graph();
-  std::vector<int64_t> eat(g.num_vertices(), kInfCost);
   switch (p) {
     case Platform::kIcm: {
       IcmEat program(g, config.source);
-      auto r = IcmEngine<IcmEat>::Run(g, program, config.ToIcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (const auto& e : r.states[v].entries()) {
-          eat[v] = std::min(eat[v], e.value);
-        }
-      }
-      return eat;
+      return FoldPerVertex(
+          Take(IcmEngine<IcmEat>::Run(g, program, config.ToIcm()), metrics),
+          kInfCost, kEarliest);
     }
     case Platform::kTgb: {
       const TransformedGraph& tg = w.transformed();
@@ -299,6 +366,7 @@ std::vector<int64_t> RunEatOn(const Workload& w, Platform p,
       std::vector<uint8_t> values;
       StoreMetrics(metrics,
                    RunVcm(adapter, program, config.ToVcm(), &values));
+      std::vector<int64_t> eat(g.num_vertices(), kInfCost);
       for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
         for (ReplicaIdx r : tg.ReplicasOf(v)) {
           if (values[r]) {
@@ -314,39 +382,33 @@ std::vector<int64_t> RunEatOn(const Workload& w, Platform p,
     }
     case Platform::kGof: {
       GofEat program(g, config.source);
-      auto r = RunGoffish(g, program, config.ToGoffish());
-      StoreMetrics(metrics, std::move(r.metrics));
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (const auto& e : r.result[v].entries()) {
-          eat[v] = std::min(eat[v], e.value);
-        }
-      }
-      return eat;
+      return FoldPerVertex(
+          Take(RunGoffish(g, program, config.ToGoffish()), metrics), kInfCost,
+          kEarliest);
     }
     default:
       GRAPHITE_CHECK(false);
-      return eat;
+      return {};
   }
 }
 
 std::vector<int64_t> RunFastOn(const Workload& w, Platform p,
                                const RunConfig& config, RunMetrics* metrics) {
   const TemporalGraph& g = w.graph();
-  std::vector<int64_t> fastest(g.num_vertices(), kInfCost);
   const auto src = g.IndexOf(config.source);
   GRAPHITE_CHECK(src.has_value());
+  // A state is the latest journey start that arrives at its interval's
+  // start; the source's own row is 0 on every platform (set below).
+  auto shortest = [](int64_t& acc, const auto& e) {
+    if (e.value != kNegInf) acc = std::min(acc, e.interval.start - e.value);
+  };
+  std::vector<int64_t> fastest;
   switch (p) {
     case Platform::kIcm: {
       IcmFast program(g, config.source);
-      auto r = IcmEngine<IcmFast>::Run(g, program, config.ToIcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        if (v == *src) continue;
-        for (const auto& e : r.states[v].entries()) {
-          if (e.value == kNegInf) continue;
-          fastest[v] = std::min(fastest[v], e.interval.start - e.value);
-        }
-      }
+      fastest = FoldPerVertex(
+          Take(IcmEngine<IcmFast>::Run(g, program, config.ToIcm()), metrics),
+          kInfCost, shortest);
       break;
     }
     case Platform::kTgb: {
@@ -356,8 +418,8 @@ std::vector<int64_t> RunFastOn(const Workload& w, Platform p,
       std::vector<int64_t> values;
       StoreMetrics(metrics,
                    RunVcm(adapter, program, config.ToVcm(), &values));
+      fastest.assign(g.num_vertices(), kInfCost);
       for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        if (v == *src) continue;
         for (ReplicaIdx r : tg.ReplicasOf(v)) {
           if (values[r] != kNegInf) {
             fastest[v] =
@@ -369,15 +431,9 @@ std::vector<int64_t> RunFastOn(const Workload& w, Platform p,
     }
     case Platform::kGof: {
       GofFast program(g, config.source);
-      auto r = RunGoffish(g, program, config.ToGoffish());
-      StoreMetrics(metrics, std::move(r.metrics));
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        if (v == *src) continue;
-        for (const auto& e : r.result[v].entries()) {
-          if (e.value == kNegInf) continue;
-          fastest[v] = std::min(fastest[v], e.interval.start - e.value);
-        }
-      }
+      fastest = FoldPerVertex(
+          Take(RunGoffish(g, program, config.ToGoffish()), metrics), kInfCost,
+          shortest);
       break;
     }
     default:
@@ -392,20 +448,15 @@ std::vector<int64_t> RunLdOn(const Workload& w, Platform p,
   const TemporalGraph& g = w.graph();
   const VertexId target = ResolveTarget(g, config);
   const TimePoint deadline = ResolveDeadline(g, config);
-  std::vector<int64_t> latest(g.num_vertices(), kNegInf);
   switch (p) {
     case Platform::kIcm: {
       const TemporalGraph& reversed = w.reversed();
       IcmLatestDeparture program(reversed, target, deadline);
-      auto r = IcmEngine<IcmLatestDeparture>::Run(reversed, program,
-                                                  config.ToIcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (const auto& e : r.states[v].entries()) {
-          latest[v] = std::max(latest[v], e.value);
-        }
-      }
-      return latest;
+      return FoldPerVertex(
+          Take(IcmEngine<IcmLatestDeparture>::Run(reversed, program,
+                                                  config.ToIcm()),
+               metrics),
+          kNegInf, kLatest);
     }
     case Platform::kTgb: {
       const TransformedGraph& tg = w.transformed();
@@ -414,6 +465,7 @@ std::vector<int64_t> RunLdOn(const Workload& w, Platform p,
       std::vector<uint8_t> values;
       StoreMetrics(metrics,
                    RunVcm(adapter, program, config.ToVcm(), &values));
+      std::vector<int64_t> latest(g.num_vertices(), kNegInf);
       for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
         for (ReplicaIdx r : tg.ReplicasOf(v)) {
           if (values[r]) {
@@ -434,18 +486,13 @@ std::vector<int64_t> RunLdOn(const Workload& w, Platform p,
       GofLatestDeparture program(reversed, target, deadline);
       GoffishOptions options = config.ToGoffish();
       options.reverse_time = true;
-      auto r = RunGoffish(reversed, program, options);
-      StoreMetrics(metrics, std::move(r.metrics));
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (const auto& e : r.result[v].entries()) {
-          latest[v] = std::max(latest[v], e.value);
-        }
-      }
-      return latest;
+      return FoldPerVertex(
+          Take(RunGoffish(reversed, program, options), metrics), kNegInf,
+          kLatest);
     }
     default:
       GRAPHITE_CHECK(false);
-      return latest;
+      return {};
   }
 }
 
@@ -454,27 +501,23 @@ std::vector<std::pair<int64_t, int64_t>> RunTmstOn(const Workload& w,
                                                    const RunConfig& config,
                                                    RunMetrics* metrics) {
   const TemporalGraph& g = w.graph();
-  std::vector<std::pair<int64_t, int64_t>> best(g.num_vertices(),
-                                                {kInfCost, -1});
+  using Arrival = std::pair<int64_t, int64_t>;  // (arrival, tree parent)
+  const Arrival unreached{kInfCost, -1};
   switch (p) {
     case Platform::kIcm: {
       IcmTmst program(g, config.source);
-      auto r = IcmEngine<IcmTmst>::Run(g, program, config.ToIcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (const auto& e : r.states[v].entries()) {
-          if (e.value < best[v]) best[v] = e.value;
-        }
-      }
-      return best;
+      return FoldPerVertex(
+          Take(IcmEngine<IcmTmst>::Run(g, program, config.ToIcm()), metrics),
+          unreached, kEarliest);
     }
     case Platform::kTgb: {
       const TransformedGraph& tg = w.transformed();
       TransformedAdapter adapter(&tg, &g);
       TgbTmst program(adapter, config.source);
-      std::vector<std::pair<int64_t, int64_t>> values;
+      std::vector<Arrival> values;
       StoreMetrics(metrics,
                    RunVcm(adapter, program, config.ToVcm(), &values));
+      std::vector<Arrival> best(g.num_vertices(), unreached);
       for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
         for (ReplicaIdx r : tg.ReplicasOf(v)) {
           if (values[r] < best[v]) best[v] = values[r];
@@ -488,37 +531,33 @@ std::vector<std::pair<int64_t, int64_t>> RunTmstOn(const Workload& w,
     }
     case Platform::kGof: {
       GofTmst program(g, config.source);
-      auto r = RunGoffish(g, program, config.ToGoffish());
-      StoreMetrics(metrics, std::move(r.metrics));
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (const auto& e : r.result[v].entries()) {
-          if (e.value < best[v]) best[v] = e.value;
-        }
-      }
-      return best;
+      return FoldPerVertex(
+          Take(RunGoffish(g, program, config.ToGoffish()), metrics), unreached,
+          kEarliest);
     }
     default:
       GRAPHITE_CHECK(false);
-      return best;
+      return {};
   }
 }
 
 TemporalResult<uint8_t> RunRhOn(const Workload& w, Platform p,
                                 const RunConfig& config, RunMetrics* metrics) {
   const TemporalGraph& g = w.graph();
+  // The reached intervals (state 1), coalesced.
+  auto reached = [](const TemporalResult<uint8_t>& states) {
+    auto out = FoldPerVertex(states, IntervalMap<uint8_t>(),
+                             [](IntervalMap<uint8_t>& acc, const auto& e) {
+                               if (e.value == 1) acc.Set(e.interval, 1);
+                             });
+    for (auto& m : out) m.Coalesce();
+    return out;
+  };
   switch (p) {
     case Platform::kIcm: {
       IcmReach program(g, config.source);
-      auto r = IcmEngine<IcmReach>::Run(g, program, config.ToIcm());
-      StoreMetrics(metrics, std::move(r.metrics));
-      TemporalResult<uint8_t> out(g.num_vertices());
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (const auto& e : r.states[v].entries()) {
-          if (e.value == 1) out[v].Set(e.interval, 1);
-        }
-        out[v].Coalesce();
-      }
-      return out;
+      return reached(
+          Take(IcmEngine<IcmReach>::Run(g, program, config.ToIcm()), metrics));
     }
     case Platform::kTgb: {
       const TransformedGraph& tg = w.transformed();
@@ -537,16 +576,8 @@ TemporalResult<uint8_t> RunRhOn(const Workload& w, Platform p,
     }
     case Platform::kGof: {
       GofReach program(g, config.source);
-      auto r = RunGoffish(g, program, config.ToGoffish());
-      StoreMetrics(metrics, std::move(r.metrics));
-      TemporalResult<uint8_t> out(g.num_vertices());
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (const auto& e : r.result[v].entries()) {
-          if (e.value == 1) out[v].Set(e.interval, 1);
-        }
-        out[v].Coalesce();
-      }
-      return out;
+      return reached(
+          Take(RunGoffish(g, program, config.ToGoffish()), metrics));
     }
     default:
       GRAPHITE_CHECK(false);
@@ -587,15 +618,12 @@ TemporalResult<int64_t> RunTcOn(const Workload& w, Platform p,
     }
     case Platform::kGof: {
       GofTriangle program;
-      auto r = RunGoffish(g, program, config.ToGoffish());
-      StoreMetrics(metrics, std::move(r.metrics));
-      TemporalResult<int64_t> out(g.num_vertices());
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (const auto& e : r.result[v].entries()) {
-          if (e.value.triangles > 0) out[v].Set(e.interval, e.value.triangles);
-        }
-        out[v].Coalesce();
-      }
+      auto out = FoldPerVertex(
+          Take(RunGoffish(g, program, config.ToGoffish()), metrics),
+          IntervalMap<int64_t>(), [](IntervalMap<int64_t>& acc, const auto& e) {
+            if (e.value.triangles > 0) acc.Set(e.interval, e.value.triangles);
+          });
+      for (auto& m : out) m.Coalesce();
       return out;
     }
     default:

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "algorithms/common.h"
 #include "algorithms/gof_programs.h"
@@ -24,6 +25,7 @@
 #include "baselines/msb.h"
 #include "baselines/tgb.h"
 #include "util/mutex.h"
+#include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace graphite {
@@ -34,17 +36,36 @@ enum class Algorithm {
 };
 enum class Platform { kIcm, kMsb, kChl, kTgb, kGof };
 
-const char* AlgorithmName(Algorithm a);
-const char* PlatformName(Platform p);
-bool IsTimeDependent(Algorithm a);
-/// True iff the paper evaluates this algorithm on this platform.
-bool Supports(Platform p, Algorithm a);
-
 /// All twelve algorithms, TI first (paper order).
 inline constexpr Algorithm kAllAlgorithms[] = {
     Algorithm::kBfs,  Algorithm::kWcc, Algorithm::kScc,  Algorithm::kPr,
     Algorithm::kSssp, Algorithm::kEat, Algorithm::kFast, Algorithm::kLd,
     Algorithm::kTmst, Algorithm::kRh,  Algorithm::kLcc,  Algorithm::kTc};
+/// All five platforms, ICM first.
+inline constexpr Platform kAllPlatforms[] = {
+    Platform::kIcm, Platform::kMsb, Platform::kChl, Platform::kTgb,
+    Platform::kGof};
+
+/// Upper-case display names ("BFS", "ICM").
+const char* AlgorithmName(Algorithm a);
+const char* PlatformName(Platform p);
+/// The name table both the server and the CLI read: a display name in
+/// any case ("bfs", "Gof"), else InvalidArgument "unknown algorithm: X" /
+/// "unknown platform: X".
+Result<Algorithm> ParseAlgorithm(std::string_view name);
+Result<Platform> ParsePlatform(std::string_view name);
+bool IsTimeDependent(Algorithm a);
+/// True iff the paper evaluates this algorithm on this platform.
+bool Supports(Platform p, Algorithm a);
+/// True iff the algorithm starts from RunConfig::source.
+bool NeedsSource(Algorithm a);
+/// NotFound "source vertex N not in graph" unless `source` is in g.
+Status CheckSource(const TemporalGraph& g, VertexId source);
+/// The check every run passes before it starts: InvalidArgument when the
+/// platform does not run the algorithm, then CheckSource when the
+/// algorithm reads a source.
+Status CheckRun(const TemporalGraph& g, Platform p, Algorithm a,
+                VertexId source);
 
 /// Execution knobs shared across platforms.
 struct RunConfig : EngineOptions {
@@ -134,7 +155,8 @@ class Workload {
 };
 
 /// Runs (algorithm, platform) and returns the metrics; results are
-/// discarded. CHECK-fails if the pair is unsupported.
+/// discarded. CHECK-fails if the pair is unsupported; callers that take
+/// the pair from a user pass CheckRun first.
 RunMetrics RunForMetrics(const Workload& w, Platform p, Algorithm a,
                          const RunConfig& config);
 

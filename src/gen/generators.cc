@@ -1,7 +1,8 @@
 #include "gen/generators.h"
 
+#include <strings.h>
+
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 
 #include "graph/builder.h"
@@ -274,16 +275,20 @@ std::vector<DatasetSpec> DatasetCatalog(double scale) {
   return specs;
 }
 
-DatasetSpec DatasetByName(const std::string& name, double scale) {
-  std::string lower;
-  for (char c : name) lower.push_back(static_cast<char>(std::tolower(c)));
+std::optional<DatasetSpec> FindDataset(std::string_view name, double scale) {
   for (DatasetSpec& s : DatasetCatalog(scale)) {
-    std::string sl;
-    for (char c : s.name) sl.push_back(static_cast<char>(std::tolower(c)));
-    if (sl.rfind(lower, 0) == 0) return s;
+    if (s.name.size() >= name.size() &&
+        strncasecmp(s.name.data(), name.data(), name.size()) == 0) {
+      return std::move(s);
+    }
   }
-  GRAPHITE_CHECK(false);
-  return {};
+  return std::nullopt;
+}
+
+DatasetSpec DatasetByName(const std::string& name, double scale) {
+  auto spec = FindDataset(name, scale);
+  GRAPHITE_CHECK(spec.has_value());
+  return std::move(*spec);
 }
 
 GenOptions WeakScalingOptions(int machines, double scale,

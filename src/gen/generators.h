@@ -9,7 +9,10 @@
 #define GRAPHITE_GEN_GENERATORS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "graph/temporal_graph.h"
 
@@ -76,7 +79,12 @@ struct DatasetSpec {
 /// Returns all six specs at the given scale.
 std::vector<DatasetSpec> DatasetCatalog(double scale = 1.0);
 
-/// One catalog entry by (case-insensitive) prefix name, e.g. "twitter".
+/// The first catalog entry whose name starts with `name` in any case
+/// ("twitter", "Red"), or nullopt.
+std::optional<DatasetSpec> FindDataset(std::string_view name,
+                                       double scale = 1.0);
+/// FindDataset for a name known to be in the catalog; CHECK-fails
+/// otherwise.
 DatasetSpec DatasetByName(const std::string& name, double scale = 1.0);
 
 /// LDBC-like weak-scaling graph (Fig. 7): `machines` scales vertices and

@@ -1,9 +1,9 @@
 #include "server/query_service.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 #include "query/temporal_query.h"
 #include "util/timer.h"
@@ -15,42 +15,6 @@ namespace {
 // ---------------------------------------------------------------------
 // Small helpers.
 // ---------------------------------------------------------------------
-
-std::string Lower(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) out.push_back(static_cast<char>(std::tolower(c)));
-  return out;
-}
-
-Result<Algorithm> ParseAlgorithmName(const std::string& name) {
-  for (Algorithm a : kAllAlgorithms) {
-    if (Lower(AlgorithmName(a)) == name) return a;
-  }
-  return Status::InvalidArgument("unknown algorithm: " + name);
-}
-
-Result<Platform> ParsePlatformName(const std::string& name) {
-  for (Platform p : {Platform::kIcm, Platform::kMsb, Platform::kChl,
-                     Platform::kTgb, Platform::kGof}) {
-    if (Lower(PlatformName(p)) == name) return p;
-  }
-  return Status::InvalidArgument("unknown platform: " + name);
-}
-
-bool NeedsSource(Algorithm a) {
-  switch (a) {
-    case Algorithm::kBfs:
-    case Algorithm::kSssp:
-    case Algorithm::kEat:
-    case Algorithm::kFast:
-    case Algorithm::kTmst:
-    case Algorithm::kRh:
-      return true;
-    default:
-      return false;
-  }
-}
 
 /// FNV-1a 64 over the canonical result content; the digest lets clients
 /// compare results across requests without shipping full listings.
@@ -100,198 +64,172 @@ Result<RunConfig> BuildConfig(const QueryRequest& req,
 }
 
 // ---------------------------------------------------------------------
-// Canonical result rendering. Every emitter also feeds the digest over
+// Canonical result rendering. Every listing also feeds the digest over
 // ALL content (the listing may be capped by max_vertices; the digest
 // never is).
 // ---------------------------------------------------------------------
 
-template <typename T, typename EmitValue, typename MixValue>
+/// One capped listing: an array of per-vertex rows under `key`, then the
+/// vertex count under `count_key`, "truncated" when the cap left rows
+/// out, and the digest. The caller mixes each vertex's values into
+/// digest() after Add, in the order it lists them.
+class Listing {
+ public:
+  Listing(JsonWriter* out, const char* key, const char* count_key,
+          int64_t max_vertices)
+      : out_(out), count_key_(count_key), max_vertices_(max_vertices) {
+    out_->Key(key).BeginArray();
+  }
+
+  /// Counts vertex `id` and mixes it into the digest; returns the writer
+  /// for its row, or null once max_vertices rows are listed.
+  JsonWriter* Add(VertexId id) {
+    ++count_;
+    digest_.MixInt(id);
+    return Truncated() ? nullptr : out_;
+  }
+  Digest& digest() { return digest_; }
+
+  void Close() {
+    out_->EndArray();
+    out_->Key(count_key_).Int(count_);
+    if (Truncated()) out_->Key("truncated").Bool(true);
+    out_->Key("digest").String(digest_.Hex());
+  }
+
+ private:
+  bool Truncated() const {
+    return max_vertices_ > 0 && count_ > max_vertices_;
+  }
+
+  JsonWriter* out_;
+  const char* count_key_;
+  int64_t max_vertices_;
+  int64_t count_ = 0;
+  Digest digest_;
+};
+
+/// Per-(vertex, time) results: one [id, [[start, end, value], ...]] row
+/// per vertex with entries.
+template <typename T>
 void EmitTemporal(const TemporalGraph& g, const TemporalResult<T>& result,
-                  int64_t max_vertices, JsonWriter* w, Digest* digest,
-                  EmitValue emit_value, MixValue mix_value) {
-  int64_t nonempty = 0;
-  int64_t listed = 0;
-  bool truncated = false;
-  w->Key("vertices").BeginArray();
+                  int64_t max_vertices, JsonWriter* out) {
+  Listing list(out, "vertices", "reached", max_vertices);
   for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
     const auto& entries = result[v].entries();
     if (entries.empty()) continue;
-    ++nonempty;
-    digest->MixInt(g.vertex_id(v));
+    JsonWriter* row = list.Add(g.vertex_id(v));
     for (const auto& e : entries) {
-      digest->MixInt(e.interval.start);
-      digest->MixInt(e.interval.end);
-      mix_value(digest, e.value);
+      list.digest().MixInt(e.interval.start);
+      list.digest().MixInt(e.interval.end);
+      if constexpr (std::is_floating_point_v<T>) {
+        list.digest().MixDouble(e.value);
+      } else {
+        list.digest().MixInt(e.value);
+      }
     }
-    if (max_vertices > 0 && listed >= max_vertices) {
-      truncated = true;
-      continue;
-    }
-    ++listed;
-    w->BeginArray().Int(g.vertex_id(v)).BeginArray();
+    if (row == nullptr) continue;
+    row->BeginArray().Int(g.vertex_id(v)).BeginArray();
     for (const auto& e : entries) {
-      w->BeginArray().Int(e.interval.start).Int(e.interval.end);
-      emit_value(w, e.value);
-      w->EndArray();
+      row->BeginArray().Int(e.interval.start).Int(e.interval.end);
+      if constexpr (std::is_floating_point_v<T>) {
+        row->Double(e.value);
+      } else {
+        row->Int(e.value);
+      }
+      row->EndArray();
     }
-    w->EndArray().EndArray();
+    row->EndArray().EndArray();
   }
-  w->EndArray();
-  w->Key("reached").Int(nonempty);
-  if (truncated) w->Key("truncated").Bool(true);
-}
-
-void EmitTemporalInt(const TemporalGraph& g,
-                     const TemporalResult<int64_t>& r, int64_t max_vertices,
-                     JsonWriter* w, Digest* d) {
-  EmitTemporal(
-      g, r, max_vertices, w, d,
-      [](JsonWriter* jw, int64_t v) { jw->Int(v); },
-      [](Digest* dg, int64_t v) { dg->MixInt(v); });
-}
-
-void EmitTemporalDouble(const TemporalGraph& g,
-                        const TemporalResult<double>& r,
-                        int64_t max_vertices, JsonWriter* w, Digest* d) {
-  EmitTemporal(
-      g, r, max_vertices, w, d,
-      [](JsonWriter* jw, double v) { jw->Double(v); },
-      [](Digest* dg, double v) { dg->MixDouble(v); });
-}
-
-void EmitTemporalByte(const TemporalGraph& g,
-                      const TemporalResult<uint8_t>& r, int64_t max_vertices,
-                      JsonWriter* w, Digest* d) {
-  EmitTemporal(
-      g, r, max_vertices, w, d,
-      [](JsonWriter* jw, uint8_t v) { jw->Int(v); },
-      [](Digest* dg, uint8_t v) { dg->MixInt(v); });
+  list.Close();
 }
 
 /// Scalar per-vertex results (EAT/FAST/LD); `absent` entries are skipped.
 void EmitScalar(const TemporalGraph& g, const std::vector<int64_t>& values,
-                int64_t absent, int64_t max_vertices, JsonWriter* w,
-                Digest* digest) {
-  int64_t reached = 0;
-  int64_t listed = 0;
-  bool truncated = false;
-  w->Key("values").BeginArray();
+                int64_t absent, int64_t max_vertices, JsonWriter* out) {
+  Listing list(out, "values", "reached", max_vertices);
   for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
     if (values[v] == absent) continue;
-    ++reached;
-    digest->MixInt(g.vertex_id(v));
-    digest->MixInt(values[v]);
-    if (max_vertices > 0 && listed >= max_vertices) {
-      truncated = true;
-      continue;
+    JsonWriter* row = list.Add(g.vertex_id(v));
+    list.digest().MixInt(values[v]);
+    if (row != nullptr) {
+      row->BeginArray().Int(g.vertex_id(v)).Int(values[v]).EndArray();
     }
-    ++listed;
-    w->BeginArray().Int(g.vertex_id(v)).Int(values[v]).EndArray();
   }
-  w->EndArray();
-  w->Key("reached").Int(reached);
-  if (truncated) w->Key("truncated").Bool(true);
+  list.Close();
 }
 
 Status RenderRun(const QueryRequest& req, const Workload& w,
                  const ServiceOptions& options, JsonWriter* out,
                  RunMetrics* metrics) {
-  auto alg = ParseAlgorithmName(req.alg);
+  auto alg = ParseAlgorithm(req.alg);
   GRAPHITE_RETURN_NOT_OK(alg.status());
-  auto platform = ParsePlatformName(req.platform);
+  auto platform = ParsePlatform(req.platform);
   GRAPHITE_RETURN_NOT_OK(platform.status());
-  if (!Supports(*platform, *alg)) {
-    return Status::InvalidArgument(
-        std::string(PlatformName(*platform)) + " does not support " +
-        AlgorithmName(*alg) + " (TI: icm/msb/chl; TD: icm/tgb/gof)");
-  }
+  const TemporalGraph& g = w.graph();
+  GRAPHITE_RETURN_NOT_OK(CheckRun(g, *platform, *alg, req.source));
   auto config = BuildConfig(req, options);
   GRAPHITE_RETURN_NOT_OK(config.status());
-  const TemporalGraph& g = w.graph();
-  if (NeedsSource(*alg) && !g.IndexOf(req.source)) {
-    return Status::NotFound("source vertex " + std::to_string(req.source) +
-                            " not in graph");
-  }
 
   out->Key("type").String("run");
   out->Key("alg").String(AlgorithmName(*alg));
   out->Key("platform").String(PlatformName(*platform));
-  Digest digest;
+  const int64_t cap = req.max_vertices;
   switch (*alg) {
     case Algorithm::kBfs:
-      EmitTemporalInt(g, RunBfsOn(w, *platform, *config, metrics),
-                      req.max_vertices, out, &digest);
+      EmitTemporal(g, RunBfsOn(w, *platform, *config, metrics), cap, out);
       break;
     case Algorithm::kWcc:
-      EmitTemporalInt(g, RunWccOn(w, *platform, *config, metrics),
-                      req.max_vertices, out, &digest);
+      EmitTemporal(g, RunWccOn(w, *platform, *config, metrics), cap, out);
       break;
     case Algorithm::kScc:
-      EmitTemporalInt(g, RunSccOn(w, *platform, *config, metrics),
-                      req.max_vertices, out, &digest);
+      EmitTemporal(g, RunSccOn(w, *platform, *config, metrics), cap, out);
       break;
     case Algorithm::kPr:
-      EmitTemporalDouble(g, RunPrOn(w, *platform, *config, metrics),
-                         req.max_vertices, out, &digest);
+      EmitTemporal(g, RunPrOn(w, *platform, *config, metrics), cap, out);
       break;
     case Algorithm::kSssp:
-      EmitTemporalInt(g, RunSsspOn(w, *platform, *config, metrics),
-                      req.max_vertices, out, &digest);
+      EmitTemporal(g, RunSsspOn(w, *platform, *config, metrics), cap, out);
       break;
     case Algorithm::kEat:
-      EmitScalar(g, RunEatOn(w, *platform, *config, metrics), kInfCost,
-                 req.max_vertices, out, &digest);
+      EmitScalar(g, RunEatOn(w, *platform, *config, metrics), kInfCost, cap,
+                 out);
       break;
     case Algorithm::kFast:
-      EmitScalar(g, RunFastOn(w, *platform, *config, metrics), kInfCost,
-                 req.max_vertices, out, &digest);
+      EmitScalar(g, RunFastOn(w, *platform, *config, metrics), kInfCost, cap,
+                 out);
       break;
     case Algorithm::kLd:
-      EmitScalar(g, RunLdOn(w, *platform, *config, metrics), kNegInf,
-                 req.max_vertices, out, &digest);
+      EmitScalar(g, RunLdOn(w, *platform, *config, metrics), kNegInf, cap,
+                 out);
       break;
     case Algorithm::kTmst: {
       const auto tree = RunTmstOn(w, *platform, *config, metrics);
-      int64_t reached = 0;
-      int64_t listed = 0;
-      bool truncated = false;
-      out->Key("values").BeginArray();
+      Listing list(out, "values", "reached", cap);
       for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        if (tree[v].first == kInfCost) continue;
-        ++reached;
-        digest.MixInt(g.vertex_id(v));
-        digest.MixInt(tree[v].first);
-        digest.MixInt(tree[v].second);
-        if (req.max_vertices > 0 && listed >= req.max_vertices) {
-          truncated = true;
-          continue;
+        const auto [arrival, parent] = tree[v];
+        if (arrival == kInfCost) continue;
+        JsonWriter* row = list.Add(g.vertex_id(v));
+        list.digest().MixInt(arrival);
+        list.digest().MixInt(parent);
+        if (row != nullptr) {
+          row->BeginArray().Int(g.vertex_id(v)).Int(arrival).Int(parent);
+          row->EndArray();
         }
-        ++listed;
-        out->BeginArray()
-            .Int(g.vertex_id(v))
-            .Int(tree[v].first)
-            .Int(tree[v].second)
-            .EndArray();
       }
-      out->EndArray();
-      out->Key("reached").Int(reached);
-      if (truncated) out->Key("truncated").Bool(true);
+      list.Close();
       break;
     }
     case Algorithm::kRh:
-      EmitTemporalByte(g, RunRhOn(w, *platform, *config, metrics),
-                       req.max_vertices, out, &digest);
+      EmitTemporal(g, RunRhOn(w, *platform, *config, metrics), cap, out);
       break;
     case Algorithm::kLcc:
-      EmitTemporalDouble(g, RunLccOn(w, *platform, *config, metrics),
-                         req.max_vertices, out, &digest);
+      EmitTemporal(g, RunLccOn(w, *platform, *config, metrics), cap, out);
       break;
     case Algorithm::kTc:
-      EmitTemporalInt(g, RunTcOn(w, *platform, *config, metrics),
-                      req.max_vertices, out, &digest);
+      EmitTemporal(g, RunTcOn(w, *platform, *config, metrics), cap, out);
       break;
   }
-  out->Key("digest").String(digest.Hex());
   return Status::OK();
 }
 
@@ -301,10 +239,7 @@ Status RenderPath(const QueryRequest& req, const Workload& w,
   auto config = BuildConfig(req, options);
   GRAPHITE_RETURN_NOT_OK(config.status());
   const TemporalGraph& g = w.graph();
-  if (!g.IndexOf(req.source)) {
-    return Status::NotFound("source vertex " + std::to_string(req.source) +
-                            " not in graph");
-  }
+  GRAPHITE_RETURN_NOT_OK(CheckSource(g, req.source));
   if (req.target < 0) {
     return Status::InvalidArgument("path query requires \"target\"");
   }
@@ -390,10 +325,7 @@ Status RenderReachAt(const QueryRequest& req, const Workload& w,
   auto config = BuildConfig(req, options);
   GRAPHITE_RETURN_NOT_OK(config.status());
   const TemporalGraph& g = w.graph();
-  if (!g.IndexOf(req.source)) {
-    return Status::NotFound("source vertex " + std::to_string(req.source) +
-                            " not in graph");
-  }
+  GRAPHITE_RETURN_NOT_OK(CheckSource(g, req.source));
   if (req.at < 0) {
     return Status::InvalidArgument("reach_at requires \"at\" >= 0");
   }
@@ -404,26 +336,12 @@ Status RenderReachAt(const QueryRequest& req, const Workload& w,
   out->Key("type").String("reach_at");
   out->Key("source").Int(req.source);
   out->Key("at").Int(req.at);
-  Digest digest;
-  int64_t count = 0;
-  int64_t listed = 0;
-  bool truncated = false;
-  out->Key("vertices").BeginArray();
+  Listing list(out, "vertices", "count", req.max_vertices);
   for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
     if (reach.states[v].Get(req.at) != uint8_t{1}) continue;
-    ++count;
-    digest.MixInt(g.vertex_id(v));
-    if (req.max_vertices > 0 && listed >= req.max_vertices) {
-      truncated = true;
-      continue;
-    }
-    ++listed;
-    out->Int(g.vertex_id(v));
+    if (JsonWriter* row = list.Add(g.vertex_id(v))) row->Int(g.vertex_id(v));
   }
-  out->EndArray();
-  out->Key("count").Int(count);
-  if (truncated) out->Key("truncated").Bool(true);
-  out->Key("digest").String(digest.Hex());
+  list.Close();
   return Status::OK();
 }
 
@@ -433,10 +351,7 @@ Status RenderBfsAt(const QueryRequest& req, const Workload& w,
   auto config = BuildConfig(req, options);
   GRAPHITE_RETURN_NOT_OK(config.status());
   const TemporalGraph& g = w.graph();
-  if (!g.IndexOf(req.source)) {
-    return Status::NotFound("source vertex " + std::to_string(req.source) +
-                            " not in graph");
-  }
+  GRAPHITE_RETURN_NOT_OK(CheckSource(g, req.source));
   if (req.at < 0) {
     return Status::InvalidArgument("bfs_at requires \"at\" >= 0");
   }
@@ -450,28 +365,17 @@ Status RenderBfsAt(const QueryRequest& req, const Workload& w,
   out->Key("type").String("bfs_at");
   out->Key("source").Int(req.source);
   out->Key("at").Int(req.at);
-  Digest digest;
-  int64_t count = 0;
-  int64_t listed = 0;
-  bool truncated = false;
-  out->Key("vertices").BeginArray();
+  Listing list(out, "vertices", "count", req.max_vertices);
   for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
     const auto level = bfs.states[v].Get(req.at);
     if (!level || *level == kInfCost) continue;  // Not alive, or unreached.
-    ++count;
-    digest.MixInt(g.vertex_id(v));
-    digest.MixInt(*level);
-    if (req.max_vertices > 0 && listed >= req.max_vertices) {
-      truncated = true;
-      continue;
+    JsonWriter* row = list.Add(g.vertex_id(v));
+    list.digest().MixInt(*level);
+    if (row != nullptr) {
+      row->BeginArray().Int(g.vertex_id(v)).Int(*level).EndArray();
     }
-    ++listed;
-    out->BeginArray().Int(g.vertex_id(v)).Int(*level).EndArray();
   }
-  out->EndArray();
-  out->Key("count").Int(count);
-  if (truncated) out->Key("truncated").Bool(true);
-  out->Key("digest").String(digest.Hex());
+  list.Close();
   return Status::OK();
 }
 

@@ -5,7 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -19,13 +19,6 @@
 namespace graphite {
 
 namespace {
-
-std::string Lower(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) out.push_back(static_cast<char>(std::tolower(c)));
-  return out;
-}
 
 Status ErrnoError(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
@@ -87,18 +80,16 @@ Status Server::LoadDataset(const std::string& name,
   if (!std::isfinite(scale) || scale <= 0) {
     return Status::InvalidArgument("load scale must be a finite number > 0");
   }
-  const std::string want = Lower(dataset);
-  for (DatasetSpec& spec : DatasetCatalog(scale)) {
-    if (Lower(spec.name).rfind(want, 0) != 0) continue;
-    TemporalGraph g = Generate(spec.options);
-    // Publish, then invalidate: the replaced entry is already marked
-    // superseded, so no job still running on it can refill the cache.
-    registry_.Add(name, std::move(g));
-    cache_.ErasePrefix(QueryService::GraphPrefix(name));
-    return Status::OK();
+  const auto spec = FindDataset(dataset, scale);
+  if (!spec) {
+    return Status::NotFound("unknown dataset: \"" + dataset +
+                            "\" (want a catalog prefix, e.g. twitter)");
   }
-  return Status::NotFound("unknown dataset: \"" + dataset +
-                          "\" (want a catalog prefix, e.g. twitter)");
+  // Publish, then invalidate: the replaced entry is already marked
+  // superseded, so no job still running on it can refill the cache.
+  registry_.Add(name, Generate(spec->options));
+  cache_.ErasePrefix(QueryService::GraphPrefix(name));
+  return Status::OK();
 }
 
 Status Server::LoadFile(const std::string& name, const std::string& path) {
@@ -357,6 +348,21 @@ void Server::ServeTcp() {
       ::close(cfd);
       break;
     }
+    // Join the threads of connections closed since the last accept
+    // before starting this one's, which then reuses a released stack.
+    std::vector<std::thread> finished;
+    {
+      MutexLock lock(conn_mu_);
+      for (const std::thread::id id : finished_conns_) {
+        auto it = std::find_if(
+            conn_threads_.begin(), conn_threads_.end(),
+            [id](const std::thread& t) { return t.get_id() == id; });
+        finished.push_back(std::move(*it));
+        conn_threads_.erase(it);
+      }
+      finished_conns_.clear();
+    }
+    for (std::thread& t : finished) t.join();
     MutexLock lock(conn_mu_);
     conn_fds_.push_back(cfd);
     conn_threads_.emplace_back([this, cfd] { ConnectionLoop(cfd); });
@@ -429,16 +435,10 @@ void Server::ConnectionLoop(int fd) {
     MutexLock lock(state->mu);
     while (state->pending != 0) state->cv.Wait(state->mu);
   }
-  {
-    MutexLock lock(conn_mu_);
-    for (auto it = conn_fds_.begin(); it != conn_fds_.end(); ++it) {
-      if (*it == fd) {
-        conn_fds_.erase(it);
-        break;
-      }
-    }
-  }
+  MutexLock lock(conn_mu_);
+  std::erase(conn_fds_, fd);
   ::close(fd);
+  finished_conns_.push_back(std::this_thread::get_id());
 }
 
 void Server::RequestShutdown() {

@@ -98,7 +98,8 @@ class Server {
   /// Returns the bound port.
   Result<int> ListenTcp(int port);
   /// Accept loop; returns after RequestShutdown() (or a "shutdown" op),
-  /// once every connection thread has finished.
+  /// once every connection thread has finished. Each accept first joins
+  /// the threads of connections that have closed since the last one.
   void ServeTcp();
   /// Unblocks ServeTcp and in-progress connection reads. Thread-safe.
   void RequestShutdown();
@@ -125,6 +126,9 @@ class Server {
   Mutex conn_mu_;
   std::vector<int> conn_fds_ GRAPHITE_GUARDED_BY(conn_mu_);
   std::vector<std::thread> conn_threads_ GRAPHITE_GUARDED_BY(conn_mu_);
+  /// Connection threads past their last use of conn_mu_; the next accept
+  /// joins them, so a closed connection's stack does not stay mapped.
+  std::vector<std::thread::id> finished_conns_ GRAPHITE_GUARDED_BY(conn_mu_);
 };
 
 }  // namespace graphite

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <atomic>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -162,6 +163,23 @@ TEST(QueryServiceTest, ErrorsBecomeErrorResponses) {
   EXPECT_NE(bad_combo.find("InvalidArgument"), std::string::npos);
 }
 
+// Algorithm and platform names match in any case; the fragment names
+// them in upper case either way.
+TEST(QueryServiceTest, NamesMatchInAnyCase) {
+  const TemporalGraph g = testutil::MakeTransitGraph();
+  const std::string want = Standalone(
+      MustParse("{\"op\":\"run\",\"alg\":\"sssp\",\"platform\":\"gof\"}"), g);
+  EXPECT_NE(want.find("\"alg\": \"SSSP\""), std::string::npos) << want;
+  for (const char* names : {"\"alg\":\"SSSP\",\"platform\":\"GOF\"",
+                            "\"alg\":\"Sssp\",\"platform\":\"Gof\""}) {
+    EXPECT_EQ(Standalone(MustParse(std::string("{\"op\":\"run\",") + names +
+                                   "}"),
+                         g),
+              want)
+        << names;
+  }
+}
+
 // Only "sequential" and "stealing" name a scheduling mode; the retired
 // "spawn" and "pool" are rejected like any other unknown name.
 TEST(QueryServiceTest, UnknownModeIsInvalidArgument) {
@@ -288,6 +306,77 @@ TEST(QueryServiceTest, RunSsspIdenticalAcrossPlatforms) {
       }
     }
   }
+}
+
+// A max_vertices cap shortens a listing but not its count or digest, and
+// "truncated" appears exactly when rows were left out. One request per
+// listing shape: temporal int, double and byte runs, scalar and pair runs,
+// reach_at and bfs_at.
+TEST(QueryServiceTest, CappedListingsKeepCountAndDigest) {
+  testutil::RandomGraphOptions opt;
+  opt.num_vertices = 40;
+  opt.num_edges = 160;
+  const TemporalGraph g = testutil::MakeRandomGraph(11, opt);
+  // The source whose earliest-arrival run reaches the most vertices.
+  int64_t source = 0;
+  int64_t most = -1;
+  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
+    const std::string eat = "{\"op\":\"run\",\"alg\":\"eat\",\"source\":" +
+                            std::to_string(g.vertex_id(v)) + "}";
+    const int64_t reached =
+        MustParseJson(Standalone(MustParse(eat), g)).GetInt("reached", -1);
+    if (reached > most) {
+      most = reached;
+      source = g.vertex_id(v);
+    }
+  }
+  const struct {
+    const char* request;
+    const char* rows;
+    const char* count;
+  } kShapes[] = {
+      {"\"op\":\"run\",\"alg\":\"bfs\"", "vertices", "reached"},
+      {"\"op\":\"run\",\"alg\":\"pr\"", "vertices", "reached"},
+      {"\"op\":\"run\",\"alg\":\"rh\"", "vertices", "reached"},
+      {"\"op\":\"run\",\"alg\":\"eat\"", "values", "reached"},
+      {"\"op\":\"run\",\"alg\":\"tmst\"", "values", "reached"},
+      {"\"op\":\"reach_at\",\"at\":4", "vertices", "count"},
+      {"\"op\":\"bfs_at\",\"at\":4", "vertices", "count"},
+  };
+  constexpr int64_t kCap = 2;
+  int truncated_shapes = 0;
+  for (const auto& shape : kShapes) {
+    const std::string body = std::string("{") + shape.request +
+                             ",\"source\":" + std::to_string(source);
+    const JsonValue full = MustParseJson(
+        Standalone(MustParse(body + ",\"max_vertices\":0}"), g));
+    const JsonValue capped = MustParseJson(Standalone(
+        MustParse(body + ",\"max_vertices\":" + std::to_string(kCap) + "}"),
+        g));
+    const int64_t count = full.GetInt(shape.count, -1);
+    ASSERT_GE(count, 0) << shape.request;
+    EXPECT_EQ(static_cast<int64_t>(full.Find(shape.rows)->items().size()),
+              count)
+        << shape.request;
+    EXPECT_EQ(full.Find("truncated"), nullptr) << shape.request;
+
+    EXPECT_LE(static_cast<int64_t>(capped.Find(shape.rows)->items().size()),
+              kCap)
+        << shape.request;
+    EXPECT_EQ(capped.GetInt(shape.count, -2), count) << shape.request;
+    EXPECT_EQ(capped.GetString("digest"), full.GetString("digest"))
+        << shape.request;
+    const JsonValue* truncated = capped.Find("truncated");
+    if (count > kCap) {
+      ++truncated_shapes;
+      ASSERT_NE(truncated, nullptr) << shape.request;
+      EXPECT_TRUE(truncated->AsBool()) << shape.request;
+    } else {
+      EXPECT_EQ(truncated, nullptr) << shape.request;
+    }
+  }
+  // The cap bites on every shape.
+  EXPECT_EQ(truncated_shapes, static_cast<int>(std::size(kShapes)));
 }
 
 // The acceptance scenario: >= 64 concurrent mixed requests over >= 2
@@ -1115,6 +1204,9 @@ class LineClient {
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
 
+  /// Ends this side's writes: the server reads EOF after what was sent.
+  void CloseWrite() { ::shutdown(fd_, SHUT_WR); }
+
   /// True when the server has closed the connection with nothing unread.
   bool AtEof() {
     char c;
@@ -1206,6 +1298,47 @@ TEST(ServerTcpTest, OverlongLineGetsErrorThenEof) {
     client.Send("{\"id\":2,\"op\":\"shutdown\"}");
     client.ReadLine();
   }
+  serve.join();
+}
+
+/// This process's mapped address space (VmSize), in bytes.
+int64_t VmSizeBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoll(line.substr(7)) * 1024;  // Reported in kB.
+    }
+  }
+  return -1;
+}
+
+// Each connection runs on its own thread; a closed connection's thread is
+// joined by a later accept, so sequential connections reuse one stack
+// instead of keeping ~8 MiB mapped apiece until shutdown.
+TEST(ServerTcpTest, ClosedConnectionsReleaseTheirThreads) {
+  Server server;
+  auto port = server.ListenTcp(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  std::thread serve([&] { server.ServeTcp(); });
+  // Each connection ends when the server has closed its side, i.e. when
+  // its thread is finishing, so the next one does not overlap it.
+  auto ping = [&] {
+    LineClient client(*port);
+    client.Send("{\"id\":1,\"op\":\"ping\"}");
+    EXPECT_NE(client.ReadLine().find("\"op\": \"ping\""), std::string::npos);
+    client.CloseWrite();
+    EXPECT_TRUE(client.AtEof());
+  };
+  // Warm the thread-stack cache and malloc's arenas before the baseline.
+  for (int i = 0; i < 4; ++i) ping();
+  const int64_t before = VmSizeBytes();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 64; ++i) ping();
+  const int64_t growth = VmSizeBytes() - before;
+  EXPECT_LT(growth, int64_t{64} << 20) << "VmSize grew " << (growth >> 20)
+                                       << " MiB over 64 connections";
+  server.RequestShutdown();
   serve.join();
 }
 

@@ -9,17 +9,29 @@
 //   graphite query --port 7171 --op run --graph t --alg bfs --source 3
 //   graphite query --port 7171 --json '{"op":"list"}'
 //
-// Exit status: 0 on success, 1 on usage/user error.
+// Exit status: 0 on success, 1 on usage/user error: a flag the command
+// does not read, an integer flag that is not one whole integer (--workers
+// in [1, 64]), a --scale that is not a finite number > 0, an unknown
+// dataset, algorithm or platform, an unsupported (algorithm, platform)
+// pair or a source vertex not in the graph.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <map>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "algorithms/runners.h"
@@ -27,6 +39,7 @@
 #include "graph/graph_stats.h"
 #include "io/text_format.h"
 #include "query/temporal_query.h"
+#include "server/query_service.h"
 #include "util/json.h"
 #include "util/stats.h"
 
@@ -43,15 +56,55 @@ struct Args {
     auto it = flags.find(name);
     return it == flags.end() ? def : it->second;
   }
-  int64_t IntFlag(const std::string& name, int64_t def) const {
+  /// The flag as one whole T token that `valid` accepts; anything else
+  /// exits with status 1, naming the flag and what it wants.
+  template <typename T, typename Valid>
+  T Number(const std::string& name, T def, Valid valid,
+           const std::string& want) const {
     auto it = flags.find(name);
-    return it == flags.end() ? def : std::atoll(it->second.c_str());
+    if (it == flags.end()) return def;
+    const std::string& text = it->second;
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || !valid(value)) {
+      std::fprintf(stderr, "error: bad value for --%s: '%s' (want %s)\n",
+                   name.c_str(), text.c_str(), want.c_str());
+      std::exit(1);
+    }
+    return value;
   }
-  double DoubleFlag(const std::string& name, double def) const {
-    auto it = flags.find(name);
-    return it == flags.end() ? def : std::atof(it->second.c_str());
+  int64_t IntFlag(const std::string& name, int64_t def,
+                  int64_t lo = std::numeric_limits<int64_t>::min(),
+                  int64_t hi = std::numeric_limits<int64_t>::max()) const {
+    return Number<int64_t>(
+        name, def, [&](int64_t v) { return v >= lo && v <= hi; },
+        "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+            "]");
+  }
+  double ScaleFlag() const {
+    return Number<double>(
+        "scale", 1.0, [](double v) { return std::isfinite(v) && v > 0; },
+        "a finite number > 0");
+  }
+  /// False, after naming it, when a flag is not one the command reads.
+  bool OnlyFlags(std::initializer_list<std::string_view> known) const {
+    for (const auto& [name, value] : flags) {
+      if (std::find(known.begin(), known.end(), name) == known.end()) {
+        std::fprintf(stderr, "error: %s does not take --%s\n",
+                     command.c_str(), name.c_str());
+        return false;
+      }
+    }
+    return true;
   }
 };
+
+/// Prints a failed status as the CLI's one-line error; returns exit 1.
+int Fail(const Status& s) {
+  std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+  return 1;
+}
 
 int Usage() {
   std::fprintf(
@@ -66,6 +119,7 @@ int Usage() {
       "         A: bfs wcc scc pr sssp eat fast ld tmst rh lcc tc\n"
       "         P: icm msb chl tgb gof\n"
       "  bench  --alg A FILE [--workers N]       ICM vs every baseline\n"
+      "         [--source V] [--target V] [--deadline T]\n"
       "  slice  --from T --to T FILE --out FILE  temporal time-slice\n"
       "  query  --port N <request flags>         ask a running\n"
       "         graphite_server (127.0.0.1) and pretty-print the reply\n"
@@ -77,54 +131,30 @@ int Usage() {
   return 1;
 }
 
-Result<Algorithm> ParseAlgorithm(const std::string& name) {
-  for (Algorithm a : kAllAlgorithms) {
-    std::string lower;
-    for (const char* c = AlgorithmName(a); *c; ++c) {
-      lower.push_back(static_cast<char>(std::tolower(*c)));
-    }
-    if (lower == name) return a;
-  }
-  return Status::InvalidArgument("unknown algorithm: " + name);
-}
-
-Result<Platform> ParsePlatform(const std::string& name) {
-  for (Platform p : {Platform::kIcm, Platform::kMsb, Platform::kChl,
-                     Platform::kTgb, Platform::kGof}) {
-    std::string lower;
-    for (const char* c = PlatformName(p); *c; ++c) {
-      lower.push_back(static_cast<char>(std::tolower(*c)));
-    }
-    if (lower == name) return p;
-  }
-  return Status::InvalidArgument("unknown platform: " + name);
-}
-
 int CmdGen(const Args& args) {
+  if (!args.OnlyFlags({"dataset", "scale", "out"})) return 1;
   const std::string dataset = args.Flag("dataset");
   const std::string out = args.Flag("out");
   if (dataset.empty() || out.empty()) return Usage();
-  const DatasetSpec spec =
-      DatasetByName(dataset, args.DoubleFlag("scale", 1.0));
-  const TemporalGraph g = Generate(spec.options);
-  const Status s = WriteTextGraphFile(g, out);
-  if (!s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+  const auto spec = FindDataset(dataset, args.ScaleFlag());
+  if (!spec) {
+    std::fprintf(stderr, "error: unknown dataset '%s'\n", dataset.c_str());
     return 1;
   }
+  const TemporalGraph g = Generate(spec->options);
+  const Status s = WriteTextGraphFile(g, out);
+  if (!s.ok()) return Fail(s);
   std::printf("%s: wrote %s (%zu vertices, %zu edges, %lld snapshots)\n",
-              spec.name.c_str(), out.c_str(), g.num_vertices(), g.num_edges(),
-              static_cast<long long>(g.horizon()));
+              spec->name.c_str(), out.c_str(), g.num_vertices(),
+              g.num_edges(), static_cast<long long>(g.horizon()));
   return 0;
 }
 
 int CmdStats(const Args& args) {
+  if (!args.OnlyFlags({})) return 1;
   if (args.positional.empty()) return Usage();
   auto g = ReadTextGraphFile(args.positional[0]);
-  if (!g.ok()) {
-    std::fprintf(stderr, "error: %s\n", g.status().ToString().c_str());
-    return 1;
-  }
+  if (!g.ok()) return Fail(g.status());
   const GraphStats s = ComputeGraphStats(*g);
   std::printf("snapshots            %lld\n",
               static_cast<long long>(s.num_snapshots));
@@ -148,7 +178,8 @@ int CmdStats(const Args& args) {
 
 RunConfig ConfigFrom(const Args& args) {
   RunConfig config;
-  config.num_workers = static_cast<int>(args.IntFlag("workers", 4));
+  config.num_workers =
+      static_cast<int>(args.IntFlag("workers", 4, 1, kMaxRequestWorkers));
   config.source = args.IntFlag("source", 0);
   config.target = args.IntFlag("target", -1);
   config.deadline = args.IntFlag("deadline", -1);
@@ -156,53 +187,45 @@ RunConfig ConfigFrom(const Args& args) {
 }
 
 int CmdRun(const Args& args) {
+  if (!args.OnlyFlags(
+          {"alg", "platform", "source", "target", "workers", "deadline"})) {
+    return 1;
+  }
   if (args.positional.empty()) return Usage();
+  const RunConfig config = ConfigFrom(args);
   auto alg = ParseAlgorithm(args.Flag("alg"));
+  if (!alg.ok()) return Fail(alg.status());
   auto platform = ParsePlatform(args.Flag("platform", "icm"));
-  if (!alg.ok() || !platform.ok()) {
-    std::fprintf(stderr, "error: %s%s\n", alg.status().message().c_str(),
-                 platform.status().message().c_str());
-    return 1;
-  }
-  if (!Supports(*platform, *alg)) {
-    std::fprintf(stderr,
-                 "error: %s does not support %s (TI: icm/msb/chl; TD: "
-                 "icm/tgb/gof)\n",
-                 PlatformName(*platform), AlgorithmName(*alg));
-    return 1;
-  }
+  if (!platform.ok()) return Fail(platform.status());
   auto g = ReadTextGraphFile(args.positional[0]);
-  if (!g.ok()) {
-    std::fprintf(stderr, "error: %s\n", g.status().ToString().c_str());
-    return 1;
-  }
+  if (!g.ok()) return Fail(g.status());
+  const Status check = CheckRun(*g, *platform, *alg, config.source);
+  if (!check.ok()) return Fail(check);
   Workload w(std::move(*g));
-  const RunMetrics m =
-      RunForMetrics(w, *platform, *alg, ConfigFrom(args));
+  const RunMetrics m = RunForMetrics(w, *platform, *alg, config);
   std::printf("%s on %s: %s\n", AlgorithmName(*alg), PlatformName(*platform),
               m.ToString().c_str());
   return 0;
 }
 
 int CmdBench(const Args& args) {
+  if (!args.OnlyFlags({"alg", "source", "target", "workers", "deadline"})) {
+    return 1;
+  }
   if (args.positional.empty()) return Usage();
-  auto alg = ParseAlgorithm(args.Flag("alg"));
-  if (!alg.ok()) {
-    std::fprintf(stderr, "error: %s\n", alg.status().ToString().c_str());
-    return 1;
-  }
-  auto g = ReadTextGraphFile(args.positional[0]);
-  if (!g.ok()) {
-    std::fprintf(stderr, "error: %s\n", g.status().ToString().c_str());
-    return 1;
-  }
-  Workload w(std::move(*g));
   const RunConfig config = ConfigFrom(args);
+  auto alg = ParseAlgorithm(args.Flag("alg"));
+  if (!alg.ok()) return Fail(alg.status());
+  auto g = ReadTextGraphFile(args.positional[0]);
+  if (!g.ok()) return Fail(g.status());
+  // ICM runs every algorithm, so its check is every platform's.
+  const Status check = CheckRun(*g, Platform::kIcm, *alg, config.source);
+  if (!check.ok()) return Fail(check);
+  Workload w(std::move(*g));
   TextTable table;
   table.AddRow({"Platform", "Makespan-ms", "Compute-calls", "Messages",
                 "Supersteps"});
-  for (Platform p : {Platform::kIcm, Platform::kMsb, Platform::kChl,
-                     Platform::kTgb, Platform::kGof}) {
+  for (Platform p : kAllPlatforms) {
     if (!Supports(p, *alg)) continue;
     const RunMetrics m = RunForMetrics(w, p, *alg, config);
     table.AddRow({PlatformName(p),
@@ -216,14 +239,12 @@ int CmdBench(const Args& args) {
 }
 
 int CmdSlice(const Args& args) {
+  if (!args.OnlyFlags({"from", "to", "out"})) return 1;
   if (args.positional.empty()) return Usage();
   const std::string out = args.Flag("out");
   if (out.empty()) return Usage();
   auto g = ReadTextGraphFile(args.positional[0]);
-  if (!g.ok()) {
-    std::fprintf(stderr, "error: %s\n", g.status().ToString().c_str());
-    return 1;
-  }
+  if (!g.ok()) return Fail(g.status());
   const Interval window(args.IntFlag("from", 0),
                         args.IntFlag("to", g->horizon()));
   if (!window.IsValid()) {
@@ -233,10 +254,7 @@ int CmdSlice(const Args& args) {
   }
   const TemporalGraph sliced = TimeSlice(*g, window);
   const Status s = WriteTextGraphFile(sliced, out);
-  if (!s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-    return 1;
-  }
+  if (!s.ok()) return Fail(s);
   std::printf("sliced %s to %s: %zu vertices, %zu edges\n",
               window.ToString().c_str(), out.c_str(), sliced.num_vertices(),
               sliced.num_edges());
@@ -275,9 +293,7 @@ std::string BuildRequestLine(const Args& args) {
   int_flag("at", "at");
   int_flag("workers", "workers");
   int_flag("max-vertices", "max_vertices");
-  if (args.flags.count("scale") != 0) {
-    w.Key("scale").Double(args.DoubleFlag("scale", 1.0));
-  }
+  if (args.flags.count("scale") != 0) w.Key("scale").Double(args.ScaleFlag());
   if (args.flags.count("from") != 0 || args.flags.count("to") != 0) {
     w.Key("window")
         .BeginArray()
@@ -292,7 +308,13 @@ std::string BuildRequestLine(const Args& args) {
 }
 
 int CmdQuery(const Args& args) {
-  const int port = static_cast<int>(args.IntFlag("port", -1));
+  if (!args.OnlyFlags({"port", "json", "op", "graph", "alg", "platform",
+                       "kind", "label", "mode", "dataset", "file", "source",
+                       "target", "deadline", "at", "workers", "max-vertices",
+                       "scale", "from", "to", "cache", "metrics", "id"})) {
+    return 1;
+  }
+  const int port = static_cast<int>(args.IntFlag("port", -1, -1, 65535));
   if (port < 0) {
     std::fprintf(stderr, "error: query needs --port\n");
     return Usage();
