@@ -2,9 +2,10 @@
 // cache miss path (full superstep run + fragment render) against the hit
 // path (LRU lookup + envelope assembly, zero supersteps) on two resident
 // catalog graphs, plus mixed-request throughput through the bounded job
-// scheduler, and the windowed pre-filter (the fused TemporalSelect +
-// TimeSlice a windowed `run` makes before its engine run) on Twitter-like
-// graphs 4x apart, and the text-format load (ReadTextGraph, what
+// scheduler, the windowed pre-filter (the fused TemporalSelect +
+// TimeSlice a windowed `run` makes before its engine run) and the derived
+// graphs (ReverseGraph, MakeUndirected) on Twitter-like graphs 4x apart,
+// and the text-format load (ReadTextGraph, what
 // `--preload NAME=@FILE` and the `load` op run) of one catalog graph.
 // It also renders 300 seeded uncached `path eat` reads per graph
 // in-process and reports their per-read time, engine counters and heap
@@ -18,7 +19,8 @@
 // a fresh run against it (ctest label `perf`). The >=10x hit/miss speedup
 // acceptance, the hit-path, pre-filter, text-load and point-read
 // allocation counts,
-// and the pre-filter's allocation growth between the two graph sizes are
+// and the pre-filter's and derived graphs' allocation growth between the
+// two graph sizes are
 // deterministic-ish per build and gated unconditionally; raw
 // latency/throughput keys are timing
 // and enforced only in strict mode (GRAPHITE_PERF_STRICT=1 / --strict)
@@ -124,6 +126,35 @@ PrefilterSample MeasurePrefilter(const TemporalGraph& g) {
   s.edges = g.num_edges();
   s.ns = static_cast<double>(NowNanos() - t0) / kReps;
   s.allocs = static_cast<double>(benchalloc::AllocCount() - a0) / kReps;
+  return s;
+}
+
+// One derived-graph measurement: the reversed and undirected graphs a
+// Workload builds for SCC/LD and WCC (algorithms/common.h).
+struct DeriveSample {
+  size_t edges = 0;
+  double reverse_ns = 0;
+  double reverse_allocs = 0;
+  double undirected_ns = 0;
+  double undirected_allocs = 0;
+};
+
+DeriveSample MeasureDerive(const TemporalGraph& g) {
+  constexpr int kReps = 5;
+  // Mean time and heap allocations of `derive` after one warmup call.
+  auto measure = [&g](TemporalGraph (*derive)(const TemporalGraph&),
+                      double* ns, double* allocs) {
+    GRAPHITE_CHECK(derive(g).num_edges() >= g.num_edges());
+    const uint64_t a0 = benchalloc::AllocCount();
+    const int64_t t0 = NowNanos();
+    for (int i = 0; i < kReps; ++i) (void)derive(g);
+    *ns = static_cast<double>(NowNanos() - t0) / kReps;
+    *allocs = static_cast<double>(benchalloc::AllocCount() - a0) / kReps;
+  };
+  DeriveSample s;
+  s.edges = g.num_edges();
+  measure(ReverseGraph, &s.reverse_ns, &s.reverse_allocs);
+  measure(MakeUndirected, &s.undirected_ns, &s.undirected_allocs);
   return s;
 }
 
@@ -336,6 +367,23 @@ int main(int argc, char** argv) {
                 p.edges, p.ns / 1e3, p.allocs);
   }
 
+  // ---- Derived graphs: built by array passes, so their allocations must
+  // not grow with the graph either. Same two graphs as the pre-filter.
+  DeriveSample derive[2];
+  for (int i = 0; i < 2; ++i) {
+    derive[i] = MeasureDerive(
+        Generate(DatasetByName("twitter", scale * (i == 0 ? 1 : 4)).options));
+  }
+  const double derive_alloc_growth =
+      std::max(derive[1].reverse_allocs / derive[0].reverse_allocs,
+               derive[1].undirected_allocs / derive[0].undirected_allocs);
+  for (const DeriveSample& d : derive) {
+    std::printf("  derive (%zu edges): reverse %.2f ms, %.0f allocs; "
+                "undirected %.2f ms, %.0f allocs\n",
+                d.edges, d.reverse_ns / 1e6, d.reverse_allocs,
+                d.undirected_ns / 1e6, d.undirected_allocs);
+  }
+
   // ---- Text load: what a server's `--preload NAME=@FILE` runs per graph.
   const TextLoadSample text_load = MeasureTextLoad(
       WriteTextGraph(Generate(DatasetByName("twitter", scale).options)));
@@ -403,6 +451,17 @@ int main(int argc, char** argv) {
     json.EndObject();
   }
   json.EndArray();
+  json.Key("derive").BeginArray();
+  for (const DeriveSample& d : derive) {
+    json.BeginObject();
+    json.Key("edges").Int(static_cast<int64_t>(d.edges));
+    json.Key("reverse_ms").Fixed(d.reverse_ns / 1e6, 3);
+    json.Key("reverse_allocs").Fixed(d.reverse_allocs, 1);
+    json.Key("undirected_ms").Fixed(d.undirected_ns / 1e6, 3);
+    json.Key("undirected_allocs").Fixed(d.undirected_allocs, 1);
+    json.EndObject();
+  }
+  json.EndArray();
   json.Key("text_load").BeginObject();
   json.Key("dataset").String("twitter");
   json.Key("lines").Int(static_cast<int64_t>(text_load.lines));
@@ -440,6 +499,10 @@ int main(int argc, char** argv) {
             /*timing=*/false);
   GateEntry(&json, "server_prefilter_alloc_growth", prefilter_alloc_growth,
             "lower", /*timing=*/false);
+  // The larger of ReverseGraph's and MakeUndirected's allocation ratios
+  // between the 4x graph and the 1x one.
+  GateEntry(&json, "server_derive_alloc_growth", derive_alloc_growth, "lower",
+            /*timing=*/false);
   GateEntry(&json, "server_text_load_allocs_per_kline", load_allocs_per_kline,
             "lower", /*timing=*/false);
   // Mean heap allocations of one uncached `path eat` read on rd.
@@ -448,6 +511,10 @@ int main(int argc, char** argv) {
   GateEntry(&json, "server_hit_ns", hit_ns, "lower", /*timing=*/true);
   GateEntry(&json, "server_miss_ns", miss_ns, "lower", /*timing=*/true);
   GateEntry(&json, "server_mixed_rps", rps, "higher", /*timing=*/true);
+  GateEntry(&json, "server_derive_reverse_ms", derive[1].reverse_ns / 1e6,
+            "lower", /*timing=*/true);
+  GateEntry(&json, "server_derive_undirected_ms",
+            derive[1].undirected_ns / 1e6, "lower", /*timing=*/true);
   json.EndObject();
   json.EndObject();
 

@@ -5,65 +5,16 @@
 
 namespace graphite {
 
-namespace {
-
-// Rebuilds `g` with edges transformed by `map_edge(src_id, dst_id)`;
-// reverse=true swaps endpoints. `duplicate` additionally keeps the
-// original edge direction (undirected expansion).
-TemporalGraph RebuildWithEdges(const TemporalGraph& g, bool reverse,
-                               bool duplicate) {
-  TemporalGraphBuilder builder;
-  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-    builder.AddVertex(g.vertex_id(v), g.vertex_interval(v));
-    for (const auto& [label, map] : g.VertexProperties(v)) {
-      for (const auto& entry : map.entries()) {
-        builder.SetVertexProperty(g.vertex_id(v), g.LabelName(label),
-                                  entry.interval, entry.value);
-      }
-    }
-  }
-  EdgeId max_eid = 0;
-  for (EdgePos pos = 0; pos < g.num_edges(); ++pos) {
-    max_eid = std::max(max_eid, g.edge(pos).eid);
-  }
-  auto add_edge = [&](EdgeId eid, VertexId src, VertexId dst, EdgePos pos) {
-    builder.AddEdge(eid, src, dst, g.edge(pos).interval);
-    for (const auto& [label, map] : g.EdgeProperties(pos)) {
-      for (const auto& entry : map.entries()) {
-        builder.SetEdgeProperty(eid, g.LabelName(label), entry.interval,
-                                entry.value);
-      }
-    }
-  };
-  for (EdgePos pos = 0; pos < g.num_edges(); ++pos) {
-    const StoredEdge& e = g.edge(pos);
-    const VertexId src_id = g.vertex_id(e.src);
-    const VertexId dst_id = g.vertex_id(e.dst);
-    if (duplicate) {
-      add_edge(e.eid, src_id, dst_id, pos);
-      add_edge(max_eid + 1 + static_cast<EdgeId>(pos), dst_id, src_id, pos);
-    } else if (reverse) {
-      add_edge(e.eid, dst_id, src_id, pos);
-    } else {
-      add_edge(e.eid, src_id, dst_id, pos);
-    }
-  }
-  BuilderOptions options;
-  options.validate = false;  // The source graph already passed validation.
-  options.horizon = g.horizon();
-  auto result = builder.Build(options);
-  GRAPHITE_CHECK(result.ok());
-  return std::move(result).value();
-}
-
-}  // namespace
-
+// Both are Filter's sealed-base writer keeping every entity, with the
+// edges laid out reversed or doubled (DESIGN.md §4l).
 TemporalGraph ReverseGraph(const TemporalGraph& g) {
-  return RebuildWithEdges(g, /*reverse=*/true, /*duplicate=*/false);
+  return TemporalGraph::WriteBase(g, Interval::All(), nullptr, nullptr,
+                                  TemporalGraph::EdgeLayout::kReversed);
 }
 
 TemporalGraph MakeUndirected(const TemporalGraph& g) {
-  return RebuildWithEdges(g, /*reverse=*/false, /*duplicate=*/true);
+  return TemporalGraph::WriteBase(g, Interval::All(), nullptr, nullptr,
+                                  TemporalGraph::EdgeLayout::kUndirected);
 }
 
 std::vector<IntervalMap<int64_t>> OutDegreeProfiles(const TemporalGraph& g) {

@@ -1,7 +1,9 @@
 // Shared helpers for the algorithm library: infinity sentinels, graph
 // reversal / undirection (for LD, SCC, WCC), per-vertex temporal
 // out-degree profiles (PageRank), and the TemporalResult representation
-// used to compare outcomes across platforms.
+// used to compare outcomes across platforms. The reversed and undirected
+// graphs come from TemporalGraph::Filter's sealed-base writer, one array
+// pass over the source (DESIGN.md §4l).
 #ifndef GRAPHITE_ALGORITHMS_COMMON_H_
 #define GRAPHITE_ALGORITHMS_COMMON_H_
 
@@ -9,7 +11,6 @@
 #include <limits>
 #include <vector>
 
-#include "graph/builder.h"
 #include "graph/temporal_graph.h"
 #include "temporal/interval_map.h"
 
@@ -47,14 +48,15 @@ std::vector<T> FoldPerVertex(const TemporalResult<V>& states, const T& init,
   return out;
 }
 
-/// Builds the reversed graph: every edge (u -> v) becomes (v -> u), keeping
-/// ids, lifespans and properties. Used by LD (reverse traversal in space
-/// and time) and the backward phases of SCC.
+/// The reversed graph: every edge (u -> v) becomes (v -> u), keeping ids,
+/// lifespans and properties. Used by LD (reverse traversal in space and
+/// time) and the backward phases of SCC.
 TemporalGraph ReverseGraph(const TemporalGraph& g);
 
-/// Builds the undirected expansion: for every edge (u -> v) with id e, a
-/// reverse edge (v -> u) is added with a fresh id, duplicating lifespan and
-/// properties. Used by WCC.
+/// The undirected expansion: every edge (u -> v) at position p in `g` is
+/// kept and followed by a reverse edge (v -> u) with id
+/// max(0, max eid) + 1 + p, duplicating lifespan and properties. Used by
+/// WCC.
 TemporalGraph MakeUndirected(const TemporalGraph& g);
 
 /// Temporal out-degree profile of every vertex: profile[v] maps each

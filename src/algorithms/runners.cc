@@ -95,6 +95,13 @@ std::optional<T> FindByName(const T (&values)[N], NameOf name_of,
   return std::nullopt;
 }
 
+// NotFound "<role> vertex N not in graph" unless `id` is in g.
+Status CheckVertex(const TemporalGraph& g, const char* role, VertexId id) {
+  if (g.IndexOf(id)) return Status::OK();
+  return Status::NotFound(std::string(role) + " vertex " + std::to_string(id) +
+                          " not in graph");
+}
+
 }  // namespace
 
 const char* AlgorithmName(Algorithm a) {
@@ -177,19 +184,23 @@ bool NeedsSource(Algorithm a) {
 }
 
 Status CheckSource(const TemporalGraph& g, VertexId source) {
-  if (g.IndexOf(source)) return Status::OK();
-  return Status::NotFound("source vertex " + std::to_string(source) +
-                          " not in graph");
+  return CheckVertex(g, "source", source);
+}
+
+Status CheckTarget(const TemporalGraph& g, VertexId target) {
+  return CheckVertex(g, "target", target);
 }
 
 Status CheckRun(const TemporalGraph& g, Platform p, Algorithm a,
-                VertexId source) {
+                VertexId source, VertexId target) {
   if (!Supports(p, a)) {
     return Status::InvalidArgument(std::string(PlatformName(p)) +
                                    " does not support " + AlgorithmName(a) +
                                    " (TI: icm/msb/chl; TD: icm/tgb/gof)");
   }
-  return NeedsSource(a) ? CheckSource(g, source) : Status::OK();
+  if (NeedsSource(a)) GRAPHITE_RETURN_NOT_OK(CheckSource(g, source));
+  if (a == Algorithm::kLd && target >= 0) return CheckTarget(g, target);
+  return Status::OK();
 }
 
 const TemporalGraph& Workload::reversed() const {
@@ -366,15 +377,11 @@ std::vector<int64_t> RunEatOn(const Workload& w, Platform p,
       std::vector<uint8_t> values;
       StoreMetrics(metrics,
                    RunVcm(adapter, program, config.ToVcm(), &values));
-      std::vector<int64_t> eat(g.num_vertices(), kInfCost);
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (ReplicaIdx r : tg.ReplicasOf(v)) {
-          if (values[r]) {
-            eat[v] = std::min(eat[v], tg.replica_time(r));
-            break;  // Replicas are time-ordered.
-          }
-        }
-      }
+      auto eat = FoldReplicas(
+          tg, g, values, kInfCost,
+          [](int64_t& acc, TimePoint t, uint8_t reached) {
+            if (reached) acc = std::min(acc, t);
+          });
       if (auto src = g.IndexOf(config.source)) {
         eat[*src] = std::max<TimePoint>(0, g.vertex_interval(*src).start);
       }
@@ -418,15 +425,11 @@ std::vector<int64_t> RunFastOn(const Workload& w, Platform p,
       std::vector<int64_t> values;
       StoreMetrics(metrics,
                    RunVcm(adapter, program, config.ToVcm(), &values));
-      fastest.assign(g.num_vertices(), kInfCost);
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (ReplicaIdx r : tg.ReplicasOf(v)) {
-          if (values[r] != kNegInf) {
-            fastest[v] =
-                std::min(fastest[v], tg.replica_time(r) - values[r]);
-          }
-        }
-      }
+      fastest = FoldReplicas(
+          tg, g, values, kInfCost,
+          [](int64_t& acc, TimePoint t, int64_t start) {
+            if (start != kNegInf) acc = std::min(acc, t - start);
+          });
       break;
     }
     case Platform::kGof: {
@@ -465,14 +468,11 @@ std::vector<int64_t> RunLdOn(const Workload& w, Platform p,
       std::vector<uint8_t> values;
       StoreMetrics(metrics,
                    RunVcm(adapter, program, config.ToVcm(), &values));
-      std::vector<int64_t> latest(g.num_vertices(), kNegInf);
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (ReplicaIdx r : tg.ReplicasOf(v)) {
-          if (values[r]) {
-            latest[v] = std::max(latest[v], tg.replica_time(r));
-          }
-        }
-      }
+      auto latest = FoldReplicas(
+          tg, g, values, kNegInf,
+          [](int64_t& acc, TimePoint t, uint8_t reached) {
+            if (reached) acc = std::max(acc, t);
+          });
       // The target may "depart" as late as the clamped deadline.
       if (auto tgt = g.IndexOf(target)) {
         const Interval& span = g.vertex_interval(*tgt);
@@ -517,12 +517,11 @@ std::vector<std::pair<int64_t, int64_t>> RunTmstOn(const Workload& w,
       std::vector<Arrival> values;
       StoreMetrics(metrics,
                    RunVcm(adapter, program, config.ToVcm(), &values));
-      std::vector<Arrival> best(g.num_vertices(), unreached);
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (ReplicaIdx r : tg.ReplicasOf(v)) {
-          if (values[r] < best[v]) best[v] = values[r];
-        }
-      }
+      auto best = FoldReplicas(
+          tg, g, values, unreached,
+          [](Arrival& acc, TimePoint, const Arrival& arrival) {
+            acc = std::min(acc, arrival);
+          });
       if (auto src = g.IndexOf(config.source)) {
         best[*src] = {std::max<TimePoint>(0, g.vertex_interval(*src).start),
                       config.source};
@@ -604,16 +603,12 @@ TemporalResult<int64_t> RunTcOn(const Workload& w, Platform p,
       options.max_supersteps = 4;
       std::vector<TcState> values;
       StoreMetrics(metrics, RunVcm(adapter, program, options, &values));
-      TemporalResult<int64_t> out(g.num_vertices());
-      for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
-        for (ReplicaIdx r : tg.ReplicasOf(v)) {
-          if (values[r].triangles > 0) {
-            const TimePoint t = tg.replica_time(r);
-            out[v].Set(Interval(t, t + 1), values[r].triangles);
-          }
-        }
-        out[v].Coalesce();
-      }
+      auto out = FoldReplicas(
+          tg, g, values, IntervalMap<int64_t>(),
+          [](IntervalMap<int64_t>& acc, TimePoint t, const TcState& s) {
+            if (s.triangles > 0) acc.Set(Interval(t, t + 1), s.triangles);
+          });
+      for (auto& m : out) m.Coalesce();
       return out;
     }
     case Platform::kGof: {

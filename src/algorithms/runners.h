@@ -61,11 +61,14 @@ bool Supports(Platform p, Algorithm a);
 bool NeedsSource(Algorithm a);
 /// NotFound "source vertex N not in graph" unless `source` is in g.
 Status CheckSource(const TemporalGraph& g, VertexId source);
+/// NotFound "target vertex N not in graph" unless `target` is in g.
+Status CheckTarget(const TemporalGraph& g, VertexId target);
 /// The check every run passes before it starts: InvalidArgument when the
 /// platform does not run the algorithm, then CheckSource when the
-/// algorithm reads a source.
+/// algorithm reads a source, then CheckTarget for LD given a target
+/// (>= 0; RunConfig::target's -1 picks the highest vertex id).
 Status CheckRun(const TemporalGraph& g, Platform p, Algorithm a,
-                VertexId source);
+                VertexId source, VertexId target);
 
 /// Execution knobs shared across platforms.
 struct RunConfig : EngineOptions {

@@ -336,7 +336,8 @@ class TgbTriangle {
 
 // ---------------------------------------------------------------------
 // Result assembly: replica values -> per-(vertex, time) temporal results
-// (a replica's value persists until the vertex's next replica).
+// (a replica's value persists until the vertex's next replica), or one
+// folded value per vertex.
 // ---------------------------------------------------------------------
 
 template <typename V, typename Keep>
@@ -357,6 +358,23 @@ TemporalResult<V> AssembleFromReplicas(const TransformedGraph& tg,
       if (start < end) out[v].Set(Interval(start, end), values[r]);
     }
     out[v].Coalesce();
+  }
+  return out;
+}
+
+/// Folds each original vertex's replica values into one value: out[v]
+/// starts at `init` and `fold(out[v], replica_time, value)` runs over v's
+/// replicas in time order. The TD runners reduce TGB runs to their
+/// per-vertex answers with it (earliest arrival, latest departure, ...).
+template <typename T, typename V, typename Fold>
+std::vector<T> FoldReplicas(const TransformedGraph& tg, const TemporalGraph& g,
+                            const std::vector<V>& values, const T& init,
+                            Fold fold) {
+  std::vector<T> out(g.num_vertices(), init);
+  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
+    for (ReplicaIdx r : tg.ReplicasOf(v)) {
+      fold(out[v], tg.replica_time(r), values[r]);
+    }
   }
   return out;
 }

@@ -562,6 +562,14 @@ TemporalGraph TemporalGraph::Filter(const TemporalGraph& g,
                                     const Interval& clip,
                                     const VertexPredicate& keep_vertex,
                                     const EdgePredicate& keep_edge) {
+  return WriteBase(g, clip, keep_vertex, keep_edge, EdgeLayout::kForward);
+}
+
+TemporalGraph TemporalGraph::WriteBase(const TemporalGraph& g,
+                                       const Interval& clip,
+                                       const VertexPredicate& keep_vertex,
+                                       const EdgePredicate& keep_edge,
+                                       EdgeLayout layout) {
   // A delta is folded on a private copy, so the passes read sealed arrays
   // only; `g` is read again just to order the labels.
   std::optional<TemporalGraph> compacted;
@@ -657,35 +665,64 @@ TemporalGraph TemporalGraph::Filter(const TemporalGraph& g,
     if (remap[v] != kInvalidVertex) nb.vid_index.emplace_back(vid, remap[v]);
   }
 
-  // --- Edges, in the (src, eid) order `s` already has.
+  // --- Edges, in (src, eid) order: a vertex's forward edges are its
+  // eid-sorted slice of `s`, its reversed ones its in-edges sorted by the
+  // id they take.
   const uint32_t m = s.num_sealed_edges_;
+  const size_t copies = layout == EdgeLayout::kUndirected ? 2 : 1;
   nb.out_offsets.reserve(kept + 1);
   nb.out_offsets.push_back(0);
-  nb.edges.reserve(m);
-  nb.edge_props.Reserve(m, old.edge_props.groups.size(),
-                        old.edge_props.runs.size());
+  nb.edges.reserve(copies * m);
+  nb.edge_props.Reserve(copies * m, copies * old.edge_props.groups.size(),
+                        copies * old.edge_props.runs.size());
+  EdgeId max_eid = 0;
+  std::vector<std::pair<EdgeId, EdgePos>> flipped;  // (new eid, pos in s)
+  if (layout != EdgeLayout::kForward) {
+    for (const StoredEdge& e : old.edges) max_eid = std::max(max_eid, e.eid);
+    flipped.reserve(m);
+  }
+  // Writes the edge at `pos` as src -> dst under `eid`.
+  auto write_edge = [&](VertexIdx src, VertexIdx dst, EdgePos pos,
+                        EdgeId eid) {
+    if (dst == kInvalidVertex || (keep_edge && !keep_edge(s, pos))) return;
+    const Interval& src_span = nb.vertex_intervals[src];
+    const Interval& dst_span = nb.vertex_intervals[dst];
+    const Interval span = s.sealed_edges_[pos]
+                              .interval.Intersect(clip)
+                              .Intersect(src_span)
+                              .Intersect(dst_span);
+    if (span.IsEmpty()) return;
+    // Constraint 2, and the builder's (src, eid) order.
+    GRAPHITE_CHECK(span.ContainedIn(src_span) && span.ContainedIn(dst_span));
+    GRAPHITE_CHECK(nb.edges.size() == nb.out_offsets.back() ||
+                   nb.edges.back().eid < eid);
+    nb.edges.push_back({eid, src, dst, span});
+    copy_props(old.edge_props, pos, span, uint64_t{n} + position_in_g(pos),
+               &nb.edge_props);
+  };
   for (VertexIdx v = 0; v < n; ++v) {
     const VertexIdx src = remap[v];
     if (src == kInvalidVertex) continue;
-    const Interval& src_span = nb.vertex_intervals[src];
-    for (EdgePos pos = s.out_offsets_[v]; pos < s.out_offsets_[v + 1];
-         ++pos) {
-      const StoredEdge& e = s.sealed_edges_[pos];
-      const VertexIdx dst = remap[e.dst];
-      if (dst == kInvalidVertex || (keep_edge && !keep_edge(s, pos))) {
-        continue;
+    if (layout != EdgeLayout::kReversed) {
+      for (EdgePos pos = s.out_offsets_[v]; pos < s.out_offsets_[v + 1];
+           ++pos) {
+        const StoredEdge& e = s.sealed_edges_[pos];
+        write_edge(src, remap[e.dst], pos, e.eid);
       }
-      const Interval& dst_span = nb.vertex_intervals[dst];
-      const Interval span =
-          e.interval.Intersect(clip).Intersect(src_span).Intersect(dst_span);
-      if (span.IsEmpty()) continue;
-      // Constraint 2, and the builder's (src, eid) order.
-      GRAPHITE_CHECK(span.ContainedIn(src_span) && span.ContainedIn(dst_span));
-      GRAPHITE_CHECK(nb.edges.size() == nb.out_offsets.back() ||
-                     nb.edges.back().eid < e.eid);
-      nb.edges.push_back({e.eid, src, dst, span});
-      copy_props(old.edge_props, pos, span, uint64_t{n} + position_in_g(pos),
-                 &nb.edge_props);
+    }
+    if (layout != EdgeLayout::kForward) {
+      flipped.clear();
+      for (uint32_t k = s.in_offsets_[v]; k < s.in_offsets_[v + 1]; ++k) {
+        const EdgePos pos = s.in_positions_[k];
+        flipped.emplace_back(layout == EdgeLayout::kReversed
+                                 ? s.sealed_edges_[pos].eid
+                                 : max_eid + 1 + position_in_g(pos),
+                             pos);
+      }
+      std::sort(flipped.begin(), flipped.end());
+      for (const auto& [eid, pos] : flipped) {
+        write_edge(src, remap[s.sealed_edges_[pos].src], pos, eid);
+      }
     }
     nb.out_offsets.push_back(static_cast<uint32_t>(nb.edges.size()));
   }

@@ -552,6 +552,23 @@ class TemporalGraph {
   /// The hash-map builder that BuilderDifferentialTest keeps as the
   /// reference for TemporalGraphBuilder's output and errors.
   friend class HashMapGraphBuilder;
+  /// The derived graphs of algorithms/common.h, written by WriteBase.
+  friend TemporalGraph ReverseGraph(const TemporalGraph& g);
+  friend TemporalGraph MakeUndirected(const TemporalGraph& g);
+
+  /// How WriteBase lays out the edges it keeps: as they are (Filter),
+  /// each reversed (ReverseGraph), or each followed by a reversed copy
+  /// (MakeUndirected).
+  enum class EdgeLayout { kForward, kReversed, kUndirected };
+  /// Filter's writer, with the edge layout the derived graphs need. A
+  /// vertex's reversed edges are its in-edges with the endpoints swapped;
+  /// in kUndirected each copy takes the id max(0, max eid) + 1 + the
+  /// original's position in `g`. Either way the out-lists keep the
+  /// builder's (src, eid) order.
+  static TemporalGraph WriteBase(const TemporalGraph& g, const Interval& clip,
+                                 const VertexPredicate& keep_vertex,
+                                 const EdgePredicate& keep_edge,
+                                 EdgeLayout layout);
 
   /// (VertexId, VertexIdx) pairs sorted by id.
   using VidIndex = std::vector<std::pair<VertexId, VertexIdx>>;

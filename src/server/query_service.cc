@@ -167,7 +167,8 @@ Status RenderRun(const QueryRequest& req, const Workload& w,
   auto platform = ParsePlatform(req.platform);
   GRAPHITE_RETURN_NOT_OK(platform.status());
   const TemporalGraph& g = w.graph();
-  GRAPHITE_RETURN_NOT_OK(CheckRun(g, *platform, *alg, req.source));
+  GRAPHITE_RETURN_NOT_OK(
+      CheckRun(g, *platform, *alg, req.source, req.target));
   auto config = BuildConfig(req, options);
   GRAPHITE_RETURN_NOT_OK(config.status());
 
@@ -243,11 +244,8 @@ Status RenderPath(const QueryRequest& req, const Workload& w,
   if (req.target < 0) {
     return Status::InvalidArgument("path query requires \"target\"");
   }
+  GRAPHITE_RETURN_NOT_OK(CheckTarget(g, req.target));
   const auto tgt = g.IndexOf(req.target);
-  if (!tgt) {
-    return Status::NotFound("target vertex " + std::to_string(req.target) +
-                            " not in graph");
-  }
 
   out->Key("type").String("path");
   out->Key("kind").String(req.kind);

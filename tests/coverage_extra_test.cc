@@ -1,9 +1,8 @@
 // Additional cross-cutting coverage: runner config plumbing, baseline
-// option windows, oracle self-consistency, centrality sampling bounds,
-// text-format corner cases, and ICM context accessors.
+// option windows, oracle self-consistency, text-format corner cases, and
+// ICM context accessors.
 #include <gtest/gtest.h>
 
-#include "algorithms/centrality.h"
 #include "algorithms/oracle.h"
 #include "algorithms/runners.h"
 #include "baselines/tgb.h"
@@ -78,15 +77,6 @@ TEST(OracleSelfConsistencyTest, FastestNeverBeatsEatDelta) {
       EXPECT_GE(fast[v], 0);
     }
   }
-}
-
-TEST(CentralityBoundsTest, OversamplingFallsBackToExhaustive) {
-  const TemporalGraph g = testutil::MakeRandomGraph(614);
-  ClosenessOptions options;
-  options.num_samples = static_cast<int>(g.num_vertices()) + 100;
-  const ClosenessResult r = TemporalCloseness(g, options);
-  EXPECT_EQ(r.sources.size(), g.num_vertices());
-  for (double c : r.closeness) EXPECT_GE(c, 0.0);
 }
 
 TEST(TextFormatTest, HorizonDerivedWhenHeaderAbsent) {

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "algorithms/common.h"
 #include "algorithms/oracle.h"
 #include "gen/generators.h"
 #include "graph/builder.h"
@@ -16,6 +19,7 @@
 #include "io/binary_format.h"
 #include "io/text_format.h"
 #include "testutil.h"
+#include "util/rng.h"
 
 namespace graphite {
 namespace {
@@ -450,11 +454,13 @@ EdgeBatch TransitDelta() {
   return batch;
 }
 
-TEST(FilterEquivalenceTest, UncompactedDeltaWithFreshVertices) {
+// The transit graph with TransitDelta and a second batch appended, left
+// uncompacted. Edge 43 (from F) meets "p" then "q"; edge 44 (from A)
+// comes first in (src, eid) order but second by position, and meets only
+// "q".
+TemporalGraph MakeTransitWithDelta() {
   TemporalGraph g = MakeTransitGraph();
-  ASSERT_TRUE(g.Append(TransitDelta()).ok());
-  // Edge 43 (from F) meets "p" then "q"; edge 44 (from A) comes first in
-  // (src, eid) order but second by position, and meets only "q".
+  GRAPHITE_CHECK(g.Append(TransitDelta()).ok());
   EdgeBatch more;
   more.vertices = {{102, Interval(kTimeMin, 4)}};
   more.edges = {{42, 102, 101, Interval(1, 3)},
@@ -464,7 +470,12 @@ TEST(FilterEquivalenceTest, UncompactedDeltaWithFreshVertices) {
                 {43, "p", Interval(1, 2), 5},
                 {43, "q", Interval(2, 3), 6},
                 {44, "q", Interval(1, 3), 7}};
-  ASSERT_TRUE(g.Append(more).ok());
+  GRAPHITE_CHECK(g.Append(more).ok());
+  return g;
+}
+
+TEST(FilterEquivalenceTest, UncompactedDeltaWithFreshVertices) {
+  const TemporalGraph g = MakeTransitWithDelta();
   ASSERT_TRUE(g.has_delta());
   const GraphHead head = g.head();
 
@@ -486,24 +497,191 @@ TEST(FilterEquivalenceTest, UncompactedDeltaWithFreshVertices) {
   EXPECT_EQ(g.head(), head);
 }
 
-TEST(FilterEquivalenceTest, DeltaOnCatalogGraph) {
+// A catalog graph with one fresh vertex and two negative-id edges
+// appended, left uncompacted. Their old endpoints outlive the new edges:
+// the first vertices alive throughout [1, 5).
+TemporalGraph MakeCatalogWithDelta() {
   TemporalGraph g = Generate(DatasetByName("twitter", 0.02).options);
-  // Old endpoints that outlive the new edges: the first vertices alive
-  // throughout [1, 5).
   std::vector<VertexId> alive;
   for (VertexIdx v = 0; v < g.num_vertices() && alive.size() < 2; ++v) {
     if (Interval(1, 5).ContainedIn(g.vertex_interval(v))) {
       alive.push_back(g.vertex_id(v));
     }
   }
-  ASSERT_EQ(alive.size(), 2u);
+  GRAPHITE_CHECK(alive.size() == 2u);
   EdgeBatch batch;
   batch.vertices = {{900001, Interval(1, kTimeMax)}};
   batch.edges = {{-1, alive[1], 900001, Interval(2, 5)},
                  {-2, 900001, alive[0], Interval(1, 3)}};
   batch.props = {{-1, "tag", Interval(2, 3), 1}};
-  ASSERT_TRUE(g.Append(batch).ok());
-  ExpectFiltersMatchBuilder(g);
+  GRAPHITE_CHECK(g.Append(batch).ok());
+  return g;
+}
+
+TEST(FilterEquivalenceTest, DeltaOnCatalogGraph) {
+  ExpectFiltersMatchBuilder(MakeCatalogWithDelta());
+}
+
+// --- ReverseGraph / MakeUndirected against the builder path they replaced
+
+// The builder path: every vertex, edge and property run of `g` re-added
+// through TemporalGraphBuilder, vertices by index and edges by position,
+// with each edge reversed (`reverse`) or kept and followed by a reversed
+// copy with id max(0, max eid) + 1 + position (`duplicate`).
+TemporalGraph RebuildWithEdges(const TemporalGraph& g, bool reverse,
+                               bool duplicate) {
+  TemporalGraphBuilder builder;
+  for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
+    builder.AddVertex(g.vertex_id(v), g.vertex_interval(v));
+    for (const auto& [label, map] : g.VertexProperties(v)) {
+      for (const auto& entry : map.entries()) {
+        builder.SetVertexProperty(g.vertex_id(v), g.LabelName(label),
+                                  entry.interval, entry.value);
+      }
+    }
+  }
+  EdgeId max_eid = 0;
+  for (EdgePos pos = 0; pos < g.num_edges(); ++pos) {
+    max_eid = std::max(max_eid, g.edge(pos).eid);
+  }
+  auto add_edge = [&](EdgeId eid, VertexId src, VertexId dst, EdgePos pos) {
+    builder.AddEdge(eid, src, dst, g.edge(pos).interval);
+    for (const auto& [label, map] : g.EdgeProperties(pos)) {
+      for (const auto& entry : map.entries()) {
+        builder.SetEdgeProperty(eid, g.LabelName(label), entry.interval,
+                                entry.value);
+      }
+    }
+  };
+  for (EdgePos pos = 0; pos < g.num_edges(); ++pos) {
+    const StoredEdge& e = g.edge(pos);
+    const VertexId src_id = g.vertex_id(e.src);
+    const VertexId dst_id = g.vertex_id(e.dst);
+    if (duplicate) {
+      add_edge(e.eid, src_id, dst_id, pos);
+      add_edge(max_eid + 1 + static_cast<EdgeId>(pos), dst_id, src_id, pos);
+    } else if (reverse) {
+      add_edge(e.eid, dst_id, src_id, pos);
+    } else {
+      add_edge(e.eid, src_id, dst_id, pos);
+    }
+  }
+  BuilderOptions options;
+  options.validate = false;  // The source graph already passed validation.
+  options.horizon = g.horizon();
+  auto result = builder.Build(options);
+  GRAPHITE_CHECK(result.ok());
+  return std::move(result).value();
+}
+
+void ExpectDerivedMatchBuilder(const TemporalGraph& g,
+                               const std::string& what) {
+  const GraphHead head = g.head();
+  const bool had_delta = g.has_delta();
+  ExpectSameGraph(ReverseGraph(g),
+                  RebuildWithEdges(g, /*reverse=*/true, /*duplicate=*/false),
+                  what + " reversed");
+  ExpectSameGraph(MakeUndirected(g),
+                  RebuildWithEdges(g, /*reverse=*/false, /*duplicate=*/true),
+                  what + " undirected");
+  // The source keeps its delta and head.
+  EXPECT_EQ(g.has_delta(), had_delta);
+  EXPECT_EQ(g.head(), head);
+}
+
+int Trials() {
+  const char* env = std::getenv("GRAPHITE_DIFFERENTIAL_TRIALS");
+  const int n = env != nullptr ? std::atoi(env) : 0;
+  return n > 0 ? n : 4;
+}
+
+// A random delta on `g`: a fresh vertex and edges between vertices alive
+// over a shared window, with ids both below and above the sealed ones so
+// compaction interleaves them, some carrying a new label.
+EdgeBatch RandomDelta(const TemporalGraph& g, Rng& rng) {
+  EdgeBatch batch;
+  const VertexId fresh = 1000000;
+  batch.vertices = {{fresh, Interval(0, g.horizon())}};
+  for (int k = 0; k < 12; ++k) {
+    const auto u = static_cast<VertexIdx>(rng.Uniform(g.num_vertices()));
+    const auto v = static_cast<VertexIdx>(rng.Uniform(g.num_vertices()));
+    const VertexId src = k % 4 == 0 ? fresh : g.vertex_id(u);
+    const Interval span = g.vertex_interval(u).Intersect(
+        k % 4 == 0 ? Interval::All() : g.vertex_interval(v));
+    if (span.IsEmpty() || span.start == kTimeMin) continue;
+    const EdgeId eid = k % 2 == 0 ? -1 - k : 500000 + k;
+    const TimePoint start = span.start;
+    const VertexId dst = g.vertex_id(k % 4 == 0 ? u : v);
+    batch.edges.push_back({eid, src, dst, Interval(start, start + 1)});
+    if (k % 3 == 0) {
+      batch.props.push_back({eid, "delta", Interval(start, start + 1), k});
+    }
+  }
+  return batch;
+}
+
+TEST(DerivedGraphEquivalenceTest, CatalogGraphs) {
+  for (const DatasetSpec& spec : DatasetCatalog(0.02)) {
+    ExpectDerivedMatchBuilder(Generate(spec.options), spec.name);
+  }
+}
+
+TEST(DerivedGraphEquivalenceTest, RandomAndTransitGraphs) {
+  ExpectDerivedMatchBuilder(MakeTransitGraph(), "transit");
+  for (int trial = 0; trial < Trials(); ++trial) {
+    TemporalGraph g = testutil::MakeRandomGraph(100 + trial);
+    const std::string what = "random seed " + std::to_string(100 + trial);
+    ExpectDerivedMatchBuilder(g, what);
+    Rng rng(trial);
+    ASSERT_TRUE(g.Append(RandomDelta(g, rng)).ok()) << what;
+    ExpectDerivedMatchBuilder(g, what + " + delta");
+  }
+}
+
+TEST(DerivedGraphEquivalenceTest, OpenLifespansAndMovingLabels) {
+  ExpectDerivedMatchBuilder(MakeOpenGraph(), "open");
+}
+
+TEST(DerivedGraphEquivalenceTest, EmptyGraph) {
+  const TemporalGraph empty;
+  ExpectDerivedMatchBuilder(empty, "empty");
+  EXPECT_EQ(ReverseGraph(empty).horizon(), 1);
+}
+
+TEST(DerivedGraphEquivalenceTest, UncompactedDeltaWithFreshVertices) {
+  ExpectDerivedMatchBuilder(MakeTransitWithDelta(), "transit delta");
+}
+
+TEST(DerivedGraphEquivalenceTest, DeltaOnCatalogGraph) {
+  ExpectDerivedMatchBuilder(MakeCatalogWithDelta(), "catalog delta");
+}
+
+// Self-loops and parallel edges both ways, with ids out of position order
+// and negative, and labels first met on later edges.
+TEST(DerivedGraphEquivalenceTest, SelfLoopsAndMultiEdges) {
+  TemporalGraphBuilder b;
+  b.AddVertex(7, Interval(0, 10));
+  b.AddVertex(3, Interval(2, kTimeMax));
+  b.AddVertex(5, Interval(kTimeMin, 8));
+  b.SetVertexProperty(3, "v", Interval(2, 4), 1);
+  b.AddEdge(9, 7, 7, Interval(1, 4));
+  b.AddEdge(-4, 7, 3, Interval(2, 5));
+  b.AddEdge(2, 7, 3, Interval(3, 9));
+  b.AddEdge(11, 3, 7, Interval(2, 10));
+  b.AddEdge(1, 3, 3, Interval(4, 6));
+  b.AddEdge(6, 5, 7, Interval(0, 8));
+  b.AddEdge(0, 3, 5, Interval(2, 8));
+  b.AddEdge(8, 5, 5, Interval(kTimeMin, 1));
+  b.SetEdgeProperty(11, "b", Interval(2, 5), 4);
+  b.SetEdgeProperty(11, "a", Interval(5, 10), 3);
+  b.SetEdgeProperty(-4, "a", Interval(2, 3), 1);
+  b.SetEdgeProperty(9, "c", Interval(1, 4), 2);
+  b.SetEdgeProperty(8, "b", Interval(kTimeMin, 0), 5);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  ExpectDerivedMatchBuilder(*g, "loops");
+  EXPECT_EQ(ReverseGraph(*g).num_edges(), 8u);
+  EXPECT_EQ(MakeUndirected(*g).num_edges(), 16u);
 }
 
 }  // namespace

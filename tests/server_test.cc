@@ -163,6 +163,35 @@ TEST(QueryServiceTest, ErrorsBecomeErrorResponses) {
   EXPECT_NE(bad_combo.find("InvalidArgument"), std::string::npos);
 }
 
+// `run ld` checks a given target as `path` does: an absent one is
+// NotFound on every platform, not an empty listing.
+TEST(QueryServiceTest, RunLdRejectsAbsentTarget) {
+  GraphRegistry registry;
+  QueryService service(&registry, nullptr);
+  registry.Add("t", testutil::MakeTransitGraph());
+  for (const char* platform : {"icm", "tgb", "gof"}) {
+    const std::string run = std::string("{\"op\":\"run\",\"graph\":\"t\",") +
+                            "\"alg\":\"ld\",\"platform\":\"" + platform +
+                            "\"";
+    const std::string absent =
+        service.Execute(MustParse(run + ",\"target\":999}"));
+    EXPECT_NE(absent.find("NotFound"), std::string::npos) << absent;
+    EXPECT_NE(absent.find("target vertex 999 not in graph"), std::string::npos)
+        << absent;
+    const std::string present =
+        run + ",\"target\":" + std::to_string(testutil::kF) + "}";
+    for (const std::string& ok : {run + "}", present}) {
+      const std::string reply = service.Execute(MustParse(ok));
+      EXPECT_NE(reply.find("\"ok\": true"), std::string::npos) << reply;
+    }
+  }
+  const std::string path = service.Execute(MustParse(
+      "{\"op\":\"path\",\"graph\":\"t\",\"kind\":\"ld\",\"source\":0,"
+      "\"target\":999}"));
+  EXPECT_NE(path.find("target vertex 999 not in graph"), std::string::npos)
+      << path;
+}
+
 // Algorithm and platform names match in any case; the fragment names
 // them in upper case either way.
 TEST(QueryServiceTest, NamesMatchInAnyCase) {

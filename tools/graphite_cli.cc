@@ -199,7 +199,8 @@ int CmdRun(const Args& args) {
   if (!platform.ok()) return Fail(platform.status());
   auto g = ReadTextGraphFile(args.positional[0]);
   if (!g.ok()) return Fail(g.status());
-  const Status check = CheckRun(*g, *platform, *alg, config.source);
+  const Status check =
+      CheckRun(*g, *platform, *alg, config.source, config.target);
   if (!check.ok()) return Fail(check);
   Workload w(std::move(*g));
   const RunMetrics m = RunForMetrics(w, *platform, *alg, config);
@@ -219,7 +220,8 @@ int CmdBench(const Args& args) {
   auto g = ReadTextGraphFile(args.positional[0]);
   if (!g.ok()) return Fail(g.status());
   // ICM runs every algorithm, so its check is every platform's.
-  const Status check = CheckRun(*g, Platform::kIcm, *alg, config.source);
+  const Status check =
+      CheckRun(*g, Platform::kIcm, *alg, config.source, config.target);
   if (!check.ok()) return Fail(check);
   Workload w(std::move(*g));
   TextTable table;
