@@ -32,6 +32,7 @@
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/timer.h"
+#include "../tests/warp_reference.h"
 
 namespace graphite {
 namespace bench {

@@ -22,6 +22,7 @@
 #include "util/arena.h"
 #include "util/rng.h"
 #include "util/timer.h"
+#include "../tests/warp_reference.h"
 
 namespace graphite {
 namespace {

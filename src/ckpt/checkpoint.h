@@ -17,9 +17,8 @@
 //
 // The frame layout is engine-agnostic; the engines own their section
 // encoding (they have the Program's State/Message types). DecodeFrame is
-// Status-returning with byte offsets — the same DataLoss error family as
-// io/binary_format — though in practice the store's CRC rejects damage
-// before a frame is ever decoded.
+// Status-returning with byte offsets (a DataLoss error), though in
+// practice the store's CRC rejects damage before a frame is ever decoded.
 //
 // Frame payload layout (all varints; see CheckpointStore for the
 // checksummed envelope):

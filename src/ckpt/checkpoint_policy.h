@@ -10,29 +10,18 @@
 namespace graphite {
 
 struct CheckpointPolicy {
-  enum class Mode {
-    kNone,    ///< Never checkpoint (default).
-    kEveryK,  ///< At every k-th superstep barrier.
-  };
-
-  Mode mode = Mode::kNone;
-  /// kEveryK: checkpoint after supersteps k-1, 2k-1, ... (i.e. every k-th
-  /// barrier). 1 = every barrier.
-  int every_k = 1;
+  /// Checkpoint after supersteps k-1, 2k-1, ... (every k-th barrier);
+  /// 1 = every barrier, 0 = never (default).
+  int every_k = 0;
 
   static CheckpointPolicy None() { return {}; }
-  static CheckpointPolicy EveryK(int k) {
-    CheckpointPolicy p;
-    p.mode = Mode::kEveryK;
-    p.every_k = k < 1 ? 1 : k;
-    return p;
-  }
+  static CheckpointPolicy EveryK(int k) { return {k < 1 ? 1 : k}; }
 
-  bool enabled() const { return mode != Mode::kNone; }
+  bool enabled() const { return every_k > 0; }
 
   /// Decides the barrier at the end of `superstep`.
   bool ShouldCheckpoint(int superstep) const {
-    return mode == Mode::kEveryK && (superstep + 1) % every_k == 0;
+    return enabled() && (superstep + 1) % every_k == 0;
   }
 };
 

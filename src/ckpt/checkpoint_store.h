@@ -1,7 +1,5 @@
 // Durable home of superstep checkpoints: one file per checkpoint in a
-// flat directory, each wrapped in a versioned, CRC-32-checksummed envelope
-// (the at-rest idiom of io/binary_format, with CRC32 instead of FNV so a
-// deliberate standard is on the recovery path):
+// flat directory, each wrapped in a versioned, CRC-32-checksummed envelope:
 //
 //   magic "GCK1" | u8 version | varint crc32(payload) | payload
 //

@@ -28,14 +28,6 @@ class SnapshotView {
     return graph_->edge(pos).interval.Contains(t_);
   }
 
-  /// Invokes fn(VertexIdx) for every vertex active at t.
-  template <typename Fn>
-  void ForEachActiveVertex(Fn&& fn) const {
-    for (VertexIdx v = 0; v < graph_->num_vertices(); ++v) {
-      if (VertexActive(v)) fn(v);
-    }
-  }
-
   /// Invokes fn(const StoredEdge&, EdgePos) for each out-edge of `v`
   /// active at t.
   template <typename Fn>

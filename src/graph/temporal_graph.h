@@ -451,10 +451,6 @@ class TemporalGraph {
   PropRuns EdgeProperty(EdgePos pos, LabelId label) const {
     return EdgeProperties(pos).Find(label);
   }
-  /// Temporal values of vertex property `label` on `v`; empty if absent.
-  PropRuns VertexProperty(VertexIdx v, LabelId label) const {
-    return VertexProperties(v).Find(label);
-  }
   /// All properties of the edge at `pos`.
   PropertyRange EdgeProperties(EdgePos pos) const {
     return pos < num_sealed_edges_

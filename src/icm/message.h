@@ -76,54 +76,6 @@ inline Interval ReadInterval(Reader& r) {
   }
 }
 
-/// Status-returning decode for untrusted at-rest bytes (checkpoint frames,
-/// binary graph files): truncation or an unknown flag is a DataLoss error
-/// with the byte offset, never an abort.
-inline Status TryReadInterval(Reader& r, Interval* out) {
-  const size_t at = r.position();
-  uint8_t flag = 0;
-  GRAPHITE_RETURN_NOT_OK(r.TryReadByte(&flag));
-  switch (flag) {
-    case interval_codec::kUnit: {
-      TimePoint t = 0;
-      GRAPHITE_RETURN_NOT_OK(r.TryReadI64(&t));
-      *out = Interval(t, t + 1);
-      return Status::OK();
-    }
-    case interval_codec::kOpenEnd: {
-      TimePoint t = 0;
-      GRAPHITE_RETURN_NOT_OK(r.TryReadI64(&t));
-      *out = Interval(t, kTimeMax);
-      return Status::OK();
-    }
-    case interval_codec::kOpenStart: {
-      TimePoint t = 0;
-      GRAPHITE_RETURN_NOT_OK(r.TryReadI64(&t));
-      *out = Interval(kTimeMin, t);
-      return Status::OK();
-    }
-    case interval_codec::kGeneric: {
-      TimePoint start_raw = 0, len_raw = 0;
-      uint8_t start_inf = 0, end_inf = 0;
-      GRAPHITE_RETURN_NOT_OK(r.TryReadI64(&start_raw));
-      GRAPHITE_RETURN_NOT_OK(r.TryReadByte(&start_inf));
-      GRAPHITE_RETURN_NOT_OK(r.TryReadI64(&len_raw));
-      GRAPHITE_RETURN_NOT_OK(r.TryReadByte(&end_inf));
-      const TimePoint start = start_inf != 0 ? kTimeMin : start_raw;
-      const TimePoint end = end_inf != 0
-                                ? kTimeMax
-                                : (start_inf != 0 ? len_raw
-                                                  : start_raw + len_raw);
-      *out = Interval(start, end);
-      return Status::OK();
-    }
-    default:
-      return Status::DataLoss("unknown interval flag " +
-                              std::to_string(flag) + " at byte " +
-                              std::to_string(at));
-  }
-}
-
 /// Bytes WriteInterval would emit, without writing.
 inline size_t IntervalWireSize(const Interval& iv) {
   Writer w;

@@ -50,10 +50,11 @@
 // scratch (WarpScratch) that is reused across vertices and reclaimed at
 // superstep barriers.
 //
-// The original allocating API (TimeWarp / TimeWarpCombine returning
-// std::vector) remains as a thin shim over the *Into forms: it is the
-// measured "vector-of-vectors" baseline of bench/bench_warp_alloc and the
-// second API exercised by the property tests.
+// The naive time-join reference and the allocating vector-of-vectors shims
+// over the *Into forms (TimeWarp / TimeWarpCombine) live outside the
+// library in tests/warp_reference.h: the property tests check the kernels
+// against them, and bench/bench_warp_alloc measures the shim as its
+// legacy baseline.
 #ifndef GRAPHITE_ICM_WARP_H_
 #define GRAPHITE_ICM_WARP_H_
 
@@ -61,7 +62,6 @@
 #include <cstddef>
 #include <cstring>
 #include <span>
-#include <vector>
 
 #include "temporal/interval.h"
 #include "temporal/interval_map.h"
@@ -80,23 +80,6 @@ struct TemporalItem {
   bool operator==(const TemporalItem& other) const {
     return interval == other.interval && value == other.value;
   }
-};
-
-/// One output triple of the time-join.
-template <typename S, typename M>
-struct TimeJoinTuple {
-  Interval interval;      ///< tau_s intersect tau_m.
-  uint32_t outer_index;   ///< Index into the outer set.
-  uint32_t inner_index;   ///< Index into the inner set.
-};
-
-/// One output triple of the time-warp in the legacy allocating API: a
-/// maximal sub-interval, the outer value live there (by index), and the
-/// group of inner values live there (by index, in arrival order).
-struct WarpTuple {
-  Interval interval;
-  uint32_t outer_index = 0;
-  std::vector<uint32_t> inner_indices;  // lint:allow(vector: legacy allocating shim, kept for API compat)
 };
 
 /// An (offset, count) span into WarpOutput's shared inner-index pool.
@@ -125,22 +108,6 @@ struct WarpStats {
   int64_t payload_ns = 0;   ///< Payload pass time (only when `timed`).
   bool timed = false;       ///< Sample NowNanos around the passes.
 };
-
-/// Time-join: all pairwise intersections, ordered by (outer, inner) index.
-/// The outer set must be temporally partitioned (disjoint intervals).
-template <typename S, typename M>
-std::vector<TimeJoinTuple<S, M>> TimeJoin(  // lint:allow(vector: naive O(n^2) reference, tests only)
-    std::span<const typename IntervalMap<S>::Entry> outer,
-    std::span<const TemporalItem<M>> inner) {
-  std::vector<TimeJoinTuple<S, M>> out;  // lint:allow(vector: naive O(n^2) reference, tests only)
-  for (uint32_t i = 0; i < outer.size(); ++i) {
-    for (uint32_t j = 0; j < inner.size(); ++j) {
-      const Interval isect = outer[i].interval.Intersect(inner[j].interval);
-      if (isect.IsValid()) out.push_back({isect, i, j});
-    }
-  }
-  return out;
-}
 
 namespace warp_internal {
 
@@ -479,30 +446,6 @@ void TimeWarpInto(std::span<const typename IntervalMap<S>::Entry> outer,
   if (stats != nullptr) stats->tuples += static_cast<int64_t>(out->size());
 }
 
-/// Legacy allocating time-warp: the vector-of-vectors API kept as a shim
-/// over TimeWarpInto for tests, callers outside the superstep hot path,
-/// and as the measured baseline of bench/bench_warp_alloc.
-template <typename S, typename M>
-std::vector<WarpTuple> TimeWarp(  // lint:allow(vector: legacy allocating shim over TimeWarpInto)
-    std::span<const typename IntervalMap<S>::Entry> outer,
-    std::span<const TemporalItem<M>> inner) {
-  Arena arena;
-  WarpScratch scratch;
-  scratch.Attach(&arena);
-  WarpOutput flat;
-  flat.Attach(&arena);
-  TimeWarpInto<S, M>(outer, inner, &scratch, &flat);
-
-  std::vector<WarpTuple> out;  // lint:allow(vector: legacy allocating shim over TimeWarpInto)
-  out.reserve(flat.size());
-  for (size_t i = 0; i < flat.size(); ++i) {
-    const std::span<const uint32_t> group = flat.group(i);
-    out.push_back({flat[i].interval, flat[i].outer_index,
-                   std::vector<uint32_t>(group.begin(), group.end())});  // lint:allow(vector: legacy allocating shim over TimeWarpInto)
-  }
-  return out;
-}
-
 /// One output triple of the combining time-warp: the message group is
 /// folded to a single payload during the sweep (§VI inline warp combiner),
 /// so no per-tuple index vectors are materialized.
@@ -593,25 +536,6 @@ void TimeWarpCombineInto(
     if (timed) stats->payload_ns += NowNanos() - t1;
   }
   if (stats != nullptr) stats->tuples += static_cast<int64_t>(out->size());
-}
-
-/// Legacy allocating combine-warp shim (tests and non-hot-path callers).
-template <typename S, typename M, typename Combine>
-std::vector<CombinedWarpTuple<M>> TimeWarpCombine(  // lint:allow(vector: legacy allocating shim over TimeWarpCombineInto)
-    std::span<const typename IntervalMap<S>::Entry> outer,
-    std::span<const TemporalItem<M>> inner, Combine&& combine) {
-  Arena arena;
-  WarpScratch scratch;
-  scratch.Attach(&arena);
-  SuperstepVec<CombinedWarpTuple<M>> flat;
-  flat.Attach(&arena);
-  TimeWarpCombineInto<S, M>(outer, inner,
-                            std::forward<Combine>(combine), &scratch,
-                            &flat);
-  std::vector<CombinedWarpTuple<M>> out;  // lint:allow(vector: legacy allocating shim over TimeWarpCombineInto)
-  out.reserve(flat.size());
-  for (size_t i = 0; i < flat.size(); ++i) out.push_back(flat[i]);
-  return out;
 }
 
 }  // namespace graphite

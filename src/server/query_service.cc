@@ -420,6 +420,21 @@ Status RenderOps(const QueryRequest& req, const Workload& w,
   return s;
 }
 
+// Reads integer field `field` from `v`: absent (null) keeps *out; present,
+// it must be a number with an exact int64 value, so 3.9, "3" and 2^63 are
+// InvalidArgument. AsInt gives 0 for a double outside int64 range, which
+// then differs from the double as a truncated fraction does.
+Status ReadInt(const JsonValue* v, std::string_view field, int64_t* out) {
+  if (v == nullptr) return Status::OK();
+  const int64_t i = v->AsInt(0);
+  if (!v->is_number() || static_cast<double>(i) != v->AsDouble()) {
+    return Status::InvalidArgument("integer expected in \"" +
+                                   std::string(field) + "\"");
+  }
+  *out = i;
+  return Status::OK();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -453,11 +468,16 @@ Result<QueryRequest> QueryService::Parse(const std::string& line) {
   r.platform = doc->GetString("platform", "icm");
   r.kind = doc->GetString("kind");
   r.label = doc->GetString("label");
-  r.source = doc->GetInt("source", 0);
-  r.target = doc->GetInt("target", -1);
-  r.deadline = doc->GetInt("deadline", -1);
-  r.at = doc->GetInt("at", -1);
-  const int64_t workers = doc->GetInt("workers", 0);
+  int64_t workers = 0;
+  for (auto [name, field] :
+       {std::pair<const char*, int64_t*>{"source", &r.source},
+        {"target", &r.target},
+        {"deadline", &r.deadline},
+        {"at", &r.at},
+        {"workers", &workers},
+        {"max_vertices", &r.max_vertices}}) {
+    GRAPHITE_RETURN_NOT_OK(ReadInt(doc->Find(name), name, field));
+  }
   if (workers < 0 || workers > kMaxRequestWorkers) {
     return Status::InvalidArgument(
         "\"workers\" must be in [0, " + std::to_string(kMaxRequestWorkers) +
@@ -467,7 +487,6 @@ Result<QueryRequest> QueryService::Parse(const std::string& line) {
   r.mode = doc->GetString("mode");
   r.use_cache = doc->GetBool("cache", true);
   r.want_metrics = doc->GetBool("metrics", false);
-  r.max_vertices = doc->GetInt("max_vertices", 0);
   r.dataset = doc->GetString("dataset");
   r.scale = doc->GetDouble("scale", 1.0);
   r.file = doc->GetString("file");
@@ -484,8 +503,17 @@ Result<QueryRequest> QueryService::Parse(const std::string& line) {
       }
       return true;
     };
-    auto to_interval = [](const JsonValue& s, const JsonValue& e) {
-      return Interval(s.AsInt(), e.AsInt() < 0 ? kTimeMax : e.AsInt());
+    // The numeric fields of a shape-checked row, at their row positions.
+    int64_t f[5] = {};
+    auto read_row = [&f](const JsonValue& row, const char* field) {
+      for (size_t k = 0; k < row.items().size(); ++k) {
+        if (!row.items()[k].is_number()) continue;
+        GRAPHITE_RETURN_NOT_OK(ReadInt(&row.items()[k], field, &f[k]));
+      }
+      return Status::OK();
+    };
+    auto lifespan = [](int64_t start, int64_t end) {
+      return Interval(start, end < 0 ? kTimeMax : end);
     };
     if (const JsonValue* vs = doc->Find("vertices")) {
       if (!vs->is_array()) {
@@ -496,8 +524,8 @@ Result<QueryRequest> QueryService::Parse(const std::string& line) {
           return Status::InvalidArgument(
               "append vertex must be [vid, start, end]");
         }
-        batch->vertices.push_back(
-            {v.items()[0].AsInt(), to_interval(v.items()[1], v.items()[2])});
+        GRAPHITE_RETURN_NOT_OK(read_row(v, "vertices"));
+        batch->vertices.push_back({f[0], lifespan(f[1], f[2])});
       }
     }
     if (const JsonValue* es = doc->Find("edges")) {
@@ -509,9 +537,8 @@ Result<QueryRequest> QueryService::Parse(const std::string& line) {
           return Status::InvalidArgument(
               "append edge must be [eid, src, dst, start, end]");
         }
-        batch->edges.push_back({e.items()[0].AsInt(), e.items()[1].AsInt(),
-                                e.items()[2].AsInt(),
-                                to_interval(e.items()[3], e.items()[4])});
+        GRAPHITE_RETURN_NOT_OK(read_row(e, "edges"));
+        batch->edges.push_back({f[0], f[1], f[2], lifespan(f[3], f[4])});
       }
     }
     if (const JsonValue* ps = doc->Find("props")) {
@@ -528,9 +555,9 @@ Result<QueryRequest> QueryService::Parse(const std::string& line) {
           return Status::InvalidArgument(
               "append prop must be [eid, label, start, end, value]");
         }
-        batch->props.push_back({p.items()[0].AsInt(), p.items()[1].AsString(),
-                                to_interval(p.items()[2], p.items()[3]),
-                                p.items()[4].AsInt()});
+        GRAPHITE_RETURN_NOT_OK(read_row(p, "props"));
+        batch->props.push_back({f[0], p.items()[1].AsString(),
+                                lifespan(f[2], f[3]), f[4]});
       }
     }
     r.batch = std::move(batch);
@@ -543,7 +570,10 @@ Result<QueryRequest> QueryService::Parse(const std::string& line) {
       return Status::InvalidArgument(
           "\"window\" must be [from, to] with numeric bounds");
     }
-    const Interval w(win->items()[0].AsInt(), win->items()[1].AsInt());
+    int64_t from = 0, to = 0;
+    GRAPHITE_RETURN_NOT_OK(ReadInt(&win->items()[0], "window", &from));
+    GRAPHITE_RETURN_NOT_OK(ReadInt(&win->items()[1], "window", &to));
+    const Interval w(from, to);
     if (!w.IsValid()) {
       return Status::InvalidArgument("empty window " + w.ToString());
     }
@@ -553,7 +583,10 @@ Result<QueryRequest> QueryService::Parse(const std::string& line) {
     if (!sel->is_object()) {
       return Status::InvalidArgument("\"select\" must be an object");
     }
-    const Interval w(sel->GetInt("from", 0), sel->GetInt("to", 0));
+    int64_t from = 0, to = 0;
+    GRAPHITE_RETURN_NOT_OK(ReadInt(sel->Find("from"), "select.from", &from));
+    GRAPHITE_RETURN_NOT_OK(ReadInt(sel->Find("to"), "select.to", &to));
+    const Interval w(from, to);
     if (!w.IsValid()) {
       return Status::InvalidArgument("empty select window " + w.ToString());
     }

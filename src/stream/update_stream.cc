@@ -327,13 +327,6 @@ Status UpdateBatcher::Push(const GraphUpdate& update) {
   return Status::OK();
 }
 
-Status UpdateBatcher::PushAll(const std::vector<GraphUpdate>& updates) {
-  for (const GraphUpdate& u : updates) {
-    GRAPHITE_RETURN_NOT_OK(Push(u));
-  }
-  return Status::OK();
-}
-
 void UpdateBatcher::EmitEdge(const PendingEdge& e, TimePoint end,
                              EdgeBatch* batch) {
   batch->edges.push_back({e.eid, e.src, e.dst, Interval(e.start, end)});

@@ -125,9 +125,6 @@ class UpdateBatcher {
   /// Accepts one event. Events must be non-decreasing in time.
   Status Push(const GraphUpdate& update);
 
-  /// Accepts a batch, stopping at the first error.
-  Status PushAll(const std::vector<GraphUpdate>& updates);
-
   /// Emits every pending vertex plus the pending edges whose removal has
   /// been observed (their lifespans are final). Emitted entities leave the
   /// batcher; still-live edges stay pending.

@@ -241,7 +241,11 @@ bool JsonValue::AsBool(bool def) const {
 }
 int64_t JsonValue::AsInt(int64_t def) const {
   if (type_ == Type::kInt) return int_;
-  if (type_ == Type::kDouble) return static_cast<int64_t>(double_);
+  // Only a double in int64 range converts: casting NaN or one outside it
+  // is undefined behaviour.
+  if (type_ == Type::kDouble && double_ >= -0x1p63 && double_ < 0x1p63) {
+    return static_cast<int64_t>(double_);
+  }
   return def;
 }
 double JsonValue::AsDouble(double def) const {

@@ -105,7 +105,7 @@ class JsonValue {
   bool is_object() const { return type_ == Type::kObject; }
 
   bool AsBool(bool def = false) const;
-  int64_t AsInt(int64_t def = 0) const;     // truncates doubles
+  int64_t AsInt(int64_t def = 0) const;     // truncates in-range doubles
   double AsDouble(double def = 0.0) const;
   const std::string& AsString() const;      // empty when not a string
 

@@ -35,7 +35,6 @@ class GRAPHITE_CAPABILITY("mutex") Mutex {
 
   void Lock() GRAPHITE_ACQUIRE() { mu_.lock(); }
   void Unlock() GRAPHITE_RELEASE() { mu_.unlock(); }
-  bool TryLock() GRAPHITE_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

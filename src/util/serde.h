@@ -24,11 +24,6 @@ class Writer {
   void WriteI64(int64_t v) { PutVarint64Signed(&buf_, v); }
   /// Appends a single raw byte.
   void WriteByte(uint8_t b) { buf_.push_back(static_cast<char>(b)); }
-  /// Appends a length-prefixed byte string.
-  void WriteBytes(const std::string& s) {
-    WriteU64(s.size());
-    buf_.append(s);
-  }
   /// Appends raw bytes with NO length prefix, for payloads that are
   /// already self-describing (Chlonos copies pre-encoded messages).
   void Append(std::string_view s) { buf_.append(s); }
@@ -87,13 +82,6 @@ class Reader {
     GRAPHITE_CHECK(pos_ < buf_.size());
     return static_cast<uint8_t>(buf_[pos_++]);
   }
-  std::string ReadBytes() {
-    uint64_t n = ReadU64();
-    GRAPHITE_CHECK(pos_ + n <= buf_.size());
-    std::string out(buf_.substr(pos_, n));
-    pos_ += n;
-    return out;
-  }
   std::vector<int64_t> ReadI64Vec() {
     uint64_t n = ReadU64();
     std::vector<int64_t> out;
@@ -102,8 +90,8 @@ class Reader {
     return out;
   }
 
-  // Status-returning reads for untrusted at-rest bytes (graph files,
-  // checkpoints): a truncated or malformed buffer yields a DataLoss error
+  // Status-returning reads for untrusted at-rest bytes (checkpoint
+  // frames): a truncated or malformed buffer yields a DataLoss error
   // carrying the byte offset instead of aborting the process. On failure
   // the cursor stays at the failed field, so the offset in the message
   // points at it.
@@ -113,23 +101,6 @@ class Reader {
   }
   Status TryReadI64(int64_t* v) {
     if (!GetVarint64Signed(buf_, &pos_, v)) return CorruptAt("varint");
-    return Status::OK();
-  }
-  Status TryReadByte(uint8_t* b) {
-    if (pos_ >= buf_.size()) return CorruptAt("byte");
-    *b = static_cast<uint8_t>(buf_[pos_++]);
-    return Status::OK();
-  }
-  Status TryReadBytes(std::string* s) {
-    const size_t at = pos_;
-    uint64_t n = 0;
-    GRAPHITE_RETURN_NOT_OK(TryReadU64(&n));
-    if (n > buf_.size() - pos_) {
-      pos_ = at;
-      return CorruptAt("length-prefixed bytes");
-    }
-    *s = std::string(buf_.substr(pos_, n));
-    pos_ += n;
     return Status::OK();
   }
 

@@ -10,8 +10,6 @@ const char* StatusCodeName(StatusCode code) {
       return "InvalidArgument";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
     case StatusCode::kOutOfRange:
       return "OutOfRange";
     case StatusCode::kConstraintViolation:

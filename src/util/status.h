@@ -17,7 +17,6 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kAlreadyExists,
   kOutOfRange,
   kConstraintViolation,  ///< Temporal-graph soundness constraint broken.
   kIoError,
@@ -44,9 +43,6 @@ class Status {
   }
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
   }
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));

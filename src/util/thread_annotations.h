@@ -51,10 +51,6 @@
 #define GRAPHITE_RELEASE(...) \
   GRAPHITE_THREAD_ATTR_(release_capability(__VA_ARGS__))
 
-/// Function that acquires the capability when it returns `ret`.
-#define GRAPHITE_TRY_ACQUIRE(ret, ...) \
-  GRAPHITE_THREAD_ATTR_(try_acquire_capability(ret, __VA_ARGS__))
-
 /// Function callable only while NOT holding the given lock(s).
 #define GRAPHITE_EXCLUDES(...) \
   GRAPHITE_THREAD_ATTR_(locks_excluded(__VA_ARGS__))

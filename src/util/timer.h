@@ -15,22 +15,6 @@ inline int64_t NowNanos() {
       .count();
 }
 
-/// Accumulating stopwatch. Start/Stop may be called repeatedly; elapsed
-/// time across all Start..Stop windows is summed.
-class Stopwatch {
- public:
-  void Start() { start_ = NowNanos(); }
-  void Stop() { total_ += NowNanos() - start_; }
-  /// Total accumulated nanoseconds.
-  int64_t ElapsedNanos() const { return total_; }
-  double ElapsedMillis() const { return static_cast<double>(total_) / 1e6; }
-  void Reset() { total_ = 0; }
-
- private:
-  int64_t start_ = 0;
-  int64_t total_ = 0;
-};
-
 /// RAII region timer adding its lifetime to a counter in nanoseconds.
 class ScopedTimer {
  public:

@@ -10,7 +10,7 @@
 // graphs with one to three injected faults of each error class:
 // duplicate vertex or edge id, missing endpoint, invalid lifespan,
 // containment, bad label, overlapping runs, property on a missing
-// entity. Graphs compare by WriteBinaryGraph bytes; errors by code and
+// entity. Graphs compare through testutil::SameGraph; errors by code and
 // message. Half the random trials build without validation.
 //
 // Tier-1 runs a few hundred trials. GRAPHITE_DIFFERENTIAL_TRIALS
@@ -31,7 +31,7 @@
 
 #include "gen/generators.h"
 #include "graph/builder.h"
-#include "io/binary_format.h"
+#include "testutil.h"
 #include "util/rng.h"
 
 namespace graphite {
@@ -336,7 +336,7 @@ bool ExpectSameBuild(const std::vector<Op>& ops, const BuilderOptions& options,
     EXPECT_EQ(got.status().ToString(), want.status().ToString()) << what;
     return false;
   }
-  EXPECT_EQ(WriteBinaryGraph(*got), WriteBinaryGraph(*want)) << what;
+  EXPECT_TRUE(testutil::SameGraph(*got, *want)) << what;
   return true;
 }
 

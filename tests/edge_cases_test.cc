@@ -11,6 +11,7 @@
 #include "icm/warp.h"
 #include "io/text_format.h"
 #include "testutil.h"
+#include "warp_reference.h"
 
 namespace graphite {
 namespace {

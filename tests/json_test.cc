@@ -104,6 +104,28 @@ TEST(JsonParseTest, BigIntegersStayExact) {
   EXPECT_EQ(doc->AsInt(), big);
 }
 
+// AsInt truncates a double only inside int64 range; NaN and doubles
+// outside it (2^63 parses as one) give the default instead of an
+// undefined cast.
+TEST(JsonTest, AsIntCastsOnlyDoublesInInt64Range) {
+  EXPECT_EQ(ParseJson("3.9")->AsInt(), 3);
+  EXPECT_EQ(ParseJson("-3.9")->AsInt(), -3);
+  EXPECT_EQ(ParseJson("-9223372036854775808.0")->AsInt(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(ParseJson("9223372036854775807")->AsInt(),
+            std::numeric_limits<int64_t>::max());
+  for (const char* text : {"9223372036854775808", "-9223372036854775809.5e3",
+                           "1e300", "-1e300"}) {
+    const auto doc = ParseJson(text);
+    ASSERT_TRUE(doc.ok()) << text;
+    EXPECT_EQ(doc->type(), JsonValue::Type::kDouble) << text;
+    EXPECT_EQ(doc->AsInt(-7), -7) << text;
+  }
+  EXPECT_EQ(JsonValue::MakeDouble(std::nan("")).AsInt(-7), -7);
+  EXPECT_EQ(JsonValue::MakeDouble(
+                std::numeric_limits<double>::infinity()).AsInt(-7), -7);
+}
+
 TEST(JsonParseTest, ObjectLookups) {
   auto doc = ParseJson(
       "{\"op\": \"run\", \"source\": 3, \"cache\": false, "

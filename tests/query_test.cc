@@ -16,8 +16,6 @@
 #include "gen/generators.h"
 #include "graph/builder.h"
 #include "graph/graph_stats.h"
-#include "io/binary_format.h"
-#include "io/text_format.h"
 #include "testutil.h"
 #include "util/rng.h"
 
@@ -252,23 +250,16 @@ TemporalGraph BuilderSubgraph(const TemporalGraph& g,
       [&](EdgePos pos) { return !preds.edge || preds.edge(g, pos); });
 }
 
-std::vector<std::string> Labels(const TemporalGraph& g) {
-  std::vector<std::string> out;
-  for (LabelId l = 0; l < g.num_labels(); ++l) out.push_back(g.LabelName(l));
-  return out;
-}
+using testutil::LabelTable;
 
-// Byte-for-byte equality: both serializations (binary sorts by id, text
-// keeps index and position order), the label table, horizon and head,
-// plus the vertex index and in-adjacency neither format carries.
+// Byte-for-byte equality: testutil::SameGraph (text, label table and
+// horizon), the head, plus the vertex index and in-adjacency the text
+// does not carry.
 void ExpectSameGraph(const TemporalGraph& got, const TemporalGraph& want,
                      const std::string& what) {
   SCOPED_TRACE(what);
   EXPECT_FALSE(got.has_delta());
-  EXPECT_EQ(WriteBinaryGraph(got), WriteBinaryGraph(want));
-  ASSERT_EQ(WriteTextGraph(got), WriteTextGraph(want));
-  EXPECT_EQ(Labels(got), Labels(want));
-  EXPECT_EQ(got.horizon(), want.horizon());
+  ASSERT_TRUE(testutil::SameGraph(got, want));
   EXPECT_EQ(got.head(), want.head());
   EXPECT_EQ(got.MemoryFootprintBytes(), want.MemoryFootprintBytes());
   for (VertexIdx v = 0; v < got.num_vertices(); ++v) {
@@ -388,18 +379,18 @@ TemporalGraph MakeOpenGraph() {
 
 TEST(FilterEquivalenceTest, OpenLifespansAndMovingLabels) {
   const TemporalGraph g = MakeOpenGraph();
-  ASSERT_EQ(Labels(g),
+  ASSERT_EQ(LabelTable(g),
             (std::vector<std::string>{"a", "b", "c", "w", "x", "y"}));
   ExpectFiltersMatchBuilder(g);
   // [1, 2) removes every run of "a" and "y": the table shrinks.
   const TemporalGraph shrunk = TimeSlice(g, Interval(1, 2));
   ExpectSameGraph(shrunk, BuilderSlice(g, Interval(1, 2)), "shrinks");
-  EXPECT_EQ(Labels(shrunk), (std::vector<std::string>{"b", "c", "w"}));
+  EXPECT_EQ(LabelTable(shrunk), (std::vector<std::string>{"b", "c", "w"}));
   // [6, 9) drops vertex 10, so "a" is first met on vertex 13, after "c"
   // and "b"; the edge labels follow in (src, eid) order.
   const TemporalGraph moved = TimeSlice(g, Interval(6, 9));
   ExpectSameGraph(moved, BuilderSlice(g, Interval(6, 9)), "reorders");
-  EXPECT_EQ(Labels(moved),
+  EXPECT_EQ(LabelTable(moved),
             (std::vector<std::string>{"c", "b", "a", "y", "w"}));
 }
 
@@ -489,7 +480,7 @@ TEST(FilterEquivalenceTest, UncompactedDeltaWithFreshVertices) {
   // Whole-graph filters keep the builder path's label order, not the
   // compacted graph's.
   const TemporalGraph all = TimeSlice(g, Interval::All());
-  EXPECT_EQ(Labels(all),
+  EXPECT_EQ(LabelTable(all),
             (std::vector<std::string>{kTravelTimeLabel, kTravelCostLabel,
                                       "fresh", "late", "later", "p", "q"}));
   // The source keeps its delta and head.

@@ -1,9 +1,8 @@
 // Property/fuzz tests for the serialization stack under the checkpoint
 // subsystem: varint round-trips across the full magnitude range, the
 // Status-returning Try* reads on truncated and malformed buffers (these
-// feed both binary graph loading and checkpoint frame decoding), and the
-// Writer::Clear high-water-mark capacity decay. Deterministic seeds — a
-// failure reproduces exactly.
+// feed checkpoint frame decoding), and the Writer::Clear high-water-mark
+// capacity decay. Deterministic seeds — a failure reproduces exactly.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "ckpt/checkpoint.h"
-#include "icm/message.h"
 #include "util/json.h"
 #include "util/serde.h"
 #include "util/varint.h"
@@ -78,30 +76,19 @@ TEST(SerdeFuzzTest, TryReadsRoundTripRandomRecords) {
   for (int round = 0; round < 200; ++round) {
     const uint64_t a = rng();
     const int64_t b = static_cast<int64_t>(rng());
-    const uint8_t c = static_cast<uint8_t>(rng());
-    std::string blob(rng() % 40, '\0');
-    for (char& ch : blob) ch = static_cast<char>(rng());
 
     Writer w;
     w.WriteU64(a);
     w.WriteI64(b);
-    w.WriteByte(c);
-    w.WriteBytes(blob);
     const std::string bytes = w.Release();
 
     Reader r(bytes);
     uint64_t ga = 0;
     int64_t gb = 0;
-    uint8_t gc = 0;
-    std::string gblob;
     ASSERT_TRUE(r.TryReadU64(&ga).ok());
     ASSERT_TRUE(r.TryReadI64(&gb).ok());
-    ASSERT_TRUE(r.TryReadByte(&gc).ok());
-    ASSERT_TRUE(r.TryReadBytes(&gblob).ok());
     EXPECT_EQ(ga, a);
     EXPECT_EQ(gb, b);
-    EXPECT_EQ(gc, c);
-    EXPECT_EQ(gblob, blob);
     EXPECT_TRUE(r.AtEnd());
 
     // Replay against every truncation: must terminate with a DataLoss
@@ -111,65 +98,11 @@ TEST(SerdeFuzzTest, TryReadsRoundTripRandomRecords) {
       Reader tr(cut);
       Status st = tr.TryReadU64(&ga);
       if (st.ok()) st = tr.TryReadI64(&gb);
-      if (st.ok()) st = tr.TryReadByte(&gc);
-      if (st.ok()) st = tr.TryReadBytes(&gblob);
       ASSERT_FALSE(st.ok()) << "round " << round << " keep=" << keep;
       EXPECT_EQ(st.code(), StatusCode::kDataLoss);
       EXPECT_LE(tr.position(), cut.size());
     }
   }
-}
-
-// A length prefix pointing past the end of the buffer must not be
-// honored, and the cursor must rewind to the start of the field.
-TEST(SerdeFuzzTest, OverlongLengthPrefixRejected) {
-  Writer w;
-  w.WriteU64(1000000);  // length prefix promising a megabyte
-  w.WriteByte('x');
-  const std::string bytes = w.buffer();
-  Reader r(bytes);
-  std::string out;
-  const Status st = r.TryReadBytes(&out);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(r.position(), 0u);  // offset names the field, not its tail
-}
-
-TEST(SerdeFuzzTest, TryReadIntervalMatchesWriteInterval) {
-  std::mt19937_64 rng(29);
-  std::vector<Interval> cases = {
-      Interval(3, 4),                    // unit
-      Interval(0, kTimeMax),             // full span
-      Interval(5, kTimeMax),             // open end
-      Interval(kTimeMin, 9),             // open start
-      Interval(2, 17),                   // generic
-  };
-  for (int i = 0; i < 100; ++i) {
-    const TimePoint s = static_cast<TimePoint>(rng() % 1000);
-    cases.push_back(Interval(s, s + 1 + static_cast<TimePoint>(rng() % 50)));
-  }
-  for (const Interval& iv : cases) {
-    Writer w;
-    WriteInterval(w, iv);
-    const std::string bytes = w.buffer();
-    Reader r(bytes);
-    Interval got;
-    ASSERT_TRUE(TryReadInterval(r, &got).ok());
-    EXPECT_EQ(got, iv);
-    EXPECT_TRUE(r.AtEnd());
-    for (size_t keep = 0; keep < bytes.size(); ++keep) {
-      const std::string cut = bytes.substr(0, keep);
-      Reader tr(cut);
-      EXPECT_FALSE(TryReadInterval(tr, &got).ok()) << "keep=" << keep;
-    }
-  }
-  // An unknown flag byte is DataLoss, not an abort.
-  const std::string bad_flag("\xee", 1);
-  Reader bad(bad_flag);
-  Interval got;
-  const Status st = TryReadInterval(bad, &got);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
 }
 
 // Random frames through the checkpoint frame codec: round-trip plus
@@ -346,7 +279,7 @@ TEST(JsonFuzzTest, PathologicalNestingDoesNotOverflow) {
 TEST(WriterClearTest, HighWaterMarkDecayShrinksCapacity) {
   Writer w;
   const std::string big(1 << 20, 'x');
-  w.WriteBytes(big);
+  w.Append(big);
   w.Clear();
   const size_t peak = w.buffer().capacity();
   EXPECT_GE(peak, big.size());
@@ -361,12 +294,8 @@ TEST(WriterClearTest, HighWaterMarkDecayShrinksCapacity) {
       << "capacity pinned at " << w.buffer().capacity();
 
   // A new burst re-raises it instantly and the buffer still works.
-  w.WriteBytes(big);
-  EXPECT_EQ(w.size(), big.size() + VarintLength(big.size()));
-  Reader r(w.buffer());
-  std::string out;
-  ASSERT_TRUE(r.TryReadBytes(&out).ok());
-  EXPECT_EQ(out, big);
+  w.Append(big);
+  EXPECT_EQ(w.buffer(), big);
 }
 
 }  // namespace

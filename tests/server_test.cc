@@ -20,11 +20,11 @@
 #include <map>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algorithms/oracle.h"
 #include "gen/generators.h"
-#include "io/binary_format.h"
 #include "io/text_format.h"
 #include "testutil.h"
 #include "util/mutex.h"
@@ -256,6 +256,67 @@ TEST(QueryServiceTest, WorkersOutOfRangeIsInvalidArgument) {
   // Absent or 0 means the service default.
   EXPECT_EQ(MustParse(run + "}").workers, 0);
   EXPECT_EQ(MustParse(head + "\"workers\":0}").workers, 0);
+}
+
+// Every integer field must hold a number with an exact int64 value when
+// present: a fraction, a string or 2^63 is InvalidArgument naming the
+// field, never a truncated, defaulted or wrapped value. Integral doubles
+// are read exactly and absent fields keep their defaults.
+TEST(QueryServiceTest, IntegerFieldsMustBeExact) {
+  const std::string run = "{\"op\":\"run\",\"graph\":\"t\",\"alg\":\"bfs\"";
+  const std::string append =
+      "{\"op\":\"append\",\"graph\":\"t\",";
+  const std::pair<std::string, std::string> bad[] = {
+      {run + ",\"source\":3.9}", "source"},
+      {run + ",\"source\":\"3\"}", "source"},
+      {run + ",\"source\":9223372036854775808}", "source"},
+      {run + ",\"source\":-1e300}", "source"},
+      {run + ",\"target\":1.5}", "target"},
+      {run + ",\"deadline\":true}", "deadline"},
+      {"{\"op\":\"reach_at\",\"graph\":\"t\",\"at\":6.5}", "at"},
+      {run + ",\"workers\":2.5}", "workers"},
+      {run + ",\"max_vertices\":null}", "max_vertices"},
+      {run + ",\"window\":[1.5,8]}", "window"},
+      {run + ",\"window\":[1,8e20]}", "window"},
+      {run + ",\"select\":{\"from\":1,\"to\":\"8\"}}", "select.to"},
+      {run + ",\"select\":{\"from\":0.5,\"to\":8}}", "select.from"},
+      {append + "\"vertices\":[[900003.7,1,4]]}", "vertices"},
+      {append + "\"edges\":[[1,0,1,2,4.25]]}", "edges"},
+      {append + "\"props\":[[1,\"w\",2,4,0.5]]}", "props"},
+  };
+  for (const auto& [line, field] : bad) {
+    const auto req = QueryService::Parse(line);
+    ASSERT_FALSE(req.ok()) << line;
+    EXPECT_EQ(req.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_EQ(req.status().message(),
+              "integer expected in \"" + field + "\"")
+        << line;
+  }
+
+  const QueryRequest exact = MustParse(
+      run + ",\"source\":3.0,\"target\":-1e0,\"at\":-9223372036854775808,"
+            "\"workers\":2,\"max_vertices\":7,\"window\":[1,8.0],"
+            "\"select\":{\"from\":2e0,\"to\":9}}");
+  EXPECT_EQ(exact.source, 3);
+  EXPECT_EQ(exact.target, -1);
+  EXPECT_EQ(exact.at, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(exact.workers, 2);
+  EXPECT_EQ(exact.max_vertices, 7);
+  EXPECT_EQ(*exact.window, Interval(1, 8));
+  EXPECT_EQ(*exact.select_window, Interval(2, 9));
+  const QueryRequest defaults = MustParse(run + "}");
+  EXPECT_EQ(defaults.source, 0);
+  EXPECT_EQ(defaults.target, -1);
+  EXPECT_EQ(defaults.deadline, -1);
+  EXPECT_EQ(defaults.at, -1);
+  const QueryRequest rows = MustParse(
+      append + "\"vertices\":[[900003.0,1,-1]],\"edges\":[[5,0,900003,2,4]],"
+               "\"props\":[[5,\"w\",2,4,3e0]]}");
+  ASSERT_EQ(rows.batch->vertices.size(), 1u);
+  EXPECT_EQ(rows.batch->vertices[0].vid, 900003);
+  EXPECT_EQ(rows.batch->vertices[0].interval, Interval(1, kTimeMax));
+  ASSERT_EQ(rows.batch->props.size(), 1u);
+  EXPECT_EQ(rows.batch->props[0].value, 3);
 }
 
 JsonValue MustParseJson(const std::string& text) {
@@ -678,8 +739,7 @@ TEST(ServerLoadTest, ParallelPreloadsMatchSequentialLoads) {
     const auto q = sequential.registry().Get(spec.name);
     ASSERT_NE(p, nullptr) << spec.name;
     ASSERT_NE(q, nullptr) << spec.name;
-    EXPECT_EQ(WriteBinaryGraph(p->workload.graph()),
-              WriteBinaryGraph(q->workload.graph()))
+    EXPECT_TRUE(testutil::SameGraph(p->workload.graph(), q->workload.graph()))
         << spec.name;
     for (const std::string& line : MixedRequests(spec.name)) {
       const QueryRequest req = MustParse(line);

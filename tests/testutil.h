@@ -1,11 +1,19 @@
-// Shared test fixtures: the paper's Fig. 1 transit network and random
-// temporal-graph generation for property tests.
+// Shared test fixtures: the paper's Fig. 1 transit network, random
+// temporal-graph generation for property tests, and the one graph
+// comparator.
 #ifndef GRAPHITE_TESTS_TESTUTIL_H_
 #define GRAPHITE_TESTS_TESTUTIL_H_
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "algorithms/common.h"
 #include "graph/builder.h"
 #include "graph/temporal_graph.h"
+#include "io/text_format.h"
 #include "util/rng.h"
 
 namespace graphite {
@@ -139,6 +147,45 @@ inline TemporalGraph MakeRandomGraph(uint64_t seed,
   auto g = b.Build(options);
   GRAPHITE_CHECK(g.ok());
   return std::move(g).value();
+}
+
+/// The label table in LabelId order.
+inline std::vector<std::string> LabelTable(const TemporalGraph& g) {
+  std::vector<std::string> out;
+  for (LabelId l = 0; l < g.num_labels(); ++l) out.push_back(g.LabelName(l));
+  return out;
+}
+
+/// Passes when `got` and `want` are the same graph: the same horizon, the
+/// same label table in LabelId order and the same WriteTextGraph bytes.
+/// The text keeps vertex index and edge position order and names each
+/// property's label, so with equal label tables it also pins label ids.
+/// A failure names the first differing text line.
+inline ::testing::AssertionResult SameGraph(const TemporalGraph& got,
+                                            const TemporalGraph& want) {
+  if (got.horizon() != want.horizon()) {
+    return ::testing::AssertionFailure()
+           << "horizon " << got.horizon() << ", want " << want.horizon();
+  }
+  if (LabelTable(got) != LabelTable(want)) {
+    return ::testing::AssertionFailure() << "label tables differ";
+  }
+  const std::string a = WriteTextGraph(got);
+  const std::string b = WriteTextGraph(want);
+  if (a == b) return ::testing::AssertionSuccess();
+  const size_t at = static_cast<size_t>(
+      std::mismatch(a.begin(), a.begin() + std::min(a.size(), b.size()),
+                    b.begin())
+          .first -
+      a.begin());
+  const size_t start = at == 0 ? 0 : a.rfind('\n', at - 1) + 1;
+  auto line = [start](const std::string& s) {
+    return s.substr(start, s.find('\n', start) - start);
+  };
+  return ::testing::AssertionFailure()
+         << "text differs at line "
+         << 1 + std::count(a.begin(), a.begin() + start, '\n') << ": \""
+         << line(a) << "\", want \"" << line(b) << "\"";
 }
 
 }  // namespace testutil

@@ -79,13 +79,11 @@ TEST(SerdeTest, WriterReaderRoundTrip) {
   w.WriteU64(12345);
   w.WriteI64(-987);
   w.WriteByte(7);
-  w.WriteBytes("hello");
   w.WriteI64Vec({1, -2, 3});
   Reader r(w.buffer());
   EXPECT_EQ(r.ReadU64(), 12345u);
   EXPECT_EQ(r.ReadI64(), -987);
   EXPECT_EQ(r.ReadByte(), 7);
-  EXPECT_EQ(r.ReadBytes(), "hello");
   EXPECT_EQ(r.ReadI64Vec(), (std::vector<int64_t>{1, -2, 3}));
   EXPECT_TRUE(r.AtEnd());
 }

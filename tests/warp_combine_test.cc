@@ -4,6 +4,7 @@
 
 #include "icm/warp.h"
 #include "util/rng.h"
+#include "warp_reference.h"
 
 namespace graphite {
 namespace {

@@ -24,6 +24,7 @@
 #include "temporal/time.h"
 #include "util/arena.h"
 #include "util/rng.h"
+#include "warp_reference.h"
 
 namespace graphite {
 namespace {

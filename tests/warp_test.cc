@@ -9,6 +9,7 @@
 #include <set>
 
 #include "util/rng.h"
+#include "warp_reference.h"
 
 namespace graphite {
 namespace {
