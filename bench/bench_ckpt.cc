@@ -6,10 +6,17 @@
 // working directory and are removed when the run finishes.
 //
 // Prints a table to stdout and writes machine-readable results to
-// BENCH_ckpt.json (override with argv[2]).
+// BENCH_ckpt.json (override with argv[2]). The "gated" block holds each
+// dataset's every-1 checkpoint bytes, which do not vary from run to run;
+// tools/check_bench_regression.py compares it against the committed
+// baseline.
+#include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "algorithms/icm_path.h"
 #include "bench_common.h"
@@ -94,6 +101,9 @@ int main(int argc, char** argv) {
   json.Key("num_workers").Int(workers);
   json.Key("algorithm").String("sssp_icm");
   json.Key("datasets").BeginArray();
+  // Gate key per dataset ("GPlus-like" -> "ckpt_every1_bytes_gplus") and
+  // its every-1 checkpoint bytes.
+  std::vector<std::pair<std::string, int64_t>> gated;
 
   TextTable table;
   table.AddRow({"Graph", "ss", "none-ms", "k1-ms", "k1-ov%", "k2-ov%",
@@ -138,6 +148,11 @@ int main(int argc, char** argv) {
                                          static_cast<double>(k1.supersteps)
                                    : 0.0,
                                0)});
+    std::string key = "ckpt_every1_bytes_";
+    for (const char c : ds.name.substr(0, ds.name.find('-'))) {
+      key.push_back(static_cast<char>(std::tolower(c)));
+    }
+    gated.emplace_back(std::move(key), k1.ckpt_bytes);
     json.BeginObject();
     json.Key("graph").String(ds.name);
     json.Key("policies").BeginObject();
@@ -151,6 +166,15 @@ int main(int argc, char** argv) {
   }
   datasets.clear();
   json.EndArray();
+  json.Key("gated").BeginObject();
+  for (const auto& [key, bytes] : gated) {
+    json.Key(key).BeginObject();
+    json.Key("value").Int(bytes);
+    json.Key("better").String("lower");
+    json.Key("timing").Bool(false);
+    json.EndObject();
+  }
+  json.EndObject();
   json.EndObject();
 
   std::printf("Checkpoint overhead, SSSP on ICM (ov%% = ckpt time / wall):\n"

@@ -64,7 +64,7 @@ struct IngestWorkload {
   size_t append_edges = 0;
 };
 
-// Bootstraps the first `boot_fraction` of the feed into a sealed base and
+// Bootstraps the feed up to half the horizon into a sealed base and
 // windows the rest into append batches via the UpdateBatcher. Removals of
 // base-sealed edges cannot be expressed as appends and are dropped, same
 // as examples/streaming_ingest.cpp.
@@ -73,27 +73,28 @@ IngestWorkload BuildWorkload(int accounts, int events, TimePoint horizon,
   const auto feed = SyntheticUpdateStream(2026, accounts, events, horizon);
   const TimePoint boot_time = horizon / 2;
 
-  StreamingGraphBuilder builder;
+  // The base is the feed prefix flushed at the horizon, with its
+  // open-ended vertices closed there, appended to an empty graph and
+  // compacted.
+  UpdateBatcher batcher;
   size_t cursor = 0;
   while (cursor < feed.size() && feed[cursor].time <= boot_time) {
-    GRAPHITE_CHECK(builder.Apply(feed[cursor]).ok());
+    GRAPHITE_CHECK(batcher.Push(feed[cursor]).ok());
     ++cursor;
   }
-  auto sealed = builder.Seal(horizon);
-  GRAPHITE_CHECK(sealed.ok());
+  auto boot = batcher.FlushAll(horizon);
+  GRAPHITE_CHECK(boot.ok());
+  for (EdgeBatch::NewVertex& v : boot->vertices) v.interval.end = horizon;
+  IngestWorkload w;
+  GRAPHITE_CHECK(w.base.Append(*boot).ok());
+  w.base.Compact();
 
-  IngestWorkload w{std::move(*sealed), {}, 0, 0};
-  UpdateBatcher batcher;
   const TimePoint span = horizon - boot_time;
   for (int i = 1; i <= windows; ++i) {
     const TimePoint window_end = boot_time + (span * i) / windows;
     while (cursor < feed.size() && feed[cursor].time < window_end) {
       const GraphUpdate& u = feed[cursor];
       ++cursor;
-      if (u.kind == GraphUpdate::Kind::kRemoveVertex ||
-          u.kind == GraphUpdate::Kind::kSetVertexProp) {
-        continue;
-      }
       const Status pushed = batcher.Push(u);
       if (!pushed.ok() && u.kind == GraphUpdate::Kind::kRemoveEdge) continue;
       GRAPHITE_CHECK(pushed.ok());

@@ -56,18 +56,23 @@ int main(int argc, char** argv) {
   std::printf("Feed: %zu events over %lld ticks for %d accounts\n\n",
               feed.size(), static_cast<long long>(horizon), accounts);
 
-  // Bootstrap: seal the first third of the feed into the graph's base.
-  // Everything after it arrives through Append on this same object.
-  StreamingGraphBuilder builder;
+  // Bootstrap: flush the first third of the feed at the horizon, close
+  // its open-ended accounts there, and append it to an empty graph whose
+  // Compact() seals it into the base. Everything after it arrives through
+  // Append on this same object.
+  UpdateBatcher batcher;
   size_t cursor = 0;
   const TimePoint boot_time = horizon / 3;
   while (cursor < feed.size() && feed[cursor].time <= boot_time) {
-    GRAPHITE_CHECK(builder.Apply(feed[cursor]).ok());
+    GRAPHITE_CHECK(batcher.Push(feed[cursor]).ok());
     ++cursor;
   }
-  auto sealed = builder.Seal(horizon);
-  GRAPHITE_CHECK(sealed.ok());
-  TemporalGraph g = std::move(*sealed);
+  auto boot = batcher.FlushAll(horizon);
+  GRAPHITE_CHECK(boot.ok());
+  for (EdgeBatch::NewVertex& v : boot->vertices) v.interval.end = horizon;
+  TemporalGraph g;
+  GRAPHITE_CHECK(g.Append(*boot).ok());
+  g.Compact();
   std::printf("Sealed base at t=%lld: %zu vertices / %zu edges "
               "(head epoch %llu)\n\n",
               static_cast<long long>(boot_time), g.num_vertices(),
@@ -79,7 +84,6 @@ int main(int argc, char** argv) {
   // (new accounts, transfers that have ended); FlushAll clips whatever is
   // still open at the horizon. Each batch lands via Append — no rebuild —
   // and the reachability analytic restarts only from what changed.
-  UpdateBatcher batcher;
   AppendReceipt receipt;
   IcmReach boot_program(g, 0);
   auto result = IcmEngine<IcmReach>::Run(g, boot_program);
@@ -99,11 +103,6 @@ int main(int argc, char** argv) {
       // final), so the demo counts and skips them.
       const GraphUpdate& u = feed[cursor];
       ++cursor;
-      if (u.kind == GraphUpdate::Kind::kRemoveVertex ||
-          u.kind == GraphUpdate::Kind::kSetVertexProp) {
-        ++skipped;
-        continue;
-      }
       const Status pushed = batcher.Push(u);
       if (!pushed.ok() && u.kind == GraphUpdate::Kind::kRemoveEdge) {
         ++skipped;

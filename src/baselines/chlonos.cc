@@ -16,9 +16,7 @@ BaselineOutcome<int64_t> RunChlonosScc(const TemporalGraph& g,
 
   for (TimePoint b0 = 0; b0 < T; b0 += options.batch_size) {
     const TimePoint b1 = std::min<TimePoint>(b0 + options.batch_size, T);
-    ChlonosOptions window = options;
-    window.window_begin = b0;
-    window.window_end = b1;
+    const Interval window(b0, b1);
 
     auto remaining = [&]() {
       size_t count = 0;
@@ -35,10 +33,12 @@ BaselineOutcome<int64_t> RunChlonosScc(const TemporalGraph& g,
 
     while (remaining() > 0) {
       auto fwd = RunChlonos<VcmSccForward>(
-          g, window, [&](const SnapshotAdapter& a) {
+          g, options,
+          [&](const SnapshotAdapter& a) {
             return VcmSccForward(
                 a, assigned_by_t[static_cast<size_t>(a.view().time())]);
-          });
+          },
+          window);
       out.metrics.Merge(fwd.metrics);
       // Materialize colors per snapshot for the backward kernels.
       std::vector<std::vector<int64_t>> colors_by_t(
@@ -50,10 +50,12 @@ BaselineOutcome<int64_t> RunChlonosScc(const TemporalGraph& g,
         }
       }
       auto bwd = RunChlonos<VcmSccBackward>(
-          reversed, window, [&](const SnapshotAdapter& a) {
+          reversed, options,
+          [&](const SnapshotAdapter& a) {
             const size_t t = static_cast<size_t>(a.view().time());
             return VcmSccBackward(a, colors_by_t[t], assigned_by_t[t]);
-          });
+          },
+          window);
       out.metrics.Merge(bwd.metrics);
 
       size_t newly = 0;

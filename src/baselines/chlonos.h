@@ -32,10 +32,6 @@ struct ChlonosOptions : EngineOptions {
   int batch_size = 8;
   bool always_active = false;
   int max_supersteps = std::numeric_limits<int>::max();
-  /// Snapshot window to process ([window_begin, window_end)); -1 means the
-  /// full horizon. Used by the batch-level SCC driver.
-  TimePoint window_begin = 0;
-  TimePoint window_end = -1;
   /// Vertex->worker placement policy (graph/partitioner.h).
   Placement placement;
 };
@@ -67,13 +63,14 @@ class ChlonosContext {
   std::vector<Pending>* outbox_;
 };
 
-/// Runs `make_program(adapter)`-built kernels over every snapshot of `g`
-/// in batches, with cross-snapshot message sharing. Value extraction and
-/// metrics mirror MSB so outcomes are directly comparable.
+/// Runs `make_program(adapter)`-built kernels over the snapshots of `g`
+/// in `window` (clipped to the horizon; the batch-level SCC driver passes
+/// one batch) in batches, with cross-snapshot message sharing. Value
+/// extraction and metrics mirror MSB so outcomes are directly comparable.
 template <typename Program, typename MakeProgram>
 BaselineOutcome<typename Program::Value> RunChlonos(
     const TemporalGraph& g, const ChlonosOptions& options,
-    MakeProgram&& make_program) {
+    MakeProgram&& make_program, Interval window = Interval(0, kTimeMax)) {
   using Value = typename Program::Value;
   using Message = typename Program::Message;
   using Pending = typename ChlonosContext<Message>::Pending;
@@ -229,9 +226,8 @@ BaselineOutcome<typename Program::Value> RunChlonos(
   out.result.resize(n);
   const int64_t run_start = NowNanos();
 
-  const TimePoint window_end =
-      options.window_end < 0 ? g.horizon() : options.window_end;
-  for (TimePoint b0 = options.window_begin; b0 < window_end;
+  const TimePoint window_end = std::min(window.end, g.horizon());
+  for (TimePoint b0 = window.start; b0 < window_end;
        b0 += options.batch_size) {
     const TimePoint b1 = std::min<TimePoint>(b0 + options.batch_size,
                                              window_end);

@@ -124,7 +124,6 @@ TemporalGraph GeneratePowerLaw(const GenOptions& opt) {
 
   BuilderOptions options;
   options.horizon = T;
-  options.validate = false;  // Valid by construction; tested separately.
   auto g = b.Build(options);
   GRAPHITE_CHECK(g.ok());
   return std::move(g).value();
@@ -164,7 +163,6 @@ TemporalGraph GenerateGrid(const GenOptions& opt) {
 
   BuilderOptions options;
   options.horizon = T;
-  options.validate = false;
   auto g = b.Build(options);
   GRAPHITE_CHECK(g.ok());
   return std::move(g).value();

@@ -64,7 +64,7 @@ struct GenOptions {
 };
 
 /// Synthesizes a valid temporal graph (Constraints 1-3 hold by
-/// construction; generator output is additionally validated in tests).
+/// construction, and the builder checks them).
 TemporalGraph Generate(const GenOptions& options);
 
 /// The six dataset analogs (paper Table 1), keyed by the real graph they

@@ -103,13 +103,11 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
           "Constraint 2: edge " + std::to_string(e.eid) +
           " references missing vertex");
     }
-    if (options.validate) {
-      if (!e.interval.ContainedIn(b.vertex_intervals[*src]) ||
-          !e.interval.ContainedIn(b.vertex_intervals[*dst])) {
-        return Status::ConstraintViolation(
-            "Constraint 2: edge " + std::to_string(e.eid) + " lifespan " +
-            e.interval.ToString() + " not contained in endpoint lifespans");
-      }
+    if (!e.interval.ContainedIn(b.vertex_intervals[*src]) ||
+        !e.interval.ContainedIn(b.vertex_intervals[*dst])) {
+      return Status::ConstraintViolation(
+          "Constraint 2: edge " + std::to_string(e.eid) + " lifespan " +
+          e.interval.ToString() + " not contained in endpoint lifespans");
     }
     ends.emplace_back(*src, *dst);
     ++b.out_offsets[*src + 1];
@@ -183,7 +181,7 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
         bad = Status::InvalidArgument("property interval invalid: " +
                                       p.interval.ToString());
       } else if (const Interval& span = span_of(*entity);
-                 options.validate && !p.interval.ContainedIn(span)) {
+                 !p.interval.ContainedIn(span)) {
         bad = Status::ConstraintViolation(
             std::string("Constraint 3: ") + kind + " property '" +
             label_names_[p.label] + "' interval " + p.interval.ToString() +
@@ -199,7 +197,7 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
     }
     const uint32_t overlap =
         TemporalGraph::OrderStagedRuns(&staged, num_entities);
-    if (options.validate && overlap != TemporalGraph::kNoOverlap) {
+    if (overlap != TemporalGraph::kNoOverlap) {
       const PendingProp& p = pending[overlap];
       return Status::ConstraintViolation(
           std::string("Def. 1: overlapping values for ") + kind +
@@ -229,16 +227,7 @@ Result<TemporalGraph> TemporalGraphBuilder::Build(
   if (options.horizon > 0) {
     g.horizon_ = options.horizon;
   } else {
-    TimePoint max_end = 0;
-    auto consider = [&max_end](const Interval& i) {
-      if (i.end != kTimeMax && i.end > max_end) max_end = i.end;
-      if (i.start != kTimeMin && i.start + 1 > max_end) max_end = i.start + 1;
-    };
-    for (const Interval& i : b.vertex_intervals) consider(i);
-    for (const StoredEdge& e : b.edges) consider(e.interval);
-    for (const PropRun& run : b.vertex_props.runs) consider(run.interval);
-    for (const PropRun& run : b.edge_props.runs) consider(run.interval);
-    g.horizon_ = max_end > 0 ? max_end : 1;
+    g.DeriveHorizon(b);
   }
 
   g.AdoptBase(std::move(base));

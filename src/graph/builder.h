@@ -17,9 +17,6 @@ namespace graphite {
 
 /// Build-time options.
 struct BuilderOptions {
-  /// Check Constraints 1-3; disable only for trusted generator output
-  /// (generators are themselves tested to produce valid graphs).
-  bool validate = true;
   /// Explicit horizon T (number of snapshot time-points). 0 = derive from
   /// the largest finite entity end-time.
   TimePoint horizon = 0;

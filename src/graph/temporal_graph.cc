@@ -133,30 +133,10 @@ void TemporalGraph::PropStore::AppendStaged(
   for (uint32_t entity = 0; entity < count; ++entity) {
     while (k < staged.size() && staged[k].entity == entity) {
       const StagedRun& head = staged[k];
-      const size_t first = k;
-      bool overlap = false;
-      TimePoint reach = head.interval.end;
-      for (++k; k < staged.size() && staged[k].entity == entity &&
-                staged[k].rank == head.rank;
+      for (; k < staged.size() && staged[k].entity == entity &&
+             staged[k].rank == head.rank;
            ++k) {
-        overlap = overlap || staged[k].interval.start < reach;
-        reach = std::max(reach, staged[k].interval.end);
-      }
-      if (!overlap) {
-        for (size_t j = first; j < k; ++j) {
-          runs.push_back({staged[j].interval, staged[j].value});
-        }
-      } else {
-        // Unvalidated input only: replay in input order, as Set() would.
-        std::vector<StagedRun> in_order(staged.begin() + first,
-                                        staged.begin() + k);
-        std::sort(in_order.begin(), in_order.end(),
-                  [](const StagedRun& x, const StagedRun& y) {
-                    return x.seq < y.seq;
-                  });
-        IntervalMap<PropValue> map;
-        for (const StagedRun& run : in_order) map.Set(run.interval, run.value);
-        runs.insert(runs.end(), map.entries().begin(), map.entries().end());
+        runs.push_back({staged[k].interval, staged[k].value});
       }
       groups.push_back({head.label, static_cast<uint32_t>(runs.size())});
     }
@@ -267,6 +247,14 @@ void TemporalGraph::GrowHorizon(const Interval& i) {
   // largest finite start, whichever is later. Appends only ever grow T.
   if (i.end != kTimeMax && i.end > horizon_) horizon_ = i.end;
   if (i.start != kTimeMin && i.start + 1 > horizon_) horizon_ = i.start + 1;
+}
+
+void TemporalGraph::DeriveHorizon(const SealedBase& b) {
+  for (const Interval& i : b.vertex_intervals) GrowHorizon(i);
+  for (const StoredEdge& e : b.edges) GrowHorizon(e.interval);
+  for (const PropRun& run : b.vertex_props.runs) GrowHorizon(run.interval);
+  for (const PropRun& run : b.edge_props.runs) GrowHorizon(run.interval);
+  if (horizon_ == 0) horizon_ = 1;
 }
 
 Status TemporalGraph::Append(const EdgeBatch& batch, AppendReceipt* receipt) {
@@ -749,18 +737,8 @@ TemporalGraph TemporalGraph::WriteBase(const TemporalGraph& g,
   for (const uint32_t id : order) out.InternLabel(s.labels_[used[id].second]);
 
   out.horizon_ = g.horizon_;
-  if (out.horizon_ == 0) {
-    // The builder derives a horizon only when given none.
-    for (const Interval& i : nb.vertex_intervals) out.GrowHorizon(i);
-    for (const StoredEdge& e : nb.edges) out.GrowHorizon(e.interval);
-    for (const PropRun& run : nb.vertex_props.runs) {
-      out.GrowHorizon(run.interval);
-    }
-    for (const PropRun& run : nb.edge_props.runs) {
-      out.GrowHorizon(run.interval);
-    }
-    if (out.horizon_ == 0) out.horizon_ = 1;
-  }
+  // The builder derives a horizon only when given none.
+  if (out.horizon_ == 0) out.DeriveHorizon(nb);
   out.AdoptBase(std::move(next));
   return out;
 }

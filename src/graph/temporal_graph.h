@@ -615,9 +615,8 @@ class TemporalGraph {
       offsets.insert(offsets.end(), count, offsets.back());
     }
     /// Appends `count` entities holding `runs`, ordered by
-    /// OrderStagedRuns. Overlapping runs of one label (left only when the
-    /// caller skips validation) resolve as IntervalMap::Set calls in input
-    /// order would.
+    /// OrderStagedRuns and free of overlaps (the builder and Append reject
+    /// those first).
     void AppendStaged(const std::vector<StagedRun>& runs, size_t count);
     void Reserve(size_t entities, size_t num_groups, size_t num_runs);
     size_t Bytes() const;
@@ -679,6 +678,9 @@ class TemporalGraph {
   void EnsureEidIndex();
   /// Grows the horizon to cover `i`, using the builder's derivation rule.
   void GrowHorizon(const Interval& i);
+  /// Grows the horizon over every interval of `b` (at least 1): the
+  /// horizon the builder derives when given none.
+  void DeriveHorizon(const SealedBase& b);
 
   // --- Sealed base, shared and immutable. The raw pointers cache the
   // base's arrays (valid while base_ holds it; copies share it).

@@ -1,6 +1,7 @@
 #include "server/job_scheduler.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/timer.h"
 
@@ -21,18 +22,25 @@ Status JobScheduler::Submit(QueryRequest req,
   if (!QueryService::IsDataOp(req.op)) {
     return Status::InvalidArgument("not a data op: " + req.op);
   }
-  // Cache fast path: answered inline on the submitting thread, no queue,
-  // no supersteps. Registry and cache are thread-safe.
-  if (auto hit = service_->TryServeFromCache(req)) {
+  // The graph is pinned here, at admission: a queued job answers from the
+  // version resident when its request arrived, whatever lands meanwhile.
+  // A missing graph and a cache hit are answered inline on the submitting
+  // thread, with no queue and no supersteps. Registry and cache are
+  // thread-safe.
+  auto entry = service_->Resident(req);
+  std::optional<std::string> reply =
+      entry.ok() ? service_->TryServeFromCache(req, **entry)
+                 : QueryService::ErrorResponse(req.id, req.op, entry.status());
+  if (reply) {
     {
       MutexLock lock(mu_);
       if (stopping_) {
         return Status::OutOfRange("scheduler stopped");
       }
       ++submitted_;
-      ++fastpath_hits_;
+      if (entry.ok()) ++fastpath_hits_;
     }
-    done(*hit);
+    done(*std::move(reply));
     return Status::OK();
   }
   {
@@ -47,7 +55,8 @@ Status JobScheduler::Submit(QueryRequest req,
           " queued)");
     }
     ++submitted_;
-    queue_.push_back(Job{std::move(req), std::move(done), NowNanos()});
+    queue_.push_back(Job{std::move(req), *std::move(entry), std::move(done),
+                         NowNanos()});
   }
   work_cv_.NotifyOne();
   return Status::OK();
@@ -64,7 +73,8 @@ bool JobScheduler::PickRunnable(Job* out) {
 void JobScheduler::RunJob(Job job) {
   const int64_t queue_wait_ns = NowNanos() - job.enqueued_ns;
   ExecStats stats;
-  std::string response = service_->Execute(job.req, queue_wait_ns, &stats);
+  std::string response =
+      service_->ExecuteOn(job.req, *job.entry, queue_wait_ns, &stats);
   job.done(std::move(response));
   // Counters must land in the same critical section that wakes Drain():
   // a stats() read right after Drain() returns has to see every

@@ -4,7 +4,11 @@
 // Policy (the serving contract the tests pin down):
 //   * Admission — a bounded FIFO queue; a full queue rejects the request
 //     with OutOfRange instead of blocking the connection thread.
-//   * Cache fast path — Submit() first consults the ResultCache; a hit is
+//   * Pinned at admission — Submit() looks the graph up once; the queued
+//     job runs on that version, so an append that lands while it waits
+//     does not change its answer. A graph that is not resident is
+//     answered NotFound inline.
+//   * Cache fast path — Submit() then consults the ResultCache; a hit is
 //     answered inline on the submitting thread, without touching the
 //     queue or running a single superstep. This is what makes repeated
 //     requests an order of magnitude faster than cold runs.
@@ -22,6 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,7 +44,7 @@ struct SchedulerOptions {
 
 /// Aggregate counters for the `metrics` control op and the bench report.
 struct SchedulerStats {
-  int64_t submitted = 0;      ///< Accepted jobs (queued or fast-pathed).
+  int64_t submitted = 0;      ///< Accepted jobs (queued or answered inline).
   int64_t rejected = 0;       ///< Admission rejections (queue full).
   int64_t completed = 0;      ///< Jobs run to completion by workers.
   int64_t fastpath_hits = 0;  ///< Served inline from the cache in Submit.
@@ -59,9 +64,10 @@ class JobScheduler {
   JobScheduler(const JobScheduler&) = delete;
   JobScheduler& operator=(const JobScheduler&) = delete;
 
-  /// Submits one data-op request. On the cache fast path `done` is
-  /// invoked inline before Submit returns; otherwise the job is queued
-  /// and `done` fires on a worker thread with the response line.
+  /// Submits one data-op request. On the cache fast path, or when the
+  /// graph is not resident, `done` is invoked inline before Submit
+  /// returns; otherwise the job is queued, pinned to the graph's current
+  /// version, and `done` fires on a worker thread with the response line.
   /// Returns OutOfRange (without calling `done`) when the queue is full,
   /// and InvalidArgument for non-data ops.
   Status Submit(QueryRequest req, std::function<void(std::string)> done);
@@ -82,6 +88,7 @@ class JobScheduler {
  private:
   struct Job {
     QueryRequest req;
+    std::shared_ptr<ResidentGraph> entry;  ///< Pinned at admission.
     std::function<void(std::string)> done;
     int64_t enqueued_ns = 0;
   };

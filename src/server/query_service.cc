@@ -720,14 +720,28 @@ std::string QueryService::Envelope(const QueryRequest& req,
   return w.Take();
 }
 
+Result<std::shared_ptr<ResidentGraph>> QueryService::Resident(
+    const QueryRequest& req) const {
+  auto entry = registry_->Get(req.graph);
+  if (entry == nullptr) {
+    return Status::NotFound("graph not resident: \"" + req.graph + "\"");
+  }
+  return entry;
+}
+
 std::optional<std::string> QueryService::TryServeFromCache(
     const QueryRequest& req, ExecStats* stats) {
+  auto entry = registry_->Get(req.graph);
+  if (entry == nullptr) return std::nullopt;
+  return TryServeFromCache(req, *entry, stats);
+}
+
+std::optional<std::string> QueryService::TryServeFromCache(
+    const QueryRequest& req, const ResidentGraph& entry, ExecStats* stats) {
   if (cache_ == nullptr || !req.use_cache || !IsDataOp(req.op)) {
     return std::nullopt;
   }
-  auto entry = registry_->Get(req.graph);
-  if (entry == nullptr) return std::nullopt;
-  auto hit = cache_->GetIfPresent(CacheKey(req, *entry));
+  auto hit = cache_->GetIfPresent(CacheKey(req, entry));
   if (!hit) return std::nullopt;
   ExecStats es;
   es.cached = true;
@@ -737,16 +751,12 @@ std::optional<std::string> QueryService::TryServeFromCache(
 
 std::string QueryService::Execute(const QueryRequest& req,
                                   int64_t queue_wait_ns, ExecStats* stats) {
-  ExecStats es;
-  if (stats == nullptr) stats = &es;
-  *stats = ExecStats{};
-  auto entry = registry_->Get(req.graph);
-  if (entry == nullptr) {
-    return ErrorResponse(
-        req.id, req.op,
-        Status::NotFound("graph not resident: \"" + req.graph + "\""));
+  auto entry = Resident(req);
+  if (!entry.ok()) {
+    if (stats != nullptr) *stats = ExecStats{};
+    return ErrorResponse(req.id, req.op, entry.status());
   }
-  return ExecuteOn(req, *entry, queue_wait_ns, stats);
+  return ExecuteOn(req, **entry, queue_wait_ns, stats);
 }
 
 std::string QueryService::ExecuteOn(const QueryRequest& req,

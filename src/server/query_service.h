@@ -124,9 +124,17 @@ class QueryService {
   /// false for control ops the Server answers inline.
   static bool IsDataOp(const std::string& op);
 
+  /// The resident entry `req` names, or NotFound.
+  Result<std::shared_ptr<ResidentGraph>> Resident(
+      const QueryRequest& req) const;
+
   /// Cache fast path: the complete response when `req` is cacheable and
   /// present, else nullopt. Never runs supersteps.
   std::optional<std::string> TryServeFromCache(const QueryRequest& req,
+                                               ExecStats* stats = nullptr);
+  /// TryServeFromCache against an entry the caller already pinned.
+  std::optional<std::string> TryServeFromCache(const QueryRequest& req,
+                                               const ResidentGraph& entry,
                                                ExecStats* stats = nullptr);
 
   /// Executes a data op end to end (cache lookup, run, cache fill) and

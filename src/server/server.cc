@@ -9,9 +9,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <istream>
 #include <memory>
-#include <ostream>
 
 #include "gen/generators.h"
 #include "io/text_format.h"
@@ -37,9 +35,9 @@ bool WriteAll(int fd, const std::string& data) {
   return true;
 }
 
-/// Per-connection response plumbing shared between the read loop and the
+/// Per-stream response plumbing shared between the read loop and the
 /// scheduler workers: serializes writes and counts in-flight responses so
-/// the connection is not closed under an async data-op response.
+/// the stream is not closed under an async data-op response.
 struct ConnState {
   explicit ConnState(int fd) : fd(fd) {}
   Mutex mu;
@@ -276,40 +274,6 @@ void Server::HandleLine(const std::string& line,
   respond(HandleControl(*req));
 }
 
-int64_t Server::ServeStream(std::istream& in, std::ostream& out) {
-  struct StreamState {
-    Mutex mu;
-    CondVar cv;
-    std::ostream* out;  // Immutable; writes through it serialize under mu.
-    int64_t pending GRAPHITE_GUARDED_BY(mu) = 0;
-  };
-  auto state = std::make_shared<StreamState>();
-  state->out = &out;
-  auto respond = [state](std::string line) {
-    MutexLock lock(state->mu);
-    (*state->out) << line << '\n';
-    state->out->flush();
-    --state->pending;
-    state->cv.NotifyAll();
-  };
-  int64_t handled = 0;
-  std::string line;
-  while (!shutdown_requested() && std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    ++handled;
-    {
-      MutexLock lock(state->mu);
-      ++state->pending;
-    }
-    HandleLine(line, respond);
-  }
-  scheduler_.Drain();
-  MutexLock lock(state->mu);
-  while (state->pending != 0) state->cv.Wait(state->mu);
-  return handled;
-}
-
 Result<int> Server::ListenTcp(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return ErrnoError("socket");
@@ -378,8 +342,8 @@ void Server::ServeTcp() {
   scheduler_.Drain();
 }
 
-void Server::ConnectionLoop(int fd) {
-  auto state = std::make_shared<ConnState>(fd);
+int64_t Server::ServeStream(int in_fd, int out_fd) {
+  auto state = std::make_shared<ConnState>(out_fd);
   auto respond = [state](std::string line) {
     line.push_back('\n');
     MutexLock lock(state->mu);
@@ -387,13 +351,15 @@ void Server::ConnectionLoop(int fd) {
     --state->pending;
     state->cv.NotifyAll();
   };
+  int64_t handled = 0;
   // Between reads `buffer` holds only the unfinished last line, and the
   // next search starts past it (`scanned`), so each byte is searched once.
   std::string buffer;
   size_t scanned = 0;
   char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+  bool stop = false;
+  while (!stop) {
+    const ssize_t n = ::read(in_fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
     buffer.append(chunk, static_cast<size_t>(n));
@@ -409,15 +375,22 @@ void Server::ConnectionLoop(int fd) {
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
+      ++handled;
       {
         MutexLock lock(state->mu);
         ++state->pending;
       }
       HandleLine(line, respond);
+      // A shutdown op ends the stream here: stdin cannot be shut down
+      // the way RequestShutdown shuts down a socket's reads.
+      if (shutdown_requested()) {
+        stop = true;
+        break;
+      }
     }
     buffer.erase(0, start);
     scanned = buffer.size();
-    if (too_long || scanned > kMaxRequestLineBytes) {
+    if (!stop && (too_long || scanned > kMaxRequestLineBytes)) {
       {
         MutexLock lock(state->mu);
         ++state->pending;
@@ -430,11 +403,14 @@ void Server::ConnectionLoop(int fd) {
       break;
     }
   }
-  {
-    // Wait out async data-op responses before closing the socket.
-    MutexLock lock(state->mu);
-    while (state->pending != 0) state->cv.Wait(state->mu);
-  }
+  // Wait out async data-op responses before the caller closes `out_fd`.
+  MutexLock lock(state->mu);
+  while (state->pending != 0) state->cv.Wait(state->mu);
+  return handled;
+}
+
+void Server::ConnectionLoop(int fd) {
+  ServeStream(fd, fd);
   MutexLock lock(conn_mu_);
   std::erase(conn_fds_, fd);
   ::close(fd);

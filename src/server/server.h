@@ -12,8 +12,8 @@
 //     Requests on a connection may be answered out of order (responses
 //     carry the request "id"); control ops answer inline, data ops run
 //     through the scheduler.
-//   * stdio: the same protocol over stdin/stdout for scripting and
-//     debugging without a socket.
+//   * stdio: the same protocol, read by the same line loop, over
+//     stdin/stdout for scripting and debugging without a socket.
 //
 // Example session:
 //   > {"id":1,"op":"load","graph":"t","dataset":"twitter","scale":0.1}
@@ -26,7 +26,6 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,8 +39,9 @@
 
 namespace graphite {
 
-/// Longest request line a TCP connection accepts, newline excluded. A
-/// longer line gets one error reply, then the connection closes.
+/// Longest request line the server accepts, newline excluded. A longer
+/// line gets one error reply, then the server stops reading the stream
+/// (a TCP connection closes).
 inline constexpr size_t kMaxRequestLineBytes = size_t{16} << 20;
 
 /// One graph to register before serving: a catalog dataset (`source` is
@@ -89,10 +89,12 @@ class Server {
   /// registered, so callers pass distinct names.
   std::vector<Status> Preload(const std::vector<PreloadSpec>& specs);
 
-  /// Serves the protocol over an istream/ostream pair until EOF or a
-  /// shutdown op; drains in-flight jobs before returning. Returns the
-  /// number of requests handled.
-  int64_t ServeStream(std::istream& in, std::ostream& out);
+  /// Serves the protocol from `in_fd` to `out_fd` (stdin and stdout for
+  /// --stdio; one socket for a TCP connection) until EOF, a shutdown op or
+  /// a line over kMaxRequestLineBytes, which gets one error reply. A line
+  /// counts once its newline arrives. Waits for every reply before
+  /// returning. Returns the number of requests handled.
+  int64_t ServeStream(int in_fd, int out_fd);
 
   /// Binds a loopback listener; `port` 0 picks an ephemeral port.
   /// Returns the bound port.

@@ -6,12 +6,13 @@
 //
 // Protocol: one JSON object per line; see src/server/server.h and the
 // README "serving" quickstart.
+#include <unistd.h>
+
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <limits>
 #include <string>
 #include <system_error>
@@ -165,7 +166,7 @@ int main(int argc, char** argv) {
   }
 
   if (stdio) {
-    server.ServeStream(std::cin, std::cout);
+    server.ServeStream(STDIN_FILENO, STDOUT_FILENO);
     return 0;
   }
   auto bound = server.ListenTcp(port);

@@ -14,13 +14,6 @@ GraphUpdate GraphUpdate::AddVertex(TimePoint t, VertexId id) {
   u.id = id;
   return u;
 }
-GraphUpdate GraphUpdate::RemoveVertex(TimePoint t, VertexId id) {
-  GraphUpdate u;
-  u.kind = Kind::kRemoveVertex;
-  u.time = t;
-  u.id = id;
-  return u;
-}
 GraphUpdate GraphUpdate::AddEdge(TimePoint t, EdgeId id, VertexId src,
                                  VertexId dst) {
   GraphUpdate u;
@@ -38,16 +31,6 @@ GraphUpdate GraphUpdate::RemoveEdge(TimePoint t, EdgeId id) {
   u.id = id;
   return u;
 }
-GraphUpdate GraphUpdate::SetVertexProp(TimePoint t, VertexId id,
-                                       std::string label, PropValue value) {
-  GraphUpdate u;
-  u.kind = Kind::kSetVertexProp;
-  u.time = t;
-  u.id = id;
-  u.label = std::move(label);
-  u.value = value;
-  return u;
-}
 GraphUpdate GraphUpdate::SetEdgeProp(TimePoint t, EdgeId id, std::string label,
                                      PropValue value) {
   GraphUpdate u;
@@ -57,192 +40,6 @@ GraphUpdate GraphUpdate::SetEdgeProp(TimePoint t, EdgeId id, std::string label,
   u.label = std::move(label);
   u.value = value;
   return u;
-}
-
-bool StreamingGraphBuilder::VertexAlive(VertexId id) const {
-  auto it = vertices_.find(id);
-  return it != vertices_.end() && it->second.end == kTimeMax;
-}
-
-Status StreamingGraphBuilder::Apply(const GraphUpdate& update) {
-  if (update.time < now_) {
-    return Status::InvalidArgument(
-        "out-of-order event: time " + std::to_string(update.time) +
-        " < stream clock " + std::to_string(now_));
-  }
-  switch (update.kind) {
-    case GraphUpdate::Kind::kAddVertex: {
-      if (vertices_.count(update.id) > 0) {
-        return Status::ConstraintViolation(
-            "Constraint 1: vertex " + std::to_string(update.id) +
-            " already exists (ids never re-occur)");
-      }
-      VertexRecord rec;
-      rec.start = update.time;
-      vertices_.emplace(update.id, std::move(rec));
-      break;
-    }
-    case GraphUpdate::Kind::kRemoveVertex: {
-      auto it = vertices_.find(update.id);
-      if (it == vertices_.end() || it->second.end != kTimeMax) {
-        return Status::NotFound("vertex " + std::to_string(update.id) +
-                                " is not alive");
-      }
-      if (update.time <= it->second.start) {
-        return Status::InvalidArgument("vertex would have empty lifespan");
-      }
-      // Removing a vertex retires its live edges and property runs too
-      // (referential integrity, Constraints 2-3).
-      for (auto& [eid, e] : edges_) {
-        (void)eid;
-        if (e.end == kTimeMax && (e.src == update.id || e.dst == update.id)) {
-          e.end = update.time;
-          for (auto& run : e.props) {
-            if (run.end == kTimeMax) run.end = update.time;
-          }
-        }
-      }
-      for (auto& run : it->second.props) {
-        if (run.end == kTimeMax) run.end = update.time;
-      }
-      it->second.end = update.time;
-      break;
-    }
-    case GraphUpdate::Kind::kAddEdge: {
-      if (edges_.count(update.id) > 0) {
-        return Status::ConstraintViolation(
-            "Constraint 1: edge " + std::to_string(update.id) +
-            " already exists (ids never re-occur)");
-      }
-      if (!VertexAlive(update.src) || !VertexAlive(update.dst)) {
-        return Status::ConstraintViolation(
-            "Constraint 2: edge " + std::to_string(update.id) +
-            " endpoints must both be alive");
-      }
-      EdgeRecord rec;
-      rec.src = update.src;
-      rec.dst = update.dst;
-      rec.start = update.time;
-      edges_.emplace(update.id, std::move(rec));
-      break;
-    }
-    case GraphUpdate::Kind::kRemoveEdge: {
-      auto it = edges_.find(update.id);
-      if (it == edges_.end() || it->second.end != kTimeMax) {
-        return Status::NotFound("edge " + std::to_string(update.id) +
-                                " is not alive");
-      }
-      if (update.time <= it->second.start) {
-        return Status::InvalidArgument("edge would have empty lifespan");
-      }
-      for (auto& run : it->second.props) {
-        if (run.end == kTimeMax) run.end = update.time;
-      }
-      it->second.end = update.time;
-      break;
-    }
-    case GraphUpdate::Kind::kSetVertexProp: {
-      auto it = vertices_.find(update.id);
-      if (it == vertices_.end() || it->second.end != kTimeMax) {
-        return Status::ConstraintViolation(
-            "Constraint 3: property on missing/dead vertex " +
-            std::to_string(update.id));
-      }
-      for (auto& run : it->second.props) {
-        if (run.label == update.label && run.end == kTimeMax) {
-          if (run.start == update.time) {
-            // Same-instant overwrite: replace the value in place.
-            run.value = update.value;
-            now_ = update.time;
-            return Status::OK();
-          }
-          run.end = update.time;
-        }
-      }
-      it->second.props.push_back(
-          {update.label, update.time, kTimeMax, update.value});
-      break;
-    }
-    case GraphUpdate::Kind::kSetEdgeProp: {
-      auto it = edges_.find(update.id);
-      if (it == edges_.end() || it->second.end != kTimeMax) {
-        return Status::ConstraintViolation(
-            "Constraint 3: property on missing/dead edge " +
-            std::to_string(update.id));
-      }
-      for (auto& run : it->second.props) {
-        if (run.label == update.label && run.end == kTimeMax) {
-          if (run.start == update.time) {
-            run.value = update.value;
-            now_ = update.time;
-            return Status::OK();
-          }
-          run.end = update.time;
-        }
-      }
-      it->second.props.push_back(
-          {update.label, update.time, kTimeMax, update.value});
-      break;
-    }
-  }
-  now_ = update.time;
-  return Status::OK();
-}
-
-Status StreamingGraphBuilder::ApplyAll(const std::vector<GraphUpdate>& updates) {
-  for (const GraphUpdate& u : updates) {
-    GRAPHITE_RETURN_NOT_OK(Apply(u));
-  }
-  return Status::OK();
-}
-
-Result<TemporalGraph> StreamingGraphBuilder::Seal(TimePoint horizon) const {
-  if (horizon <= now_) {
-    return Status::InvalidArgument("horizon must be beyond the stream clock");
-  }
-  TemporalGraphBuilder builder;
-  auto clip_end = [horizon](TimePoint end) {
-    return end == kTimeMax ? horizon : std::min(end, horizon);
-  };
-  for (const auto& [vid, rec] : vertices_) {
-    const Interval span(rec.start, clip_end(rec.end));
-    if (!span.IsValid()) continue;
-    builder.AddVertex(vid, span);
-    for (const auto& run : rec.props) {
-      const Interval ri(run.start, clip_end(run.end));
-      if (ri.IsValid()) builder.SetVertexProperty(vid, run.label, ri, run.value);
-    }
-  }
-  for (const auto& [eid, rec] : edges_) {
-    const Interval span(rec.start, clip_end(rec.end));
-    if (!span.IsValid()) continue;
-    builder.AddEdge(eid, rec.src, rec.dst, span);
-    for (const auto& run : rec.props) {
-      const Interval ri(run.start, clip_end(run.end));
-      if (ri.IsValid()) builder.SetEdgeProperty(eid, run.label, ri, run.value);
-    }
-  }
-  BuilderOptions options;
-  options.horizon = horizon;
-  return builder.Build(options);
-}
-
-size_t StreamingGraphBuilder::num_live_vertices() const {
-  size_t count = 0;
-  for (const auto& [vid, rec] : vertices_) {
-    (void)vid;
-    if (rec.end == kTimeMax) ++count;
-  }
-  return count;
-}
-
-size_t StreamingGraphBuilder::num_live_edges() const {
-  size_t count = 0;
-  for (const auto& [eid, rec] : edges_) {
-    (void)eid;
-    if (rec.end == kTimeMax) ++count;
-  }
-  return count;
 }
 
 Status UpdateBatcher::Push(const GraphUpdate& update) {
@@ -257,14 +54,6 @@ Status UpdateBatcher::Push(const GraphUpdate& update) {
       // batches can attach edges to them after they leave the batcher.
       vertices_.push_back({update.id, Interval(update.time, kTimeMax)});
       break;
-    case GraphUpdate::Kind::kRemoveVertex:
-      return Status::InvalidArgument(
-          "append path: vertex removal would rewrite sealed storage "
-          "(vertex " + std::to_string(update.id) + ")");
-    case GraphUpdate::Kind::kSetVertexProp:
-      return Status::InvalidArgument(
-          "append path: vertex properties would rewrite sealed storage "
-          "(vertex " + std::to_string(update.id) + ")");
     case GraphUpdate::Kind::kAddEdge: {
       if (edge_index_.count(update.id) != 0) {
         return Status::ConstraintViolation(

@@ -11,7 +11,7 @@
 // duplicate vertex or edge id, missing endpoint, invalid lifespan,
 // containment, bad label, overlapping runs, property on a missing
 // entity. Graphs compare through testutil::SameGraph; errors by code and
-// message. Half the random trials build without validation.
+// message.
 //
 // Tier-1 runs a few hundred trials. GRAPHITE_DIFFERENTIAL_TRIALS
 // multiplies the count (tools/ci.sh runs a large one).
@@ -126,13 +126,11 @@ class HashMapGraphBuilder {
             "Constraint 2: edge " + std::to_string(e.eid) +
             " references missing vertex");
       }
-      if (options.validate) {
-        if (!e.interval.ContainedIn(b.vertex_intervals[*src]) ||
-            !e.interval.ContainedIn(b.vertex_intervals[*dst])) {
-          return Status::ConstraintViolation(
-              "Constraint 2: edge " + std::to_string(e.eid) + " lifespan " +
-              e.interval.ToString() + " not contained in endpoint lifespans");
-        }
+      if (!e.interval.ContainedIn(b.vertex_intervals[*src]) ||
+          !e.interval.ContainedIn(b.vertex_intervals[*dst])) {
+        return Status::ConstraintViolation(
+            "Constraint 2: edge " + std::to_string(e.eid) + " lifespan " +
+            e.interval.ToString() + " not contained in endpoint lifespans");
       }
       resolved.push_back({e.eid, *src, *dst, e.interval});
       ++out_degree[*src];
@@ -189,7 +187,7 @@ class HashMapGraphBuilder {
           bad = Status::InvalidArgument("property interval invalid: " +
                                         p.interval.ToString());
         } else if (const Interval& span = span_of(*entity);
-                   options.validate && !p.interval.ContainedIn(span)) {
+                   !p.interval.ContainedIn(span)) {
           bad = Status::ConstraintViolation(
               std::string("Constraint 3: ") + kind + " property '" + p.label +
               "' interval " + p.interval.ToString() +
@@ -205,7 +203,7 @@ class HashMapGraphBuilder {
       }
       const uint32_t overlap =
           TemporalGraph::OrderStagedRuns(&staged, num_entities);
-      if (options.validate && overlap != TemporalGraph::kNoOverlap) {
+      if (overlap != TemporalGraph::kNoOverlap) {
         const PendingProp& p = pending[overlap];
         return Status::ConstraintViolation(
             std::string("Def. 1: overlapping values for ") + kind +
@@ -539,7 +537,6 @@ TEST(BuilderDifferentialTest, RandomValidGraphs) {
   for (int t = 0; t < trials; ++t) {
     const RandomInput in = MakeRandomInput(rng);
     BuilderOptions options;
-    options.validate = rng.Uniform(2) == 0;
     if (rng.Uniform(4) == 0) options.horizon = rng.UniformRange(1, 100);
     built += ExpectSameBuild(in.ops, options, "trial " + std::to_string(t));
   }
@@ -554,11 +551,9 @@ TEST(BuilderDifferentialTest, RandomFaultyGraphs) {
     RandomInput in = MakeRandomInput(rng);
     const uint64_t faults = 1 + rng.Uniform(3);
     for (uint64_t f = 0; f < faults; ++f) InjectFault(rng, &in);
-    BuilderOptions options;
-    options.validate = rng.Uniform(4) != 0;
-    failed += !ExpectSameBuild(in.ops, options, "trial " + std::to_string(t));
+    failed += !ExpectSameBuild(in.ops, {}, "trial " + std::to_string(t));
   }
-  // Most trials carry a fault that even an unvalidated build rejects.
+  // Most trials carry a fault the builder rejects.
   EXPECT_GT(failed, trials / 2);
 }
 

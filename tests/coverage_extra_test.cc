@@ -123,12 +123,9 @@ TEST(ReversedTransformedTest, EdgesAreExactInverses) {
 
 TEST(ChlonosWindowTest, WindowRestrictsProcessedSnapshots) {
   const TemporalGraph g = testutil::MakeRandomGraph(615);
-  ChlonosOptions options;
-  options.window_begin = 3;
-  options.window_end = 7;
   auto out = RunChlonos<VcmWcc>(
-      MakeUndirected(g), options,
-      [&](const SnapshotAdapter& a) { return VcmWcc(a); });
+      MakeUndirected(g), ChlonosOptions{},
+      [&](const SnapshotAdapter& a) { return VcmWcc(a); }, Interval(3, 7));
   for (VertexIdx v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(out.result[v].Get(2), std::nullopt);
     EXPECT_EQ(out.result[v].Get(7), std::nullopt);

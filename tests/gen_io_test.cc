@@ -29,9 +29,7 @@ void ExpectValid(const TemporalGraph& g) {
       }
     }
   }
-  BuilderOptions options;
-  options.validate = true;
-  auto result = b.Build(options);
+  auto result = b.Build();
   EXPECT_TRUE(result.ok()) << result.status().ToString();
 }
 

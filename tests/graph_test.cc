@@ -111,37 +111,6 @@ TEST(BuilderTest, Def1ReportsTheFirstOverlappingRunInInputOrder) {
       << g.status().ToString();
 }
 
-// Without validation, overlapping runs of one label resolve exactly as
-// successive IntervalMap::Set calls in input order, and each entity keeps
-// its labels in first-set order.
-TEST(BuilderTest, UnvalidatedOverlapsResolveLikeSet) {
-  const std::vector<std::pair<Interval, PropValue>> sets = {
-      {Interval(0, 10), 1}, {Interval(3, 5), 2}, {Interval(3, 5), 3},
-      {Interval(8, 12), 4}, {Interval(12, 14), 5}};
-  TemporalGraphBuilder b;
-  b.AddVertex(1, Interval(0, 20));
-  b.AddVertex(2, Interval(0, 20));
-  b.AddEdge(7, 1, 2, Interval(0, 20));
-  b.SetEdgeProperty(7, "z", Interval(0, 1), 9);
-  IntervalMap<PropValue> want;
-  for (const auto& [interval, value] : sets) {
-    b.SetEdgeProperty(7, "w", interval, value);
-    want.Set(interval, value);
-  }
-  BuilderOptions options;
-  options.validate = false;
-  auto g = b.Build(options);
-  ASSERT_TRUE(g.ok());
-  std::vector<std::string> labels;
-  for (const auto& [label, runs] : g->EdgeProperties(0)) {
-    labels.push_back(g->LabelName(label));
-  }
-  EXPECT_EQ(labels, (std::vector<std::string>{"z", "w"}));
-  const PropRuns got = g->EdgeProperty(0, *g->LabelIdOf("w"));
-  EXPECT_EQ(std::vector<PropRun>(got.entries().begin(), got.entries().end()),
-            std::vector<PropRun>(want.entries().begin(), want.entries().end()));
-}
-
 TEST(BuilderTest, InvalidIntervalRejected) {
   TemporalGraphBuilder b;
   b.AddVertex(1, Interval(5, 5));
@@ -165,9 +134,7 @@ TEST(BuilderTest, RejectsLabelsTheTextFormatCannotCarry) {
     edge.AddEdge(5, 1, 2, Interval(0, 9));
     edge.SetEdgeProperty(5, "ok", Interval(0, 3), 1);
     edge.SetEdgeProperty(5, label, Interval(0, 3), 1);
-    BuilderOptions unchecked;
-    unchecked.validate = false;
-    g = edge.Build(unchecked);
+    g = edge.Build();
     ASSERT_FALSE(g.ok());
     EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
   }

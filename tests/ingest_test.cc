@@ -1084,12 +1084,59 @@ TEST(IngestBatcherTest, DrainClosedEmitsFinalLifespansOnly) {
   EXPECT_EQ(flushed.value().edges[0].interval, Interval(5, 8));
   EXPECT_EQ(batcher.num_pending_edges(), 0u);
 
-  // Vertex mutations cannot be expressed on the append path.
-  EXPECT_FALSE(batcher.Push(GraphUpdate::RemoveVertex(9, 100)).ok());
-  EXPECT_FALSE(
-      batcher.Push(GraphUpdate::SetVertexProp(9, 100, "label", 1)).ok());
   // Time cannot go backwards.
   EXPECT_FALSE(batcher.Push(GraphUpdate::AddVertex(3, 102)).ok());
+}
+
+TEST(IngestBatcherTest, RejectsAnEdgeIdAlreadyPending) {
+  UpdateBatcher batcher;
+  ASSERT_TRUE(batcher.Push(GraphUpdate::AddEdge(1, 500, 100, 101)).ok());
+  EXPECT_EQ(batcher.Push(GraphUpdate::AddEdge(2, 500, 101, 100)).code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(batcher.num_pending_edges(), 1u);
+}
+
+TEST(IngestBatcherTest, RejectsPropertiesOnMissingOrRemovedEdges) {
+  UpdateBatcher batcher;
+  EXPECT_EQ(batcher.Push(GraphUpdate::SetEdgeProp(0, 9, "w", 1)).code(),
+            StatusCode::kConstraintViolation);
+  ASSERT_TRUE(batcher.Push(GraphUpdate::AddEdge(1, 500, 100, 101)).ok());
+  ASSERT_TRUE(batcher.Push(GraphUpdate::RemoveEdge(3, 500)).ok());
+  EXPECT_EQ(batcher.Push(GraphUpdate::SetEdgeProp(4, 500, "w", 1)).code(),
+            StatusCode::kConstraintViolation);
+}
+
+TEST(IngestBatcherTest, RejectsRemovalOfAnUnknownEdge) {
+  UpdateBatcher batcher;
+  EXPECT_EQ(batcher.Push(GraphUpdate::RemoveEdge(2, 500)).code(),
+            StatusCode::kNotFound);
+}
+
+TEST(IngestBatcherTest, FlushAllNeedsAHorizonBeyondTheClock) {
+  UpdateBatcher batcher;
+  ASSERT_TRUE(batcher.Push(GraphUpdate::AddVertex(5, 1)).ok());
+  EXPECT_FALSE(batcher.FlushAll(5).ok());
+  EXPECT_EQ(batcher.num_pending_vertices(), 1u);
+  EXPECT_TRUE(batcher.FlushAll(6).ok());
+}
+
+// A whole synthetic feed, flushed at its horizon, appends to an empty
+// graph: the batcher's output always passes Append's checks.
+TEST(IngestBatcherTest, SyntheticFeedsAppendToAnEmptyGraph) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    UpdateBatcher batcher;
+    for (const GraphUpdate& u : SyntheticUpdateStream(seed, 20, 150, 12)) {
+      ASSERT_TRUE(batcher.Push(u).ok());
+    }
+    auto batch = batcher.FlushAll(12);
+    ASSERT_TRUE(batch.ok());
+    TemporalGraph g;
+    const Status appended = g.Append(*batch);
+    ASSERT_TRUE(appended.ok()) << appended.ToString();
+    EXPECT_EQ(g.num_vertices(), 20u);
+    EXPECT_GT(g.num_edges(), 0u);
+  }
 }
 
 }  // namespace

@@ -558,7 +558,6 @@ TemporalGraph RebuildWithEdges(const TemporalGraph& g, bool reverse,
     }
   }
   BuilderOptions options;
-  options.validate = false;  // The source graph already passed validation.
   options.horizon = g.horizon();
   auto result = builder.Build(options);
   GRAPHITE_CHECK(result.ok());

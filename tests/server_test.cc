@@ -13,12 +13,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -1232,29 +1233,119 @@ TEST(SchedulerTest, FastPathHitBypassesQueue) {
   EXPECT_EQ(scheduler.stats().queued, 0u);
 }
 
+// A read admitted before an append answers from the graph it was admitted
+// on, even when it runs after the append.
+TEST(SchedulerTest, QueuedJobAnswersFromTheVersionItWasAdmittedOn) {
+  GraphRegistry registry;
+  QueryService service(&registry, nullptr);
+  registry.Add("t", testutil::MakeTransitGraph());
+  const size_t before = registry.Get("t")->workload.graph().num_vertices();
+
+  SchedulerOptions options;
+  options.num_threads = 0;
+  JobScheduler scheduler(&service, options);
+  std::string reply;
+  ASSERT_TRUE(scheduler
+                  .Submit(MustParse("{\"op\":\"stats\",\"graph\":\"t\","
+                                    "\"cache\":false}"),
+                          [&](std::string line) { reply = std::move(line); })
+                  .ok());
+  EdgeBatch batch;
+  batch.vertices.push_back({9001, Interval(0, kTimeMax)});
+  ASSERT_TRUE(registry.Append("t", batch, /*compact=*/false).ok());
+  ASSERT_TRUE(scheduler.RunOneForTest());
+
+  auto doc = ParseJson(reply);
+  ASSERT_TRUE(doc.ok()) << reply;
+  const JsonValue* result = doc->Find("result");
+  ASSERT_NE(result, nullptr) << reply;
+  EXPECT_EQ(result->GetInt("vertices", -1), static_cast<int64_t>(before))
+      << reply;
+}
+
+// A graph that is not resident is answered NotFound at admission.
+TEST(SchedulerTest, MissingGraphIsAnsweredAtAdmission) {
+  GraphRegistry registry;
+  QueryService service(&registry, nullptr);
+  SchedulerOptions options;
+  options.num_threads = 0;
+  JobScheduler scheduler(&service, options);
+  std::string reply;
+  ASSERT_TRUE(scheduler
+                  .Submit(MustParse("{\"id\":4,\"op\":\"stats\","
+                                    "\"graph\":\"nope\"}"),
+                          [&](std::string line) { reply = std::move(line); })
+                  .ok());
+  EXPECT_EQ(reply, service.Execute(MustParse(
+                       "{\"id\":4,\"op\":\"stats\",\"graph\":\"nope\"}")));
+  EXPECT_NE(reply.find("NotFound"), std::string::npos) << reply;
+  EXPECT_FALSE(scheduler.RunOneForTest());
+}
+
+// Serves `input` through Server::ServeStream from one temporary file into
+// another, as --stdio serves stdin into stdout; returns what it wrote.
+std::string ServeThroughFiles(Server* server, const std::string& input,
+                              int64_t* handled) {
+  FILE* in = std::tmpfile();
+  FILE* out = std::tmpfile();
+  GRAPHITE_CHECK(in != nullptr && out != nullptr);
+  GRAPHITE_CHECK(std::fwrite(input.data(), 1, input.size(), in) ==
+                 input.size());
+  GRAPHITE_CHECK(std::fflush(in) == 0);
+  std::rewind(in);
+  *handled = server->ServeStream(::fileno(in), ::fileno(out));
+  std::string text;
+  char chunk[4096];
+  GRAPHITE_CHECK(::lseek(::fileno(out), 0, SEEK_SET) == 0);
+  for (ssize_t n; (n = ::read(::fileno(out), chunk, sizeof(chunk))) > 0;) {
+    text.append(chunk, static_cast<size_t>(n));
+  }
+  std::fclose(in);
+  std::fclose(out);
+  return text;
+}
+
 TEST(ServerStreamTest, StdioProtocolEndToEnd) {
   ServerOptions options;
   options.scheduler.num_threads = 2;
   Server server(options);
   server.registry().Add("t", testutil::MakeTransitGraph());
 
-  std::istringstream in(
+  int64_t handled = 0;
+  const std::string text = ServeThroughFiles(
+      &server,
       "{\"id\":1,\"op\":\"ping\"}\n"
       "{\"id\":2,\"op\":\"list\"}\n"
       "{\"id\":3,\"op\":\"run\",\"graph\":\"t\",\"alg\":\"bfs\","
       "\"source\":0,\"metrics\":true}\n"
       "{\"id\":4,\"op\":\"metrics\"}\n"
-      "not json\n");
-  std::ostringstream out;
-  const int64_t handled = server.ServeStream(in, out);
+      "not json\n",
+      &handled);
   EXPECT_EQ(handled, 5);
-  const std::string text = out.str();
   EXPECT_NE(text.find("\"op\": \"ping\""), std::string::npos);
   EXPECT_NE(text.find("\"name\": \"t\""), std::string::npos);
   EXPECT_NE(text.find("\"supersteps\""), std::string::npos);
   EXPECT_NE(text.find("\"metrics\""), std::string::npos);
   EXPECT_NE(text.find("\"hit_rate\""), std::string::npos);
   EXPECT_NE(text.find("\"ok\": false"), std::string::npos);  // bad line
+}
+
+// stdio caps a request line as TCP does: a line one byte over the cap gets
+// one error reply, and nothing after it is read.
+TEST(ServerStreamTest, StdioOverlongLineGetsOneErrorReply) {
+  Server server;
+  int64_t handled = 0;
+  const std::string text = ServeThroughFiles(
+      &server,
+      std::string(kMaxRequestLineBytes + 1, 'x') +
+          "\n{\"id\":2,\"op\":\"ping\"}\n",
+      &handled);
+  EXPECT_EQ(handled, 0);
+  ASSERT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+  auto doc = ParseJson(text.substr(0, text.size() - 1));
+  ASSERT_TRUE(doc.ok()) << text;
+  EXPECT_FALSE(doc->GetBool("ok", true));
+  EXPECT_NE(text.find("request line exceeds"), std::string::npos) << text;
 }
 
 // Minimal line-oriented TCP client for the end-to-end test.
